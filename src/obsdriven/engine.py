@@ -17,8 +17,10 @@ keeps a path extension from perturbing the shared suffix.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,7 +208,8 @@ class CouplingTrace:
     def times(self):
         return np.arange(self.t_min, self.t_max + 1)
 
-    def gap(self, norm: str = "abs") -> np.ndarray:
+    def gap(self) -> np.ndarray:
+        """Per-step state gap; the sup-norm across coordinates for vector states."""
         a = np.atleast_2d(self.lam.T).T
         b = np.atleast_2d(self.lam_prime.T).T
         return np.max(np.abs(a - b), axis=1)
@@ -453,8 +456,8 @@ def push_measure(
 @dataclass(frozen=True)
 class W1Result:
     value: float
-    monotone_upper: float | None  # sorted-coupling cost; valid upper bound in 1-d
-    exact: bool                   # assignment solved on the full point sets
+    monotone_upper: float | None  # sorted-coupling cost, an upper bound; scalar states only
+    exact: bool                   # solved on the full point sets (always for scalar states)
     n_used: int
     bootstrap: bool = False
     spread: float = 0.0           # max-min over subsample draws when not exact
@@ -479,10 +482,93 @@ def _assignment_cost(a: np.ndarray, b: np.ndarray) -> float:
     return math.fsum(c[r, col]) / len(a)
 
 
-def _monotone_cost(a: np.ndarray, b: np.ndarray) -> float | None:
-    if a.ndim != 1:
-        return None
+def _monotone_cost(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.minimum(np.abs(np.sort(a) - np.sort(b)), 1.0).mean())
+
+
+def _line_hub_coupling(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal coupling of scalar point sets under min(|s-s'|, 1), as index pairs.
+
+    min(|s-s'|, 1) is the shortest-path metric of the line plus a hub at
+    distance 1/2 from every point, so W1 is a min-cost flow along the
+    merged sorted points: with f the flow along the line, a gap of length
+    L costs L|f|, and each a-point either adds 1 to f or goes to the hub
+    at cost 1/2 (each b-point subtracts 1 or comes from the hub); f starts
+    and ends at 0.  The value function V(f) stays convex, so it is kept as
+    its sorted slope sequence (the "slope trick"): an a-point inserts the
+    slope -1/2, a b-point +1/2, and a gap moves the slopes left of f = 0
+    down by L and those right of it up by L.  A slope enters the left side
+    at most +1/2 and then only falls; one enters the right side at least
+    -1/2 and then only rises; and a slope crosses sides only from within
+    [-1/2, 1/2].  So only the slopes in [-1/2, 1/2] are kept, one deque per
+    side: insertions land at its ends and slopes leave it at its ends, so
+    the pass after the sort is amortized O(n).  The number of slopes below
+    -1/2 (all on the left) and above +1/2 (all on the right) then follows
+    from the deque sizes, and gives where the slope crosses -1/2 (resp.
+    +1/2), which decides hub or line for each point and flow; backtracking
+    from f = 0 marks the hub points.  The line points pair in sorted order
+    (their cost is then the sum of L|f|), and so do the hub points, each
+    such pair being at distance >= 1.
+
+    Slopes are stored against the position where they entered their side
+    (left: v + z, right: v - z, with z measured from the smallest point), so
+    no lazy offset accumulates rounding.
+    """
+    n = len(a)
+    pts = np.concatenate([a, b])
+    order = np.argsort(pts, kind="stable")
+    zs = (pts[order] - pts[order[0]]).tolist()
+    from_a = (order < n).tolist()
+    # slopes of V in [-1/2, 1/2] on f <= 0 (left) and on f >= 0 (right), in
+    # increasing order; at position z the actual slope is key - z on the
+    # left and key + z on the right
+    left, right = deque(), deque()
+    cross = [0] * (2 * n)
+    for k, (z, is_a) in enumerate(zip(zs, from_a)):
+        lo, hi = z - 0.5, 0.5 - z  # keys of -1/2 on the left, +1/2 on the right
+        while left and left[0] < lo:
+            left.popleft()
+        while right and right[-1] > hi:
+            right.pop()
+        if is_a:
+            # the a-point goes to the hub iff the flow after it is <= cross,
+            # the start of V's domain plus its slopes below -1/2
+            cross[k] = -len(left)
+            # insert -1/2; the right side grows, taking the left maximum
+            # when that exceeds -1/2
+            if left and left[-1] > lo:
+                right.appendleft(left.pop() - 2 * z)
+                left.appendleft(lo)
+            else:
+                right.appendleft(-0.5 - z)
+        else:
+            # the b-point comes from the hub iff the flow after it is >= cross,
+            # the start of V's domain plus its slopes up to +1/2
+            cross[k] = len(right)
+            # insert +1/2; the left side grows, taking the right minimum
+            # when that is below +1/2
+            if right and right[0] < hi:
+                left.append(right.popleft() + 2 * z)
+                right.append(hi)
+            else:
+                left.append(z + 0.5)
+    hub = [False] * (2 * n)
+    f = 0
+    for k in range(2 * n - 1, -1, -1):
+        if from_a[k]:
+            if f <= cross[k]:
+                hub[k] = True
+            else:
+                f -= 1
+        elif f >= cross[k]:
+            hub[k] = True
+        else:
+            f += 1
+    hub = np.array(hub)
+    a_mask = np.array(from_a)
+    ia = np.concatenate([order[a_mask & ~hub], order[a_mask & hub]])
+    ib = np.concatenate([order[~a_mask & ~hub], order[~a_mask & hub]]) - n
+    return ia, ib
 
 
 def _stratified_subsample(x: np.ndarray, k: int, rng) -> np.ndarray:
@@ -498,16 +584,24 @@ def wasserstein1(
 ) -> W1Result:
     """W1 under min(|s-s'|, 1) between two uniform empirical measures.
 
-    The exact optimal-transport cost comes from an assignment solve on the
-    full cost matrix (the truncated metric is concave in the distance, so
-    the sorted coupling is only an upper bound and is reported as such).
-    Larger inputs are handled by stratified subsampling to ``max_exact``
-    points, averaged over ``subsample_draws`` draws.
+    Scalar states are solved exactly at any size by a sort and a pass over
+    the merged points (``_line_hub_coupling``), in O(n log n) time and O(n)
+    memory.  Vector states (sup-norm) use an assignment solve on the full
+    cost matrix; larger vector inputs are handled by stratified subsampling
+    to ``max_exact`` points, averaged over ``subsample_draws`` draws.  Either
+    way the value is the exactly-rounded sum of the chosen coupling's costs.
+    The sorted coupling is reported as an upper bound only: the metric is
+    concave in the distance, so sorting is not optimal in general.  NaN or
+    infinite points, and an empty measure, raise ``InvalidSpec``.
     """
     a = mu.points if isinstance(mu, EmpiricalMeasure) else np.asarray(mu, dtype=float)
     b = nu.points if isinstance(nu, EmpiricalMeasure) else np.asarray(nu, dtype=float)
     if (a.ndim == 1) != (b.ndim == 1) or (a.ndim > 1 and a.shape[1] != b.shape[1]):
         raise SizeMismatch("measures live in different state spaces")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InvalidSpec("W1 needs finite points; got NaN or infinite states")
+    if len(a) == 0 or len(b) == 0:
+        raise InvalidSpec("W1 needs at least one point in each measure")
     bootstrap = False
     if len(a) != len(b):
         if not allow_bootstrap:
@@ -520,8 +614,12 @@ def wasserstein1(
             b = b[rng.integers(0, len(b), size=target)]
         bootstrap = True
     n = len(a)
+    if a.ndim == 1:
+        ia, ib = _line_hub_coupling(a, b)
+        value = math.fsum(np.minimum(np.abs(a[ia] - b[ib]), 1.0)) / n
+        return W1Result(value, _monotone_cost(a, b), True, n, bootstrap)
     if n <= max_exact:
-        return W1Result(_assignment_cost(a, b), _monotone_cost(a, b), True, n, bootstrap)
+        return W1Result(_assignment_cost(a, b), None, True, n, bootstrap)
     rng = generator(seed, 72)
     vals = []
     for _ in range(subsample_draws):
@@ -530,24 +628,33 @@ def wasserstein1(
         vals.append(_assignment_cost(sa, sb))
     vals = np.asarray(vals)
     return W1Result(
-        float(vals.mean()), _monotone_cost(a, b), False, max_exact, bootstrap,
+        float(vals.mean()), None, False, max_exact, bootstrap,
         float(vals.max() - vals.min()),
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _permutations(n: int) -> np.ndarray:
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+    perms.flags.writeable = False
+    return perms
+
+
 def wasserstein1_bruteforce(a: np.ndarray, b: np.ndarray) -> float:
-    """Exhaustive minimum over all couplings (permutations); tiny n only."""
+    """Exhaustive minimum over all couplings (permutations); tiny n only.
+
+    Every permutation's cost is summed in float, and the sums within 1e-12
+    of the least (far above the rounding error of at most 9 terms, each at
+    most 1) are summed again exactly; the least exact sum is returned.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = len(a)
     if n > 9:
         raise InvalidSpec("brute force oracle limited to n <= 9")
-    c = _cost_matrix(a, b)
-    rows = np.arange(n)
-    best = math.inf
-    for perm in itertools.permutations(range(n)):
-        best = min(best, math.fsum(c[rows, perm]))
-    return best / n
+    costs = _cost_matrix(a, b)[np.arange(n), _permutations(n)]
+    sums = costs.sum(axis=1)
+    return min(math.fsum(row) for row in costs[sums <= sums.min() + 1e-12]) / n
 
 
 # ---------------------------------------------------------------------------

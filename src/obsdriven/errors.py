@@ -33,10 +33,6 @@ class StateOverflow(DomainViolation):
     """The link recursion overflowed float64: a state became inf or NaN."""
 
 
-class UnboundedGrowth(ValueError):
-    """A regression map grows faster than the declared moment order allows."""
-
-
 class PathTooShort(ValueError):
     """The covariate path does not cover the requested horizon or truncation window."""
 

@@ -780,9 +780,12 @@ class GarchGaussian(_Continuous):
         return -w, w
 
     def _breakpoints(self, s, sp):
-        if s == sp:
-            return []
         sig, sigp = math.sqrt(max(s, sp)), math.sqrt(min(s, sp))
+        # distinct states can share a rounded sqrt (adjacent floats), where
+        # the crossing formula divides by zero; the densities are then equal
+        # to rounding and need no breakpoints
+        if sig == sigp:
+            return []
         u = sig * sigp * math.sqrt(2.0 * math.log(sig / sigp) / (sig**2 - sigp**2))
         return [-u, 0.0, u]
 

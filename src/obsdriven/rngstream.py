@@ -69,7 +69,15 @@ class IndexedStream:
 
     def uniforms(self, t_lo: int, n_indices: int) -> np.ndarray:
         """Open-interval (0,1) uniforms, shape (n_indices, words_per_index)."""
-        raw = self.raw(t_lo, n_indices)
-        # 53-bit mantissa plus a half-ulp shift keeps 0 and 1 unreachable,
-        # which inverse-cdf transforms require.
-        return (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+        return _open_unit(self.raw(t_lo, n_indices))
+
+
+def _open_unit(raw: np.ndarray) -> np.ndarray:
+    """Map uint64 words into the open interval (0, 1).
+
+    The top 53 bits plus a half-ulp shift keep 0 unreachable, which
+    inverse-cdf transforms require; words whose top 53 bits are all ones
+    would round up to 1.0 (ties to even), so they are clamped to the
+    largest double below 1.
+    """
+    return np.minimum((raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54, 1.0 - 2.0**-53)

@@ -55,6 +55,12 @@ def all_kernels():
     ]
 
 
+def hypothesis_settings():
+    """(hypothesis, strategies, settings) for derandomized property tests; skips without it."""
+    hyp = pytest.importorskip("hypothesis")
+    return hyp, hyp.strategies, hyp.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+
 @pytest.fixture
 def benchmark_model():
     return poisson_ingarch_x()

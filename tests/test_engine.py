@@ -7,13 +7,15 @@ import pytest
 from scipy import stats as sstats
 
 import obsdriven as od
-from obsdriven.engine import coupled_backward_cost, push_measure
+from obsdriven.engine import _assignment_cost, coupled_backward_cost, push_measure
 from obsdriven.errors import (
     DomainViolation, InvalidSpec, PathTooShort, SizeMismatch, StateOverflow, UnsupportedCombination,
 )
 from obsdriven.rngstream import generator, split_seed
 
-from conftest import divergent_model, logit_benchmark, poisson_ingarch_const, poisson_ingarch_x
+from conftest import (
+    divergent_model, hypothesis_settings, logit_benchmark, poisson_ingarch_const, poisson_ingarch_x,
+)
 
 CM = od.ConstantMap
 
@@ -219,12 +221,88 @@ def test_w1_unequal_sizes_bootstrap_flag_and_error():
 
 
 def test_w1_subsampling_for_large_inputs():
+    # vector states keep the assignment and subsample above max_exact;
+    # scalar states are solved exactly at any size
     rng = generator(71)
-    a = rng.normal(size=5000)
-    b = rng.normal(size=5000)
+    a = rng.normal(size=(5000, 2))
+    b = rng.normal(size=(5000, 2))
     r = od.wasserstein1(a, b, max_exact=512, subsample_draws=4)
     assert not r.exact and r.n_used == 512
     assert r.spread >= 0.0 and r.value < 0.2
+    r = od.wasserstein1(a[:, 0], b[:, 0], max_exact=512, subsample_draws=4)
+    assert r.exact and r.n_used == 5000 and r.spread == 0.0
+
+
+def test_w1_rejects_non_finite_points_and_empty_measures():
+    x = np.linspace(0.0, 1.0, 5)
+    for bad in (np.nan, np.inf, -np.inf):
+        y = x.copy()
+        y[2] = bad
+        for a, b in ((y, x), (x, y), (y, y)):
+            with pytest.raises(InvalidSpec):
+                od.wasserstein1(a, b)
+    with pytest.raises(InvalidSpec):
+        od.wasserstein1(np.zeros((4, 2)), np.full((4, 2), np.inf))
+    for a, b in ((np.array([]), x), (np.array([]), np.array([]))):
+        with pytest.raises(InvalidSpec):
+            od.wasserstein1(a, b)
+
+
+def _scalar_clouds(st, min_n, max_n):
+    """Pairs of equal-size scalar clouds, often tie-heavy."""
+    point = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5]))
+
+    @st.composite
+    def clouds(draw):
+        n = draw(st.integers(min_n, max_n))
+        a = np.array(draw(st.lists(point, min_size=n, max_size=n)))
+        b = np.array(draw(st.lists(point, min_size=n, max_size=n)))
+        form = draw(st.sampled_from(["raw", "tenths", "constant"]))
+        if form == "tenths":
+            a, b = np.round(a, 1), np.round(b, 1)
+        elif form == "constant":
+            a = np.full(n, a[0])
+        return a, b
+
+    return clouds()
+
+
+def test_w1_scalar_matches_assignment_property():
+    hyp, st, settings = hypothesis_settings()
+
+    @settings
+    @hyp.given(_scalar_clouds(st, 1, 60))
+    def check(ab):
+        a, b = ab
+        assert abs(od.wasserstein1(a, b).value - _assignment_cost(a, b)) <= 1e-15
+
+    check()
+
+
+def test_w1_scalar_matches_bruteforce_property():
+    # both sides fsum an optimal coupling; couplings tied in exact
+    # arithmetic can differ in the rounding of their float costs
+    hyp, st, settings = hypothesis_settings()
+
+    @settings
+    @hyp.given(_scalar_clouds(st, 8, 8))
+    def check(ab):
+        a, b = ab
+        assert abs(od.wasserstein1(a, b).value - od.wasserstein1_bruteforce(a, b)) <= 2.3e-16
+
+    check()
+
+
+def test_w1_scalar_is_symmetric():
+    hyp, st, settings = hypothesis_settings()
+
+    @settings
+    @hyp.given(_scalar_clouds(st, 1, 60))
+    def check(ab):
+        a, b = ab
+        assert abs(od.wasserstein1(a, b).value - od.wasserstein1(b, a).value) <= 1e-15
+
+    check()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from obsdriven.errors import StateOutOfDomain, UnsupportedOrder
 from obsdriven.kernels import kernel_from_dict, tv_table, tv_table_to_csv
 from obsdriven.rngstream import generator
 
-from conftest import all_kernels
+from conftest import all_kernels, hypothesis_settings
 
 
 # ---------------------------------------------------------------------------
@@ -27,11 +27,6 @@ def test_poisson_at_zero_is_point_mass():
     assert np.all(k.sample_inverse(np.zeros(100), rng.random(100)) == 0)
 
 
-def _hypothesis():
-    hyp = pytest.importorskip("hypothesis")
-    return hyp, hyp.strategies, hyp.settings(max_examples=300, derandomize=True, database=None, deadline=None)
-
-
 def _poisson_inputs(st, max_mean, u=None):
     if u is None:
         u = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -39,7 +34,7 @@ def _poisson_inputs(st, max_mean, u=None):
 
 
 def test_poisson_quantile_matches_scipy_where_finite():
-    hyp, st, settings = _hypothesis()
+    hyp, st, settings = hypothesis_settings()
 
     @settings
     @hyp.given(*_poisson_inputs(st, 1e10))
@@ -56,7 +51,7 @@ def test_poisson_quantile_search_matches_scipy_in_the_bulk():
     # as scipy's wherever pdtr is accurate: within 4 standard deviations
     from obsdriven.kernels import _poisson_quantile_search
 
-    hyp, st, settings = _hypothesis()
+    hyp, st, settings = hypothesis_settings()
 
     @settings
     @hyp.given(*_poisson_inputs(st, 1e10, st.floats(ndtr(-4.0), ndtr(4.0))))
@@ -68,7 +63,7 @@ def test_poisson_quantile_search_matches_scipy_in_the_bulk():
 
 
 def test_poisson_quantile_nondecreasing_in_u():
-    hyp, st, settings = _hypothesis()
+    hyp, st, settings = hypothesis_settings()
     s_st, u_st = _poisson_inputs(st, 1e15)
 
     @settings
@@ -81,7 +76,7 @@ def test_poisson_quantile_nondecreasing_in_u():
 
 
 def test_poisson_quantile_finite_up_to_mean_1e15():
-    hyp, st, settings = _hypothesis()
+    hyp, st, settings = hypothesis_settings()
 
     @settings
     @hyp.given(*_poisson_inputs(st, 1e15))
@@ -275,6 +270,18 @@ def test_tv_exact_garch_closed_form():
     u = sig * sigp * math.sqrt(2 * math.log(sig / sigp) / (sig**2 - sigp**2))
     want = 2 * (ndtr(u / sigp) - ndtr(u / sig))
     assert k.tv_exact(s, sp) == pytest.approx(want, abs=1e-7)
+
+
+def test_garch_adjacent_states_with_equal_sqrt():
+    # 4 and the next double share a rounded sqrt; the density crossing
+    # formula divided by zero there
+    k = od.GarchGaussian(1.0)
+    s, sp = 4.0, float(np.nextafter(4.0, 5.0))
+    assert math.sqrt(s) == math.sqrt(sp) and s != sp
+    assert k._breakpoints(s, sp) == []
+    assert 0.0 <= k.tv_exact(s, sp) < 1e-7
+    y, yp, met = k.couple_batch(s, sp, 200, generator(9))
+    assert np.all(y[met] == yp[met])
 
 
 def test_tv_exact_bernoulli_is_cdf_difference():

@@ -1,0 +1,19 @@
+"""Counter-based streams: the uniform conversion and index addressing."""
+
+import numpy as np
+
+from obsdriven.rngstream import IndexedStream, _open_unit
+
+
+def test_open_unit_excludes_both_ends():
+    # the all-ones word rounds (2**53 - 1) * 2**-53 + 2**-54 up to 1.0
+    u = _open_unit(np.array([0, 2**64 - 1], dtype=np.uint64))
+    assert u.tolist() == [2.0**-54, 1.0 - 2.0**-53]
+
+
+def test_open_unit_unchanged_below_the_top():
+    raw = IndexedStream(5, 3, 4).raw(-10, 500).ravel()
+    raw = np.concatenate([raw, np.array([2**64 - 2**11 - 1, 2**64 - 2**12], dtype=np.uint64)])
+    want = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+    assert np.array_equal(_open_unit(raw), want)
+    assert want.max() < 1.0
