@@ -110,8 +110,11 @@ def _write_replay(out_dir: Path, manifest: dict) -> None:
 
 def run_manifest(manifest: dict, out_dir: Path) -> tuple[int, str]:
     """Execute one validated manifest; returns (exit code, summary line)."""
+    try:
+        model = model_from_dict(manifest["model"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise _fail(f"malformed model ({type(e).__name__}: {e})") from e
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = model_from_dict(manifest["model"])
     cmd = manifest["command"]
     params = manifest["params"]
     seed = manifest["seed"]

@@ -645,7 +645,9 @@ def wasserstein1_bruteforce(a: np.ndarray, b: np.ndarray) -> float:
 
     Every permutation's cost is summed in float, and the sums within 1e-12
     of the least (far above the rounding error of at most 9 terms, each at
-    most 1) are summed again exactly; the least exact sum is returned.
+    most 1) are summed again exactly; the least exact sum is returned.  An
+    exact sum does not depend on the order of its terms, so those rows are
+    sorted and each distinct one is summed once (tied inputs repeat rows).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -654,7 +656,9 @@ def wasserstein1_bruteforce(a: np.ndarray, b: np.ndarray) -> float:
         raise InvalidSpec("brute force oracle limited to n <= 9")
     costs = _cost_matrix(a, b)[np.arange(n), _permutations(n)]
     sums = costs.sum(axis=1)
-    return min(math.fsum(row) for row in costs[sums <= sums.min() + 1e-12]) / n
+    near = np.sort(costs[sums <= sums.min() + 1e-12], axis=1)
+    rows = np.unique(near.view(np.dtype((np.void, near.itemsize * n))).ravel())
+    return min(math.fsum(row) for row in rows.view(float).reshape(-1, n)) / n
 
 
 # ---------------------------------------------------------------------------

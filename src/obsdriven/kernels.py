@@ -11,7 +11,9 @@ Every family carries four routes to the same object:
   families, adaptive quadrature of the density overlap for continuous
   ones), independent of ``phi``;
 * ``maximal_couple`` draws a pair with the prescribed marginals whose
-  disagreement probability equals the total-variation distance.
+  disagreement probability equals the total-variation distance; it never
+  calls the oracle (continuous families use the ordinary rejection
+  coupling, which needs only the two densities).
 
 Families whose rate constants are only proved to exist (probit, location
 noise) certify a concrete constant numerically on a fixed grid with a 5%
@@ -161,62 +163,36 @@ def _couple_discrete_batch(support, p, q, n, rng):
     return y, yp, met
 
 
-def _rejection_batch(n, propose, accept_prob, rng):
-    """Vectorized rejection sampling with a global attempt budget."""
-    out = np.empty(n)
-    pending = np.arange(n)
-    spent = 0
+def _couple_continuous_batch(kernel, s, sp, n, rng):
+    """Ordinary maximal coupling of two densities p = p(.|s), q = p(.|s').
+
+    Draw X ~ p; when U p(X) <= q(X), which happens with probability
+    1 - TV(p, q), both chains take X.  Otherwise Y is redrawn from q until
+    V q(Y) > p(Y), a draw from the normalized residual (q - p)^+ (Thorisson;
+    Jacob, O'Leary & Atchade, JRSS-B 2020).  No TV value is needed.  A
+    residual proposal is accepted with probability TV, so the rounds have
+    no bound of their own: each pending Y gets twice the proposals of the
+    round before, and ``_COUPLE_CAP`` bounds the total.
+    """
+    p = lambda y: kernel._pdf(y, s)
+    q = lambda y: kernel._pdf(y, sp)
+    y = kernel._draw(s, n, rng)
+    met = rng.random(n) * p(y) <= q(y)
+    yp = y.copy()
+    pending = np.flatnonzero(~met)
+    spent, per_pending = 0, 1
     while len(pending):
-        if spent > _COUPLE_CAP:
+        size = min(len(pending) * per_pending, _COUPLE_CAP - spent)
+        if size <= 0:
             raise CouplingBudgetExceeded(
-                f"overlap rejection exceeded {_COUPLE_CAP} proposals"
+                f"residual rejection exceeded {_COUPLE_CAP} proposals"
             )
-        z = propose(len(pending))
-        a = accept_prob(z)
-        keep = rng.random(len(pending)) < a
-        out[pending[keep]] = z[keep]
-        pending = pending[~keep]
-        spent += len(z)
-    return out
-
-
-def _couple_continuous_batch(kernel, s, sp, n, rng, tol=1e-6):
-    """Spec scheme: overlap branch by rejection from the component densities."""
-    tv = kernel.tv_exact(s, sp, tol)
-    om = 1.0 - tv
-    f = lambda y: kernel._pdf(y, s)
-    g = lambda y: kernel._pdf(y, sp)
-    u = rng.random(n)
-    met = u < om
-    y = np.empty(n)
-    yp = np.empty(n)
-    k = int(met.sum())
-    if k:
-        # target min(f,g)/om, proposal f; accept with min(f,g)/f <= 1
-        z = _rejection_batch(
-            k,
-            lambda m: kernel._draw(s, m, rng),
-            lambda z: np.minimum(f(z), g(z)) / np.maximum(f(z), 1e-300),
-            rng,
-        )
-        y[met] = z
-        yp[met] = z
-    r = n - k
-    if r:
-        z = _rejection_batch(
-            r,
-            lambda m: kernel._draw(s, m, rng),
-            lambda z: np.maximum(f(z) - g(z), 0.0) / np.maximum(f(z), 1e-300),
-            rng,
-        )
-        y[~met] = z
-        z = _rejection_batch(
-            r,
-            lambda m: kernel._draw(sp, m, rng),
-            lambda z: np.maximum(g(z) - f(z), 0.0) / np.maximum(g(z), 1e-300),
-            rng,
-        )
-        yp[~met] = z
+        z = kernel._draw(sp, size, rng)
+        z = z[rng.random(size) * q(z) > p(z)][: len(pending)]
+        yp[pending[: len(z)]] = z
+        pending = pending[len(z):]
+        spent += size
+        per_pending *= 2
     return y, yp, met
 
 
@@ -663,7 +639,7 @@ class Multinomial(ObservationKernel):
         p = self.probabilities(s)
         u = np.atleast_1d(np.asarray(u, dtype=float))
         idx = (np.cumsum(p, axis=1) < u[:, None]).sum(axis=1)
-        return idx if np.asarray(s).ndim > 1 else int(idx[0])
+        return idx if np.asarray(s).ndim > 1 or np.ndim(u) else int(idx[0])
 
     def phi(self):
         return PhiSpec(((1, 1.0),))

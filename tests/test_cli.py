@@ -123,6 +123,18 @@ def test_missing_manifest_is_usage_error(tmp_path, capsys):
     assert cli.main(["--manifest", str(tmp_path / "none.json")]) == 1
 
 
+@pytest.mark.parametrize("breakage", ["missing_link", "unknown_family"])
+def test_malformed_model_is_manifest_error(tmp_path, capsys, breakage):
+    model = dict(BENCH)
+    if breakage == "missing_link":
+        del model["link"]
+    else:
+        model["kernel"] = {"family": "no_such_family"}
+    man = write_manifest(tmp_path, "m.json", simulate_manifest(model=model))
+    assert cli.main(["--manifest", str(man), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("manifest error: malformed model")
+
+
 def test_couple_and_backward_and_diagnose_commands(tmp_path):
     cmds = [
         {"command": "couple", "model": BENCH,

@@ -128,6 +128,33 @@ def test_couple_marginal_preservation():
     assert sstats.ks_2samp(lamc, lams).pvalue > 1e-3
 
 
+def test_couple_garch_benchmark_meets_with_equal_draws():
+    # the benchmark volatility model from a floor start and one ten above
+    link = od.LinearLink(CM(0.3, True), od.AffineAbsMap(0.1, (0.2,), True), CM(1.0, True),
+                         order=2, floor=1.0)
+    m = od.ModelSpec(od.GarchGaussian(1.0), link, od.IID(od.Uniform(0.0, 1.0)))
+    for r in range(20):
+        path = od.generate_path(m.covariates, 0, 399, split_seed(43, r))
+        tr = od.couple_forward(m, 1.0, 11.0, path, split_seed(47, r))
+        assert np.all(tr.y[tr.met] == tr.y_prime[tr.met])
+        assert tr.censored == (tr.meet_time is None)
+
+
+def test_couple_marginal_preservation_location():
+    # continuous chains never glue, so every step goes through the coupling;
+    # both chains keep the law of simulate
+    link = od.LinearLink(CM(0.5), CM(0.3), CM(0.0), order=1)
+    m = od.ModelSpec(od.Location(od.GaussianNoise(1.0)), link, od.Constant((1.0,)))
+    T = 8
+    n = 2000
+    path = od.generate_path(m.covariates, 0, T, 53)
+    traces = [od.couple_forward(m, 0.0, 6.0, path, split_seed(59, r)) for r in range(n)]
+    chains = ((0.0, [tr.lam[T] for tr in traces]), (6.0, [tr.lam_prime[T] for tr in traces]))
+    for start, coupled in chains:
+        lams = [od.simulate(m, start, 0, T, split_seed(61, r)).lam[T] for r in range(n)]
+        assert sstats.ks_2samp(coupled, lams).pvalue > 1e-3, f"chain from {start}"
+
+
 # ---------------------------------------------------------------------------
 # backward measures
 # ---------------------------------------------------------------------------

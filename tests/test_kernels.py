@@ -9,7 +9,8 @@ from scipy import stats as sstats
 from scipy.special import expit, log_ndtr, ndtr
 
 import obsdriven as od
-from obsdriven.errors import StateOutOfDomain, UnsupportedOrder
+from obsdriven import kernels
+from obsdriven.errors import CouplingBudgetExceeded, StateOutOfDomain, UnsupportedOrder
 from obsdriven.kernels import kernel_from_dict, tv_table, tv_table_to_csv
 from obsdriven.rngstream import generator
 
@@ -395,6 +396,34 @@ def test_coupling_marginals_correct_all_families():
         y, yp, _ = k.couple_batch(s, sp, n, generator(400 + i))
         assert _marginal_pvalue(k, s, y) > 1e-3, f"{k!r} first marginal"
         assert _marginal_pvalue(k, sp, yp) > 1e-3, f"{k!r} second marginal"
+
+
+def test_continuous_coupling_does_not_call_the_oracle(monkeypatch):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the coupling called the TV oracle")
+
+    monkeypatch.setattr(kernels.ObservationKernel, "tv_exact", no_oracle)
+    monkeypatch.setattr(kernels._Continuous, "_tv_exact_impl", no_oracle)
+    continuous = [k for k in all_kernels() if not k.discrete]
+    assert len(continuous) == 4
+    for k in continuous:
+        s = 0.5 if k.domain_floor() is None else k.domain_floor() + 0.5
+        y, yp, met = k.couple_batch(s, s + 1.5, 1000, generator(14))
+        assert 0 < met.sum() < 1000
+        assert np.all(y[met] == yp[met]) and np.all(y[~met] != yp[~met])
+
+
+def test_coupling_budget_bounds_the_residual_rejection(monkeypatch):
+    monkeypatch.setattr(kernels, "_COUPLE_CAP", 0)
+    k = od.Location(od.GaussianNoise(1.0))
+    with pytest.raises(CouplingBudgetExceeded):
+        k.couple_batch(0.0, 3.0, 100, generator(15))
+
+
+def test_multinomial_coupling_on_identical_states_draws_per_row():
+    y, yp, met = od.Multinomial(3).couple_batch(np.zeros(2), np.zeros(2), 5, generator(16))
+    assert np.shape(y) == np.shape(yp) == met.shape == (5,)
+    assert met.all() and np.array_equal(y, yp)
 
 
 def test_maximal_couple_scalar_interface():
