@@ -47,10 +47,18 @@ _PARAM_SPEC = {
         "optional": {"h": None, "H": None, "C": None},
     },
 }
+# params that take real numbers, s0 and s0_prime also a list of them (a
+# vector start state); every other param takes integers
+_REAL_PARAMS = ("s0", "s0_prime", "tol", "oracle_tol", "C")
+_VECTOR_PARAMS = ("s0", "s0_prime")
 
 
 def _fail(msg: str) -> "ManifestError":
     return ManifestError(msg)
+
+
+def _is_number(value, kinds) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def load_manifest(path: Path) -> dict:
@@ -87,6 +95,17 @@ def validate_manifest(raw: dict) -> dict:
     missing = [k for k in spec["required"] if k not in params]
     if missing:
         raise _fail(f"missing params for {cmd}: {missing}")
+    for name, value in params.items():
+        if value is None and name in spec["optional"] and spec["optional"][name] is None:
+            continue
+        kinds = (int, float) if name in _REAL_PARAMS else int
+        if _is_number(value, kinds) or (name in _VECTOR_PARAMS and isinstance(value, list)
+                                        and all(_is_number(v, kinds) for v in value)):
+            continue
+        kind = "an integer" if kinds is int else "a number"
+        if name in _VECTOR_PARAMS:
+            kind += " or a list of numbers"
+        raise _fail(f"param {name!r} of {cmd} must be {kind}, got {value!r}")
     resolved = dict(spec["optional"])
     resolved.update(params)
     out = dict(raw)

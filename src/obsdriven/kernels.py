@@ -326,33 +326,42 @@ def _poisson_hi(mu) -> int:
 # + 12 for u < 1 - 2**-54, and galloping at most doubles the distance from
 # the start) is an integer that float64 holds exactly.
 _EXACT_QUANTILE_MEAN = 2.0**52
-# scipy's quantile is used up to this mean: finite and exact there, but
-# slow above it (see _poisson_quantile).
+# Up to this mean a draw the search cannot certify is scipy's quantile;
+# above it scipy costs seconds per 2000 draws and returns NaN for u below
+# about 1/2 once s passes about 3e10 (see _poisson_quantile).
 _SCIPY_QUANTILE_MEAN = 1e10
+# The certification rule of _poisson_quantile, justified in its docstring.
+_CERTIFIED_MEAN = 1e5
+_CERTIFIED_TAIL = 1e-12
+_CERTIFIED_GAP = 1e-9
 # Galloping from a start in [0, 2**53) to a bracket takes at most 54 probes
 # and the bisection inside the bracket at most 54 more.
 _QUANTILE_PROBES = 128
 
 
 def _poisson_quantile_search(s, u):
-    """min{k >= 0 : pdtr(k, s) >= u} for finite s >= 0 and u in (0, 1).
+    """(k, pdtr(k - 1, s)) for k = min{k >= 0 : pdtr(k, s) >= u}, finite s >= 0, u in (0, 1).
 
     Starts from the normal quantile with the Cornish-Fisher skewness
     correction and continuity correction, ceil(s + sqrt(s) z + (z^2 - 1)/6
     - 1/2) (Giles, ACM TOMS Algorithm 955, 2016), which is within one of
     the answer for s >= 1 in nearly every draw; then gallops away from the
     start until the answer is bracketed and bisects the bracket, keeping
-    pdtr(lo, s) < u <= pdtr(hi, s) (lo = -1 is below the support, +-inf a
-    side not found yet).  At most ``_QUANTILE_PROBES`` evaluations of pdtr
-    per element.  For s >= 2**52 the rounded start is returned unsearched:
-    an approximation, float64 cannot hold every integer the search visits.
+    pdtr(lo, s) < u <= pdtr(hi, s) (lo = -1 is below the support, where
+    pdtr is 0; +-inf a side not found yet).  At most ``_QUANTILE_PROBES``
+    evaluations of pdtr per element; the second value is pdtr at the final
+    lo, so it costs none.  For s >= 2**52 the rounded start is returned
+    unsearched, with NaN for the second value: an approximation, float64
+    cannot hold every integer the search visits.
     """
     z = ndtri(u)
     k = np.maximum(np.ceil(s + np.sqrt(s) * z + (z * z - 1.0) / 6.0 - 0.5), 0.0)
     exact = s < _EXACT_QUANTILE_MEAN
-    above = pdtr(k, s) >= u
+    p = pdtr(k, s)
+    above = p >= u
     hi = np.where(above | ~exact, k, np.inf)
     lo = np.where(~exact, k - 1.0, np.where(above, -np.inf, k))
+    p_lo = np.where(exact & ~above, p, np.nan)
     step = np.ones_like(k)
     for _ in range(_QUANTILE_PROBES):
         act = np.flatnonzero(hi - lo > 1.0)
@@ -365,43 +374,78 @@ def _poisson_quantile_search(s, u):
                 np.where(lo_a == -np.inf, np.maximum(hi_a - step_a, -1.0),
                          lo_a + np.floor((hi_a - lo_a) / 2.0)),
             )
-        up = (probe >= 0.0) & (pdtr(np.maximum(probe, 0.0), s[act]) >= u[act])
+        p = np.where(probe >= 0.0, pdtr(np.maximum(probe, 0.0), s[act]), 0.0)
+        up = p >= u[act]
         hi[act] = np.where(up, probe, hi_a)
         lo[act] = np.where(up, lo_a, probe)
+        p_lo[act] = np.where(up, p_lo[act], p)
         step[act] = 2.0 * step_a
-    return hi
+    return hi, p_lo
 
 
 def _poisson_quantile(s, u):
     """Poisson(s) quantile at u, elementwise; finite at every finite s.
 
-    Up to a mean of ``_SCIPY_QUANTILE_MEAN`` this is ``stats.poisson.ppf``,
-    so draws stay bit for bit what they were.  Above it, and wherever scipy
-    returns NaN, it is ``_poisson_quantile_search``: scipy 1.17 returns NaN
-    for u below about 1/2 once s passes about 3e10, and costs about 4 ms
-    per draw at s = 1e10.  The search cannot replace scipy below that
-    mean: pdtr rounds the upper tail near u = 1 and, above means of about
-    1e4, loses accuracy beyond about 4.5 standard deviations, so there
-    min{k : pdtr(k, s) >= u} and scipy's quantile differ.  Edge inputs:
-    s = 0 and u = 0 give 0 (scipy gives -1 at u = 0), u = 1 and s = inf
-    give inf, NaN in s or u and u outside [0, 1] give NaN; negative s
-    counts as 0.
+    Bit for bit ``stats.poisson.ppf`` up to a mean of 1e10
+    (``_SCIPY_QUANTILE_MEAN``), though scipy sees only the draws that
+    ``_poisson_quantile_search`` cannot certify.  The search gives k with
+    pdtr(k - 1, s) < u <= pdtr(k, s).  Scipy takes ceil(r), for r cdflib's
+    root of the continuous cdf at u, less one when pdtr(ceil(r) - 1, s) >= u:
+    that is k whenever r lies in (k - 1, k + 1], and the exact root lies in
+    (k - 1, k].  r leaves that interval only when u sits a hair above
+    pdtr(k - 1, s), so that cdflib's root tolerance (relative 1e-8) or the
+    gap between its cdf (DiDonato-Morris) and cephes' pdtr pushes it below
+    k - 1; or where pdtr itself is off: it rounds the upper tail near u = 1
+    (s = 1868.32, u = 1 - 2**-53: scipy 2233, search 2232) and, past 4.5
+    standard deviations above means of a few million, leaves its asymptotic
+    series for a capped continued fraction.  A draw is therefore certified,
+    and scipy is not called, when
+
+    * s <= ``_CERTIFIED_MEAN`` = 1e5,
+    * ``_CERTIFIED_TAIL`` < u < 1 - ``_CERTIFIED_TAIL``, with 1e-12, and
+    * u - pdtr(k - 1, s) > ``_CERTIFIED_GAP`` * u, with 1e-9.
+
+    Mapped back to u, scipy's root at u = pdtr(k, s) lies within 7e-13 u of
+    the jump for every s <= 1e5 checked (k within 7 standard deviations), a
+    margin of 1000 to the gap.  The gap leaves to scipy every atom lighter
+    than 1e-9 u and, of each other atom, draws of probability at most 1e-9.
+    Sweeps against scipy find no mismatch at means up to 2e6 and the first
+    ones at 3.3e6, where pdtr's error reaches the gap (against mpmath,
+    within 7 standard deviations: below 1e-16 at 1e5, about 1e-12 at 1e6
+    and 1e-10 at 2e6); the cut at 1e5 keeps both margins at three orders of
+    magnitude or more.  Above 1e10, and wherever scipy returns NaN, the
+    search stands (approximate for s >= 2**52).  Edge inputs reach neither
+    routine (``_count_quantile_edges``); negative s counts as 0.
     """
     s, u = np.broadcast_arrays(np.maximum(np.asarray(s, dtype=float), 0.0),
                                np.asarray(u, dtype=float))
     shape, s, u = s.shape, s.ravel(), u.ravel()
     out = np.full(s.shape, np.nan)
+    inner = np.flatnonzero((s > 0.0) & (s < np.inf) & (u > 0.0) & (u < 1.0))
+    if inner.size:
+        s_in, u_in = s[inner], u[inner]
+        k, p_below = _poisson_quantile_search(s_in, u_in)
+        certified = ((s_in <= _CERTIFIED_MEAN) & (u_in > _CERTIFIED_TAIL)
+                     & (u_in < 1.0 - _CERTIFIED_TAIL)
+                     & (u_in - p_below > _CERTIFIED_GAP * u_in))
+        doubt = np.flatnonzero(~certified & (s_in <= _SCIPY_QUANTILE_MEAN))
+        if doubt.size:
+            ref = stats.poisson.ppf(u_in[doubt], s_in[doubt])
+            k[doubt] = np.where(np.isnan(ref), k[doubt], ref)
+        out[inner] = k
+    return _count_quantile_edges(s, u, out).reshape(shape)
+
+
+def _count_quantile_edges(s, u, out):
+    """Set the edge outcomes of a count quantile in ``out`` (s >= 0 already).
+
+    s = 0 and u = 0 give 0, u = 1 and s = inf give inf; NaN in s or u and
+    u outside [0, 1] are left as they are (NaN).
+    """
     valid = (s >= 0.0) & (u >= 0.0) & (u <= 1.0)  # False on NaN
-    inner = valid & (s > 0.0) & (s < np.inf) & (u > 0.0) & (u < 1.0)
-    small = inner & (s <= _SCIPY_QUANTILE_MEAN)
-    if small.any():
-        out[small] = stats.poisson.ppf(u[small], s[small])
-    lost = np.flatnonzero(inner & np.isnan(out))
-    if lost.size:
-        out[lost] = _poisson_quantile_search(s[lost], u[lost])
     out[valid & ((u == 1.0) | (s == np.inf))] = np.inf
     out[valid & ((u == 0.0) | (s == 0.0))] = 0.0
-    return out.reshape(shape)
+    return out
 
 
 @dataclass(frozen=True, repr=False)
@@ -421,10 +465,13 @@ class Poisson(ObservationKernel):
     def sample_inverse(self, s, u):
         """Poisson quantile, finite at every finite mean (``_poisson_quantile``).
 
-        Bit for bit ``stats.poisson.ppf`` up to a mean of 1e10.  Above it
-        the smallest k with pdtr(k, s) >= u, found from a Cornish-Fisher
-        start in at most 128 probes of pdtr; approximate for s >= 2**52.
-        inf and NaN inputs return at once.
+        Bit for bit ``stats.poisson.ppf`` up to a mean of 1e10, computed as
+        the smallest k with pdtr(k, s) >= u from a Cornish-Fisher start in
+        at most 128 probes of pdtr.  Scipy is called only for the draws
+        this search cannot certify: s > 1e5, u within 1e-12 of 0 or 1, or
+        u - pdtr(k - 1, s) <= 1e-9 u.  Above 1e10 the search alone
+        (approximate for s >= 2**52).  s = 0 and u = 0 give 0, u = 1 and
+        s = inf give inf, NaN gives NaN, all at once.
         """
         return _poisson_quantile(s, u)
 
@@ -481,9 +528,16 @@ class NegBinomial(ObservationKernel):
         return rng.negative_binomial(self.r, self._p_success(s))
 
     def sample_inverse(self, s, u):
-        s = np.asarray(s, dtype=float)
-        out = stats.nbinom.ppf(u, self.r, self._p_success(np.maximum(s, 0.0)))
-        return np.where(s == 0.0, 0.0, out)
+        """``stats.nbinom.ppf`` with the edge outcomes of ``Poisson.sample_inverse``.
+
+        s = 0 and u = 0 give 0 (scipy gives -1 at u = 0), u = 1 and s = inf
+        give inf (scipy: NaN at s = inf), NaN in s or u and u outside [0, 1]
+        give NaN; negative s counts as 0.
+        """
+        s, u = np.broadcast_arrays(np.maximum(np.asarray(s, dtype=float), 0.0),
+                                   np.asarray(u, dtype=float))
+        out = np.array(stats.nbinom.ppf(u, self.r, self._p_success(s)), dtype=float)
+        return _count_quantile_edges(s, u, out)
 
     def phi(self):
         return PhiSpec(((1, 1.0),))

@@ -135,6 +135,22 @@ def test_malformed_model_is_manifest_error(tmp_path, capsys, breakage):
     assert capsys.readouterr().err.startswith("manifest error: malformed model")
 
 
+@pytest.mark.parametrize("name, value", [
+    ("horizon", "40"), ("horizon", True), ("horizon", None), ("horizon", 40.5),
+    ("s0", "0"), ("s0", ["0"]), ("s0_prime", {"x": 1}),
+])
+def test_param_of_the_wrong_type_is_manifest_error(tmp_path, capsys, name, value):
+    params = {"s0": 0.0, "s0_prime": 10.0, "horizon": 40, name: value}
+    man = write_manifest(tmp_path, "m.json", {"command": "couple", "model": BENCH,
+                                              "params": params, "seed": 3})
+    assert cli.main(["--manifest", str(man), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"manifest error: param '{name}' of couple")
+    params[name] = 40 if name == "horizon" else [0.0]
+    cli.validate_manifest({"command": "couple", "model": BENCH, "params": params, "seed": 3})
+    cli.validate_manifest({"command": "diagnose", "model": BENCH, "seed": 3,
+                           "params": {"length": 100, "h": None}})
+
+
 def test_couple_and_backward_and_diagnose_commands(tmp_path):
     cmds = [
         {"command": "couple", "model": BENCH,

@@ -102,6 +102,59 @@ def test_poisson_quantile_edge_inputs_return_at_once(monkeypatch):
     np.testing.assert_array_equal(got, [np.inf, np.nan, np.nan, 0.0, np.inf, np.nan, 0.0, np.inf])
 
 
+def test_negbinomial_quantile_edge_inputs():
+    s = np.array([np.inf, np.nan, 3.0, 3.0, 3.0, 3.0, 0.0, np.inf, -1.0])
+    u = np.array([0.5, 0.5, np.nan, 0.0, 1.0, 1.5, 0.7, 1.0, 0.5])
+    got = od.NegBinomial(2).sample_inverse(s, u)
+    np.testing.assert_array_equal(got, [np.inf, np.nan, np.nan, 0.0, np.inf, np.nan, 0.0, np.inf, 0.0])
+
+
+def test_poisson_quantile_matches_scipy_at_cdf_jumps():
+    # u = pdtr(k, s) and its float neighbours sit on and beside a jump of
+    # the cdf, where a certified search and scipy's root could part ways
+    from scipy.special import pdtr
+
+    hyp, st, settings = hypothesis_settings()
+
+    @settings
+    @hyp.given(st.one_of(st.floats(0.0, 1e10), st.floats(-3.0, 10.0).map(lambda e: 10.0**e)),
+               st.floats(-6.0, 6.0), st.sampled_from([-1, 0, 1]))
+    def check(s, z, side):
+        k = max(math.floor(s + z * math.sqrt(s)), 0)
+        u = float(pdtr(k, s))
+        if side:
+            u = math.nextafter(u, side * math.inf)
+        hyp.assume(0.0 < u < 1.0)
+        ref = sstats.poisson.ppf(u, s)
+        if np.isfinite(ref):
+            assert od.Poisson().sample_inverse(s, u) == ref
+
+    check()
+
+
+def test_poisson_quantile_is_scipy_where_pdtr_drifts():
+    # 4.5 standard deviations above these means pdtr's tail is off by more
+    # than the certification gap: the search lands below scipy's quantile
+    from obsdriven.kernels import _poisson_quantile_search
+
+    s = np.array([3748452.024508666, 8108291.920843777])
+    u = np.array([0.9999972414486797, 0.9999978904155897])
+    ref = sstats.poisson.ppf(u, s)
+    assert np.all(_poisson_quantile_search(s, u)[0] < ref)
+    np.testing.assert_array_equal(od.Poisson().sample_inverse(s, u), ref)
+
+
+def test_poisson_bulk_draws_do_not_call_scipy(monkeypatch):
+    rng = generator(17)
+    s, u = rng.uniform(0.5, 50.0, 2000), rng.random(2000)
+    ref = sstats.poisson.ppf(u, s)
+    calls = []
+    monkeypatch.setattr(kernels.stats.poisson, "ppf", lambda *args: calls.append(args))
+    got = od.Poisson().sample_inverse(s, u)
+    assert calls == []
+    np.testing.assert_array_equal(got, ref)
+
+
 def test_poisson_quantile_at_means_where_scipy_is_nan():
     # scipy 1.17 returns NaN for about half of these draws
     s = np.full(2000, 1e12)
