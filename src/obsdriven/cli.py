@@ -21,7 +21,7 @@ from pathlib import Path
 from . import engine, verify
 from .engine import ModelSpec, model_from_dict
 from .covariates import generate_path
-from .errors import ManifestError
+from .errors import EmptyRange, InvalidSpec, ManifestError, PathTooShort, UnsupportedCombination
 from .rngstream import split_seed
 
 _COMMANDS = ("simulate", "couple", "backward", "stationary", "verify", "diagnose")
@@ -239,6 +239,11 @@ def make_parser() -> argparse.ArgumentParser:
     return p
 
 
+# what run_manifest raises for well-typed params out of range; named one by
+# one, since DomainViolation (a model error) is a ValueError too
+_SPEC_ERRORS = (ManifestError, InvalidSpec, UnsupportedCombination, EmptyRange, PathTooShort)
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
@@ -251,7 +256,7 @@ def main(argv=None) -> int:
     out_dir = args.out or Path(manifest.get("out") or "results")
     try:
         code, summary = run_manifest(manifest, out_dir)
-    except ManifestError as e:
+    except _SPEC_ERRORS as e:
         print(f"manifest error: {e}", file=sys.stderr)
         return 1
     print(summary)

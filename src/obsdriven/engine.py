@@ -456,7 +456,6 @@ def push_measure(
 @dataclass(frozen=True)
 class W1Result:
     value: float
-    monotone_upper: float | None  # sorted-coupling cost, an upper bound; scalar states only
     exact: bool                   # solved on the full point sets (always for scalar states)
     n_used: int
     bootstrap: bool = False
@@ -480,10 +479,6 @@ def _assignment_cost(a: np.ndarray, b: np.ndarray) -> float:
     # exactly-rounded sum: optimal assignments tied in exact arithmetic
     # (common for collinear transport) then report identical costs
     return math.fsum(c[r, col]) / len(a)
-
-
-def _monotone_cost(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.minimum(np.abs(np.sort(a) - np.sort(b)), 1.0).mean())
 
 
 def _line_hub_coupling(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -590,9 +585,7 @@ def wasserstein1(
     cost matrix; larger vector inputs are handled by stratified subsampling
     to ``max_exact`` points, averaged over ``subsample_draws`` draws.  Either
     way the value is the exactly-rounded sum of the chosen coupling's costs.
-    The sorted coupling is reported as an upper bound only: the metric is
-    concave in the distance, so sorting is not optimal in general.  NaN or
-    infinite points, and an empty measure, raise ``InvalidSpec``.
+    NaN or infinite points, and an empty measure, raise ``InvalidSpec``.
     """
     a = mu.points if isinstance(mu, EmpiricalMeasure) else np.asarray(mu, dtype=float)
     b = nu.points if isinstance(nu, EmpiricalMeasure) else np.asarray(nu, dtype=float)
@@ -617,9 +610,9 @@ def wasserstein1(
     if a.ndim == 1:
         ia, ib = _line_hub_coupling(a, b)
         value = math.fsum(np.minimum(np.abs(a[ia] - b[ib]), 1.0)) / n
-        return W1Result(value, _monotone_cost(a, b), True, n, bootstrap)
+        return W1Result(value, True, n, bootstrap)
     if n <= max_exact:
-        return W1Result(_assignment_cost(a, b), None, True, n, bootstrap)
+        return W1Result(_assignment_cost(a, b), True, n, bootstrap)
     rng = generator(seed, 72)
     vals = []
     for _ in range(subsample_draws):
@@ -628,7 +621,7 @@ def wasserstein1(
         vals.append(_assignment_cost(sa, sb))
     vals = np.asarray(vals)
     return W1Result(
-        float(vals.mean()), None, False, max_exact, bootstrap,
+        float(vals.mean()), False, max_exact, bootstrap,
         float(vals.max() - vals.min()),
     )
 

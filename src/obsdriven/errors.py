@@ -17,10 +17,6 @@ class StateOutOfDomain(ValueError):
     """A latent state lies outside the kernel's state space."""
 
 
-class ToleranceUnreachable(RuntimeError):
-    """The quadrature/truncation budget cannot deliver the requested tolerance."""
-
-
 class UnsupportedOrder(ValueError):
     """The requested moment order is not defined for this kernel family."""
 

@@ -7,9 +7,10 @@ Every family carries four routes to the same object:
   experiments rely on);
 * ``phi`` returns the closed-form polynomial rate certifying
   d_TV(p(.|s), p(.|s')) <= 1 - exp(-phi(|s-s'|));
-* ``tv_exact`` is the brute-force oracle (truncated sums for discrete
-  families, adaptive quadrature of the density overlap for continuous
-  ones), independent of ``phi``;
+* ``tv_exact`` is the exact oracle, independent of ``phi``: half the l1
+  distance of the two pmfs for discrete families (one hook, ``_pmfs``,
+  feeds it and the coupling), and for continuous ones a difference of
+  cdfs at the closed-form density crossings (Scheffe's identity);
 * ``maximal_couple`` draws a pair with the prescribed marginals whose
   disagreement probability equals the total-variation distance; it never
   calls the oracle (continuous families use the ordinary rejection
@@ -27,14 +28,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
-from scipy.special import expit, gammaln, log_ndtr, ndtr, ndtri, pdtr
+from scipy import stats
+from scipy.special import expit, gammaln, log_ndtr, ndtr, ndtri, pdtr, stdtr
 
 from .errors import (
     CouplingBudgetExceeded,
     InvalidSpec,
     StateOutOfDomain,
-    ToleranceUnreachable,
     UnsupportedOrder,
 )
 
@@ -241,14 +241,17 @@ class ObservationKernel:
         return float(1.0 - math.exp(-float(self.phi().evaluate(h))))
 
     def tv_exact(self, s, sp, tol: float = 1e-7) -> float:
+        """d_TV(p(.|s), p(.|s')) within ``tol`` in (0, 1e-3]; ``tol`` is only
+        validated, as every family meets it by construction (closed forms, or
+        supports truncated at a 1e-12 tail)."""
         if not 0 < tol <= 1e-3:
             raise InvalidSpec("tv_exact needs tol in (0, 1e-3]")
         self.require_domain(s, sp)
         if self.state_distance(s, sp) == 0.0:
             return 0.0
-        return self._tv_exact_impl(s, sp, tol)
+        return self._tv_exact_impl(s, sp)
 
-    def _tv_exact_impl(self, s, sp, tol):
+    def _tv_exact_impl(self, s, sp):
         raise NotImplementedError
 
     # -- coupling ----------------------------------------------------------
@@ -303,6 +306,21 @@ def _scalar_pairs(bases, n_pairs, centered=False):
     if centered:
         pairs += [(-h / 2.0, h / 2.0) for h in hs]
     return pairs[:n_pairs] if len(pairs) >= n_pairs else pairs
+
+
+class _Discrete(ObservationKernel):
+    """Families whose TV and coupling both read the two pmfs on one support."""
+
+    def _pmfs(self, s, sp):
+        """(support as floats, p(.|s), p(.|s')) on a common finite support."""
+        raise NotImplementedError
+
+    def _tv_exact_impl(self, s, sp):
+        _, p, q = self._pmfs(s, sp)
+        return float(0.5 * np.abs(p - q).sum())
+
+    def _couple_impl(self, s, sp, n, rng):
+        return _couple_discrete_batch(*self._pmfs(s, sp), n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +467,7 @@ def _count_quantile_edges(s, u, out):
 
 
 @dataclass(frozen=True, repr=False)
-class Poisson(ObservationKernel):
+class Poisson(_Discrete):
     family = "poisson"
     moment_order = 1
 
@@ -478,18 +496,9 @@ class Poisson(ObservationKernel):
     def phi(self):
         return PhiSpec(((1, 1.0),))
 
-    def _support(self, s, sp):
-        hi = _poisson_hi(max(s, sp))
-        k = np.arange(hi + 1)
+    def _pmfs(self, s, sp):
+        k = np.arange(_poisson_hi(max(s, sp)) + 1, dtype=float)
         return k, _poisson_pmf(k, float(s)), _poisson_pmf(k, float(sp))
-
-    def _tv_exact_impl(self, s, sp, tol):
-        k, p, q = self._support(s, sp)
-        return float(0.5 * np.abs(p - q).sum())
-
-    def _couple_impl(self, s, sp, n, rng):
-        k, p, q = self._support(s, sp)
-        return _couple_discrete_batch(k.astype(float), p, q, n, rng)
 
     def conditional_moment(self, s, order):
         if order != 1:
@@ -502,7 +511,7 @@ class Poisson(ObservationKernel):
 
 
 @dataclass(frozen=True, repr=False)
-class NegBinomial(ObservationKernel):
+class NegBinomial(_Discrete):
     """NB(r, s/(s+r)) parameterized by its mean s; gamma-Poisson mixture."""
 
     r: int = 1
@@ -548,9 +557,9 @@ class NegBinomial(ObservationKernel):
         h = self.state_distance(s, sp)
         return float(1.0 - (1.0 + h / self.r) ** (-self.r))
 
-    def _support(self, s, sp):
+    def _pmfs(self, s, sp):
         hi = int(stats.nbinom.isf(_TAIL_Q, self.r, self._p_success(max(s, sp, 1e-12))))
-        k = np.arange(hi + 2)
+        k = np.arange(hi + 2, dtype=float)
         def pmf(mean):
             if mean == 0.0:
                 return (k == 0).astype(float)
@@ -560,14 +569,6 @@ class NegBinomial(ObservationKernel):
                 + self.r * math.log(p) + k * math.log1p(-p)
             )
         return k, pmf(float(s)), pmf(float(sp))
-
-    def _tv_exact_impl(self, s, sp, tol):
-        k, p, q = self._support(s, sp)
-        return float(0.5 * np.abs(p - q).sum())
-
-    def _couple_impl(self, s, sp, n, rng):
-        k, p, q = self._support(s, sp)
-        return _couple_discrete_batch(k.astype(float), p, q, n, rng)
 
     def conditional_moment(self, s, order):
         if order != 1:
@@ -589,7 +590,7 @@ class NegBinomial(ObservationKernel):
 # binary families
 # ---------------------------------------------------------------------------
 
-class _Bernoulli(ObservationKernel):
+class _Bernoulli(_Discrete):
     moment_order = 1
 
     def _success(self, s):
@@ -608,18 +609,9 @@ class _Bernoulli(ObservationKernel):
         out = (np.asarray(u) > 1.0 - p1).astype(np.int64)
         return out if out.ndim else int(out)
 
-    def _dists(self, s, sp):
+    def _pmfs(self, s, sp):
         p1, q1 = float(self._success(s)), float(self._success(sp))
-        support = np.array([0.0, 1.0])
-        return support, np.array([1.0 - p1, p1]), np.array([1.0 - q1, q1])
-
-    def _tv_exact_impl(self, s, sp, tol):
-        _, p, q = self._dists(s, sp)
-        return float(0.5 * np.abs(p - q).sum())
-
-    def _couple_impl(self, s, sp, n, rng):
-        support, p, q = self._dists(s, sp)
-        return _couple_discrete_batch(support, p, q, n, rng)
+        return np.array([0.0, 1.0]), np.array([1.0 - p1, p1]), np.array([1.0 - q1, q1])
 
     def conditional_moment(self, s, order):
         if order != 1:
@@ -658,7 +650,7 @@ class BernoulliProbit(_Bernoulli):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, repr=False)
-class Multinomial(ObservationKernel):
+class Multinomial(_Discrete):
     """Categories {0..N-1}; p(i|s) = exp(s_i)/S(s), S(s) = 1 + sum exp(s_j)."""
 
     n_categories: int = 2
@@ -698,15 +690,9 @@ class Multinomial(ObservationKernel):
     def phi(self):
         return PhiSpec(((1, 1.0),))
 
-    def _tv_exact_impl(self, s, sp, tol):
-        p = self.probabilities(s)[0]
-        q = self.probabilities(sp)[0]
-        return float(0.5 * np.abs(p - q).sum())
-
-    def _couple_impl(self, s, sp, n, rng):
-        p = self.probabilities(s)[0]
-        q = self.probabilities(sp)[0]
-        return _couple_discrete_batch(np.arange(self.n_categories, dtype=float), p, q, n, rng)
+    def _pmfs(self, s, sp):
+        support = np.arange(self.n_categories, dtype=float)
+        return support, self.probabilities(s)[0], self.probabilities(sp)[0]
 
     def conditional_moment(self, s, order):
         # one-hot observation vector: |y|_inf is 1 off category 0, else 0
@@ -749,23 +735,6 @@ class _Continuous(ObservationKernel):
     def _draw(self, s, n, rng):
         raise NotImplementedError
 
-    def _window(self, s, sp, eps):
-        """Integration window holding all but < eps of both masses."""
-        raise NotImplementedError
-
-    def _breakpoints(self, s, sp):
-        return []
-
-    def _tv_exact_impl(self, s, sp, tol):
-        eps = tol * 1e-2
-        lo, hi = self._window(s, sp, eps)
-        pts = [p for p in self._breakpoints(s, sp) if lo < p < hi]
-        f = lambda y: min(self._pdf(np.asarray(y), s), self._pdf(np.asarray(y), sp))
-        val, err = integrate.quad(f, lo, hi, points=pts or None, limit=300, epsabs=tol * 0.25)
-        if err > tol * 0.5:
-            raise ToleranceUnreachable(f"overlap quadrature error {err:.2e} > {tol * 0.5:.2e}")
-        return float(min(max(1.0 - val, 0.0), 1.0))
-
     def _couple_impl(self, s, sp, n, rng):
         return _couple_continuous_batch(self, s, sp, n, rng)
 
@@ -805,19 +774,24 @@ class GarchGaussian(_Continuous):
     def phi(self):
         return PhiSpec(((1, 1.0 / (2.0 * self.c_minus**1.5)),))
 
-    def _window(self, s, sp, eps):
-        w = stats.norm.isf(eps / 4.0) * math.sqrt(max(s, sp))
-        return -w, w
-
     def _breakpoints(self, s, sp):
         sig, sigp = math.sqrt(max(s, sp)), math.sqrt(min(s, sp))
         # distinct states can share a rounded sqrt (adjacent floats), where
         # the crossing formula divides by zero; the densities are then equal
-        # to rounding and need no breakpoints
+        # to rounding and do not cross
         if sig == sigp:
             return []
         u = sig * sigp * math.sqrt(2.0 * math.log(sig / sigp) / (sig**2 - sigp**2))
-        return [-u, 0.0, u]
+        return [-u, u]
+
+    def _tv_exact_impl(self, s, sp):
+        # the narrower density exceeds the wider one exactly on (-u, u), so
+        # TV is the difference of the two masses there (Scheffe)
+        crossings = self._breakpoints(s, sp)
+        if not crossings:
+            return 0.0
+        u = crossings[1]
+        return math.erf(u / math.sqrt(2.0 * min(s, sp))) - math.erf(u / math.sqrt(2.0 * max(s, sp)))
 
     def conditional_moment(self, s, order):
         if order != 2:
@@ -850,8 +824,8 @@ class GaussianNoise:
     def ppf(self, u):
         return self.sigma * ndtri(u)
 
-    def isf(self, q):
-        return float(self.sigma * -ndtri(q))
+    def tv(self, h):
+        return math.erf(h / (2.0 * math.sqrt(2.0) * self.sigma))
 
     def draw(self, n, rng):
         return self.sigma * rng.standard_normal(n)
@@ -882,8 +856,8 @@ class LaplaceNoise:
         u = np.asarray(u, dtype=float)
         return np.where(u < 0.5, self.b * np.log(2.0 * u), -self.b * np.log(2.0 * (1.0 - u)))
 
-    def isf(self, q):
-        return float(-self.b * math.log(2.0 * q)) if q < 0.5 else 0.0
+    def tv(self, h):
+        return -math.expm1(-h / (2.0 * self.b))
 
     def draw(self, n, rng):
         return rng.laplace(0.0, self.b, n)
@@ -908,7 +882,8 @@ class StudentTNoise:
     def __post_init__(self):
         if self.nu < 2:
             raise InvalidSpec("Student noise needs nu >= 2")
-        # direct pdf; scipy's distribution call overhead dominates quadrature
+        # direct pdf; scipy's distribution call overhead would dominate the
+        # rejection coupling, which evaluates it on every proposal
         logc = gammaln((self.nu + 1) / 2.0) - gammaln(self.nu / 2.0) - 0.5 * math.log(self.nu * math.pi)
         object.__setattr__(self, "_pdf_const", math.exp(logc))
 
@@ -919,8 +894,8 @@ class StudentTNoise:
     def ppf(self, u):
         return stats.t.ppf(u, df=self.nu)
 
-    def isf(self, q):
-        return float(stats.t.isf(q, df=self.nu))
+    def tv(self, h):
+        return 2.0 * float(stdtr(self.nu, h / 2.0)) - 1.0
 
     def draw(self, n, rng):
         return rng.standard_t(self.nu, n)
@@ -969,12 +944,10 @@ class Location(_Continuous):
     def phi(self):
         return self.noise.rate()
 
-    def _window(self, s, sp, eps):
-        w = self.noise.isf(eps / 4.0)
-        return min(s, sp) - w, max(s, sp) + w
-
-    def _breakpoints(self, s, sp):
-        return [min(s, sp), 0.5 * (s + sp), max(s, sp)]
+    def _tv_exact_impl(self, s, sp):
+        # symmetric unimodal noise: the densities cross once, at the midpoint,
+        # so TV is the noise's own distance to its shift (``noise.tv``)
+        return self.noise.tv(abs(float(sp) - float(s)))
 
     def conditional_moment(self, s, order):
         if order != 1:
@@ -986,9 +959,9 @@ class Location(_Continuous):
         elif isinstance(self.noise, LaplaceNoise):
             val = abs(s) + self.noise.b * math.exp(-abs(s) / self.noise.b)
         else:
-            # break points are not allowed with infinite limits; split at -s
-            f = lambda y: abs(s + y) * self.noise.pdf(y)
-            val = integrate.quad(f, -np.inf, -s, limit=200)[0] + integrate.quad(f, -s, np.inf, limit=200)[0]
+            # E|a + T| = a (1 - 2F(-a)) + 2 (nu + a^2) f(a) / (nu - 1), even in s
+            a, nu = abs(s), self.noise.nu
+            val = a * (1.0 - 2.0 * stdtr(nu, -a)) + 2.0 * (nu + a * a) * float(self.noise.pdf(a)) / (nu - 1.0)
         return float(val), float(self.noise.mean_abs())
 
     def standard_pairs(self, n_pairs=200):

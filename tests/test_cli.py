@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from obsdriven import cli
-from obsdriven.errors import ManifestError
+from obsdriven.errors import ManifestError, StateOverflow
 
 from conftest import poisson_ingarch_x
 
@@ -149,6 +149,31 @@ def test_param_of_the_wrong_type_is_manifest_error(tmp_path, capsys, name, value
     cli.validate_manifest({"command": "couple", "model": BENCH, "params": params, "seed": 3})
     cli.validate_manifest({"command": "diagnose", "model": BENCH, "seed": 3,
                            "params": {"length": 100, "h": None}})
+
+
+@pytest.mark.parametrize("command, params, message", [
+    ("backward", {"s0": 0.0, "n": 50, "replicas": 20}, "backward_measure needs replicas >= 100"),
+    ("verify", {"mc_n": 1000, "grid_size": 60, "oracle_tol": 1.0}, "tv_exact needs tol in (0, 1e-3]"),
+    ("stationary", {"tol": -1.0, "max_n": 100, "replicas": 200}, "tol must be positive"),
+], ids=["backward-replicas", "verify-oracle_tol", "stationary-tol"])
+def test_param_out_of_range_is_manifest_error(tmp_path, capsys, command, params, message):
+    man = write_manifest(tmp_path, "m.json", {"command": command, "model": BENCH,
+                                              "params": params, "seed": 3})
+    assert cli.main(["--manifest", str(man), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"manifest error: {message}")
+
+
+def test_overflow_in_the_first_run_still_raises(tmp_path):
+    # a model error, not a manifest error: README's documented exception
+    bad_model = dict(BENCH)
+    bad_model["link"] = dict(BENCH["link"])
+    bad_model["link"]["kappa"] = {"kind": "constant", "value": 1e20, "nonnegative": True}
+    man = write_manifest(tmp_path, "m.json", {
+        "command": "stationary", "model": bad_model,
+        "params": {"tol": 0.01, "max_n": 100, "replicas": 100}, "seed": 3,
+    })
+    with pytest.raises(StateOverflow):
+        cli.main(["--manifest", str(man), "--out", str(tmp_path / "o")])
 
 
 def test_couple_and_backward_and_diagnose_commands(tmp_path):

@@ -235,7 +235,6 @@ def test_w1_symmetry_triangle_and_monotone_bound():
         assert ab.value == pytest.approx(ba.value, abs=1e-12)
         ac, cb = od.wasserstein1(a, c), od.wasserstein1(c, b)
         assert ab.value <= ac.value + cb.value + 1e-12
-        assert ab.value <= ab.monotone_upper + 1e-12
 
 
 def test_w1_unequal_sizes_bootstrap_flag_and_error():

@@ -1,10 +1,13 @@
 """Kernel families: sampling, phi rates, the TV oracle, and maximal coupling."""
 
+import ast
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import stats as sstats
 from scipy.special import expit, log_ndtr, ndtr
 
@@ -338,6 +341,66 @@ def test_garch_adjacent_states_with_equal_sqrt():
     assert np.all(y[met] == yp[met])
 
 
+def _overlap_by_quadrature(k, s, sp):
+    """1 - integral of min(p, q), with quad split where the densities cross."""
+    if isinstance(k, od.GarchGaussian):
+        lo, hi = math.sqrt(min(s, sp)), math.sqrt(max(s, sp))
+        u = lo * hi * math.sqrt(2 * math.log(hi / lo) / (hi**2 - lo**2))
+        cuts = [-u, 0.0, u]
+    else:
+        cuts = [0.5 * (s + sp)]
+    edges = [-math.inf] + cuts + [math.inf]
+    f = lambda y: min(k._pdf(np.asarray(y), s), k._pdf(np.asarray(y), sp))
+    return 1.0 - sum(integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=500)[0]
+                     for a, b in zip(edges[:-1], edges[1:]))
+
+
+def test_continuous_tv_exact_matches_quadrature_on_standard_pairs():
+    continuous = [k for k in all_kernels() if not k.discrete]
+    assert len(continuous) == 4
+    for k in continuous:
+        pairs = k.standard_pairs(200)
+        assert len(pairs) == 200
+        for s, sp in pairs:
+            assert k.tv_exact(s, sp, 1e-7) == pytest.approx(_overlap_by_quadrature(k, s, sp), abs=1e-8), (k, s, sp)
+
+
+def test_continuous_tv_exact_symmetric_bounded_and_monotone():
+    hyp, st, settings = hypothesis_settings()
+    continuous = [k for k in all_kernels() if not k.discrete]
+
+    @settings
+    @hyp.given(st.sampled_from(continuous), st.floats(-1e3, 1e3),
+               st.floats(0.0, 1e2), st.floats(0.0, 1e2))
+    def check(k, s, h1, h2):
+        if k.domain_floor() is not None:
+            s = k.domain_floor() + abs(s)
+        near, far = s + min(h1, h2), s + max(h1, h2)
+        tv_near, tv_far = k.tv_exact(s, near), k.tv_exact(s, far)
+        assert tv_near == k.tv_exact(near, s) and tv_far == k.tv_exact(far, s)
+        assert 0.0 <= tv_near <= tv_far <= 1.0
+
+    check()
+
+
+def test_no_module_in_src_imports_scipy_integrate():
+    # the TV oracle and the moments are closed forms; quadrature lives in tests
+    modules = sorted(Path(od.__file__).parent.rglob("*.py"))
+    assert any(p.name == "kernels.py" for p in modules)
+    offenders = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(n == "scipy.integrate" or n.startswith("scipy.integrate.") for n in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_tv_exact_bernoulli_is_cdf_difference():
     k = od.BernoulliLogit()
     assert k.tv_exact(0.0, math.log(3)) == pytest.approx(abs(expit(0.0) - expit(math.log(3))))
@@ -455,10 +518,11 @@ def test_continuous_coupling_does_not_call_the_oracle(monkeypatch):
     def no_oracle(*args, **kwargs):
         raise AssertionError("the coupling called the TV oracle")
 
-    monkeypatch.setattr(kernels.ObservationKernel, "tv_exact", no_oracle)
-    monkeypatch.setattr(kernels._Continuous, "_tv_exact_impl", no_oracle)
     continuous = [k for k in all_kernels() if not k.discrete]
     assert len(continuous) == 4
+    monkeypatch.setattr(kernels.ObservationKernel, "tv_exact", no_oracle)
+    for cls in {type(k) for k in continuous}:
+        monkeypatch.setattr(cls, "_tv_exact_impl", no_oracle)
     for k in continuous:
         s = 0.5 if k.domain_floor() is None else k.domain_floor() + 0.5
         y, yp, met = k.couple_batch(s, s + 1.5, 1000, generator(14))
@@ -515,6 +579,19 @@ def test_conditional_moments_monte_carlo_crosscheck():
     assert val <= 0.7 + D + 1e-12
     blocks = np.abs(y).reshape(400, 1000).mean(axis=1)
     assert abs(np.median(blocks) - val) < 0.1
+
+
+@pytest.mark.parametrize("nu", [2.0, 3.0, 10.0])
+def test_student_location_moment_closed_form(nu):
+    k = od.Location(od.StudentTNoise(nu))
+    # Jensen: E|s + T| >= |s + E T| = |s|, however heavy the tails
+    for s in (-50.0, 1e3):
+        assert k.conditional_moment(s, 1)[0] >= abs(s)
+    for s in (-4.0, -1.3, 0.0, 0.7, 4.0):
+        f = lambda y: abs(s + y) * k.noise.pdf(y)
+        want = (integrate.quad(f, -np.inf, -s, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+                + integrate.quad(f, -s, np.inf, epsabs=0.0, epsrel=1e-13, limit=500)[0])
+        assert k.conditional_moment(s, 1)[0] == pytest.approx(want, rel=1e-9)
 
 
 def test_unsupported_orders_raise():
