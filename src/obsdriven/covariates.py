@@ -475,14 +475,15 @@ class AffineAbsMap(CoefficientMapBase):
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
         c1 = np.asarray(self.c1)
+        # several slopes: product and row sum, as ``@`` on a matrix rounds rows unlike a 1-d dot
         if x.ndim <= 1:
             xa = np.abs(np.atleast_1d(x))
             if c1.size == 1:
                 return self.c0 + float(c1[0] * xa.sum())
-            return self.c0 + float(xa @ c1)
+            return self.c0 + float((xa * c1).sum())
         if c1.size == 1:
             return self.c0 + c1[0] * np.abs(x).sum(axis=1)
-        return self.c0 + np.abs(x) @ c1
+        return self.c0 + (np.abs(x) * c1).sum(axis=1)
 
     def to_dict(self):
         return {"kind": "affine_abs", "c0": self.c0, "c1": list(self.c1), "nonnegative": self.nonnegative}
@@ -502,13 +503,9 @@ class ExpAffineMap(CoefficientMapBase):
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
-        c1 = np.asarray(self.c1)
-        if x.ndim <= 1:
-            xv = np.atleast_1d(x)
-            arg = self.c0 + (c1[0] * xv.sum() if c1.size == 1 else xv @ c1)
-            return float(np.exp(arg))
-        arg = self.c0 + (c1[0] * x.sum(axis=1) if c1.size == 1 else x @ c1)
-        return np.exp(arg)
+        c1, rows = np.asarray(self.c1), np.atleast_2d(x)
+        out = np.exp(self.c0 + (c1[0] * rows.sum(axis=1) if c1.size == 1 else (rows * c1).sum(axis=1)))
+        return float(out[0]) if x.ndim <= 1 else out
 
     def to_dict(self):
         return {"kind": "exp_affine", "c0": self.c0, "c1": list(self.c1)}
@@ -531,20 +528,17 @@ class TableMap(CoefficientMapBase):
         if self.nonnegative and any(v < 0 for v in self.values):
             raise InvalidSpec("nonnegative table with negative entries")
 
-    def _lookup(self, x_row: np.ndarray) -> int:
-        s = np.asarray(self.states)
-        d = np.max(np.abs(s - x_row[None, :]), axis=1)
-        j = int(np.argmin(d))
-        if d[j] > 1e-9:
-            raise InvalidSpec(f"covariate value {x_row} not in table states")
-        return j
-
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
-        vals = np.asarray(self.values)
-        if x.ndim <= 1:
-            return float(vals[self._lookup(np.atleast_1d(x))])
-        return np.array([vals[self._lookup(row)] for row in x])
+        rows = np.atleast_2d(x)
+        # sup distance of every row to every state, (n, k); a NaN row matches none
+        dist = np.max(np.abs(np.asarray(self.states)[None, :, :] - rows[:, None, :]), axis=2)
+        j = np.argmin(dist, axis=1)
+        off = np.flatnonzero(~(dist[np.arange(len(rows)), j] <= 1e-9))
+        if off.size:
+            raise InvalidSpec(f"covariate value {rows[off[0]]} not in table states")
+        out = np.asarray(self.values)[j]
+        return float(out[0]) if x.ndim <= 1 else out
 
     def to_dict(self):
         return {
@@ -561,18 +555,19 @@ class DerivedMap(CoefficientMapBase):
 
     Not part of the JSON menu; used for contraction extraction, growth
     envelopes and drift certificates, where exact pointwise algebra on the
-    user's maps is needed.
+    user's maps is needed.  ``fn`` maps an (n, d) covariate array to (n,)
+    values in one call; a single covariate row is the n = 1 case.
     """
 
     label: str
-    fn: object  # callable row -> float
+    fn: object  # callable (n, d) covariate array -> (n,) array
     nonnegative: bool = True
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
         if x.ndim <= 1:
-            return float(self.fn(np.atleast_1d(x)))
-        return np.array([float(self.fn(row)) for row in x])
+            return float(self.fn(np.atleast_1d(x)[None, :])[0])
+        return np.asarray(self.fn(x), dtype=float)
 
     def to_dict(self):
         return {"kind": "derived", "label": self.label}
@@ -599,21 +594,21 @@ def abs_map(m: CoefficientMap) -> CoefficientMap:
         return m
     if isinstance(m, ConstantMap):
         return ConstantMap(abs(m.c), nonnegative=True)
-    return DerivedMap(f"|{type(m).__name__}|", lambda x, _m=m: abs(float(_m.evaluate(x))))
+    return DerivedMap(f"|{type(m).__name__}|", lambda x, _m=m: np.abs(_m.evaluate(x)))
 
 
 def sum_map(label: str, *maps: CoefficientMap) -> CoefficientMap:
     consts = [m for m in maps if isinstance(m, ConstantMap)]
     if len(consts) == len(maps):
         return ConstantMap(sum(m.c for m in consts), nonnegative=all(m.c >= 0 for m in consts))
-    return DerivedMap(label, lambda x, _ms=maps: sum(float(m.evaluate(x)) for m in _ms))
+    return DerivedMap(label, lambda x, _ms=maps: sum(m.evaluate(x) for m in _ms))
 
 
 def max_map(label: str, *maps: CoefficientMap) -> CoefficientMap:
     consts = [m for m in maps if isinstance(m, ConstantMap)]
     if len(consts) == len(maps):
         return ConstantMap(max(m.c for m in consts), nonnegative=all(m.c >= 0 for m in consts))
-    return DerivedMap(label, lambda x, _ms=maps: max(float(m.evaluate(x)) for m in _ms))
+    return DerivedMap(label, lambda x, _ms=maps: np.maximum.reduce([m.evaluate(x) for m in _ms]))
 
 
 def provable_sup(m: CoefficientMap) -> float | None:
@@ -674,7 +669,6 @@ def log_moment_estimate(
         raise InvalidSpec("log_moment_estimate needs n >= 100")
     x = stationary_draws(spec, n, seed)
     vals = np.abs(np.asarray(coeff_map.evaluate(x), dtype=float))
-    vals = np.broadcast_to(vals, (n,)).copy()
     floored = vals < LOG_FLOOR
     n_floored = int(floored.sum())
     if n_floored == n:
@@ -702,7 +696,6 @@ def log_plus_moment_estimate(
         raise InvalidSpec("log_plus_moment_estimate needs n >= 100")
     x = stationary_draws(spec, n, seed)
     vals = np.abs(np.asarray(coeff_map.evaluate(x), dtype=float))
-    vals = np.broadcast_to(vals, (n,)).copy()
     logs = np.log(np.maximum(vals, 1.0))
     mean = float(logs.mean())
     se = 0.0 if np.ptp(logs) == 0.0 else float(logs.std(ddof=1) / math.sqrt(n))

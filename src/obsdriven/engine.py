@@ -24,6 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import linear_sum_assignment
 
 from . import links as links_mod
@@ -45,6 +46,7 @@ _SEED_ENV = 11
 _SEED_OBS = 12
 _SEED_COUPLE = 13
 _TAG_BACKWARD = 201
+_W_BLOCK = 256  # times per block of w_stats windows; bounds their memory at long paths
 
 MAX_EXACT_ASSIGNMENT = 4096
 
@@ -84,10 +86,12 @@ class ModelSpec:
         elif table:
             raise UnsupportedCombination("category-table links require a multinomial kernel")
 
-    def state_distance(self, s, sp) -> float:
-        if self.norm == "inf":
-            return float(np.max(np.abs(np.asarray(s, float) - np.asarray(sp, float))))
-        return abs(float(s) - float(sp))
+    def state_distance(self, s, sp):
+        """|s - s'|, or the sup norm along the last axis of vector states; row-wise on batches."""
+        d = np.abs(np.asarray(s, float) - np.asarray(sp, float))
+        if self.kernel.state_dim > 1:
+            d = d.max(axis=-1)
+        return float(d) if d.ndim == 0 else d
 
     def start_state(self):
         if self.kernel.state_dim > 1:
@@ -807,22 +811,30 @@ def w_stats(
     w1_tail = np.empty(m); w2_tail = np.empty(m); w3_tail = np.empty(m); w4_tail = np.empty(m)
     geo_g = rho_g / (1.0 - rho_g) if rho_g < 1 else math.inf
     geo_k = rho_k / (1.0 - rho_k) if rho_k < 1 else math.inf
-    for j, t in enumerate(times):
-        it = t - path.t_min
-        gwin = gamma[it - H: it][::-1]          # gamma_{t-1} ... gamma_{t-H}
-        cpg = np.cumprod(gwin)
-        dwin = delta[it - H - 1: it][::-1]      # delta_{t-1} ... delta_{t-H-1}
-        w1[j] = dwin[0] + float(cpg @ dwin[1:])
-        w2[j] = float(cpg[h - 1:].max())
-        kwin = kappa[it - H: it][::-1]
-        cpk = np.cumprod(kwin)
-        w3[j] = float(cpk[h - 1:].max())
-        cf = np.cumprod(kappa[it: it + H + 1])  # kappa_t ... kappa_{t+s}
-        w4[j] = float(np.sum(phi.evaluate(cf)))
-        w1_tail[j] = cpg[-1] * delta_bar * geo_g
-        w2_tail[j] = cpg[-1] * rho_g
-        w3_tail[j] = cpk[-1] * rho_k
-        w4_tail[j] = phi1 * cf[-1] * geo_k
+    # row j is time t_lo + j; backward windows run newest first (gamma_{t-1} ..
+    # gamma_{t-H}, delta_{t-1} .. delta_{t-H-1}), forward is kappa_t .. kappa_{t+H}
+    gwin = sliding_window_view(gamma, H)[1:, ::-1]
+    kwin = sliding_window_view(kappa, H)[1:, ::-1]
+    dwin = sliding_window_view(delta, H + 1)[:, ::-1]
+    fwin = sliding_window_view(kappa, H + 1)[H + 1:]
+    for lo in range(0, m, _W_BLOCK):
+        b = slice(lo, min(lo + _W_BLOCK, m))
+        cpg = np.cumprod(gwin[b], axis=1)
+        dw = dwin[b]
+        # sum_k cpg_k delta_{t-k-1} in lag order: rounds like a 1-d dot over a reversed view
+        acc = np.zeros(len(cpg))
+        for k in range(H):
+            acc += cpg[:, k] * dw[:, k + 1]
+        w1[b] = dw[:, 0] + acc
+        w2[b] = cpg[:, h - 1:].max(axis=1)
+        cpk = np.cumprod(kwin[b], axis=1)
+        w3[b] = cpk[:, h - 1:].max(axis=1)
+        cf = np.cumprod(fwin[b], axis=1)
+        w4[b] = phi.evaluate(cf).sum(axis=1)
+        w1_tail[b] = cpg[:, -1] * delta_bar * geo_g
+        w2_tail[b] = cpg[:, -1] * rho_g
+        w3_tail[b] = cpk[:, -1] * rho_k
+        w4_tail[b] = phi1 * cf[:, -1] * geo_k
     return WStats(times, w1, w2, w3, w4, h, H, w1_tail, w2_tail, w3_tail, w4_tail,
                   g_mean_log, k_mean_log)
 

@@ -58,7 +58,7 @@ class FixedInterval:
 
 @dataclass(frozen=True)
 class CovariateScaled:
-    """[lo |x|, hi |x|] with |x| the summed componentwise absolute value."""
+    """[lo |x|, hi |x|], |x| the summed absolute value of each covariate row."""
 
     lo: float
     hi: float
@@ -68,8 +68,8 @@ class CovariateScaled:
             raise InvalidSpec("interval needs lo <= hi")
 
     @staticmethod
-    def _scale(x) -> float:
-        return float(np.abs(np.atleast_1d(np.asarray(x, dtype=float))).sum())
+    def _scale(x):
+        return np.abs(np.atleast_1d(np.asarray(x, dtype=float))).sum(axis=-1)
 
     def contains(self, y, x) -> np.ndarray:
         a = self._scale(x)
@@ -80,7 +80,7 @@ class CovariateScaled:
     def is_bounded(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
-    def sup_abs(self, x) -> float:
+    def sup_abs(self, x):
         return max(abs(self.lo), abs(self.hi)) * self._scale(x)
 
     def to_dict(self):
@@ -272,24 +272,21 @@ def link_from_dict(d: dict) -> LinkSpec:
 # ---------------------------------------------------------------------------
 
 def apply(link: LinkSpec, s, y, x):
-    """Advance the latent state; s and y may be batched along axis 0.
+    """Advance the latent state; x (d,) or (n, d), s and y may be batched along axis 0.
 
-    For multinomial links s has shape (state_dim,) or (n, state_dim) and y
-    is a category index (or an index vector); otherwise everything is
-    scalar or 1-d batches.  The floor clamp, when configured, is applied
-    last; clamping is 1-Lipschitz so contraction constants are unchanged.
+    A value not batched is shared by every row.  For multinomial links s has
+    shape (state_dim,) or (n, state_dim) and y is a category index (or an
+    index vector).  The floor clamp, when configured, is applied last;
+    clamping is 1-Lipschitz so contraction constants are unchanged.
     """
     if isinstance(link, LinearLink):
         k = link.kappa.evaluate(x)
         d = link.delta_tilde.evaluate(x)
         if isinstance(link.kappa_tilde, CategoryTable):
-            s = np.asarray(s, dtype=float)
-            table = link.kappa_tilde.array
+            # a trailing axis on k and d broadcasts them over the state coordinates
             cats = np.asarray(y, dtype=int)
-            if s.ndim == 1:
-                out = k * s + table[:, int(cats)] + d
-            else:
-                out = k * s + table[:, cats].T + d
+            out = (np.asarray(k)[..., None] * np.asarray(s, dtype=float)
+                   + link.kappa_tilde.array.T[cats] + np.asarray(d)[..., None])
         else:
             kt = link.kappa_tilde.evaluate(x)
             out = k * np.asarray(s, dtype=float) + kt * np.asarray(y, dtype=float) ** link.order + d
@@ -301,8 +298,6 @@ def apply(link: LinkSpec, s, y, x):
         f1 = r1.kappa.evaluate(x) * s + r1.kappa_tilde.evaluate(x) * y**link.order + r1.gamma.evaluate(x)
         f2 = r2.kappa.evaluate(x) * s + r2.kappa_tilde.evaluate(x) * y**link.order + r2.gamma.evaluate(x)
         out = np.where(inside, f1, f2)
-        if s.ndim == 0:
-            out = float(out)
     else:
         a = link.a.evaluate(x)
         y = np.asarray(y, dtype=float)
@@ -414,7 +409,7 @@ def growth_envelope(link: LinkSpec) -> GrowthEnvelope:
             interval, order = link.interval, link.order
             absorbed = DerivedMap(
                 "sup_{y in I(x)} |kappa_tilde_1(x) y^i|",
-                lambda x, _m=kt1, _iv=interval, _o=order: float(_m.evaluate(x)) * _iv.sup_abs(x) ** _o,
+                lambda x, _m=kt1, _iv=interval, _o=order: _m.evaluate(x) * _iv.sup_abs(x) ** _o,
             )
             delta = sum_map("max|gamma| + absorbed regime-1 term", gmax, absorbed)
             return GrowthEnvelope(

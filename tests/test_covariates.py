@@ -1,5 +1,6 @@
 """Environment generation, coefficient maps, and log-moment estimation."""
 
+import dataclasses
 import io
 import math
 
@@ -7,13 +8,18 @@ import numpy as np
 import pytest
 
 import obsdriven as od
+from conftest import hypothesis_settings
 from obsdriven.covariates import (
+    abs_map,
     log_plus_moment_estimate,
+    max_map,
     plain_moment,
     spec_from_dict,
     spec_hash,
+    sum_map,
 )
 from obsdriven.errors import DegenerateMap, EmptyRange, InvalidSpec
+from obsdriven.verify import drift_certificate
 
 
 def test_constant_path_is_copies_of_the_value():
@@ -184,3 +190,105 @@ def test_seed_split_changes_streams():
     seeds = {od.split_seed(42, i) for i in range(100)}
     assert len(seeds) == 100
     assert od.split_seed(42, 1) == od.split_seed(42, 1)
+
+
+# ---------------------------------------------------------------------------
+# whole-array evaluation
+# ---------------------------------------------------------------------------
+
+def _maps_for_width(d: int) -> list:
+    """Every kind of coefficient map the library builds, for rows of width d."""
+    CM = od.ConstantMap
+    slopes = tuple(0.3 * (j + 1) for j in range(d))
+    menu = [
+        CM(-0.7),
+        od.AffineAbsMap(0.2, (0.4,), True),
+        od.AffineAbsMap(-0.1, slopes),
+        od.ExpAffineMap(0.1, (-0.5,)),
+        od.ExpAffineMap(-0.2, slopes),
+    ]
+    signed = od.AffineAbsMap(-0.9, (0.6,))
+    combos = [abs_map(signed), sum_map("sum", signed, *menu), max_map("max", signed, *menu)]
+
+    def regime(k, kt, g):
+        return od.RegimeCoefficients(od.AffineAbsMap(k, (0.1,)), od.AffineAbsMap(kt, (0.2,), True), CM(g))
+
+    threshold = [
+        od.ThresholdLink(regime(0.3, 1.0, 0.1), regime(-0.4, 0.2, 0.8), interval, order=1)
+        for interval in (od.CovariateScaled(-1.0, 1.0), od.FixedInterval(-2.0, 0.5),
+                         od.FixedInterval(0.0, math.inf))
+    ]
+    table = od.CategoryTable(((0.2, -0.1, 0.4), (0.0, 0.3, -0.2)))
+    linear = od.LinearLink(od.AffineAbsMap(0.1, (0.2,)), od.AffineAbsMap(0.0, (0.3,), True),
+                           od.ExpAffineMap(-1.0, (0.5,)), order=1)
+    arma = od.ArmaLikeLink(od.AffineAbsMap(0.1, (0.3,)), od.ExpAffineMap(0.0, (0.2,)), CM(-0.5))
+    multinomial = od.LinearLink(od.AffineAbsMap(0.3, (0.2,), True), table, CM(0.1), order=1)
+    envelopes = []
+    for link in [linear, arma, multinomial, *threshold]:
+        env = od.growth_envelope(link)
+        envelopes += [od.contraction_map(link), env.kappa_map, env.kappa_tilde_map, env.delta_map]
+    env_x = od.IID(od.Uniform(0.0, 1.0), dimension=d)
+    models = [
+        od.ModelSpec(od.Poisson(), dataclasses.replace(linear, floor=0.0), env_x),
+        od.ModelSpec(od.BernoulliLogit(), linear, env_x),
+        od.ModelSpec(od.BernoulliLogit(), threshold[0], env_x),
+        od.ModelSpec(od.Multinomial(3), multinomial, env_x),
+        od.ModelSpec(od.Location(od.GaussianNoise(1.0)), arma, env_x),
+    ]
+    certificates = [m for model in models for m in drift_certificate(model)]
+    return menu + combos + envelopes + certificates
+
+
+def test_every_map_evaluates_a_batch_like_its_rows():
+    hyp, st, settings = hypothesis_settings()
+    maps = {d: _maps_for_width(d) for d in (1, 2)}
+    rows_of = lambda d: st.lists(  # noqa: E731
+        st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d), min_size=1, max_size=8,
+    )
+
+    @settings
+    @hyp.given(st.sampled_from((1, 2)).flatmap(rows_of))
+    def check(rows):
+        X = np.asarray(rows, dtype=float)
+        n, d = X.shape
+        table = od.TableMap(tuple(map(tuple, X)), tuple(float(i) - 2.5 for i in range(n)))
+        for m in maps[d] + [table]:
+            batch = m.evaluate(X)
+            assert isinstance(batch, np.ndarray) and batch.shape == (n,), m
+            each = np.array([m.evaluate(X[i]) for i in range(n)], dtype=float)
+            assert batch.astype(float).tobytes() == each.tobytes(), m
+
+    check()
+
+
+def test_derived_map_calls_its_function_once_per_array():
+    m = sum_map("kappa + kappa_tilde", od.AffineAbsMap(0.1, (0.3,), True), od.ConstantMap(0.2))
+    shapes = []
+
+    def counted(x):
+        shapes.append(x.shape)
+        return m.fn(x)
+
+    X = np.linspace(-1.0, 1.0, 40).reshape(20, 2)
+    got = dataclasses.replace(m, fn=counted).evaluate(X)
+    assert shapes == [(20, 2)]
+    assert np.array_equal(got, m.evaluate(X))
+
+
+def test_table_map_on_a_markov_path_and_off_table_rows():
+    spec = od.FiniteStateMarkov(
+        ((0.0, 1.0), (1.0, -1.0), (2.5, 0.5)),
+        ((0.2, 0.5, 0.3), (0.4, 0.2, 0.4), (0.3, 0.3, 0.4)),
+    )
+    path = od.generate_path(spec, 0, 299, 17)
+    table = od.TableMap(spec.states, (0.5, 2.0, -1.0))
+    got = table.evaluate(path.values)
+    assert np.array_equal(got, np.asarray(table.values)[path.state_index])
+    assert table.evaluate(path.values[4]) == got[4]
+    off = path.values.copy()
+    off[7] = (0.5, 0.5)
+    off[9] = (9.0, 9.0)
+    with pytest.raises(InvalidSpec, match=r"\[0\.5 0\.5\] not in table states"):
+        table.evaluate(off)
+    with pytest.raises(InvalidSpec, match="not in table states"):
+        table.evaluate(np.array([[0.0, 1.0], [np.nan, 1.0]]))

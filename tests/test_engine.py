@@ -460,6 +460,40 @@ def test_w_stats_w3_vanishes_with_growing_h():
     assert all(vals[i] > vals[i + 1] for i in range(len(vals) - 1))
 
 
+def _w_stats_per_time(path, h, H, gamma, delta, kappa, phi):
+    """Reference: the four statistics and their tails, one time at a time."""
+    g, d, k = (np.asarray(m.evaluate(path.values), dtype=float) for m in (gamma, delta, kappa))
+    rho_g = math.exp(min(float(np.mean(np.log(np.maximum(g, 1e-300)))), 700.0))
+    rho_k = math.exp(min(float(np.mean(np.log(np.maximum(k, 1e-300)))), 700.0))
+    geo_g, geo_k = rho_g / (1.0 - rho_g), rho_k / (1.0 - rho_k)
+    rows = []
+    for i in range(H + 1, len(path) - H):
+        cpg = np.cumprod(g[i - H: i][::-1])
+        dwin = d[i - H - 1: i][::-1]
+        cpk = np.cumprod(k[i - H: i][::-1])
+        cf = np.cumprod(k[i: i + H + 1])
+        rows.append((dwin[0] + float(cpg @ dwin[1:]), cpg[h - 1:].max(), cpk[h - 1:].max(),
+                     float(np.sum(phi.evaluate(cf))), cpg[-1] * float(d.mean()) * geo_g,
+                     cpg[-1] * rho_g, cpk[-1] * rho_k, phi.linear_coefficient * cf[-1] * geo_k))
+    return np.array(rows).T
+
+
+def test_w_stats_matches_the_per_time_loop():
+    # varying maps over a path of more than two blocks of times
+    m = poisson_ingarch_x()
+    path = od.generate_path(m.covariates, -40, 700, 3)
+    gamma, delta = od.drift_certificate(m)
+    kappa = od.AffineAbsMap(0.3, (0.5,), True)
+    phi = od.PhiSpec(((1, 0.7), (2, 0.2)))
+    for h, H in ((1, 7), (4, 33)):
+        got = od.w_stats(m, path, h, H, gamma_map=gamma, delta_map=delta, kappa_map=kappa, phi=phi)
+        ref = _w_stats_per_time(path, h, H, gamma, delta, kappa, phi)
+        cols = (got.w1, got.w2, got.w3, got.w4, got.w1_tail, got.w2_tail, got.w3_tail, got.w4_tail)
+        assert len(got) == ref.shape[1] == len(path) - 2 * H - 1
+        for col, want in zip(cols, ref):
+            assert col.tobytes() == want.tobytes()
+
+
 def test_w_stats_too_short_path():
     m = poisson_ingarch_const()
     path = od.generate_path(m.covariates, 0, 30, 1)

@@ -41,6 +41,23 @@ def test_apply_vectorized_matches_scalar():
         assert batch[i] == od.apply(link, s[i], y[i], x)
 
 
+def test_covariate_scaled_interval_per_covariate_row():
+    # each row of a covariate batch gets its own interval [-|x|, |x|]
+    link = od.ThresholdLink(
+        od.RegimeCoefficients(CM(0.2), CM(1.0), CM(0.0)),
+        od.RegimeCoefficients(CM(0.5), CM(0.0), CM(1.0)),
+        od.CovariateScaled(-1.0, 1.0), order=1,
+    )
+    X = np.array([[0.2], [0.5], [0.9]])
+    s, y = np.array([1.0, -2.0, 0.5]), np.array([0.3, 0.4, -1.2])
+    batch = od.apply(link, s, y, X)
+    assert np.array_equal(batch, [od.apply(link, s[i], y[i], X[i]) for i in range(3)])
+    assert batch[0] == 0.5 * 1.0 + 1.0  # y = 0.3 lies outside [-0.2, 0.2]
+    shared = od.apply(link, 1.6, 0.3, X)  # one state and observation for every row
+    assert np.array_equal(shared, [od.apply(link, 1.6, 0.3, x) for x in X])
+    assert np.array_equal(link.interval.sup_abs(X), [link.interval.sup_abs(x) for x in X])
+
+
 def test_floor_clamp():
     link = od.LinearLink(CM(0.1), CM(0.0), CM(-5.0), order=1, floor=1.0)
     assert od.apply(link, 0.0, 0.0, X0) == 1.0

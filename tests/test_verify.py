@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import obsdriven as od
+from obsdriven import verify
+from obsdriven.rngstream import generator, split_seed
 from obsdriven.verify import domain_compatible
 
 from conftest import divergent_model, poisson_ingarch_x
@@ -37,6 +39,33 @@ def test_a1_threshold_uses_regime_maximum():
     rep = od.check_a1(m, 1000, 2)
     assert rep.moment.mean == pytest.approx(math.log(0.5))
     assert rep.verdict == "pass"
+
+
+def test_a1_lipschitz_sweep_matches_the_per_row_loop(monkeypatch):
+    # an understated contraction map makes the worst violation a real maximum
+    monkeypatch.setattr(verify, "contraction_map", lambda link: CM(0.1))
+    regime = lambda k: od.RegimeCoefficients(CM(k), od.AffineAbsMap(0.0, (0.5,), True), CM(0.1))  # noqa: E731
+    table = od.CategoryTable(((0.2, -0.1, 0.4), (0.0, 0.3, -0.2)))
+    env = od.IID(od.Uniform(-1, 1))
+    models = [
+        poisson_ingarch_x(),
+        od.ModelSpec(od.BernoulliLogit(), od.ThresholdLink(regime(0.6), regime(-0.8),
+                                                           od.CovariateScaled(-1.0, 1.0)), env),
+        od.ModelSpec(od.Multinomial(3), od.LinearLink(od.AffineAbsMap(0.3, (0.4,)), table, CM(0.0)), env),
+    ]
+    n, seed = 300, 5
+    for m in models:
+        rep = od.check_a1(m, 200, seed, lipschitz_n=n)
+        rng = generator(seed, 2)
+        xs = od.stationary_draws(m.covariates, n, split_seed(seed, 3))
+        s, sp = verify._random_states(m, n, rng), verify._random_states(m, n, rng)
+        worst = 0.0
+        for i in range(n):
+            y = m.kernel.sample(s[i], rng)
+            gap = od.apply(m.link, s[i], y, xs[i]) - od.apply(m.link, sp[i], y, xs[i])
+            worst = max(worst, float(np.max(np.abs(gap))) - 0.1 * float(np.max(np.abs(s[i] - sp[i]))))
+        assert worst > 0.0
+        assert rep.lipschitz_max_violation == worst
 
 
 def test_a1_boundary_contraction_is_inconclusive():
@@ -104,6 +133,16 @@ def test_a2_categorical_route():
     rep = od.check_a2(m, 1000, 8)
     assert rep.case == "categorical"
     assert rep.verdict == "pass"
+
+
+def test_categorical_drift_delta_takes_the_sup_over_state_coordinates():
+    # s0 = 0, so f(s0, y, x) = table[:, y] + 0.05; the largest |.| is 0.95, in coordinate 2
+    table = od.CategoryTable(((0.2, -0.1, 0.4), (0.0, 0.9, -0.2)))
+    link = od.LinearLink(od.AffineAbsMap(0.1, (0.5,), True), table, CM(0.05), 1)
+    m = od.ModelSpec(od.Multinomial(3), link, od.IID(od.Uniform(0, 1)))
+    gamma, delta = od.drift_certificate(m)
+    X = np.array([[0.0], [0.4], [1.0]])
+    assert np.allclose(delta.evaluate(X), 1.0 + 0.95 - (0.1 + 0.5 * X[:, 0]))
 
 
 def test_a2_garch_without_floor_is_a_structural_failure():
