@@ -275,12 +275,30 @@ class CovariatePath:
         return self.values[t_lo - self.t_min : t_hi - self.t_min + 1]
 
     def to_csv(self, fileobj) -> None:
-        """Columns t, x_1 .. x_d with 17 significant digits."""
-        w = csv.writer(fileobj)
-        d = self.dimension
-        w.writerow(["t"] + [f"x_{j + 1}" for j in range(d)])
-        for i, t in enumerate(range(self.t_min, self.t_max + 1)):
-            w.writerow([t] + [format(v, ".17g") for v in self.values[i]])
+        """Columns t, x_1 .. x_d (x_1 also when d = 1)."""
+        write_csv(fileobj, [("t", self.times)] + [(f"x_{j + 1}", self.values[:, j]) for j in range(self.dimension)])
+
+
+def write_csv(fileobj, columns) -> None:
+    """Write (name, values) column blocks, values (n,) or (n, k), as one CSV table.
+
+    k > 1 columns are headed name_1 .. name_k.  The one format of every
+    result file: ints and bools as ints, other values with 17 significant
+    digits, lines ending in csv's \\r\\n.
+    """
+    header, cells = [], []
+    for name, values in columns:
+        v = np.asarray(values)
+        v = (v if v.ndim == 2 else v[:, None]).T
+        k = len(v)
+        header += [name] if k == 1 else [f"{name}_{j + 1}" for j in range(k)]
+        if v.dtype.kind in "biu":
+            cells += v.astype(np.int64).tolist()
+        else:
+            cells += [[format(c, ".17g") for c in col] for col in v.tolist()]
+    w = csv.writer(fileobj)
+    w.writerow(header)
+    w.writerows(zip(*cells))
 
 
 def _words_per_index(spec: CovariateProcessSpec) -> int:

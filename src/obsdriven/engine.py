@@ -16,7 +16,6 @@ keeps a path extension from perturbing the shared suffix.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import math
@@ -28,7 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import linear_sum_assignment
 
 from . import links as links_mod
-from .covariates import CovariatePath, CovariateProcessSpec, generate_path
+from .covariates import CovariatePath, CovariateProcessSpec, generate_path, write_csv
 from .errors import (
     DomainViolation,
     EmptyRange,
@@ -38,8 +37,9 @@ from .errors import (
     StateOverflow,
     UnsupportedCombination,
 )
-from .kernels import ObservationKernel, PhiSpec
-from .links import CategoryTable, LinkSpec, apply as link_apply, contraction_map
+from .kernels import ObservationKernel, PhiSpec, state_distance
+# every loop steps a coefficient table; link_apply stays importable for callers that patch it
+from .links import LinkSpec, apply as link_apply, coefficient_table, contraction_map
 from .rngstream import IndexedStream, generator, split_seed
 
 _SEED_ENV = 11
@@ -63,35 +63,30 @@ class ModelSpec:
     link: LinkSpec
     covariates: CovariateProcessSpec
     alpha: float = 1.0
-    norm: str = ""
 
     def __post_init__(self):
         if not 0 < self.alpha <= 1:
             raise InvalidSpec("alpha must lie in (0, 1]")
-        if not self.norm:
-            object.__setattr__(self, "norm", self.kernel.state_norm)
         if self.link.order != self.kernel.moment_order:
             raise UnsupportedCombination(
                 f"link order {self.link.order} incompatible with "
                 f"{self.kernel.family} (needs {self.kernel.moment_order})"
             )
-        table = isinstance(self.link, links_mod.LinearLink) and isinstance(self.link.kappa_tilde, CategoryTable)
+        table = links_mod.category_table(self.link)
         if self.kernel.state_dim > 1 or self.kernel.family == "multinomial":
-            if not table:
+            if table is None:
                 raise UnsupportedCombination("multinomial kernels need a category-table link")
-            if self.link.kappa_tilde.n_categories != self.kernel.n_categories:
+            if table.n_categories != self.kernel.n_categories:
                 raise UnsupportedCombination("category table width must match the kernel")
-            if self.link.kappa_tilde.array.shape[0] != self.kernel.state_dim:
+            if table.array.shape[0] != self.kernel.state_dim:
                 raise UnsupportedCombination("category table height must match the state dimension")
-        elif table:
+        elif table is not None:
             raise UnsupportedCombination("category-table links require a multinomial kernel")
 
-    def state_distance(self, s, sp):
-        """|s - s'|, or the sup norm along the last axis of vector states; row-wise on batches."""
-        d = np.abs(np.asarray(s, float) - np.asarray(sp, float))
-        if self.kernel.state_dim > 1:
-            d = d.max(axis=-1)
-        return float(d) if d.ndim == 0 else d
+    @property
+    def norm(self) -> str:
+        """The state norm, fixed by the kernel: "abs", or "inf" for vector states."""
+        return self.kernel.state_norm
 
     def start_state(self):
         if self.kernel.state_dim > 1:
@@ -114,13 +109,11 @@ def model_from_dict(d: dict) -> ModelSpec:
     from .kernels import kernel_from_dict
     from .links import link_from_dict
 
-    return ModelSpec(
-        kernel_from_dict(d["kernel"]),
-        link_from_dict(d["link"]),
-        spec_from_dict(d["covariates"]),
-        d.get("alpha", 1.0),
-        d.get("norm", ""),
-    )
+    kernel = kernel_from_dict(d["kernel"])
+    if d.get("norm", kernel.state_norm) != kernel.state_norm:
+        raise InvalidSpec(f"norm {d['norm']!r} does not match the {kernel.family} state norm "
+                          f"{kernel.state_norm!r}")
+    return ModelSpec(kernel, link_from_dict(d["link"]), spec_from_dict(d["covariates"]), d.get("alpha", 1.0))
 
 
 def _check_state(model: ModelSpec, s, where: str):
@@ -129,6 +122,14 @@ def _check_state(model: ModelSpec, s, where: str):
         if not np.all(np.isfinite(s)):
             raise StateOverflow(f"{where}: state overflowed float64")
         raise DomainViolation(f"{where}: state left the {model.kernel.family} domain")
+
+
+def _step(model: ModelSpec, row, s, y, where: str):
+    """One step of the recursion from a coefficient-table row, then the domain check."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_state
+        s = links_mod.step(model.link, row, s, y)
+    _check_state(model, s, where)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +153,7 @@ class Trajectory:
         return np.arange(self.t_min, self.t_max + 1)
 
     def to_csv(self, fileobj):
-        w = csv.writer(fileobj)
-        d = self.x.shape[1]
-        xcols = ["x"] if d == 1 else [f"x_{j + 1}" for j in range(d)]
-        lam2 = np.atleast_2d(self.lam.T).T
-        k = lam2.shape[1]
-        lcols = ["lambda"] if k == 1 else [f"lambda_{j + 1}" for j in range(k)]
-        w.writerow(["t"] + xcols + lcols + ["y"])
-        fmt = lambda v: format(float(v), ".17g")
-        for i, t in enumerate(range(self.t_min, self.t_max + 1)):
-            w.writerow([t] + [fmt(v) for v in self.x[i]] + [fmt(v) for v in lam2[i]] + [fmt(self.y[i])])
+        write_csv(fileobj, [("t", self.times), ("x", self.x), ("lambda", self.lam), ("y", self.y)])
 
 
 def simulate(model: ModelSpec, s0, t_min: int, t_max: int, seed: int) -> Trajectory:
@@ -181,12 +173,11 @@ def simulate(model: ModelSpec, s0, t_min: int, t_max: int, seed: int) -> Traject
     _check_state(model, lam, "initial state")
     lam_hist = np.empty((n, model.kernel.state_dim)) if vector else np.empty(n)
     y_hist = np.empty(n)
-    for i in range(n):
+    for i, row in enumerate(coefficient_table(model.link, path.values).tolist()):
         lam_hist[i] = lam
         y = model.kernel.sample(lam, rng)
         y_hist[i] = y
-        lam = link_apply(model.link, lam, y, path.values[i])
-        _check_state(model, lam, f"step t={t_min + i}")
+        lam = _step(model, row, lam, y, f"step t={t_min + i}")
     return Trajectory(t_min, t_max, path.values, lam_hist, y_hist, seed)
 
 
@@ -214,32 +205,12 @@ class CouplingTrace:
 
     def gap(self) -> np.ndarray:
         """Per-step state gap; the sup-norm across coordinates for vector states."""
-        a = np.atleast_2d(self.lam.T).T
-        b = np.atleast_2d(self.lam_prime.T).T
-        return np.max(np.abs(a - b), axis=1)
+        return state_distance(self.lam, self.lam_prime, self.lam.ndim > 1)
 
     def to_csv(self, fileobj, x_values: np.ndarray | None = None):
-        w = csv.writer(fileobj)
-        xcols = []
-        if x_values is not None:
-            d = x_values.shape[1]
-            xcols = ["x"] if d == 1 else [f"x_{j + 1}" for j in range(d)]
-        lam2 = np.atleast_2d(self.lam.T).T
-        lamp2 = np.atleast_2d(self.lam_prime.T).T
-        k = lam2.shape[1]
-        lcols = ["lambda"] if k == 1 else [f"lambda_{j + 1}" for j in range(k)]
-        pcols = ["lambda_prime"] if k == 1 else [f"lambda_prime_{j + 1}" for j in range(k)]
-        w.writerow(["t"] + xcols + lcols + ["y"] + pcols + ["y_prime", "met"])
-        fmt = lambda v: format(float(v), ".17g")
-        for i, t in enumerate(range(self.t_min, self.t_max + 1)):
-            row = [t]
-            if x_values is not None:
-                row += [fmt(v) for v in x_values[i]]
-            row += [fmt(v) for v in lam2[i]]
-            row.append(fmt(self.y[i]))
-            row += [fmt(v) for v in lamp2[i]]
-            row += [fmt(self.y_prime[i]), int(self.met[i])]
-            w.writerow(row)
+        xcols = [] if x_values is None else [("x", x_values)]
+        write_csv(fileobj, [("t", self.times), *xcols, ("lambda", self.lam), ("y", self.y),
+                            ("lambda_prime", self.lam_prime), ("y_prime", self.y_prime), ("met", self.met)])
 
 
 def couple_forward(model: ModelSpec, s0, s0_prime, path: CovariatePath, seed: int) -> CouplingTrace:
@@ -264,7 +235,7 @@ def couple_forward(model: ModelSpec, s0, s0_prime, path: CovariatePath, seed: in
     y_h = np.empty(n)
     yp_h = np.empty(n)
     met_h = np.empty(n, dtype=bool)
-    for i in range(n):
+    for i, row in enumerate(coefficient_table(link, path.values).tolist()):
         lam_h[i], lamp_h[i] = lam, lamp
         same = np.array_equal(lam, lamp)
         if same:
@@ -274,27 +245,17 @@ def couple_forward(model: ModelSpec, s0, s0_prime, path: CovariatePath, seed: in
             draw = kernel.maximal_couple(lam, lamp, rng)
             y, yp, met = draw.y, draw.y_prime, draw.met
         y_h[i], yp_h[i], met_h[i] = y, yp, met
-        x = path.values[i]
-        lam = link_apply(link, lam, y, x)
-        lamp = link_apply(link, lamp, yp, x)
-        _check_state(model, lam, f"step t={path.t_min + i}")
-        _check_state(model, lamp, f"step t={path.t_min + i} (prime)")
+        lam = _step(model, row, lam, y, f"step t={path.t_min + i}")
+        lamp = _step(model, row, lamp, yp, f"step t={path.t_min + i} (prime)")
     # first time from which every recorded draw agreed; unmet residual
     # draws come from disjoint supports, so met is equivalent to Y-equality
     not_met = np.flatnonzero(~met_h)
-    if len(not_met) == 0:
-        meet_idx = 0
-    elif not_met[-1] == n - 1:
-        meet_idx = None
-    else:
-        meet_idx = int(not_met[-1]) + 1
-    if meet_idx is None:
+    meet_idx = int(not_met[-1]) + 1 if len(not_met) else 0
+    if meet_idx == n:  # the last draw disagreed
         meet_time, censored, gap_sum = None, True, float("nan")
     else:
         meet_time, censored = path.t_min + meet_idx, False
-        a = np.atleast_2d(lam_h.T).T[meet_idx:]
-        b = np.atleast_2d(lamp_h.T).T[meet_idx:]
-        gap_sum = float(np.max(np.abs(a - b), axis=1).sum())
+        gap_sum = float(kernel.state_distance(lam_h[meet_idx:], lamp_h[meet_idx:]).sum())
     return CouplingTrace(
         path.t_min, path.t_max, lam_h, lamp_h, y_h, yp_h, met_h,
         meet_time, censored, gap_sum, seed,
@@ -322,17 +283,8 @@ class EmpiricalMeasure:
     def __len__(self):
         return self.points.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return 1 if self.points.ndim == 1 else self.points.shape[1]
-
     def to_csv(self, fileobj):
-        w = csv.writer(fileobj)
-        pts = np.atleast_2d(self.points.T).T
-        k = pts.shape[1]
-        w.writerow(["point"] if k == 1 else [f"point_{j + 1}" for j in range(k)])
-        for row in pts:
-            w.writerow([format(float(v), ".17g") for v in row])
+        write_csv(fileobj, [("point", self.points)])
 
 
 def _obs_stream(seed: int, replicas: int) -> IndexedStream:
@@ -367,12 +319,10 @@ def backward_measure(
     else:
         lam = np.full(replicas, float(s0))
     _check_state(model, lam, "start state")
-    for t in range(t_start, t_end):
+    for t, row in zip(range(t_start, t_end), coefficient_table(link, path.window(t_start, t_end - 1))):
         u = stream.uniforms(t, 1)[0]
         y = kernel.sample_inverse(lam, u)
-        with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_state
-            lam = link_apply(link, lam, y, path.value_at(t))
-        _check_state(model, lam, f"backward step t={t}")
+        lam = _step(model, row, lam, y, f"backward step t={t}")
     meta = {
         "n_backward": n, "t_end": t_end, "replicas": replicas, "seed": seed,
         "start_state": np.asarray(s0).tolist() if vector else float(s0),
@@ -409,24 +359,18 @@ def coupled_backward_cost(
     lamp = np.full(replicas, float(s0_prime))
     gap = np.full(replicas, abs(float(s0_prime) - float(s0)))
     floor = link.floor
-    for t in range(t_start, t_end):
+    for t, row in zip(range(t_start, t_end), coefficient_table(link, path.window(t_start, t_end - 1))):
         u = stream.uniforms(t, 1)[0]
-        x = path.value_at(t)
         y = np.asarray(kernel.sample_inverse(lam, u), dtype=float)
         yp = np.asarray(kernel.sample_inverse(lamp, u), dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_state
-            lam_next = link_apply(link, lam, y, x)
-            lamp_next = link_apply(link, lamp, yp, x)
-        _check_state(model, lam_next, f"coupled backward step t={t}")
-        _check_state(model, lamp_next, f"coupled backward step t={t} (prime)")
-        same_y = y == yp
-        unclamped = np.ones(replicas, dtype=bool)
+        lam_next = _step(model, row, lam, y, f"coupled backward step t={t}")
+        lamp_next = _step(model, row, lamp, yp, f"coupled backward step t={t} (prime)")
+        mult = y == yp
         if floor is not None:
-            unclamped = (lam_next > floor) & (lamp_next > floor)
-        mult = same_y & unclamped
+            mult &= (lam_next > floor) & (lamp_next > floor)
         new_gap = np.abs(lamp_next - lam_next)
         if mult.any():
-            coefs = np.abs(links_mod.state_coefficients(link, y, x))
+            coefs = np.abs(links_mod.state_multiplier(link, row, y))
             new_gap[mult] = coefs[mult] * gap[mult]
         lam, lamp, gap = lam_next, lamp_next, new_gap
     return float(np.minimum(gap, 1.0).mean())
@@ -445,8 +389,8 @@ def push_measure(
     stream = _obs_stream(seed, replicas)
     u = stream.uniforms(t, 1)[0]
     y = model.kernel.sample_inverse(measure.points, u)
-    lam = link_apply(model.link, measure.points, y, path.value_at(t))
-    _check_state(model, lam, f"push step t={t}")
+    row = coefficient_table(model.link, path.value_at(t))[0]
+    lam = _step(model, row, measure.points, y, f"push step t={t}")
     meta = dict(measure.meta)
     meta["t_end"] = t + 1
     meta["pushed"] = True
@@ -762,11 +706,7 @@ class WStats:
         return len(self.times)
 
     def to_csv(self, fileobj):
-        w = csv.writer(fileobj)
-        w.writerow(["t", "w1", "w2", "w3", "w4"])
-        fmt = lambda v: format(float(v), ".17g")
-        for i, t in enumerate(self.times):
-            w.writerow([int(t), fmt(self.w1[i]), fmt(self.w2[i]), fmt(self.w3[i]), fmt(self.w4[i])])
+        write_csv(fileobj, [("t", self.times)] + [(w, getattr(self, w)) for w in ("w1", "w2", "w3", "w4")])
 
 
 def w_stats(
@@ -860,6 +800,11 @@ class RegenerationResult:
         }
 
 
+def _passes_thresholds(stats: WStats, C: float) -> np.ndarray:
+    """Per time: w1 <= C, w2 and w3 <= 1 - 1/C, and w4 <= C."""
+    return (stats.w1 <= C) & (stats.w2 <= 1 - 1 / C) & (stats.w3 <= 1 - 1 / C) & (stats.w4 <= C)
+
+
 def regeneration_times(stats: WStats, C: float, h: int | None = None) -> RegenerationResult:
     """Greedy scan for times passing all four thresholds with spacing > h.
 
@@ -870,7 +815,7 @@ def regeneration_times(stats: WStats, C: float, h: int | None = None) -> Regener
         raise InvalidSpec("threshold constant C must exceed 1")
     if h is None:
         h = stats.h
-    ok = (stats.w1 <= C) & (stats.w2 <= 1 - 1 / C) & (stats.w3 <= 1 - 1 / C) & (stats.w4 <= C)
+    ok = _passes_thresholds(stats, C)
     accepted = []
     last = None
     for t, good in zip(stats.times, ok):
@@ -902,7 +847,6 @@ def calibrate_regeneration(
     for h in range(1, min(h_max, H) + 1):
         stats = w_stats(model, path, h, H)
         for C in c_grid:
-            ok = (stats.w1 <= C) & (stats.w2 <= 1 - 1 / C) & (stats.w3 <= 1 - 1 / C) & (stats.w4 <= C)
-            if ok.mean() >= min_frequency:
+            if _passes_thresholds(stats, C).mean() >= min_frequency:
                 return stats, float(C), h
     raise InvalidSpec("no (C, h) in the calibration grid admits regeneration times")

@@ -200,6 +200,17 @@ def _couple_continuous_batch(kernel, s, sp, n, rng):
 # family base
 # ---------------------------------------------------------------------------
 
+def state_distance(s, sp, vector: bool):
+    """|s - s'|, or the sup norm along the last axis of vector states.  A float
+    for one pair of states, one distance per row on batches."""
+    if not vector and isinstance(s, float) and isinstance(sp, float):
+        return abs(s - sp)  # one scalar pair, without numpy's per-call overhead
+    d = np.abs(np.asarray(s, float) - np.asarray(sp, float))
+    if vector:
+        d = d.max(axis=-1)
+    return float(d) if d.ndim == 0 else d
+
+
 class ObservationKernel:
     """Common interface; scalar state families override the hooks below."""
 
@@ -218,10 +229,9 @@ class ObservationKernel:
             if not self.domain_contains(s):
                 raise StateOutOfDomain(f"state {s!r} outside {self.family} domain")
 
-    def state_distance(self, s, sp) -> float:
-        if self.state_dim == 1:
-            return abs(float(s) - float(sp))
-        return float(np.max(np.abs(np.asarray(s, float) - np.asarray(sp, float))))
+    def state_distance(self, s, sp):
+        """``state_distance`` in this family's state norm."""
+        return state_distance(s, sp, self.state_dim > 1)
 
     # -- sampling ----------------------------------------------------------
     def sample(self, s, rng):

@@ -41,9 +41,9 @@ class FixedInterval:
         if not self.lo <= self.hi:
             raise InvalidSpec("interval needs lo <= hi")
 
-    def contains(self, y, x) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return (y >= self.lo) & (y <= self.hi)
+    def bounds(self, x):
+        """(lo, hi) with I(x) = [lo, hi]; scalars here, per covariate row for CovariateScaled."""
+        return self.lo, self.hi
 
     @property
     def is_bounded(self) -> bool:
@@ -71,10 +71,9 @@ class CovariateScaled:
     def _scale(x):
         return np.abs(np.atleast_1d(np.asarray(x, dtype=float))).sum(axis=-1)
 
-    def contains(self, y, x) -> np.ndarray:
+    def bounds(self, x):
         a = self._scale(x)
-        y = np.asarray(y, dtype=float)
-        return (y >= self.lo * a) & (y <= self.hi * a)
+        return self.lo * a, self.hi * a
 
     @property
     def is_bounded(self) -> bool:
@@ -148,10 +147,6 @@ class LinearLink:
         if self.order not in (1, 2):
             raise InvalidSpec("link order must be 1 or 2")
 
-    @property
-    def variant(self) -> str:
-        return "linear"
-
     def to_dict(self):
         return {
             "variant": "linear",
@@ -191,10 +186,6 @@ class ThresholdLink:
         if self.order not in (1, 2):
             raise InvalidSpec("link order must be 1 or 2")
 
-    @property
-    def variant(self) -> str:
-        return "threshold"
-
     def to_dict(self):
         return {
             "variant": "threshold",
@@ -224,10 +215,6 @@ class ArmaLikeLink:
     def order(self) -> int:
         return 1
 
-    @property
-    def variant(self) -> str:
-        return "arma_like"
-
     def to_dict(self):
         return {
             "variant": "arma_like",
@@ -239,6 +226,12 @@ class ArmaLikeLink:
 
 
 LinkSpec = LinearLink | ThresholdLink | ArmaLikeLink
+
+
+def category_table(link: LinkSpec) -> CategoryTable | None:
+    """The category table of a multinomial link, None for every other link."""
+    kt = getattr(link, "kappa_tilde", None)
+    return kt if isinstance(kt, CategoryTable) else None
 
 
 def link_from_dict(d: dict) -> LinkSpec:
@@ -271,42 +264,71 @@ def link_from_dict(d: dict) -> LinkSpec:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def apply(link: LinkSpec, s, y, x):
-    """Advance the latent state; x (d,) or (n, d), s and y may be batched along axis 0.
+def coefficient_table(link: LinkSpec, x) -> np.ndarray:
+    """The link's coefficients at each covariate row of x (d,) or (n, d): an (n, k) table.
 
-    A value not batched is shared by every row.  For multinomial links s has
-    shape (state_dim,) or (n, state_dim) and y is a category index (or an
-    index vector).  The floor clamp, when configured, is applied last;
-    clamping is 1-Lipschitz so contraction constants are unchanged.
+    The one place that evaluates the link's maps.  Columns: linear (kappa,
+    kappa_tilde, delta_tilde), or (kappa, delta_tilde) with a category table;
+    threshold (kappa, kappa_tilde, gamma) per regime, then I(x) = [lo, hi];
+    ARMA-like (a, c, b).
     """
-    if isinstance(link, LinearLink):
-        k = link.kappa.evaluate(x)
-        d = link.delta_tilde.evaluate(x)
-        if isinstance(link.kappa_tilde, CategoryTable):
-            # a trailing axis on k and d broadcasts them over the state coordinates
-            cats = np.asarray(y, dtype=int)
-            out = (np.asarray(k)[..., None] * np.asarray(s, dtype=float)
-                   + link.kappa_tilde.array.T[cats] + np.asarray(d)[..., None])
-        else:
-            kt = link.kappa_tilde.evaluate(x)
-            out = k * np.asarray(s, dtype=float) + kt * np.asarray(y, dtype=float) ** link.order + d
-    elif isinstance(link, ThresholdLink):
-        s = np.asarray(s, dtype=float)
-        y = np.asarray(y, dtype=float)
-        inside = link.interval.contains(y, x)
-        r1, r2 = link.regime_in, link.regime_out
-        f1 = r1.kappa.evaluate(x) * s + r1.kappa_tilde.evaluate(x) * y**link.order + r1.gamma.evaluate(x)
-        f2 = r2.kappa.evaluate(x) * s + r2.kappa_tilde.evaluate(x) * y**link.order + r2.gamma.evaluate(x)
-        out = np.where(inside, f1, f2)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if isinstance(link, ThresholdLink):
+        maps = [m for r in (link.regime_in, link.regime_out) for m in (r.kappa, r.kappa_tilde, r.gamma)]
+    elif category_table(link) is not None:
+        maps = [link.kappa, link.delta_tilde]
+    elif isinstance(link, LinearLink):
+        maps = [link.kappa, link.kappa_tilde, link.delta_tilde]
     else:
-        a = link.a.evaluate(x)
-        y = np.asarray(y, dtype=float)
-        out = a * np.asarray(s, dtype=float) + link.g_intercept.evaluate(x) + link.g_slope.evaluate(x) * y - a * y
+        maps = [link.a, link.g_intercept, link.g_slope]
+    cols = [m.evaluate(x) for m in maps]
+    if isinstance(link, ThresholdLink):
+        cols += link.interval.bounds(x)
+    return np.column_stack([np.broadcast_to(c, len(x)) for c in cols])
+
+
+def step(link: LinkSpec, row, s, y):
+    """f(s, y, x) from the coefficients of x: a table row, or the table's columns for a batch.
+
+    s and y may be batched along axis 0; a value not batched is shared by
+    every row.  Multinomial states are (state_dim,) or (n, state_dim) and y
+    is a category index.  The floor clamp comes last (it is 1-Lipschitz, so
+    contraction constants are unchanged).  Overflow gives inf, not an error.
+    """
+    s = np.asarray(s, dtype=float)
+    table = category_table(link)
+    y = np.asarray(y, dtype=float if table is None else int)
+    if table is not None:
+        # a trailing axis on k and d broadcasts them over the state coordinates
+        k, d = row
+        out = np.asarray(k)[..., None] * s + table.array.T[y] + np.asarray(d)[..., None]
+    elif isinstance(link, ThresholdLink):
+        k1, kt1, g1, k2, kt2, g2, lo, hi = row
+        yi = y**link.order
+        out = np.where((y >= lo) & (y <= hi), k1 * s + kt1 * yi + g1, k2 * s + kt2 * yi + g2)
+    elif isinstance(link, LinearLink):
+        k, kt, d = row
+        out = k * s + kt * y**link.order + d
+    else:
+        a, c, b = row
+        out = a * s + c + b * y - a * y
     if link.floor is not None:
         out = np.maximum(out, link.floor)
     if np.ndim(out) == 0:
         return float(out)
     return out
+
+
+def _coefficients(link: LinkSpec, x):
+    """The table row of one covariate row x (d,), or the table's columns for a batch (n, d)."""
+    table = coefficient_table(link, x)
+    return table[0] if np.ndim(x) <= 1 else table.T
+
+
+def apply(link: LinkSpec, s, y, x):
+    """``step`` on the coefficient table of x (d,) or (n, d); loops over a path
+    build its table once and call ``step`` per time instead."""
+    return step(link, _coefficients(link, x), s, y)
 
 
 def contraction_map(link: LinkSpec) -> CoefficientMap:
@@ -322,21 +344,23 @@ def contraction_map(link: LinkSpec) -> CoefficientMap:
     return abs_map(link.a)
 
 
-def state_coefficients(link: LinkSpec, y, x) -> np.ndarray:
-    """The exact multiplier of s in f(s, y, x), elementwise over y.
+def state_multiplier(link: LinkSpec, row, y) -> np.ndarray:
+    """The exact multiplier of s in f(s, y, x), elementwise over y; ``row`` as in ``step``.
 
     Differences of two states sharing (y, x) scale by exactly this factor
     (before any floor clamp); gap-tracking couplings use it to propagate
-    separations below floating-point resolution of the states themselves.
+    separations below the floating-point resolution of the states.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if isinstance(link, LinearLink):
-        return np.full(y.shape, float(link.kappa.evaluate(x)))
     if isinstance(link, ThresholdLink):
-        k1 = float(link.regime_in.kappa.evaluate(x))
-        k2 = float(link.regime_out.kappa.evaluate(x))
-        return np.where(link.interval.contains(y, x), k1, k2)
-    return np.full(y.shape, float(link.a.evaluate(x)))
+        k1, _, _, k2, _, _, lo, hi = row
+        return np.where((y >= lo) & (y <= hi), k1, k2)
+    return np.full(y.shape, row[0])
+
+
+def state_coefficients(link: LinkSpec, y, x) -> np.ndarray:
+    """``state_multiplier`` on the coefficient table of x (d,) or (n, d)."""
+    return state_multiplier(link, _coefficients(link, x), y)
 
 
 @dataclass(frozen=True)

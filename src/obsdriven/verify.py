@@ -222,8 +222,9 @@ def check_a1(model: ModelSpec, mc_n: int = 10_000, seed: int = 0, lipschitz_n: i
     sp = _random_states(model, lipschitz_n, rng)
     # one draw per row, in row order, keeps the rng stream of a per-row loop
     ys = np.asarray([model.kernel.sample(s[i], rng) for i in range(lipschitz_n)])
-    lhs = model.state_distance(link_apply(model.link, s, ys, xs), link_apply(model.link, sp, ys, xs))
-    rhs = kappa.evaluate(xs) * model.state_distance(s, sp)
+    dist = model.kernel.state_distance
+    lhs = dist(link_apply(model.link, s, ys, xs), link_apply(model.link, sp, ys, xs))
+    rhs = kappa.evaluate(xs) * dist(s, sp)
     # fmax skips NaN rows; max against 0.0 keeps an all-negative sweep at +0.0
     worst = max(0.0, float(np.fmax.reduce(lhs - rhs, initial=-math.inf)))
     label = getattr(kappa, "label", None) or repr(kappa)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import obsdriven as od
 from obsdriven import cli
 from obsdriven.errors import ManifestError, StateOverflow
 
@@ -149,6 +150,27 @@ def test_param_of_the_wrong_type_is_manifest_error(tmp_path, capsys, name, value
     cli.validate_manifest({"command": "couple", "model": BENCH, "params": params, "seed": 3})
     cli.validate_manifest({"command": "diagnose", "model": BENCH, "seed": 3,
                            "params": {"length": 100, "h": None}})
+
+
+MULTINOMIAL = od.ModelSpec(
+    od.Multinomial(3), od.LinearLink(od.ConstantMap(0.5, True), od.CategoryTable(((0.2, 0.1, 0.0), (0.0, 0.1, 0.2))),
+                                     od.ConstantMap(0.0), 1), od.Constant((1.0,))).to_dict()
+
+
+@pytest.mark.parametrize("model, norm", [(MULTINOMIAL, "abs"), (BENCH, "inf")], ids=["multinomial-abs", "scalar-inf"])
+def test_norm_other_than_the_kernel_state_norm_is_manifest_error(tmp_path, capsys, model, norm):
+    # the state norm follows the kernel; a manifest may only restate it
+    s0 = [0.0, 0.0] if model is MULTINOMIAL else 0.0
+    for given in (norm, model["norm"], None):
+        m = dict(model, norm=given)
+        if given is None:
+            del m["norm"]
+        man = write_manifest(tmp_path, "m.json", simulate_manifest(model=m, params={"s0": s0, "t_min": 0, "t_max": 9}))
+        rc = cli.main(["--manifest", str(man), "--out", str(tmp_path / "o")])
+        assert rc == (1 if given == norm else 0)
+        if given == norm:
+            err = capsys.readouterr().err
+            assert err.startswith("manifest error: ") and f"norm {norm!r} does not match" in err
 
 
 @pytest.mark.parametrize("command, params, message", [

@@ -7,10 +7,13 @@ import pytest
 from scipy import stats as sstats
 
 import obsdriven as od
+from obsdriven import engine
+from obsdriven.covariates import DerivedMap
 from obsdriven.engine import _assignment_cost, coupled_backward_cost, push_measure
 from obsdriven.errors import (
     DomainViolation, InvalidSpec, PathTooShort, SizeMismatch, StateOverflow, UnsupportedCombination,
 )
+from obsdriven.links import state_coefficients
 from obsdriven.rngstream import generator, split_seed
 
 from conftest import (
@@ -621,3 +624,232 @@ def test_model_json_round_trip():
     m = poisson_ingarch_x()
     again = od.model_from_dict(m.to_dict())
     assert again.to_dict() == m.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# the coefficient-table step core against a per-step links.apply reference
+# ---------------------------------------------------------------------------
+
+RC = od.RegimeCoefficients
+
+
+def _step_core_models():
+    """One model per link shape the step core must reproduce bit for bit."""
+    u01 = od.IID(od.Uniform(0.0, 1.0))
+    ar2 = od.AR1(0.6, od.Gaussian(0.0, 0.5), dimension=2)
+    return {
+        "linear-order1": od.ModelSpec(
+            od.Location(od.GaussianNoise(1.0)),
+            od.LinearLink(CM(0.5), od.AffineAbsMap(0.1, (0.3,)), od.ExpAffineMap(-1.0, (0.5,)), 1), ar2),
+        "linear-order1-floor": poisson_ingarch_x(),
+        "linear-order2-floor": od.ModelSpec(
+            od.GarchGaussian(1.0),
+            od.LinearLink(CM(0.3, True), od.AffineAbsMap(0.1, (0.2,), True), CM(1.0, True), 2, 1.0), u01),
+        "linear-order2": od.ModelSpec(
+            od.GarchGaussian(1.0),
+            od.LinearLink(od.AffineAbsMap(0.1, (0.4,), True), CM(0.2, True), CM(1.0, True), 2), u01),
+        "threshold-fixed": od.ModelSpec(
+            od.Poisson(),
+            od.ThresholdLink(RC(CM(0.3, True), od.AffineAbsMap(0.0, (0.2,), True), CM(1.0, True)),
+                             RC(CM(0.5, True), CM(0.1, True), od.AffineAbsMap(0.5, (0.5,), True)),
+                             od.FixedInterval(0.0, 3.0), 1, 0.0), u01),
+        "threshold-covariate-scaled": od.ModelSpec(
+            od.Location(od.GaussianNoise(1.0)),
+            od.ThresholdLink(RC(CM(0.4), od.AffineAbsMap(0.2, (-0.3,)), CM(0.1)),
+                             RC(od.AffineAbsMap(-0.2, (0.3,)), CM(0.6), CM(-0.5)),
+                             od.CovariateScaled(-1.0, 2.0), 1), ar2),
+        "arma-like": od.ModelSpec(
+            od.Location(od.LaplaceNoise(1.0)),
+            od.ArmaLikeLink(od.AffineAbsMap(0.1, (0.3,), True), CM(0.2), od.AffineAbsMap(0.4, (-0.1,))), u01),
+        "multinomial": od.ModelSpec(
+            od.Multinomial(3),
+            od.LinearLink(od.AffineAbsMap(0.3, (0.2,), True),
+                          od.CategoryTable(((0.2, -0.3, 0.1), (0.0, 0.4, -0.2))), CM(0.1), 1), u01),
+    }
+
+
+def _start(model, offset):
+    """A start state offset from the domain base (by offset, 2 offset, .. for vector states)."""
+    s = model.start_state()
+    return s + offset * np.arange(1, model.kernel.state_dim + 1) if model.kernel.state_dim > 1 else s + offset
+
+
+def _ref_simulate(model, s0, t_min, t_max, seed):
+    path = od.generate_path(model.covariates, t_min, t_max, split_seed(seed, engine._SEED_ENV))
+    rng = generator(seed, engine._SEED_OBS)
+    lam, lams, ys = s0, [], []
+    for x in path.values:
+        lams.append(lam)
+        y = model.kernel.sample(lam, rng)
+        ys.append(y)
+        lam = od.apply(model.link, lam, y, x)
+    return np.array(lams, dtype=float), np.array(ys, dtype=float)
+
+
+def _ref_couple(model, s0, s0p, path, seed):
+    rng = generator(seed, engine._SEED_COUPLE)
+    lam, lamp, rows = s0, s0p, []
+    for x in path.values:
+        if np.array_equal(lam, lamp):
+            y = model.kernel.sample(lam, rng)
+            yp, met = y, True
+        else:
+            draw = model.kernel.maximal_couple(lam, lamp, rng)
+            y, yp, met = draw.y, draw.y_prime, draw.met
+        rows.append((lam, lamp, y, yp, met))
+        lam, lamp = od.apply(model.link, lam, y, x), od.apply(model.link, lamp, yp, x)
+    lam_h, lamp_h, y_h, yp_h, met_h = (np.array(c) for c in zip(*rows))
+    return lam_h.astype(float), lamp_h.astype(float), y_h.astype(float), yp_h.astype(float), met_h
+
+
+def _ref_backward(model, s0, n, path, replicas, seed):
+    stream = engine._obs_stream(seed, replicas)
+    lam = np.tile(np.asarray(s0, dtype=float), (replicas, 1)) if model.kernel.state_dim > 1 \
+        else np.full(replicas, float(s0))
+    for t in range(-n, 0):
+        y = model.kernel.sample_inverse(lam, stream.uniforms(t, 1)[0])
+        lam = od.apply(model.link, lam, y, path.value_at(t))
+    return lam
+
+
+def _ref_backward_cost(model, s0, s0p, n, path, replicas, seed):
+    stream = engine._obs_stream(seed, replicas)
+    lam, lamp = np.full(replicas, float(s0)), np.full(replicas, float(s0p))
+    gap = np.full(replicas, abs(float(s0p) - float(s0)))
+    floor = model.link.floor
+    for t in range(-n, 0):
+        u, x = stream.uniforms(t, 1)[0], path.value_at(t)
+        y = np.asarray(model.kernel.sample_inverse(lam, u), dtype=float)
+        yp = np.asarray(model.kernel.sample_inverse(lamp, u), dtype=float)
+        lam_next, lamp_next = od.apply(model.link, lam, y, x), od.apply(model.link, lamp, yp, x)
+        mult = (y == yp) if floor is None else (y == yp) & (lam_next > floor) & (lamp_next > floor)
+        new_gap = np.abs(lamp_next - lam_next)
+        coefs = np.abs(state_coefficients(model.link, y, x))
+        new_gap[mult] = coefs[mult] * gap[mult]
+        lam, lamp, gap = lam_next, lamp_next, new_gap
+    return float(np.minimum(gap, 1.0).mean())
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_step_core_models()))
+def test_step_core_matches_per_step_apply(name):
+    # every engine loop steps a coefficient table built once per path; each
+    # must equal a loop calling links.apply on one covariate row per step
+    model = _step_core_models()[name]
+    hyp, st, settings = hypothesis_settings()
+    n, replicas = 30, 100
+
+    @hyp.settings(settings, max_examples=6)
+    @hyp.given(st.integers(0, 2**31), st.floats(0.0, 3.0))
+    def check(seed, offset):
+        s0, s0p = model.start_state(), _start(model, offset)
+        tr = od.simulate(model, s0p, -2, n, seed)
+        lam, y = _ref_simulate(model, s0p, -2, n, seed)
+        assert _same_bits(tr.lam, lam) and _same_bits(tr.y, y)
+
+        path = od.generate_path(model.covariates, -n - 5, n, seed)  # starts before the backward window
+        ct = od.couple_forward(model, s0, s0p, path, seed)
+        for got, want in zip((ct.lam, ct.lam_prime, ct.y, ct.y_prime, ct.met),
+                             _ref_couple(model, s0, s0p, path, seed)):
+            assert _same_bits(got, want)
+
+        mu = od.backward_measure(model, s0p, n, path, replicas, seed)
+        assert _same_bits(mu.points, _ref_backward(model, s0p, n, path, replicas, seed))
+        pushed = push_measure(model, mu, path, 0, seed)
+        want = od.apply(model.link, mu.points,
+                        model.kernel.sample_inverse(mu.points, engine._obs_stream(seed, replicas).uniforms(0, 1)[0]),
+                        path.value_at(0))
+        assert _same_bits(pushed.points, want)
+        if model.kernel.state_dim == 1:
+            got = coupled_backward_cost(model, s0, s0p, n, path, replicas, seed)
+            assert got == _ref_backward_cost(model, s0, s0p, n, path, replicas, seed)
+
+    check()
+
+
+def test_engine_loops_evaluate_each_map_once_per_path():
+    calls = []
+
+    def kappa_tilde(x):
+        calls.append(len(x))
+        return 0.3 * np.abs(x[:, 0])
+
+    link = od.LinearLink(CM(0.4, True), DerivedMap("counted", kappa_tilde), CM(1.0, True), 1, 0.0)
+    m = od.ModelSpec(od.Poisson(), link, od.IID(od.Uniform(0.0, 1.0)))
+    od.simulate(m, 0.0, 0, 49, 3)
+    assert calls == [50]
+    path = od.generate_path(m.covariates, -50, -1, 3)
+    calls.clear()
+    od.couple_forward(m, 0.0, 5.0, path, 3)
+    assert calls == [50]
+    calls.clear()
+    od.backward_measure(m, 0.0, 40, path, 100, 3)
+    assert calls == [40]
+
+
+def test_order_two_overflow_is_a_state_overflow():
+    # y**2 past the float64 range is inf inside the step, never Python's OverflowError
+    link = od.LinearLink(CM(0.5, True), CM(1.0, True), CM(1.0, True), 2, 1.0)
+    with np.errstate(over="ignore"):
+        assert od.apply(link, 1.0, 1e200, np.array([0.0])) == math.inf
+    m = od.ModelSpec(od.GarchGaussian(1.0), link, od.Constant((1.0,)))
+    with pytest.raises(StateOverflow, match=r"^step t=\d+: state overflowed"):
+        od.simulate(m, 1.7e308, 0, 50, 1)
+    path = od.generate_path(m.covariates, -3, -1, 1)
+    with pytest.raises(StateOverflow, match="backward step t=-3"):
+        od.backward_measure(m, 1.7e308, 3, path, 100, 1)
+
+
+# ---------------------------------------------------------------------------
+# result tables: one writer, the bytes of the hand-written per-table loops
+# ---------------------------------------------------------------------------
+
+_TABLE_BYTES = {
+    "trajectory": 't,x,lambda,y\r\n-1,0.10000000000000001,0,1\r\n0,0.33333333333333331,1.5,0\r\n1,-2.5e+17,0.66666666666666663,3\r\n',
+    "trajectory_vector": 't,x_1,x_2,lambda_1,lambda_2,y\r\n-1,0.10000000000000001,7,0,1,1\r\n0,0.33333333333333331,-0,0.20000000000000001,-0.29999999999999999,0\r\n1,1e-300,2,1e+20,4.9406564584124654e-324,3\r\n',
+    "trace": 't,lambda,y,lambda_prime,y_prime,met\r\n4,0,1,0.10000000000000001,1,0\r\n5,1.5,0,1.6000000000000001,0,1\r\n6,0.66666666666666663,3,0.76666666666666661,3,1\r\n',
+    "trace_x": 't,x,lambda,y,lambda_prime,y_prime,met\r\n4,0.10000000000000001,0,1,0.10000000000000001,1,0\r\n5,0.33333333333333331,1.5,0,1.6000000000000001,0,1\r\n6,-2.5e+17,0.66666666666666663,3,0.76666666666666661,3,1\r\n',
+    "trace_vector_x": 't,x_1,x_2,lambda_1,lambda_2,y,lambda_prime_1,lambda_prime_2,y_prime,met\r\n4,0.10000000000000001,7,0,1,1,0,3,3,0\r\n5,0.33333333333333331,-0,0.20000000000000001,-0.29999999999999999,0,0.60000000000000009,-0.89999999999999991,0,1\r\n6,1e-300,2,1e+20,4.9406564584124654e-324,3,3e+20,1.4821969375237396e-323,1,1\r\n',
+    "measure": 'point\r\n0\r\n1.5\r\n0.66666666666666663\r\n',
+    "measure_vector": 'point_1,point_2\r\n0,1\r\n0.20000000000000001,-0.29999999999999999\r\n1e+20,4.9406564584124654e-324\r\n',
+    "wstats": 't,w1,w2,w3,w4\r\n10,0.5,0.10000000000000001,0,inf\r\n11,nan,0.20000000000000001,0,2\r\n12,0.14285714285714285,0.29999999999999999,0,1.0000000000000001e-05\r\n',
+    "path": 't,x_1\r\n-2,0.10000000000000001\r\n-1,0.33333333333333331\r\n0,-2.5e+17\r\n',
+    "path_vector": 't,x_1,x_2\r\n-2,0.10000000000000001,7\r\n-1,0.33333333333333331,-0\r\n0,1e-300,2\r\n',
+}
+
+
+def test_result_tables_keep_their_bytes():
+    import io
+
+    def csv_of(obj, **kw):
+        buf = io.StringIO(newline="")
+        obj.to_csv(buf, **kw)
+        return buf.getvalue()
+
+    x1 = np.array([[0.1], [1 / 3], [-2.5e17]])
+    x2 = np.array([[0.1, 7.0], [1 / 3, -0.0], [1e-300, 2.0]])
+    lam = np.array([0.0, 1.5, 2 / 3])
+    lam2 = np.array([[0.0, 1.0], [0.2, -0.3], [1e20, 5e-324]])
+    y = np.array([1.0, 0.0, 3.0])
+    met = np.array([False, True, True])
+    trace = engine.CouplingTrace(4, 6, lam, lam + 0.1, y, y, met, 5, False, 0.0, 0)
+    got = {
+        "trajectory": csv_of(engine.Trajectory(-1, 1, x1, lam, y, 0)),
+        "trajectory_vector": csv_of(engine.Trajectory(-1, 1, x2, lam2, y, 0)),
+        "trace": csv_of(trace),
+        "trace_x": csv_of(trace, x_values=x1),
+        "trace_vector_x": csv_of(engine.CouplingTrace(4, 6, lam2, lam2 * 3, y, y[::-1], met, 5, False, 0.0, 0),
+                                 x_values=x2),
+        "measure": csv_of(od.EmpiricalMeasure(lam)),
+        "measure_vector": csv_of(od.EmpiricalMeasure(lam2)),
+        "wstats": csv_of(engine.WStats(np.arange(10, 13), np.array([0.5, np.nan, 1 / 7]), np.array([0.1, 0.2, 0.3]),
+                                       np.zeros(3), np.array([np.inf, 2.0, 1e-5]), 1, 2, *[np.zeros(3)] * 4,
+                                       -0.1, -0.2)),
+        "path": csv_of(od.CovariatePath(-2, 0, x1, 0, "h")),
+        "path_vector": csv_of(od.CovariatePath(-2, 0, x2, 0, "h")),
+    }
+    assert got == _TABLE_BYTES
