@@ -116,20 +116,32 @@ def model_from_dict(d: dict) -> ModelSpec:
     return ModelSpec(kernel, link_from_dict(d["link"]), spec_from_dict(d["covariates"]), d.get("alpha", 1.0))
 
 
-def _check_state(model: ModelSpec, s, where: str):
-    """Raise StateOverflow for a non-finite state, DomainViolation for one outside the domain."""
-    if not model.kernel.domain_contains(s):
-        if not np.all(np.isfinite(s)):
-            raise StateOverflow(f"{where}: state overflowed float64")
-        raise DomainViolation(f"{where}: state left the {model.kernel.family} domain")
+def _check_state(model: ModelSpec, s, where: str, t=None, previous=None, y=None):
+    """Raise StateOverflow for a non-finite state, DomainViolation for one outside the domain;
+    the text of ``where`` ({t}: the time index) and a batch's failing replica are found only then."""
+    kernel = model.kernel
+    if kernel.domain_contains(s):
+        return
+    overflow = not np.all(np.isfinite(s))
+    replica = None
+    if np.ndim(s) > (kernel.state_dim > 1):
+        inside = (lambda r: np.all(np.isfinite(r))) if overflow else kernel.domain_contains
+        replica = next(i for i, r in enumerate(s) if not inside(r))
+        s, previous, y = (v[replica] if np.ndim(v) else v for v in (s, previous, y))
+    what = "state overflowed float64" if overflow else f"state left the {kernel.family} domain"
+    raise (StateOverflow if overflow else DomainViolation)(
+        f"{where.format(t=t)}: {what}", t, replica, previous, y, s)
 
 
-def _step(model: ModelSpec, row, s, y, where: str):
+def _step(model: ModelSpec, row, s, y, where: str, t: int):
     """One step of the recursion from a coefficient-table row, then the domain check."""
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_state
-        s = links_mod.step(model.link, row, s, y)
-    _check_state(model, s, where)
-    return s
+    if type(s) is float and type(row) is list:  # links.step on Python floats never warns
+        new = links_mod.step(model.link, row, s, y)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_state
+            new = links_mod.step(model.link, row, s, y)
+    _check_state(model, new, where, t, s, y)
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +189,7 @@ def simulate(model: ModelSpec, s0, t_min: int, t_max: int, seed: int) -> Traject
         lam_hist[i] = lam
         y = model.kernel.sample(lam, rng)
         y_hist[i] = y
-        lam = _step(model, row, lam, y, f"step t={t_min + i}")
+        lam = _step(model, row, lam, y, "step t={t}", t_min + i)
     return Trajectory(t_min, t_max, path.values, lam_hist, y_hist, seed)
 
 
@@ -237,16 +249,15 @@ def couple_forward(model: ModelSpec, s0, s0_prime, path: CovariatePath, seed: in
     met_h = np.empty(n, dtype=bool)
     for i, row in enumerate(coefficient_table(link, path.values).tolist()):
         lam_h[i], lamp_h[i] = lam, lamp
-        same = np.array_equal(lam, lamp)
-        if same:
+        if kernel.state_distance(lam, lamp) == 0.0:
             y = kernel.sample(lam, rng)
             yp, met = y, True
         else:
             draw = kernel.maximal_couple(lam, lamp, rng)
             y, yp, met = draw.y, draw.y_prime, draw.met
         y_h[i], yp_h[i], met_h[i] = y, yp, met
-        lam = _step(model, row, lam, y, f"step t={path.t_min + i}")
-        lamp = _step(model, row, lamp, yp, f"step t={path.t_min + i} (prime)")
+        lam = _step(model, row, lam, y, "step t={t}", path.t_min + i)
+        lamp = _step(model, row, lamp, yp, "step t={t} (prime)", path.t_min + i)
     # first time from which every recorded draw agreed; unmet residual
     # draws come from disjoint supports, so met is equivalent to Y-equality
     not_met = np.flatnonzero(~met_h)
@@ -322,7 +333,7 @@ def backward_measure(
     for t, row in zip(range(t_start, t_end), coefficient_table(link, path.window(t_start, t_end - 1))):
         u = stream.uniforms(t, 1)[0]
         y = kernel.sample_inverse(lam, u)
-        lam = _step(model, row, lam, y, f"backward step t={t}")
+        lam = _step(model, row, lam, y, "backward step t={t}", t)
     meta = {
         "n_backward": n, "t_end": t_end, "replicas": replicas, "seed": seed,
         "start_state": np.asarray(s0).tolist() if vector else float(s0),
@@ -363,8 +374,8 @@ def coupled_backward_cost(
         u = stream.uniforms(t, 1)[0]
         y = np.asarray(kernel.sample_inverse(lam, u), dtype=float)
         yp = np.asarray(kernel.sample_inverse(lamp, u), dtype=float)
-        lam_next = _step(model, row, lam, y, f"coupled backward step t={t}")
-        lamp_next = _step(model, row, lamp, yp, f"coupled backward step t={t} (prime)")
+        lam_next = _step(model, row, lam, y, "coupled backward step t={t}", t)
+        lamp_next = _step(model, row, lamp, yp, "coupled backward step t={t} (prime)", t)
         mult = y == yp
         if floor is not None:
             mult &= (lam_next > floor) & (lamp_next > floor)
@@ -390,7 +401,7 @@ def push_measure(
     u = stream.uniforms(t, 1)[0]
     y = model.kernel.sample_inverse(measure.points, u)
     row = coefficient_table(model.link, path.value_at(t))[0]
-    lam = _step(model, row, measure.points, y, f"push step t={t}")
+    lam = _step(model, row, measure.points, y, "push step t={t}", t)
     meta = dict(measure.meta)
     meta["t_end"] = t + 1
     meta["pushed"] = True

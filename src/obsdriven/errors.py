@@ -22,7 +22,15 @@ class UnsupportedOrder(ValueError):
 
 
 class DomainViolation(ValueError):
-    """The link recursion produced a state outside the kernel's state space."""
+    """The link recursion produced a state outside the kernel's state space.
+
+    At step ``t`` (None: a start state), on the first failing ``replica`` of a batch (None:
+    one chain), the state went from ``previous`` with observation ``y`` to ``state``.
+    """
+
+    def __init__(self, message, t=None, replica=None, previous=None, y=None, state=None):
+        super().__init__(message)
+        self.t, self.replica, self.previous, self.y, self.state = t, replica, previous, y, state
 
 
 class StateOverflow(DomainViolation):

@@ -300,8 +300,8 @@ class ObservationKernel:
         return f"{type(self).__name__}()"
 
 
-def _bounded_below(s, floor: float) -> bool:
-    """True when every state is finite and >= floor; inf and NaN are outside."""
+def _bounded_below(s, floor: float = float(np.finfo(float).min)) -> bool:
+    """True when every state is finite and >= floor (by default: finite); inf and NaN are outside."""
     if isinstance(s, float):
         return floor <= s < math.inf
     s = np.asarray(s, float)
@@ -607,12 +607,13 @@ class _Bernoulli(_Discrete):
         raise NotImplementedError
 
     def domain_contains(self, s):
-        return np.all(np.isfinite(np.asarray(s, float)))
+        return _bounded_below(s)
 
     def sample(self, s, rng):
+        if isinstance(s, float) or not np.ndim(s):  # one chain: rng.random() is rng.random(())'s word
+            return int(rng.random() < self._success(float(s)))
         p1 = self._success(np.asarray(s, dtype=float))
-        out = (rng.random(np.shape(p1)) < p1).astype(np.int64)
-        return out if np.ndim(s) else int(out)
+        return (rng.random(p1.shape) < p1).astype(np.int64)
 
     def sample_inverse(self, s, u):
         p1 = self._success(np.asarray(s, dtype=float))
@@ -768,9 +769,10 @@ class GarchGaussian(_Continuous):
         return self.c_minus
 
     def sample(self, s, rng):
+        if isinstance(s, float) or not np.ndim(s):
+            return math.sqrt(s) * rng.standard_normal()
         s = np.asarray(s, dtype=float)
-        out = np.sqrt(s) * rng.standard_normal(s.shape)
-        return out if s.shape else float(out)
+        return np.sqrt(s) * rng.standard_normal(s.shape)
 
     def sample_inverse(self, s, u):
         return np.sqrt(np.asarray(s, dtype=float)) * ndtri(u)
@@ -934,13 +936,13 @@ class Location(_Continuous):
     moment_order = 1
 
     def domain_contains(self, s):
-        return np.all(np.isfinite(np.asarray(s, float)))
+        return _bounded_below(s)
 
     def sample(self, s, rng):
+        if isinstance(s, float) or not np.ndim(s):
+            return float(s) + self.noise.draw(None, rng)
         s = np.asarray(s, dtype=float)
-        if s.shape:
-            return s + self.noise.draw(s.shape, rng)
-        return float(s + self.noise.draw(1, rng)[0])
+        return s + self.noise.draw(s.shape, rng)
 
     def sample_inverse(self, s, u):
         return np.asarray(s, dtype=float) + self.noise.ppf(u)

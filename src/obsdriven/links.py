@@ -294,29 +294,34 @@ def step(link: LinkSpec, row, s, y):
     every row.  Multinomial states are (state_dim,) or (n, state_dim) and y
     is a category index.  The floor clamp comes last (it is 1-Lipschitz, so
     contraction constants are unchanged).  Overflow gives inf, not an error.
+    A Python float state with a list row (``tolist()``) steps on floats: the
+    same formula, so the bits of a (1,) batch, as a float and without warnings.
     """
-    s = np.asarray(s, dtype=float)
-    table = category_table(link)
-    y = np.asarray(y, dtype=float if table is None else int)
+    if scalar := type(s) is float and type(row) is list:  # never multinomial: its states are vectors
+        y, table = float(y), None
+    else:
+        table = category_table(link)
+        s, y = np.asarray(s, dtype=float), np.asarray(y, dtype=float if table is None else int)
+    yi = y if link.order == 1 else y * y  # numpy's y**2 is y*y; Python's float ** overflows
     if table is not None:
         # a trailing axis on k and d broadcasts them over the state coordinates
         k, d = row
         out = np.asarray(k)[..., None] * s + table.array.T[y] + np.asarray(d)[..., None]
     elif isinstance(link, ThresholdLink):
         k1, kt1, g1, k2, kt2, g2, lo, hi = row
-        yi = y**link.order
-        out = np.where((y >= lo) & (y <= hi), k1 * s + kt1 * yi + g1, k2 * s + kt2 * yi + g2)
+        inside, f1, f2 = (y >= lo) & (y <= hi), k1 * s + kt1 * yi + g1, k2 * s + kt2 * yi + g2
+        out = (f1 if inside else f2) if scalar else np.where(inside, f1, f2)
     elif isinstance(link, LinearLink):
         k, kt, d = row
-        out = k * s + kt * y**link.order + d
+        out = k * s + kt * yi + d
     else:
         a, c, b = row
         out = a * s + c + b * y - a * y
-    if link.floor is not None:
-        out = np.maximum(out, link.floor)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    if (f := link.floor) is not None:  # as numpy's maximum: f on a tie (so +-0), NaN from either side
+        out = (out if out > f or out != out else f) if scalar else np.maximum(out, f)
+    if scalar or np.ndim(out):
+        return out
+    return float(out)
 
 
 def _coefficients(link: LinkSpec, x):

@@ -186,6 +186,50 @@ def test_path_csv_headers_and_precision():
     assert float(row[1]) == p.values[0, 0]  # 17 significant digits round-trip
 
 
+def _reference_csv(columns):
+    """The csv.writer + format(c, ".17g") writer that result files were first written with."""
+    import csv
+
+    buf = io.StringIO(newline="")
+    header, cells = [], []
+    for name, values in columns:
+        v = np.asarray(values)
+        v = (v if v.ndim == 2 else v[:, None]).T
+        header += [name] if len(v) == 1 else [f"{name}_{j + 1}" for j in range(len(v))]
+        if v.dtype.kind in "biu":
+            cells += v.astype(np.int64).tolist()
+        else:
+            cells += [[format(c, ".17g") for c in col] for col in v.tolist()]
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(zip(*cells))
+    return buf.getvalue()
+
+
+def test_write_csv_keeps_the_csv_writer_bytes():
+    from obsdriven.covariates import write_csv
+
+    hyp, st, settings = hypothesis_settings()
+    edge = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1])
+    floats = st.one_of(edge, st.floats(allow_nan=True, allow_infinity=True))
+    kinds = {"float": (floats, float), "int": (st.integers(-2**63, 2**63 - 1), np.int64), "bool": (st.booleans(), bool)}
+
+    @hyp.settings(settings, max_examples=150)
+    @hyp.given(st.integers(0, 6), st.lists(st.tuples(st.sampled_from(sorted(kinds)), st.integers(1, 3)),
+                                           min_size=1, max_size=4), st.data())
+    def check(n, blocks, data):
+        columns = []
+        for j, (kind, k) in enumerate(blocks):
+            cells, dtype = kinds[kind]
+            values = np.array(data.draw(st.lists(cells, min_size=n * k, max_size=n * k)), dtype=dtype)
+            columns.append((f"c{j}", values if k == 1 else values.reshape(n, k)))
+        buf = io.StringIO(newline="")
+        write_csv(buf, columns)
+        assert buf.getvalue() == _reference_csv(columns)
+
+    check()
+
+
 def test_seed_split_changes_streams():
     seeds = {od.split_seed(42, i) for i in range(100)}
     assert len(seeds) == 100

@@ -853,3 +853,104 @@ def test_result_tables_keep_their_bytes():
         "path_vector": csv_of(od.CovariatePath(-2, 0, x2, 0, "h")),
     }
     assert got == _TABLE_BYTES
+
+
+# ---------------------------------------------------------------------------
+# the Python-float step of one chain against a one-row batch
+# ---------------------------------------------------------------------------
+
+def _float_step_links():
+    """Linear links at orders 1 and 2 with and without a floor, ARMA-like, threshold."""
+    aff = od.AffineAbsMap(0.1, (0.3,))
+    return {
+        "linear-1": od.LinearLink(CM(0.5), aff, CM(-0.2), 1),
+        "linear-1-floor": od.LinearLink(CM(0.4, True), aff, CM(1.0, True), 1, 0.0),
+        "linear-1-signed-zero-floor": od.LinearLink(CM(0.5), CM(0.5), CM(-0.0), 1, 0.0),
+        "linear-1-nan-floor": od.LinearLink(CM(0.5), aff, CM(0.1), 1, math.nan),
+        "linear-2": od.LinearLink(aff, CM(0.2, True), CM(1.0, True), 2),
+        "linear-2-floor": od.LinearLink(CM(0.3, True), aff, CM(1.0, True), 2, 1.0),
+        "arma-like": od.ArmaLikeLink(aff, CM(0.2), od.AffineAbsMap(0.4, (-0.1,)), 0.5),
+        "threshold": od.ThresholdLink(RC(CM(0.3), aff, CM(1.0)), RC(CM(-0.5), CM(0.1), aff),
+                                      od.CovariateScaled(-1.0, 2.0), 2, -1.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_float_step_links()))
+def test_float_step_matches_a_one_row_batch(name):
+    # a Python float state with a list row steps on floats: the bits of a (1,)
+    # batch, a float back, and no numpy warning even where the step overflows
+    from obsdriven import links
+
+    link = _float_step_links()[name]
+    hyp, st, settings = hypothesis_settings()
+    special = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, math.nan, math.inf, 1e200, -1e200, 5e-324])
+    value = st.one_of(special, st.floats(allow_nan=True, allow_infinity=True))
+
+    @hyp.settings(settings, max_examples=200)
+    @hyp.given(value, value, st.floats(-3.0, 3.0))
+    def check(s, y, x):
+        table = links.coefficient_table(link, np.array([[x]]))
+        got = links.step(link, table.tolist()[0], s, y)
+        with np.errstate(all="ignore"):
+            want = links.step(link, table.T, np.array([s]), np.array([y]))
+        assert type(got) is float and np.float64(got).tobytes() == want[0].tobytes()
+
+    check()
+    if link.floor is not None:
+        row = links.coefficient_table(link, np.array([[0.0]])).tolist()[0]
+        assert math.isnan(links.step(link, row, math.nan, 0.0))
+        assert np.float64(links.step(link, row, -1e300, 0.0)).tobytes() == np.float64(link.floor).tobytes()
+    # a float state with batched coefficient columns stays on the array path
+    table = links.coefficient_table(link, np.linspace(-2.0, 2.0, 5)[:, None])
+    got = links.step(link, table.T, 0.5, 1.0)
+    assert isinstance(got, np.ndarray) and _same_bits(got, [links.step(link, r, 0.5, 1.0) for r in table.tolist()])
+    if link.order == 2:
+        row = links.coefficient_table(link, np.array([[0.5]])).tolist()[0]
+        assert links.step(link, row, 1.0, 1e200) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# domain errors carry the step that failed
+# ---------------------------------------------------------------------------
+
+def test_simulate_domain_errors_carry_the_failing_step():
+    loc = od.ModelSpec(od.Location(od.GaussianNoise(1.0)),
+                       od.LinearLink(CM(1e300), CM(0.3), CM(0.0), 1), od.Constant((1.0,)))
+    with pytest.raises(StateOverflow, match=r"^step t=4: state overflowed float64$") as info:
+        od.simulate(loc, 1.0, 3, 20, 5)
+    e = info.value
+    assert (e.t, e.replica, e.previous, e.state) == (4, None, 1e300, math.inf)
+    with np.errstate(over="ignore"):
+        assert type(e.y) is float and od.apply(loc.link, e.previous, e.y, np.array([1.0])) == math.inf
+
+    neg = od.ModelSpec(od.Poisson(), od.LinearLink(CM(0.0), CM(0.0), CM(-1.0), 1), od.Constant((1.0,)))
+    with pytest.raises(DomainViolation, match=r"^step t=0: state left the poisson domain$") as info:
+        od.simulate(neg, 0.0, 0, 5, 1)
+    e = info.value
+    assert not isinstance(e, StateOverflow)
+    assert (e.t, e.replica, e.previous, e.y, e.state) == (0, None, 0.0, 0, -1.0)
+    path = od.generate_path(neg.covariates, 0, 5, 1)
+    with pytest.raises(DomainViolation, match=r"^initial state \(prime\): ") as info:
+        od.couple_forward(neg, 0.0, -2.0, path, 1)
+    assert (info.value.t, info.value.state, info.value.previous) == (None, -2.0, None)
+
+
+def test_backward_domain_errors_name_the_first_failing_replica():
+    # f = 0.5 - y leaves the Poisson domain on the replicas that draw y >= 1
+    m = od.ModelSpec(od.Poisson(), od.LinearLink(CM(0.0), CM(-1.0), CM(0.5), 1), od.Constant((1.0,)))
+    path = od.generate_path(m.covariates, -5, -1, 1)
+    replicas, seed = 200, 7
+    y = m.kernel.sample_inverse(np.full(replicas, 0.1), engine._obs_stream(seed, replicas).uniforms(-5, 1)[0])
+    first = int(np.flatnonzero(y >= 1)[0])
+    assert first > 0
+    with pytest.raises(DomainViolation, match=r"^backward step t=-5: state left the poisson domain$") as info:
+        od.backward_measure(m, 0.1, 5, path, replicas, seed)
+    e = info.value
+    assert (e.t, e.replica, e.previous, e.y, e.state) == (-5, first, 0.1, y[first], 0.5 - y[first])
+
+    big = od.ModelSpec(od.Poisson(), od.LinearLink(CM(1e300, True), CM(0.0, True), CM(1.0, True), 1, 0.0),
+                       od.Constant((1.0,)))
+    with pytest.raises(StateOverflow, match=r"^coupled backward step t=-4 \(prime\): ") as info:
+        coupled_backward_cost(big, 0.0, 1.0, 5, path, 100, 1)
+    e = info.value
+    assert (e.t, e.replica, e.previous, e.state) == (-4, 0, 1e300, math.inf)

@@ -543,6 +543,35 @@ def test_multinomial_coupling_on_identical_states_draws_per_row():
     assert met.all() and np.array_equal(y, yp)
 
 
+@pytest.mark.parametrize("kernel", [
+    od.BernoulliLogit(), od.BernoulliProbit(), od.GarchGaussian(1.0),
+    od.Location(od.GaussianNoise(1.5)), od.Location(od.LaplaceNoise(0.7)), od.Location(od.StudentTNoise(3.0)),
+], ids=repr)
+def test_float_sample_is_the_zero_d_draw(kernel):
+    # one chain's state is a Python float; its draw must be the 0-d array's and
+    # the (1,) batch's, taking the same words from the generator
+    hyp, st, settings = hypothesis_settings()
+    lo = 1.0 if kernel.family == "garch_gaussian" else -50.0
+
+    @hyp.settings(settings, max_examples=100)
+    @hyp.given(st.floats(lo, 1e6), st.integers(0, 2**32 - 1))
+    def check(s, seed):
+        rngs = [generator(seed) for _ in range(3)]
+        got, zero_d, batch = (kernel.sample(v, r) for v, r in zip((s, np.array(s), np.array([s])), rngs))
+        assert type(got) is type(zero_d) and got == zero_d == batch[0]
+        assert type(got) is (int if kernel.discrete else float)
+        states = {repr(r.bit_generator.state) for r in rngs}  # Philox: arrays inside
+        assert len(states) == 1
+
+    check()
+
+
+def test_float_domain_checks_match_the_array_checks():
+    for kernel in (od.BernoulliLogit(), od.Location(od.LaplaceNoise(1.0))):
+        for s in (0.0, -0.0, 5e-324, -1e308, math.inf, -math.inf, math.nan):
+            assert kernel.domain_contains(s) is bool(kernel.domain_contains(np.array([s])))
+
+
 def test_maximal_couple_scalar_interface():
     d = od.Poisson().maximal_couple(1.0, 1.5, generator(12))
     assert isinstance(d, od.CoupleDraw)
