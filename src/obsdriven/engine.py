@@ -47,6 +47,7 @@ _SEED_OBS = 12
 _SEED_COUPLE = 13
 _TAG_BACKWARD = 201
 _W_BLOCK = 256  # times per block of w_stats windows; bounds their memory at long paths
+_U_BLOCK = 8  # times per uniforms call of a backward loop; bounds the block's memory
 
 MAX_EXACT_ASSIGNMENT = 4096
 
@@ -302,6 +303,14 @@ def _obs_stream(seed: int, replicas: int) -> IndexedStream:
     return IndexedStream(split_seed(seed, _SEED_OBS), _TAG_BACKWARD, replicas)
 
 
+def _uniform_rows(stream: IndexedStream, t_start: int, t_end: int):
+    """The uniforms of times t_start .. t_end - 1, one row per time, fetched
+    ``_U_BLOCK`` times per call; counter addressing makes each row the one
+    ``stream.uniforms(t, 1)`` would give."""
+    for t in range(t_start, t_end, _U_BLOCK):
+        yield from stream.uniforms(t, min(_U_BLOCK, t_end - t))
+
+
 def backward_measure(
     model: ModelSpec, s0, n: int, path: CovariatePath, replicas: int, seed: int,
     t_end: int = 0,
@@ -330,8 +339,8 @@ def backward_measure(
     else:
         lam = np.full(replicas, float(s0))
     _check_state(model, lam, "start state")
-    for t, row in zip(range(t_start, t_end), coefficient_table(link, path.window(t_start, t_end - 1))):
-        u = stream.uniforms(t, 1)[0]
+    for t, row, u in zip(range(t_start, t_end), coefficient_table(link, path.window(t_start, t_end - 1)),
+                         _uniform_rows(stream, t_start, t_end)):
         y = kernel.sample_inverse(lam, u)
         lam = _step(model, row, lam, y, "backward step t={t}", t)
     meta = {
@@ -370,8 +379,8 @@ def coupled_backward_cost(
     lamp = np.full(replicas, float(s0_prime))
     gap = np.full(replicas, abs(float(s0_prime) - float(s0)))
     floor = link.floor
-    for t, row in zip(range(t_start, t_end), coefficient_table(link, path.window(t_start, t_end - 1))):
-        u = stream.uniforms(t, 1)[0]
+    for t, row, u in zip(range(t_start, t_end), coefficient_table(link, path.window(t_start, t_end - 1)),
+                         _uniform_rows(stream, t_start, t_end)):
         y = np.asarray(kernel.sample_inverse(lam, u), dtype=float)
         yp = np.asarray(kernel.sample_inverse(lamp, u), dtype=float)
         lam_next = _step(model, row, lam, y, "coupled backward step t={t}", t)

@@ -365,6 +365,13 @@ _CERTIFIED_GAP = 1e-9
 # Galloping from a start in [0, 2**53) to a bracket takes at most 54 probes
 # and the bisection inside the bracket at most 54 more.
 _QUANTILE_PROBES = 128
+# The summed cdf of _poisson_quantile_summed: up to this mean, certified
+# outside this absolute margin of u, in at most this many terms (68).
+_SUMMED_MEAN = 20.0
+_SUMMED_MARGIN = 1e-12
+_SUMMED_TERMS = _poisson_hi(_SUMMED_MEAN)
+# rng.poisson refuses larger means; this is numpy's own bound
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
 def _poisson_quantile_search(s, u):
@@ -411,23 +418,57 @@ def _poisson_quantile_search(s, u):
     return hi, p_lo
 
 
-def _poisson_quantile(s, u):
-    """Poisson(s) quantile at u, elementwise; finite at every finite s.
+def _poisson_quantile_summed(s, u):
+    """(k, certified) for the quantile at 0 < s <= 20, 1e-12 < u < 1 - 1e-12, elementwise.
 
-    Bit for bit ``stats.poisson.ppf`` up to a mean of 1e10
-    (``_SCIPY_QUANTILE_MEAN``), though scipy sees only the draws that
-    ``_poisson_quantile_search`` cannot certify.  The search gives k with
-    pdtr(k - 1, s) < u <= pdtr(k, s).  Scipy takes ceil(r), for r cdflib's
-    root of the continuous cdf at u, less one when pdtr(ceil(r) - 1, s) >= u:
-    that is k whenever r lies in (k - 1, k + 1], and the exact root lies in
-    (k - 1, k].  r leaves that interval only when u sits a hair above
-    pdtr(k - 1, s), so that cdflib's root tolerance (relative 1e-8) or the
-    gap between its cdf (DiDonato-Morris) and cephes' pdtr pushes it below
-    k - 1; or where pdtr itself is off: it rounds the upper tail near u = 1
-    (s = 1868.32, u = 1 - 2**-53: scipy 2233, search 2232) and, past 4.5
-    standard deviations above means of a few million, leaves its asymptotic
-    series for a capped continued fraction.  A draw is therefore certified,
-    and scipy is not called, when
+    Sums the cdf, F(j) = e^-s sum_{i <= j} s^i / i!, one term per pass over
+    every draw (term_j = term_{j-1} * (s / j)) until each draw has
+    F(j) >= u, and takes k as the first such j.  Against cephes' pdtr, the
+    cdf of the searched route, max |F(j) - pdtr(j, s)| is 1.7e-15 over
+    j <= 68 and 2.3e5 means in (0, 20] (uniform, a log grid from 1e-300,
+    and a fine grid up to 20).  A draw is certified when
+
+    * F(k) - u > M and
+    * u - F(k - 1) > 1e-9 u + M (F(-1) = 0; this also gives u - F(k - 1) > M),
+
+    with M = ``_SUMMED_MARGIN`` = 1e-12, 600 times that error.  F is
+    nondecreasing, so pdtr(j, s) < u for every j < k and pdtr(j, s) > u for
+    every j >= k: the search lands on this k, and u - pdtr(k - 1, s) >
+    1e-9 u certifies it there as well.  A certified k is thus the searched
+    route's bit for bit; the rest (near a jump, near the gap, or not
+    reached in ``_SUMMED_TERMS`` = 68 terms, which the Bernstein bound of
+    ``_poisson_hi`` rules out for these u) go to that route.
+    """
+    term = np.exp(-s)
+    cdf = term.copy()
+    below = np.zeros_like(s)
+    k = np.zeros_like(s)
+    for j in range(1, _SUMMED_TERMS + 1):
+        low = cdf < u
+        if not low.any():
+            break
+        np.copyto(below, cdf, where=low)
+        k += low
+        term *= s / j
+        np.add(cdf, term, out=cdf, where=low)
+    certified = (cdf - u > _SUMMED_MARGIN) & (u - below > _CERTIFIED_GAP * u + _SUMMED_MARGIN)
+    return k, certified
+
+
+def _poisson_quantile_searched(s, u):
+    """The quantile from ``_poisson_quantile_search``, and scipy's where it cannot certify.
+
+    The search gives k with pdtr(k - 1, s) < u <= pdtr(k, s).  Scipy takes
+    ceil(r), for r cdflib's root of the continuous cdf at u, less one when
+    pdtr(ceil(r) - 1, s) >= u: that is k whenever r lies in (k - 1, k + 1],
+    and the exact root lies in (k - 1, k].  r leaves that interval only
+    when u sits a hair above pdtr(k - 1, s), so that cdflib's root
+    tolerance (relative 1e-8) or the gap between its cdf (DiDonato-Morris)
+    and cephes' pdtr pushes it below k - 1; or where pdtr itself is off: it
+    rounds the upper tail near u = 1 (s = 1868.32, u = 1 - 2**-53: scipy
+    2233, search 2232) and, past 4.5 standard deviations above means of a
+    few million, leaves its asymptotic series for a capped continued
+    fraction.  A draw is therefore certified, and scipy is not called, when
 
     * s <= ``_CERTIFIED_MEAN`` = 1e5,
     * ``_CERTIFIED_TAIL`` < u < 1 - ``_CERTIFIED_TAIL``, with 1e-12, and
@@ -442,8 +483,31 @@ def _poisson_quantile(s, u):
     within 7 standard deviations: below 1e-16 at 1e5, about 1e-12 at 1e6
     and 1e-10 at 2e6); the cut at 1e5 keeps both margins at three orders of
     magnitude or more.  Above 1e10, and wherever scipy returns NaN, the
-    search stands (approximate for s >= 2**52).  Edge inputs reach neither
-    routine (``_count_quantile_edges``); negative s counts as 0.
+    search stands (approximate for s >= 2**52).
+    """
+    k, p_below = _poisson_quantile_search(s, u)
+    certified = ((s <= _CERTIFIED_MEAN) & (u > _CERTIFIED_TAIL) & (u < 1.0 - _CERTIFIED_TAIL)
+                 & (u - p_below > _CERTIFIED_GAP * u))
+    doubt = np.flatnonzero(~certified & (s <= _SCIPY_QUANTILE_MEAN))
+    if doubt.size:
+        ref = stats.poisson.ppf(u[doubt], s[doubt])
+        k[doubt] = np.where(np.isnan(ref), k[doubt], ref)
+    return k
+
+
+def _poisson_quantile(s, u):
+    """Poisson(s) quantile at u, elementwise; finite at every finite s.
+
+    Bit for bit ``stats.poisson.ppf`` up to a mean of 1e10
+    (``_SCIPY_QUANTILE_MEAN``), by two routes.  Draws with s <= 20 and u
+    more than 1e-12 from 0 and 1 first sum the cdf
+    (``_poisson_quantile_summed``), which certifies k when u lies more than
+    1e-12, 600 times the sum's distance to pdtr, from both cdf values
+    around it and from the certification gap of the searched route; that
+    k is the searched route's.  Every other draw takes the searched route
+    (``_poisson_quantile_searched``): a certified pdtr search, and scipy
+    for the draws it cannot certify.  Edge inputs reach neither route
+    (``_count_quantile_edges``); negative s counts as 0.
     """
     s, u = np.broadcast_arrays(np.maximum(np.asarray(s, dtype=float), 0.0),
                                np.asarray(u, dtype=float))
@@ -452,14 +516,15 @@ def _poisson_quantile(s, u):
     inner = np.flatnonzero((s > 0.0) & (s < np.inf) & (u > 0.0) & (u < 1.0))
     if inner.size:
         s_in, u_in = s[inner], u[inner]
-        k, p_below = _poisson_quantile_search(s_in, u_in)
-        certified = ((s_in <= _CERTIFIED_MEAN) & (u_in > _CERTIFIED_TAIL)
-                     & (u_in < 1.0 - _CERTIFIED_TAIL)
-                     & (u_in - p_below > _CERTIFIED_GAP * u_in))
-        doubt = np.flatnonzero(~certified & (s_in <= _SCIPY_QUANTILE_MEAN))
-        if doubt.size:
-            ref = stats.poisson.ppf(u_in[doubt], s_in[doubt])
-            k[doubt] = np.where(np.isnan(ref), k[doubt], ref)
+        k = np.empty_like(s_in)
+        rest = ~((s_in <= _SUMMED_MEAN) & (u_in > _CERTIFIED_TAIL) & (u_in < 1.0 - _CERTIFIED_TAIL))
+        small = np.flatnonzero(~rest)
+        if small.size:
+            k[small], certified = _poisson_quantile_summed(s_in[small], u_in[small])
+            rest[small[~certified]] = True
+        rest = np.flatnonzero(rest)
+        if rest.size:
+            k[rest] = _poisson_quantile_searched(s_in[rest], u_in[rest])
         out[inner] = k
     return _count_quantile_edges(s, u, out).reshape(shape)
 
@@ -488,18 +553,33 @@ class Poisson(_Discrete):
         return 0.0
 
     def sample(self, s, rng):
-        return rng.poisson(s)
+        """``rng.poisson(s)``; a mean above numpy's bound (about 9.2e18) is the
+        quantile of a fresh uniform, ``sample_inverse(s, rng.random())``, as a float."""
+        try:
+            return rng.poisson(s)
+        except ValueError:
+            big = np.asarray(s) > _POISSON_LAM_MAX
+            if not big.any():  # a negative or NaN mean
+                raise
+        # numpy checks every mean before it draws, so the refused call took no words
+        y = np.where(big, self.sample_inverse(s, rng.random(big.shape)),
+                     rng.poisson(np.where(big, 0.0, s)))
+        return float(y) if y.ndim == 0 else y
 
     def sample_inverse(self, s, u):
         """Poisson quantile, finite at every finite mean (``_poisson_quantile``).
 
-        Bit for bit ``stats.poisson.ppf`` up to a mean of 1e10, computed as
-        the smallest k with pdtr(k, s) >= u from a Cornish-Fisher start in
-        at most 128 probes of pdtr.  Scipy is called only for the draws
-        this search cannot certify: s > 1e5, u within 1e-12 of 0 or 1, or
-        u - pdtr(k - 1, s) <= 1e-9 u.  Above 1e10 the search alone
-        (approximate for s >= 2**52).  s = 0 and u = 0 give 0, u = 1 and
-        s = inf give inf, NaN gives NaN, all at once.
+        Bit for bit ``stats.poisson.ppf`` up to a mean of 1e10.  For s <= 20
+        and u more than 1e-12 from 0 and 1 the cdf is summed term by term
+        and k is kept where u lies more than 1e-12 (600 times the sum's
+        largest distance to pdtr) from the cdf on both sides of it and from
+        the gap below; nearly every such draw is kept.  Every other draw is
+        the smallest k with pdtr(k, s) >= u, from a Cornish-Fisher start in
+        at most 128 probes of pdtr, and scipy where this search cannot
+        certify: s > 1e5, u within 1e-12 of 0 or 1, or u - pdtr(k - 1, s)
+        <= 1e-9 u.  Above 1e10 the search alone (approximate for s >=
+        2**52).  s = 0 and u = 0 give 0, u = 1 and s = inf give inf, NaN
+        gives NaN, all at once.
         """
         return _poisson_quantile(s, u)
 

@@ -11,6 +11,7 @@ exact per-covariate Lipschitz constant plus an additive growth envelope
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,12 @@ class CategoryTable:
         return {"kind": "category_table", "values": [list(r) for r in self.values]}
 
 
+def _check_floor(floor):
+    """Refuse a link floor that is not a finite number (None is no floor)."""
+    if floor is not None and not (isinstance(floor, numbers.Real) and math.isfinite(floor)):
+        raise InvalidSpec(f"link floor must be a finite number, got {floor!r}")
+
+
 @dataclass(frozen=True)
 class LinearLink:
     """f(s,y,x) = kappa(x) s + kappa_tilde(x) y^i + delta_tilde(x)."""
@@ -146,6 +153,7 @@ class LinearLink:
     def __post_init__(self):
         if self.order not in (1, 2):
             raise InvalidSpec("link order must be 1 or 2")
+        _check_floor(self.floor)
 
     def to_dict(self):
         return {
@@ -185,6 +193,7 @@ class ThresholdLink:
     def __post_init__(self):
         if self.order not in (1, 2):
             raise InvalidSpec("link order must be 1 or 2")
+        _check_floor(self.floor)
 
     def to_dict(self):
         return {
@@ -210,6 +219,9 @@ class ArmaLikeLink:
     g_intercept: CoefficientMap
     g_slope: CoefficientMap
     floor: float | None = None
+
+    def __post_init__(self):
+        _check_floor(self.floor)
 
     @property
     def order(self) -> int:
@@ -317,7 +329,7 @@ def step(link: LinkSpec, row, s, y):
     else:
         a, c, b = row
         out = a * s + c + b * y - a * y
-    if (f := link.floor) is not None:  # as numpy's maximum: f on a tie (so +-0), NaN from either side
+    if (f := link.floor) is not None:  # as numpy's maximum: f on a tie (so +-0), a NaN state stays NaN
         out = (out if out > f or out != out else f) if scalar else np.maximum(out, f)
     if scalar or np.ndim(out):
         return out

@@ -80,4 +80,7 @@ def _open_unit(raw: np.ndarray) -> np.ndarray:
     would round up to 1.0 (ties to even), so they are clamped to the
     largest double below 1.
     """
-    return np.minimum((raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54, 1.0 - 2.0**-53)
+    u = (raw >> np.uint64(11)).astype(float)
+    u *= 2.0**-53
+    u += 2.0**-54
+    return np.minimum(u, 1.0 - 2.0**-53, out=u)

@@ -158,6 +158,91 @@ def test_poisson_bulk_draws_do_not_call_scipy(monkeypatch):
     np.testing.assert_array_equal(got, ref)
 
 
+def _searched_quantile(s, u):
+    """The route every draw took before the summed cdf: the pdtr search, and scipy where it cannot certify."""
+    return kernels._poisson_quantile_searched(np.array([s]), np.array([u]))[0]
+
+
+def test_poisson_summed_route_is_the_searched_route():
+    # draws at s <= 20 sum the cdf; on a jump, beside it, near the
+    # certification gap, in the tails and at means either side of 20 the
+    # quantile must still be the searched route's
+    from scipy.special import pdtr
+
+    hyp, st, settings = hypothesis_settings()
+    means = st.one_of(
+        st.floats(0.0, 20.0, exclude_min=True),
+        st.floats(-6.0, math.log10(20.0)).map(lambda e: 10.0**e),
+        st.integers(-4, 4).map(lambda i: 20.0 + i * 2.0**-48),
+        st.floats(19.9, 20.1),
+    )
+
+    @settings
+    @hyp.given(means, st.integers(-1, 60), st.sampled_from(["jump", "gap", "tail", "free"]),
+               st.integers(-2, 2), st.floats(0.0, 1.0))
+    def check(s, k, where, ulps, frac):
+        if where == "jump":  # u = pdtr(k, s) and its float neighbours
+            u = float(pdtr(k, s))
+            for _ in range(abs(ulps)):
+                u = math.nextafter(u, math.copysign(math.inf, ulps))
+        elif where == "gap":  # within about 1e-9 u of pdtr(k - 1, s), above or below
+            p = float(pdtr(k - 1, s)) if k > 0 else 0.0
+            u = p * (1.0 + (2.0 * frac - 0.5) * 2e-9) + ulps * 1e-12
+        elif where == "tail":  # either side of the 1e-12 tails
+            u = frac * 2e-12 if ulps < 0 else 1.0 - frac * 2e-12
+        else:
+            u = frac
+        hyp.assume(0.0 < u < 1.0)
+        assert kernels._poisson_quantile(np.array([s]), np.array([u]))[0] == _searched_quantile(s, u)
+
+    check()
+
+
+def test_poisson_search_sees_only_the_uncertified_draws(monkeypatch):
+    from scipy.special import pdtr
+
+    rng = generator(23)
+    bulk_s, bulk_u = rng.uniform(0.0, 20.0, 1000), rng.random(1000)
+    bulk_s[0], bulk_u[:2] = 20.0, (0.5, 1.5e-12)
+    # past 20, in the tails, on and beside a jump, inside the gap, and inside the gap's margin
+    rest_s = np.array([np.nextafter(20.0, np.inf), 35.0, 3.0, 3.0, 1.0, 1.0, 1.0, 7.0, 7.0])
+    rest_u = np.array([0.5, 0.3, 1e-12, 1.0 - 1e-12, pdtr(3, 1.0), np.nextafter(pdtr(3, 1.0), np.inf),
+                       np.nextafter(pdtr(3, 1.0), 0.0), pdtr(4, 7.0) * (1.0 + 5e-10),
+                       (pdtr(4, 7.0) + 5e-13) / (1.0 - 1e-9)])
+    s, u = np.concatenate([bulk_s, rest_s]), np.concatenate([bulk_u, rest_u])
+    seen = []
+    search = kernels._poisson_quantile_search
+
+    def recording(s, u):
+        seen.append((s.copy(), u.copy()))
+        return search(s, u)
+
+    monkeypatch.setattr(kernels, "_poisson_quantile_search", recording)
+    got = od.Poisson().sample_inverse(s, u)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0][0], rest_s)
+    np.testing.assert_array_equal(seen[0][1], rest_u)
+    np.testing.assert_array_equal(got, sstats.poisson.ppf(u, s))
+
+
+def test_poisson_sample_beyond_numpys_bound_is_an_inverse_draw():
+    # rng.poisson refuses means above about 9.2e18; such a draw is the
+    # quantile of one fresh uniform, and a batch keeps its other draws
+    k = od.Poisson()
+    bound = kernels._POISSON_LAM_MAX
+    assert k.sample(np.nextafter(bound, 0.0), generator(3)) == generator(3).poisson(np.nextafter(bound, 0.0))
+    for s in (np.nextafter(bound, np.inf), 1e20, 1e300):
+        rng, ref = generator(3), generator(3)
+        y = k.sample(s, rng)
+        assert type(y) is float and y == k.sample_inverse(s, ref.random())
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+    y = k.sample(np.array([2.0, 1e20, 0.0]), generator(4))
+    assert y[2] == 0.0 and y[0] == np.floor(y[0]) and abs(y[1] - 1e20) < 1e12
+    for bad in (-1.0, math.nan, np.array([1e20, math.nan])):
+        with pytest.raises(ValueError):
+            k.sample(bad, generator(4))
+
+
 def test_poisson_quantile_at_means_where_scipy_is_nan():
     # scipy 1.17 returns NaN for about half of these draws
     s = np.full(2000, 1e12)

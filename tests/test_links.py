@@ -1,9 +1,12 @@
 """Link recursions: evaluation, contraction extraction, growth envelopes."""
 
+import math
+
 import numpy as np
 import pytest
 
 import obsdriven as od
+from obsdriven.errors import InvalidSpec
 from obsdriven.links import link_from_dict, state_coefficients
 from obsdriven.rngstream import generator
 
@@ -229,3 +232,21 @@ def test_link_json_round_trip():
     ]
     for link in linkset:
         assert link_from_dict(link.to_dict()) == link
+
+
+@pytest.mark.parametrize("floor", [math.nan, math.inf, -math.inf, "0"])
+def test_link_floor_must_be_a_finite_number(floor):
+    makers = [
+        lambda f: od.LinearLink(CM(0.5), CM(0.1), CM(1.0), floor=f),
+        lambda f: od.ThresholdLink(od.RegimeCoefficients(CM(0.2), CM(0.0), CM(0.0)),
+                                   od.RegimeCoefficients(CM(0.5), CM(0.0), CM(0.0)),
+                                   od.FixedInterval(0.0, 1.0), floor=f),
+        lambda f: od.ArmaLikeLink(CM(0.5), CM(0.0), CM(0.5), floor=f),
+    ]
+    for make in makers:
+        with pytest.raises(InvalidSpec):
+            make(floor)
+        make(0.5)
+    d = od.LinearLink(CM(0.5), CM(0.1), CM(1.0), floor=0.0).to_dict()
+    with pytest.raises(InvalidSpec):
+        link_from_dict({**d, "floor": floor})

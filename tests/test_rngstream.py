@@ -1,6 +1,7 @@
 """Counter-based streams: the uniform conversion and index addressing."""
 
 import numpy as np
+import pytest
 
 from obsdriven.rngstream import IndexedStream, _open_unit
 
@@ -17,3 +18,15 @@ def test_open_unit_unchanged_below_the_top():
     want = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
     assert np.array_equal(_open_unit(raw), want)
     assert want.max() < 1.0
+
+
+@pytest.mark.parametrize("words", [1, 4, 7, 2001])
+def test_block_rows_are_the_single_index_rows(words):
+    # a backward loop fetches a block of times per call: row i of the block
+    # must be the row that index t_lo + i gives on its own
+    stream = IndexedStream(9, 201, words)
+    for t_lo, n in [(-20, 16), (-9, 16), (-3, 7), (-1, 2), (0, 16), (5, 1)]:
+        block = stream.uniforms(t_lo, n)
+        assert block.shape == (n, words)
+        for i in range(n):
+            assert np.array_equal(block[i], stream.uniforms(t_lo + i, 1)[0])
