@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import ndtri
 
 from .errors import DegenerateMap, EmptyRange, InvalidSpec
@@ -361,11 +361,11 @@ def _generate_ar1(
         z = ndtri(u)
         anchor = m_stat + s_stat * z[-1]
         centered = sig * z[:-1][::-1]  # innovations for t_max-1 ... t_min
-        if len(centered):
-            out = lfilter([1.0], [1.0, -a], centered, axis=0, zi=(a * (anchor - m_stat))[None, :])[0]
-            vals = np.concatenate([ (m_stat + out)[::-1], anchor[None, :] ], axis=0)
-        else:
-            vals = anchor[None, :]
+        # y_t = c_t + a y_{t-1} from y_{-1} = anchor - m_stat, per column on
+        # Python floats: the same bits as lfilter([1], [1, -a], zi=a y_{-1})
+        out = np.array([list(itertools.accumulate(col, lambda y, c: c + a * y, initial=y0))[1:]
+                        for col, y0 in zip(centered.T.tolist(), (anchor - m_stat).tolist())])
+        vals = np.concatenate([(m_stat + out.T)[::-1], anchor[None, :]], axis=0)
         return CovariatePath(t_min, t_max, vals, seed, h)
 
     # Non-Gaussian noise: no closed stationary law.  Each index gets its own

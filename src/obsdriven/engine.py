@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.optimize import linear_sum_assignment
 
 from . import links as links_mod
 from .covariates import CovariatePath, CovariateProcessSpec, generate_path, write_csv
@@ -442,6 +441,7 @@ def _cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _assignment_cost(a: np.ndarray, b: np.ndarray) -> float:
+    from scipy.optimize import linear_sum_assignment  # first use only: vector states alone get here
     c = _cost_matrix(a, b)
     r, col = linear_sum_assignment(c)
     # exactly-rounded sum: optimal assignments tied in exact arithmetic

@@ -28,8 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import expit, gammaln, log_ndtr, ndtr, ndtri, pdtr, stdtr
+from scipy.special import expit, gammaln, log_ndtr, ndtr, ndtri, pdtr, stdtr, stdtrit
 
 from .errors import (
     CouplingBudgetExceeded,
@@ -111,7 +110,8 @@ def _gaussian_location_rate(sigma: float) -> float:
 
 @functools.lru_cache(maxsize=None)
 def _student_location_rate(nu: float) -> float:
-    return _certified_rate(lambda h: np.log(2.0) + stats.t.logsf(h / 2.0, df=nu), (1,))
+    # stats.t.logsf(h / 2, nu) bit for bit: scipy logs the sf for h / 2 > 0
+    return _certified_rate(lambda h: np.log(2.0) + np.log(stdtr(nu, -h / 2.0)), (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +490,7 @@ def _poisson_quantile_searched(s, u):
                  & (u - p_below > _CERTIFIED_GAP * u))
     doubt = np.flatnonzero(~certified & (s <= _SCIPY_QUANTILE_MEAN))
     if doubt.size:
+        from scipy import stats  # first use only: certified draws never need it
         ref = stats.poisson.ppf(u[doubt], s[doubt])
         k[doubt] = np.where(np.isnan(ref), k[doubt], ref)
     return k
@@ -635,6 +636,7 @@ class NegBinomial(_Discrete):
         """
         s, u = np.broadcast_arrays(np.maximum(np.asarray(s, dtype=float), 0.0),
                                    np.asarray(u, dtype=float))
+        from scipy import stats  # first use only: no other family needs it
         out = np.array(stats.nbinom.ppf(u, self.r, self._p_success(s)), dtype=float)
         return _count_quantile_edges(s, u, out)
 
@@ -648,6 +650,7 @@ class NegBinomial(_Discrete):
         return float(1.0 - (1.0 + h / self.r) ** (-self.r))
 
     def _pmfs(self, s, sp):
+        from scipy import stats  # first use only: no other family needs it
         hi = int(stats.nbinom.isf(_TAIL_Q, self.r, self._p_success(max(s, sp, 1e-12))))
         k = np.arange(hi + 2, dtype=float)
         def pmf(mean):
@@ -984,7 +987,16 @@ class StudentTNoise:
         return self._pdf_const * (1.0 + y * y / self.nu) ** (-(self.nu + 1) / 2.0)
 
     def ppf(self, u):
-        return stats.t.ppf(u, df=self.nu)
+        """Student-t quantile: ``stdtrit``, which is ``stats.t.ppf`` on (0, 1).
+
+        u = 0 gives -inf, u = 1 gives inf, NaN and u outside [0, 1] give NaN.
+        Far-tail accuracy is ``stdtrit``'s, with one repair: below about
+        u = 1e-222 it (and scipy's ppf) returns +inf for u < 1/2, which is
+        -inf here.  Stream uniforms are >= 2**-54, so draws never reach it.
+        """
+        u = np.asarray(u, dtype=float)
+        x = stdtrit(self.nu, u)
+        return np.where((u < 0.5) & (x > 0.0), -np.inf, x)[()]
 
     def tv(self, h):
         return 2.0 * float(stdtr(self.nu, h / 2.0)) - 1.0

@@ -229,3 +229,48 @@ def test_console_entry_point_runs(tmp_path):
     )
     assert out.returncode == 0
     assert "simulate:" in out.stdout
+
+
+_IMPORT_GUARD = r"""
+import sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+HEAVY = ("scipy.stats", "scipy.signal", "scipy.optimize")
+import obsdriven as od
+from obsdriven import cli
+assert not [m for m in HEAVY if m in sys.modules], "import obsdriven"
+CM, U01 = od.ConstantMap, od.IID(od.Uniform(0.0, 1.0))
+models = [
+    od.ModelSpec(od.Poisson(), od.LinearLink(CM(0.4, True), od.AffineAbsMap(0.0, (0.3,), True),
+                                             CM(1.0, True), order=1, floor=0.0), U01),
+    od.ModelSpec(od.BernoulliLogit(), od.LinearLink(CM(0.5), od.AffineAbsMap(0.0, (0.8,), True),
+                                                    CM(-0.2), order=1), U01),
+    od.ModelSpec(od.GarchGaussian(1.0), od.LinearLink(CM(0.3, True), od.AffineAbsMap(0.1, (0.2,), True),
+                                                      CM(1.0, True), order=2, floor=1.0), U01),
+    od.ModelSpec(od.Location(od.GaussianNoise(1.0)), od.LinearLink(CM(0.5), CM(0.3), CM(0.0), order=1), U01),
+]
+params = {
+    "simulate": lambda s0: {"s0": s0, "t_min": 0, "t_max": 199},
+    "couple": lambda s0: {"s0": s0, "s0_prime": s0 + 10.0, "horizon": 100},
+    "stationary": lambda s0: {},
+    "verify": lambda s0: {},
+    "diagnose": lambda s0: {"length": 500},
+}
+with tempfile.TemporaryDirectory() as tmp:
+    for i, model in enumerate(models):
+        for cmd, make in params.items():
+            raw = {"command": cmd, "model": model.to_dict(), "params": make(model.start_state()), "seed": 3}
+            cli.run_manifest(cli.validate_manifest(raw), Path(tmp) / f"{i}-{cmd}")
+            loaded = [m for m in HEAVY if m in sys.modules]
+            assert not loaded, f"{cmd} on {type(model.kernel).__name__} loaded {loaded}"
+print("ok")
+"""
+
+
+def test_import_and_benchmark_manifests_leave_heavy_scipy_unloaded():
+    # a fresh interpreter: this one has scipy.stats from the tests' imports
+    src = str(Path(od.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, src],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.strip() == "ok"

@@ -65,6 +65,32 @@ def test_backward_extension_preserves_the_suffix_exactly(spec):
     assert np.array_equal(short.values, long.values[150:])
 
 
+def test_ar1_gaussian_path_is_lfilter_bit_for_bit():
+    # the recursion replaced scipy.signal.lfilter([1], [1, -a], zi=...) in
+    # generate_path; rebuild the lfilter path from the same stream words
+    from scipy.signal import lfilter
+    from scipy.special import ndtri
+
+    from obsdriven.covariates import _TAG_ENV, _words_per_index
+    from obsdriven.rngstream import IndexedStream
+
+    for a in (0.0, -0.4, 0.6, 0.9999):
+        for d in (1, 2, 3):
+            for n in (1, 2, 3, 2000):
+                spec = od.AR1(a, od.Gaussian(0.3, 1.7), dimension=d)
+                got = od.generate_path(spec, -5, n - 6, 31).values
+                z = ndtri(IndexedStream(31, _TAG_ENV, _words_per_index(spec)).uniforms(-5, n)[:, :d])
+                m, s = 0.3 / (1.0 - a), 1.7 / math.sqrt(1.0 - a * a)
+                anchor = m + s * z[-1]
+                want = anchor[None, :]
+                if n > 1:
+                    out = lfilter([1.0], [1.0, -a], 1.7 * z[:-1][::-1], axis=0,
+                                  zi=(a * (anchor - m))[None, :])[0]
+                    want = np.concatenate([(m + out)[::-1], want])
+                assert got.shape == (n, d)
+                assert np.array_equal(got, want), (a, d, n)
+
+
 def test_ar1_gaussian_matches_its_stationary_law():
     spec = od.AR1(0.8, od.Gaussian(1.0, 2.0))
     v = od.generate_path(spec, 0, 2 * 10**5, 5).values.ravel()

@@ -98,7 +98,7 @@ def test_poisson_quantile_edge_inputs_return_at_once(monkeypatch):
         raise AssertionError("edge input reached the quantile computation")
 
     monkeypatch.setattr(kernels, "_poisson_quantile_search", never)
-    monkeypatch.setattr(kernels.stats.poisson, "ppf", never)
+    monkeypatch.setattr(sstats.poisson, "ppf", never)
     s = np.array([np.inf, np.nan, 3.0, 3.0, 3.0, 3.0, 0.0, np.inf])
     u = np.array([0.5, 0.5, np.nan, 0.0, 1.0, 1.5, 0.7, 1.0])
     got = od.Poisson().sample_inverse(s, u)
@@ -152,7 +152,7 @@ def test_poisson_bulk_draws_do_not_call_scipy(monkeypatch):
     s, u = rng.uniform(0.5, 50.0, 2000), rng.random(2000)
     ref = sstats.poisson.ppf(u, s)
     calls = []
-    monkeypatch.setattr(kernels.stats.poisson, "ppf", lambda *args: calls.append(args))
+    monkeypatch.setattr(sstats.poisson, "ppf", lambda *args: calls.append(args))
     got = od.Poisson().sample_inverse(s, u)
     assert calls == []
     np.testing.assert_array_equal(got, ref)
@@ -396,6 +396,31 @@ def test_tv_exact_laplace_closed_form():
         assert k.tv_exact(0.0, h) == pytest.approx(1 - math.exp(-h / 3.0), abs=1e-7)
 
 
+@pytest.mark.parametrize("nu", [2.0, 2.5, 3.0, 5.0, 30.0])
+def test_student_quantile_is_scipy_ppf(nu):
+    noise = od.StudentTNoise(nu)
+    u = generator(23).random(10**5)
+    np.testing.assert_array_equal(noise.ppf(u), sstats.t.ppf(u, df=nu))
+    edges = np.array([0.0, 1.0, np.nan, -0.1, 1.5, 0.5])
+    np.testing.assert_array_equal(noise.ppf(edges), [-np.inf, np.inf, np.nan, np.nan, np.nan, 0.0])
+    assert noise.ppf(0.3) == sstats.t.ppf(0.3, df=nu)
+
+
+@pytest.mark.parametrize("nu", [2.0, 2.5, 3.0, 7.5, 30.0])
+def test_student_quantile_sign_follows_u_into_the_far_tail(nu):
+    # stdtrit (and scipy's ppf) turn to +inf below about u = 1e-222
+    noise = od.StudentTNoise(nu)
+    lower = np.concatenate([[5e-324], np.logspace(-323.3, math.log10(0.4999), 3000)])
+    assert np.all(noise.ppf(lower) < 0.0)
+    assert np.all(noise.ppf(1.0 - np.logspace(-16.0, math.log10(0.4999), 500)) > 0.0)
+
+
+@pytest.mark.parametrize("nu", [2.0, 2.5, 3.0, 5.0, 30.0])
+def test_student_location_rate_is_the_scipy_logsf_rate(nu):
+    want = kernels._certified_rate(lambda h: np.log(2.0) + sstats.t.logsf(h / 2.0, df=nu), (1,))
+    assert kernels._student_location_rate(nu) == want
+
+
 def test_tv_exact_student_closed_form():
     k = od.Location(od.StudentTNoise(2.0))
     for h in (0.5, 2.0):
@@ -468,22 +493,42 @@ def test_continuous_tv_exact_symmetric_bounded_and_monotone():
     check()
 
 
-def test_no_module_in_src_imports_scipy_integrate():
-    # the TV oracle and the moments are closed forms; quadrature lives in tests
+def _src_imports_of(packages, module_level_only=False):
+    """file:line of each import in src/ of one of ``packages`` or a submodule;
+    with ``module_level_only``, imports inside function bodies are skipped."""
     modules = sorted(Path(od.__file__).parent.rglob("*.py"))
     assert any(p.name == "kernels.py" for p in modules)
     offenders = []
     for path in modules:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        stack = [ast.parse(path.read_text(encoding="utf-8"))]
+        while stack:
+            node = stack.pop()
+            if module_level_only and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            stack.extend(ast.iter_child_nodes(node))
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module:
                 names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
             else:
                 continue
-            if any(n == "scipy.integrate" or n.startswith("scipy.integrate.") for n in names):
+            if any(n == pkg or n.startswith(pkg + ".") for n in names for pkg in packages):
                 offenders.append(f"{path.name}:{node.lineno}")
-    assert offenders == []
+    return offenders
+
+
+def test_no_module_in_src_imports_scipy_integrate():
+    # the TV oracle and the moments are closed forms; quadrature lives in tests
+    assert _src_imports_of(("scipy.integrate",)) == []
+
+
+def test_no_module_in_src_imports_heavy_scipy_at_module_level():
+    # import obsdriven loads numpy and scipy.special only; scipy.stats and
+    # scipy.optimize cost about a second and are imported where first used
+    heavy = ("scipy.stats", "scipy.signal", "scipy.optimize")
+    assert _src_imports_of(heavy, module_level_only=True) == []
+    assert _src_imports_of(("scipy.signal",)) == []
+    assert _src_imports_of(heavy)  # the walk does see the first-use imports
 
 
 def test_tv_exact_bernoulli_is_cdf_difference():
