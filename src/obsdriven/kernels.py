@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, gammaln, log_ndtr, ndtr, ndtri, pdtr, stdtr, stdtrit
+from scipy.special import expit, gammaln, log_ndtr, ndtr, ndtri, pdtr, pdtrik, stdtr, stdtrit
 
 from .errors import (
     CouplingBudgetExceeded,
@@ -490,10 +490,16 @@ def _poisson_quantile_searched(s, u):
                  & (u - p_below > _CERTIFIED_GAP * u))
     doubt = np.flatnonzero(~certified & (s <= _SCIPY_QUANTILE_MEAN))
     if doubt.size:
-        from scipy import stats  # first use only: certified draws never need it
-        ref = stats.poisson.ppf(u[doubt], s[doubt])
+        ref = _scipy_poisson_ppf(s[doubt], u[doubt])
         k[doubt] = np.where(np.isnan(ref), k[doubt], ref)
     return k
+
+
+def _scipy_poisson_ppf(s, u):
+    """``stats.poisson.ppf(u, s)`` bit for bit at s >= 0, 0 < u < 1, without importing scipy.stats."""
+    r = np.ceil(pdtrik(u, s))
+    below = np.maximum(r - 1.0, 0.0)
+    return np.where(pdtr(below, s) >= u, below, r) + 0.0
 
 
 def _poisson_quantile(s, u):
@@ -987,13 +993,10 @@ class StudentTNoise:
         return self._pdf_const * (1.0 + y * y / self.nu) ** (-(self.nu + 1) / 2.0)
 
     def ppf(self, u):
-        """Student-t quantile: ``stdtrit``, which is ``stats.t.ppf`` on (0, 1).
-
-        u = 0 gives -inf, u = 1 gives inf, NaN and u outside [0, 1] give NaN.
-        Far-tail accuracy is ``stdtrit``'s, with one repair: below about
-        u = 1e-222 it (and scipy's ppf) returns +inf for u < 1/2, which is
-        -inf here.  Stream uniforms are >= 2**-54, so draws never reach it.
-        """
+        """Student-t quantile: ``stdtrit``, which is ``stats.t.ppf`` on (0, 1); u = 0 gives -inf,
+        u = 1 inf, NaN and u outside [0, 1] NaN.  Far-tail accuracy is ``stdtrit``'s, except that
+        where it (and scipy) returns +inf for u < 1/2, below about u = 1e-222, this is -inf.
+        Stream uniforms are >= 2**-54, so draws never reach it."""
         u = np.asarray(u, dtype=float)
         x = stdtrit(self.nu, u)
         return np.where((u < 0.5) & (x > 0.0), -np.inf, x)[()]

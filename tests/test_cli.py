@@ -263,6 +263,9 @@ with tempfile.TemporaryDirectory() as tmp:
             cli.run_manifest(cli.validate_manifest(raw), Path(tmp) / f"{i}-{cmd}")
             loaded = [m for m in HEAVY if m in sys.modules]
             assert not loaded, f"{cmd} on {type(model.kernel).__name__} loaded {loaded}"
+# draws the Poisson search cannot certify: in the tails and at a large mean
+od.Poisson().sample_inverse([3.0, 3.0, 2e6], [1e-13, 1.0 - 1e-13, 0.5])
+assert not [m for m in HEAVY if m in sys.modules], "an uncertified Poisson draw"
 print("ok")
 """
 

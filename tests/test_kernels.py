@@ -98,7 +98,7 @@ def test_poisson_quantile_edge_inputs_return_at_once(monkeypatch):
         raise AssertionError("edge input reached the quantile computation")
 
     monkeypatch.setattr(kernels, "_poisson_quantile_search", never)
-    monkeypatch.setattr(sstats.poisson, "ppf", never)
+    monkeypatch.setattr(kernels, "_scipy_poisson_ppf", never)
     s = np.array([np.inf, np.nan, 3.0, 3.0, 3.0, 3.0, 0.0, np.inf])
     u = np.array([0.5, 0.5, np.nan, 0.0, 1.0, 1.5, 0.7, 1.0])
     got = od.Poisson().sample_inverse(s, u)
@@ -152,10 +152,32 @@ def test_poisson_bulk_draws_do_not_call_scipy(monkeypatch):
     s, u = rng.uniform(0.5, 50.0, 2000), rng.random(2000)
     ref = sstats.poisson.ppf(u, s)
     calls = []
-    monkeypatch.setattr(sstats.poisson, "ppf", lambda *args: calls.append(args))
+    monkeypatch.setattr(kernels, "_scipy_poisson_ppf", lambda *args: calls.append(args))
     got = od.Poisson().sample_inverse(s, u)
     assert calls == []
     np.testing.assert_array_equal(got, ref)
+
+
+def test_scipy_poisson_ppf_is_scipys_bit_for_bit():
+    # the uncertified draws' quantile, on scipy.special alone: on and
+    # beside the cdf's jumps, in both tails and at means from 1e-8 to 1e10
+    from scipy.special import pdtr
+
+    rng = generator(29)
+    n = 4000
+    s = np.concatenate([10.0 ** rng.uniform(-8.0, 6.0, n), 10.0 ** rng.uniform(6.0, 10.0, 50),
+                        rng.uniform(0.0, 30.0, n)])
+    k = np.maximum(np.floor(s + rng.uniform(-6.0, 6.0, s.size) * np.sqrt(s)), 0.0)
+    jump = pdtr(k, s)
+    tails = np.concatenate([10.0 ** rng.uniform(-16.0, -1.0, s.size // 2),
+                            1.0 - 10.0 ** rng.uniform(-16.0, -1.0, s.size - s.size // 2)])
+    s = np.tile(s, 5)
+    u = np.concatenate([rng.random(jump.size), tails, jump,
+                        np.nextafter(jump, 0.0), np.nextafter(jump, 1.0)])
+    keep = (u > 0.0) & (u < 1.0)
+    s, u = s[keep], u[keep]
+    got = kernels._scipy_poisson_ppf(s, u)
+    np.testing.assert_array_equal(got.view(np.int64), sstats.poisson.ppf(u, s).view(np.int64))
 
 
 def _searched_quantile(s, u):
