@@ -279,12 +279,25 @@ class CovariatePath:
         write_csv(fileobj, [("t", self.times)] + [(f"x_{j + 1}", self.values[:, j]) for j in range(self.dimension)])
 
 
+def _run_cells(col):
+    """``%.17g`` text of the cells of a float64 column with at most n/2 runs of
+    one bit pattern, each run formatted once; None for any other column."""
+    bits = col.view(np.int64) if col.dtype == np.float64 else col[:0]
+    firsts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+    if 2 * len(firsts) <= len(bits):
+        text = ["%.17g" % c for c in col[firsts].tolist()]  # one str per run, shared by its cells
+        counts = np.diff(np.r_[firsts, len(col)]).tolist()
+        return list(itertools.chain.from_iterable(map(itertools.repeat, text, counts)))
+    return None
+
+
 def write_csv(fileobj, columns) -> None:
     """Write (name, values) column blocks, values (n,) or (n, k), as one CSV table.
 
     k > 1 columns are headed name_1 .. name_k.  The one format of every
     result file: ints and bools as ints, other values with 17 significant
-    digits, cells never quoted, lines ending in csv's \\r\\n.
+    digits, cells never quoted, lines ending in csv's \\r\\n.  A float column
+    of at most n/2 runs of one bit pattern formats each run once (``_run_cells``).
     """
     header, cells, fmt = [], [], []
     for name, values in columns:
@@ -293,8 +306,10 @@ def write_csv(fileobj, columns) -> None:
         k = len(v)
         header += [name] if k == 1 else [f"{name}_{j + 1}" for j in range(k)]
         integer = v.dtype.kind in "biu"
-        cells += (v.astype(np.int64) if integer else v).tolist()
-        fmt += ["%d" if integer else "%.17g"] * k
+        for col in v.astype(np.int64) if integer else v:
+            runs = None if integer else _run_cells(col)
+            cells.append(col.tolist() if runs is None else runs)
+            fmt.append("%d" if integer else "%.17g" if runs is None else "%s")
     csv.writer(fileobj).writerow(header)
     # numbers never need csv quoting, so one template renders each row
     row = ",".join(fmt) + "\r\n"

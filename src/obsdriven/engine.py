@@ -781,11 +781,9 @@ def w_stats(
         b = slice(lo, min(lo + _W_BLOCK, m))
         cpg = np.cumprod(gwin[b], axis=1)
         dw = dwin[b]
-        # sum_k cpg_k delta_{t-k-1} in lag order: rounds like a 1-d dot over a reversed view
-        acc = np.zeros(len(cpg))
-        for k in range(H):
-            acc += cpg[:, k] * dw[:, k + 1]
-        w1[b] = dw[:, 0] + acc
+        # sum_k cpg_k delta_{t-k-1} added in lag order from +0.0 (the + 0.0 turns
+        # an all -0.0 sum into +0.0): one accumulate does the per-lag loop's adds
+        w1[b] = dw[:, 0] + (np.cumsum(cpg * dw[:, 1:], axis=1)[:, -1] + 0.0)
         w2[b] = cpg[:, h - 1:].max(axis=1)
         cpk = np.cumprod(kwin[b], axis=1)
         w3[b] = cpk[:, h - 1:].max(axis=1)
@@ -837,11 +835,9 @@ def regeneration_times(stats: WStats, C: float, h: int | None = None) -> Regener
         h = stats.h
     ok = _passes_thresholds(stats, C)
     accepted = []
-    last = None
-    for t, good in zip(stats.times, ok):
-        if good and (last is None or t - last > h):
-            accepted.append(int(t))
-            last = t
+    for t in stats.times[ok].tolist():
+        if not accepted or t - accepted[-1] > h:
+            accepted.append(t)
     accepted = np.asarray(accepted, dtype=np.int64)
     m_counts = np.searchsorted(accepted, stats.times, side="right")
     smallest = None

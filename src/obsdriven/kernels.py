@@ -350,6 +350,11 @@ def _poisson_hi(mu) -> int:
     return int(math.ceil(mu + 10.0 + math.sqrt(100.0 + 60.0 * mu))) + 1
 
 
+def _poisson_lo(mu) -> int:
+    # the lower tail P(X <= mu - x) <= exp(-x^2 / (2 mu)) < 1e-13 at the same x; 0 up to mu = 83
+    return max(0, int(math.floor(mu - 10.0 - math.sqrt(100.0 + 60.0 * mu))) - 1)
+
+
 # Below this mean every probe of the quantile search (at most s + 9 sqrt(s)
 # + 12 for u < 1 - 2**-54, and galloping at most doubles the distance from
 # the start) is an integer that float64 holds exactly.
@@ -593,8 +598,19 @@ class Poisson(_Discrete):
     def phi(self):
         return PhiSpec(((1, 1.0),))
 
+    def _tv_exact_impl(self, s, sp):
+        # windows (see _pmfs) that do not meet share less than 2e-13 of mass
+        return 1.0 if _poisson_hi(min(s, sp)) < _poisson_lo(max(s, sp)) else super()._tv_exact_impl(s, sp)
+
+    def _couple_impl(self, s, sp, n, rng):
+        if _poisson_hi(min(s, sp)) >= _poisson_lo(max(s, sp)):
+            return super()._couple_impl(s, sp, n, rng)
+        # windows apart: to within their 2e-13 overlap, maximally coupled draws are independent
+        return self.sample_inverse(s, rng.random(n)), self.sample_inverse(sp, rng.random(n)), np.zeros(n, dtype=bool)
+
     def _pmfs(self, s, sp):
-        k = np.arange(_poisson_hi(max(s, sp)) + 1, dtype=float)
+        # the window of integers where either pmf may reach 1e-13
+        k = np.arange(_poisson_lo(min(s, sp)), _poisson_hi(max(s, sp)) + 1, dtype=float)
         return k, _poisson_pmf(k, float(s)), _poisson_pmf(k, float(sp))
 
     def conditional_moment(self, s, order):

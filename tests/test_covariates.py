@@ -239,21 +239,49 @@ def test_write_csv_keeps_the_csv_writer_bytes():
     edge = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1])
     floats = st.one_of(edge, st.floats(allow_nan=True, allow_infinity=True))
     kinds = {"float": (floats, float), "int": (st.integers(-2**63, 2**63 - 1), np.int64), "bool": (st.booleans(), bool)}
+    # run-heavy float columns, drawn as bit patterns: runs of one value are formatted once
+    bits = floats.map(lambda f: int(np.float64(f).view(np.int64)))
+    nan_payloads = [0x7FF8000000000000, 0x7FF8000000000001, 0x7FF4000000000000, -0x0008000000000000, -1]
+    runs = {
+        "constant": st.lists(bits, min_size=1, max_size=1),
+        "two-valued": st.lists(bits, min_size=2, max_size=2),
+        "signed-zeros": st.just([0, -2**63]),
+        "nan-payloads": st.just(nan_payloads),
+        "infinities": st.just([0x7FF0000000000000, -0x0010000000000000]),
+    }
+
+    def run_column(data, n, pool):
+        cells = []
+        while len(cells) < n:
+            cells += [data.draw(st.sampled_from(pool))] * data.draw(st.integers(1, 120))
+        return np.array(cells[:n], dtype=np.int64).view(np.float64)
 
     @hyp.settings(settings, max_examples=150)
-    @hyp.given(st.integers(0, 6), st.lists(st.tuples(st.sampled_from(sorted(kinds)), st.integers(1, 3)),
-                                           min_size=1, max_size=4), st.data())
+    @hyp.given(st.one_of(st.integers(0, 6), st.integers(7, 300)),
+               st.lists(st.tuples(st.sampled_from(sorted(kinds) + sorted(runs)), st.integers(1, 3)),
+                        min_size=1, max_size=4), st.data())
     def check(n, blocks, data):
         columns = []
         for j, (kind, k) in enumerate(blocks):
-            cells, dtype = kinds[kind]
-            values = np.array(data.draw(st.lists(cells, min_size=n * k, max_size=n * k)), dtype=dtype)
-            columns.append((f"c{j}", values if k == 1 else values.reshape(n, k)))
+            if kind in runs:
+                values = np.column_stack([run_column(data, n, data.draw(runs[kind])) for _ in range(k)])
+            else:
+                # past 6 rows the drawn cells repeat: drawing every cell is slow
+                cells, dtype = kinds[kind]
+                m = min(n, 6) * k
+                values = np.array(data.draw(st.lists(cells, min_size=m, max_size=m)), dtype=dtype)
+                values = np.resize(values, n * k).reshape(n, k)
+            columns.append((f"c{j}", values[:, 0] if k == 1 else values))
         buf = io.StringIO(newline="")
         write_csv(buf, columns)
         assert buf.getvalue() == _reference_csv(columns)
 
     check()
+    # a constant column (one run) next to one whose every cell differs
+    columns = [("constant", np.full(200, 0.1)), ("distinct", np.arange(200) / 7.0), ("t", np.arange(200))]
+    buf = io.StringIO(newline="")
+    write_csv(buf, columns)
+    assert buf.getvalue() == _reference_csv(columns)
 
 
 def test_seed_split_changes_streams():

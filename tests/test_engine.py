@@ -143,6 +143,17 @@ def test_couple_garch_benchmark_meets_with_equal_draws():
         assert tr.censored == (tr.meet_time is None)
 
 
+def test_couple_forward_at_huge_count_means_ends_in_overflow():
+    # the chains run 0, 1, 1e10 + 1, 1e20, ... one step apart; the coupled
+    # draws once needed the whole support 0 .. 1e10 (74.5 GiB, MemoryError)
+    m = od.ModelSpec(od.Poisson(), od.LinearLink(CM(1e10), CM(0.0), CM(1.0), floor=0.0),
+                     od.IID(od.Uniform(0.0, 1.0)))
+    path = od.generate_path(m.covariates, 0, 39, 1)
+    with pytest.raises(StateOverflow) as e:
+        od.couple_forward(m, 0.0, 1.0, path, 7)
+    assert e.value.t == 30
+
+
 def test_couple_marginal_preservation_location():
     # continuous chains never glue, so every step goes through the coupling;
     # both chains keep the law of simulate
@@ -507,6 +518,58 @@ def test_w_stats_matches_the_per_time_loop():
             assert col.tobytes() == want.tobytes()
 
 
+def _w_stats_per_lag(path, h, H, gamma, delta, kappa, phi):
+    """Reference: the block loop that added w1's lags one at a time, kept as it was."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    g, d, k = (np.asarray(m.evaluate(path.values), dtype=float) for m in (gamma, delta, kappa))
+    rho_g = math.exp(min(float(np.mean(np.log(np.maximum(g, 1e-300)))), 700.0))
+    rho_k = math.exp(min(float(np.mean(np.log(np.maximum(k, 1e-300)))), 700.0))
+    geo_g = rho_g / (1.0 - rho_g) if rho_g < 1 else math.inf
+    geo_k = rho_k / (1.0 - rho_k) if rho_k < 1 else math.inf
+    m = len(path) - 2 * H - 1
+    out = np.empty((8, m))
+    gwin = sliding_window_view(g, H)[1:, ::-1]
+    kwin = sliding_window_view(k, H)[1:, ::-1]
+    dwin = sliding_window_view(d, H + 1)[:, ::-1]
+    fwin = sliding_window_view(k, H + 1)[H + 1:]
+    for lo in range(0, m, engine._W_BLOCK):
+        b = slice(lo, min(lo + engine._W_BLOCK, m))
+        cpg, dw = np.cumprod(gwin[b], axis=1), dwin[b]
+        acc = np.zeros(len(cpg))
+        for j in range(H):
+            acc += cpg[:, j] * dw[:, j + 1]
+        cpk, cf = np.cumprod(kwin[b], axis=1), np.cumprod(fwin[b], axis=1)
+        out[:, b] = (dw[:, 0] + acc, cpg[:, h - 1:].max(axis=1), cpk[:, h - 1:].max(axis=1),
+                     phi.evaluate(cf).sum(axis=1), cpg[:, -1] * float(d.mean()) * geo_g,
+                     cpg[:, -1] * rho_g, cpk[:, -1] * rho_k, phi.linear_coefficient * cf[:, -1] * geo_k)
+    return out
+
+
+def test_w_stats_matches_the_per_lag_loop():
+    # interior lengths around the block size, and delta maps whose lag terms
+    # are exact zeros of either sign: an all -0.0 sum of lags must give +0.0
+    m = poisson_ingarch_x()
+    gamma, delta = od.drift_certificate(m)
+    kappa = od.AffineAbsMap(0.3, (0.5,), True)
+    phi = od.PhiSpec(((1, 0.7), (2, 0.2)))
+    zeros = DerivedMap("0 or x", lambda x: np.where(x[:, 0] < 0.5, 0.0, x[:, 0]))
+    negative_zero = DerivedMap("-0.0", lambda x: np.full(len(x), -0.0))
+    assert engine._W_BLOCK == 256
+    H = 40
+    for n_times in (255, 256, 257, 600):
+        path = od.generate_path(m.covariates, 0, n_times + 2 * H, n_times)
+        for h in (1, 3, H):
+            for d in (delta, zeros, negative_zero):
+                got = od.w_stats(m, path, h, H, gamma_map=gamma, delta_map=d, kappa_map=kappa, phi=phi)
+                ref = _w_stats_per_lag(path, h, H, gamma, d, kappa, phi)
+                cols = (got.w1, got.w2, got.w3, got.w4, got.w1_tail, got.w2_tail, got.w3_tail, got.w4_tail)
+                assert len(got) == n_times
+                for col, want in zip(cols, ref):
+                    assert col.tobytes() == want.tobytes()
+    assert np.all(np.signbit(got.w1) == 0)  # the -0.0 map: -0.0 + (+0.0)
+
+
 def test_w_stats_too_short_path():
     m = poisson_ingarch_const()
     path = od.generate_path(m.covariates, 0, 30, 1)
@@ -533,6 +596,42 @@ def test_regeneration_empty_reports_smallest_admitting_C():
     assert len(regen) == 0
     # needs C >= max(W1, W4, 1/(1-W2), 1/(1-W3)) = max(2-eps, 1-eps, 1/0.875) = W1
     assert regen.smallest_admitting_C == pytest.approx(stats.w1[0])
+
+
+def _regeneration_all_times(stats, C, h):
+    """Reference: the greedy scan over every time with its pass flag, kept as it was."""
+    ok = engine._passes_thresholds(stats, C)
+    accepted, last = [], None
+    for t, good in zip(stats.times, ok):
+        if good and (last is None or t - last > h):
+            accepted.append(int(t))
+            last = t
+    return np.asarray(accepted, dtype=np.int64)
+
+
+def test_regeneration_matches_the_all_times_scan():
+    rng = np.random.default_rng(11)
+    times = np.arange(-57, 443)
+    # at C = 2 each statistic passes at the first value of its pair and fails at the second
+    levels = ((1.0, 3.0), (0.1, 0.9), (0.1, 0.9), (1.0, 3.0))
+    for trial in range(60):
+        flags = rng.random((4, len(times))) < rng.uniform(0.4, 1.0)
+        w = [np.where(f, a, b) * rng.uniform(0.9, 1.1, len(times)) for f, (a, b) in zip(flags, levels)]
+        stats = engine.WStats(times, *w, 1, 50, *([np.zeros(len(times))] * 4), -1.0, -1.0)
+        for h in (1, 2, 5):
+            regen = od.regeneration_times(stats, 2.0, h)
+            want = _regeneration_all_times(stats, 2.0, h)
+            assert regen.times.dtype == want.dtype and np.array_equal(regen.times, want)
+            assert np.array_equal(regen.m_counts, np.searchsorted(want, times, side="right"))
+            assert (regen.smallest_admitting_C is None) == (len(want) > 0)
+    # the empty outcome: no time passes, and the smallest admitting C is reported
+    stats = engine.WStats(times, np.full(len(times), 5.0), *([np.full(len(times), 0.1)] * 2),
+                          np.linspace(3.0, 9.0, len(times)), 1, 50, *([np.zeros(len(times))] * 4), -1.0, -1.0)
+    for h in (1, 2, 5):
+        regen = od.regeneration_times(stats, 2.0, h)
+        assert len(regen) == 0 and len(_regeneration_all_times(stats, 2.0, h)) == 0
+        assert regen.times.dtype == np.int64 and not regen.m_counts.any()
+        assert regen.smallest_admitting_C == 5.0
 
 
 def test_regeneration_frequency_grows_linearly_on_benchmark():

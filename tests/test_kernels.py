@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy import stats as sstats
-from scipy.special import expit, log_ndtr, ndtr
+from scipy.special import expit, log_ndtr, ndtr, pdtr, pdtrc
 
 import obsdriven as od
 from obsdriven import kernels
@@ -563,6 +563,35 @@ def test_tv_monotone_in_separation_for_poisson():
     hs = np.linspace(0.0, 8.0, 30)
     vals = [k.tv_exact(2.0, 2.0 + h) if h > 0 else 0.0 for h in hs]
     assert all(vals[i] <= vals[i + 1] + 1e-12 for i in range(len(vals) - 1))
+
+
+def test_poisson_window_leaves_out_under_1e_13_on_each_side():
+    for mu in np.geomspace(1e-3, 1e5, 80):
+        lo, hi = kernels._poisson_lo(mu), kernels._poisson_hi(mu)
+        assert lo == 0 or pdtr(lo - 1, mu) < 1e-13
+        assert pdtrc(hi, mu) < 1e-13
+    # the lower end stays 0, and so every pmf array stays as it was, up to a mean of 83
+    assert kernels._poisson_lo(83.4) == 0 < kernels._poisson_lo(83.5)
+
+
+def test_poisson_tv_exact_at_a_huge_mean_is_the_scheffe_form():
+    # the pmfs cross once, at k* = floor((s' - s) / log(s'/s)): TV = F_s(k*) - F_s'(k*);
+    # the support is the window around the two means, not 0 .. 1e8
+    s, sp = 1e8, 1e8 + 1e4
+    kstar = math.floor((sp - s) / math.log(sp / s))
+    assert od.Poisson().tv_exact(s, sp) == pytest.approx(pdtr(kstar, s) - pdtr(kstar, sp), abs=1e-7)
+
+
+def test_poisson_windows_apart_give_tv_one_and_independent_draws():
+    k = od.Poisson()
+    for s, sp in ((2.0, 500.0), (1.0, 1e10 + 1.0), (1e10, 1e20)):
+        assert k.tv_exact(s, sp) == k.tv_exact(sp, s) == 1.0
+    full = np.arange(700.0)  # the whole support at (2, 500) leaves TV within 2e-13 of 1
+    assert 0.5 * np.abs(kernels._poisson_pmf(full, 2.0) - kernels._poisson_pmf(full, 500.0)).sum() > 1 - 2e-13
+    y, yp, met = k.couple_batch(2.0, 500.0, 20000, generator(12))
+    assert not met.any() and np.all(y != yp)
+    for draws, mean in ((y, 2.0), (yp, 500.0)):
+        assert abs(draws.mean() - mean) < 4 * math.sqrt(mean / len(draws))
 
 
 def test_multinomial_probabilities_normalized():

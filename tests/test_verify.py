@@ -1,6 +1,7 @@
 """Assumption certification: routes, verdicts, and negative controls."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from obsdriven import verify
 from obsdriven.rngstream import generator, split_seed
 from obsdriven.verify import domain_compatible
 
-from conftest import divergent_model, poisson_ingarch_x
+from conftest import all_kernels, divergent_model, poisson_ingarch_x
 
 CM = od.ConstantMap
 
@@ -66,6 +67,23 @@ def test_a1_lipschitz_sweep_matches_the_per_row_loop(monkeypatch):
             worst = max(worst, float(np.max(np.abs(gap))) - 0.1 * float(np.max(np.abs(s[i] - sp[i]))))
         assert worst > 0.0
         assert rep.lipschitz_max_violation == worst
+
+
+@pytest.mark.parametrize("kernel", all_kernels() + [od.Multinomial(12)], ids=repr)
+def test_a1_batched_draw_is_the_per_row_loop(kernel):
+    # check_a1 draws every observation in one sample call: the values and the
+    # generator's next word must be a per-row loop's, at means on both sides
+    # of numpy's Poisson PTRS cut (10) and for vector states
+    for seed in range(20):
+        for scale in (1.0, 10.0):
+            batched, looped = generator(seed, 2), generator(seed, 2)
+            states = SimpleNamespace(kernel=kernel)
+            s = verify._random_states(states, 1000, batched) * scale
+            verify._random_states(states, 1000, looped)
+            got = kernel.sample(s, batched)
+            want = np.asarray([kernel.sample(s[i], looped) for i in range(len(s))])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert batched.bit_generator.random_raw() == looped.bit_generator.random_raw()
 
 
 def test_a1_boundary_contraction_is_inconclusive():
@@ -201,6 +219,23 @@ def test_a3_corrupted_phi_fails_with_positive_violation():
     rep = od.check_a3(m, grid_size=100, tol=1e-6, phi_override=corrupted)
     assert rep.verdict == "fail"
     assert rep.max_violation > 0.01
+
+
+@pytest.mark.parametrize("kernel", all_kernels(), ids=repr)
+def test_a3_sweep_matches_the_per_pair_loop(kernel):
+    # phi is evaluated on the whole grid at once; each bound must still be
+    # 1 - math.exp(-phi(h)) of the pair's own distance, and the worst pair the first maximum
+    m = SimpleNamespace(kernel=kernel)
+    for phi in (kernel.phi(), kernel.phi().scaled(0.5)):
+        rep = od.check_a3(m, grid_size=120, phi_override=phi)
+        worst, worst_pair = -math.inf, None
+        for s, sp in kernel.standard_pairs(120):
+            bound = 1.0 - math.exp(-float(phi.evaluate(kernel.state_distance(s, sp))))
+            v = kernel.tv_exact(s, sp, 1e-7) - bound
+            if v > worst:
+                worst, worst_pair = v, (s, sp)
+        assert rep.max_violation == worst
+        assert repr(rep.worst_pair) == repr(worst_pair)
 
 
 def test_a3_verdict_monotone_in_tol():
