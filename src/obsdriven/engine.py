@@ -425,7 +425,6 @@ class W1Result:
     value: float
     exact: bool                   # solved on the full point sets (always for scalar states)
     n_used: int
-    bootstrap: bool = False
     spread: float = 0.0           # max-min over subsample draws when not exact
 
     def __float__(self):
@@ -542,8 +541,7 @@ def _stratified_subsample(x: np.ndarray, k: int, rng) -> np.ndarray:
 
 
 def wasserstein1(
-    mu, nu, *, allow_bootstrap: bool = True, seed: int = 0,
-    max_exact: int = MAX_EXACT_ASSIGNMENT, subsample_draws: int = 8,
+    mu, nu, *, seed: int = 0, max_exact: int = MAX_EXACT_ASSIGNMENT, subsample_draws: int = 8,
 ) -> W1Result:
     """W1 under min(|s-s'|, 1) between two uniform empirical measures.
 
@@ -553,7 +551,8 @@ def wasserstein1(
     cost matrix; larger vector inputs are handled by stratified subsampling
     to ``max_exact`` points, averaged over ``subsample_draws`` draws.  Either
     way the value is the exactly-rounded sum of the chosen coupling's costs.
-    NaN or infinite points, and an empty measure, raise ``InvalidSpec``.
+    NaN or infinite points, and an empty measure, raise ``InvalidSpec``;
+    measures of different sizes or state spaces raise ``SizeMismatch``.
     """
     a = mu.points if isinstance(mu, EmpiricalMeasure) else np.asarray(mu, dtype=float)
     b = nu.points if isinstance(nu, EmpiricalMeasure) else np.asarray(nu, dtype=float)
@@ -563,24 +562,15 @@ def wasserstein1(
         raise InvalidSpec("W1 needs finite points; got NaN or infinite states")
     if len(a) == 0 or len(b) == 0:
         raise InvalidSpec("W1 needs at least one point in each measure")
-    bootstrap = False
     if len(a) != len(b):
-        if not allow_bootstrap:
-            raise SizeMismatch(f"point counts differ ({len(a)} vs {len(b)}) and bootstrap is disabled")
-        rng = generator(seed, 71)
-        target = max(len(a), len(b))
-        if len(a) < target:
-            a = a[rng.integers(0, len(a), size=target)]
-        if len(b) < target:
-            b = b[rng.integers(0, len(b), size=target)]
-        bootstrap = True
+        raise SizeMismatch(f"point counts differ ({len(a)} vs {len(b)})")
     n = len(a)
     if a.ndim == 1:
         ia, ib = _line_hub_coupling(a, b)
         value = math.fsum(np.minimum(np.abs(a[ia] - b[ib]), 1.0)) / n
-        return W1Result(value, True, n, bootstrap)
+        return W1Result(value, True, n)
     if n <= max_exact:
-        return W1Result(_assignment_cost(a, b), True, n, bootstrap)
+        return W1Result(_assignment_cost(a, b), True, n)
     rng = generator(seed, 72)
     vals = []
     for _ in range(subsample_draws):
@@ -588,10 +578,7 @@ def wasserstein1(
         sb = _stratified_subsample(b, max_exact, rng)
         vals.append(_assignment_cost(sa, sb))
     vals = np.asarray(vals)
-    return W1Result(
-        float(vals.mean()), False, max_exact, bootstrap,
-        float(vals.max() - vals.min()),
-    )
+    return W1Result(float(vals.mean()), False, max_exact, float(vals.max() - vals.min()))
 
 
 @functools.lru_cache(maxsize=None)

@@ -42,7 +42,7 @@ class PathTooShort(ValueError):
 
 
 class SizeMismatch(ValueError):
-    """Empirical measures of different sizes were compared with bootstrap disabled."""
+    """W1 was asked of empirical measures of different sizes or state spaces."""
 
 
 class UnsupportedCombination(ValueError):

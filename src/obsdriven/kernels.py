@@ -8,13 +8,15 @@ Every family carries four routes to the same object:
 * ``phi`` returns the closed-form polynomial rate certifying
   d_TV(p(.|s), p(.|s')) <= 1 - exp(-phi(|s-s'|));
 * ``tv_exact`` is the exact oracle, independent of ``phi``: half the l1
-  distance of the two pmfs for discrete families (one hook, ``_pmfs``,
-  feeds it and the coupling), and for continuous ones a difference of
-  cdfs at the closed-form density crossings (Scheffe's identity);
+  distance of the two pmfs on a truncated support for discrete families
+  (the ``_pmfs`` hook), and for continuous ones a difference of cdfs at
+  the closed-form density crossings (Scheffe's identity);
 * ``maximal_couple`` draws a pair with the prescribed marginals whose
-  disagreement probability equals the total-variation distance; it never
-  calls the oracle (continuous families use the ordinary rejection
-  coupling, which needs only the two densities).
+  disagreement probability equals the total-variation distance.  One
+  routine serves every family, the ordinary rejection coupling
+  (``_couple_batch``): it draws through ``sample`` and reads only the
+  ratio of two ``_pdf`` values, so it never calls the oracle and builds
+  no support.
 
 Families whose rate constants are only proved to exist (probit, location
 noise) certify a concrete constant numerically on a fixed grid with a 5%
@@ -41,6 +43,9 @@ _CERT_GRID = np.logspace(-4, 2, 200)
 _CERT_MARGIN = 1.05
 _TAIL_Q = 2.5e-13  # discrete supports truncated at the 1 - 1e-12 quantile
 _COUPLE_CAP = 10**6
+# The count _pdfs' log1p arguments round to -1 only where s/y < about 2**-53;
+# the next float up stands in for log(0) there, a factor e^-35.7 per unit of y.
+_LOG1P_FLOOR = -1.0 + 2.0**-53
 
 
 # ---------------------------------------------------------------------------
@@ -129,57 +134,24 @@ class CoupleDraw:
             raise InvalidSpec("met=True requires y == y_prime")
 
 
-def _couple_discrete_batch(support, p, q, n, rng):
-    """Maximal coupling on a common finite support.
-
-    Overlap branch with probability sum(min(p,q)); residual branch samples
-    the two normalized excess measures independently.
-    """
-    m = np.minimum(p, q)
-    om = float(m.sum())
-    u = rng.random(n)
-    met = u < om
-    y = np.empty(n)
-    yp = np.empty(n)
-    k = int(met.sum())
-    if k:
-        cdf = np.cumsum(m)
-        v = rng.random(k) * cdf[-1]
-        idx = np.minimum(np.searchsorted(cdf, v, side="right"), len(support) - 1)
-        y[met] = support[idx]
-        yp[met] = support[idx]
-    r = n - k
-    if r:
-        rp = np.maximum(p - m, 0.0)
-        rq = np.maximum(q - m, 0.0)
-        for target, resid in ((y, rp), (yp, rq)):
-            cdf = np.cumsum(resid)
-            if cdf[-1] <= 0:
-                # numerically empty residual: fall back to the overlap law
-                cdf = np.cumsum(p)
-            v = rng.random(r) * cdf[-1]
-            idx = np.minimum(np.searchsorted(cdf, v, side="right"), len(support) - 1)
-            target[~met] = support[idx]
-    return y, yp, met
-
-
-def _couple_continuous_batch(kernel, s, sp, n, rng):
-    """Ordinary maximal coupling of two densities p = p(.|s), q = p(.|s').
+def _couple_batch(kernel, s, sp, n, rng):
+    """Ordinary maximal coupling of p = p(.|s) and q = p(.|s'), for every family.
 
     Draw X ~ p; when U p(X) <= q(X), which happens with probability
     1 - TV(p, q), both chains take X.  Otherwise Y is redrawn from q until
     V q(Y) > p(Y), a draw from the normalized residual (q - p)^+ (Thorisson;
-    Jacob, O'Leary & Atchade, JRSS-B 2020).  No TV value is needed.  A
-    residual proposal is accepted with probability TV, so the rounds have
-    no bound of their own: each pending Y gets twice the proposals of the
-    round before, and ``_COUPLE_CAP`` bounds the total.
+    Jacob, O'Leary & Atchade, JRSS-B 2020).  Only the ratio q/p is read, so
+    ``kernel._pdf`` may drop any factor that depends on y alone, and neither
+    a TV value nor a support table is built: the cost does not grow with the
+    mean.  Unmet pairs come from {p > q} and {q > p}, so they differ.  A
+    residual proposal is accepted with probability TV, so the rounds have no
+    bound of their own: each pending Y gets twice the proposals of the round
+    before, and ``_COUPLE_CAP`` bounds the total.
     """
-    p = lambda y: kernel._pdf(y, s)
-    q = lambda y: kernel._pdf(y, sp)
     y = kernel._draw(s, n, rng)
-    met = rng.random(n) * p(y) <= q(y)
+    met = rng.random(n) * kernel._pdf(y, s) <= kernel._pdf(y, sp)
     yp = y.copy()
-    pending = np.flatnonzero(~met)
+    pending = (~met).nonzero()[0]
     spent, per_pending = 0, 1
     while len(pending):
         size = min(len(pending) * per_pending, _COUPLE_CAP - spent)
@@ -188,7 +160,7 @@ def _couple_continuous_batch(kernel, s, sp, n, rng):
                 f"residual rejection exceeded {_COUPLE_CAP} proposals"
             )
         z = kernel._draw(sp, size, rng)
-        z = z[rng.random(size) * q(z) > p(z)][: len(pending)]
+        z = z[rng.random(size) * kernel._pdf(z, sp) > kernel._pdf(z, s)][: len(pending)]
         yp[pending[: len(z)]] = z
         pending = pending[len(z):]
         spent += size
@@ -276,8 +248,18 @@ class ObservationKernel:
         y, yp, met = self.couple_batch(s, sp, 1, rng)
         return CoupleDraw(float(y[0]), float(yp[0]), bool(met[0]))
 
-    def _couple_impl(self, s, sp, n, rng):
+    _couple_impl = _couple_batch
+
+    def _pdf(self, y, s):
+        """p(y|s) at the draws y, up to a positive factor of y alone."""
         raise NotImplementedError
+
+    def _draw(self, s, n, rng):
+        """n draws from p(.|s) as floats, by ``sample``; one draw is a scalar call, which takes the
+        words a batch of one takes without numpy's array checks (costly in ``rng.poisson``)."""
+        if n == 1:
+            return np.array([self.sample(s, rng)], dtype=float)
+        return np.asarray(self.sample(np.full((n, *np.shape(s)), s), rng), dtype=float)
 
     # -- moments -----------------------------------------------------------
     def conditional_moment(self, s, order: int) -> tuple[float, float]:
@@ -319,7 +301,7 @@ def _scalar_pairs(bases, n_pairs, centered=False):
 
 
 class _Discrete(ObservationKernel):
-    """Families whose TV and coupling both read the two pmfs on one support."""
+    """Families whose exact TV reads the two pmfs on one finite support (``_pmfs``)."""
 
     def _pmfs(self, s, sp):
         """(support as floats, p(.|s), p(.|s')) on a common finite support."""
@@ -328,9 +310,6 @@ class _Discrete(ObservationKernel):
     def _tv_exact_impl(self, s, sp):
         _, p, q = self._pmfs(s, sp)
         return float(0.5 * np.abs(p - q).sum())
-
-    def _couple_impl(self, s, sp, n, rng):
-        return _couple_discrete_batch(*self._pmfs(s, sp), n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +581,13 @@ class Poisson(_Discrete):
         # windows (see _pmfs) that do not meet share less than 2e-13 of mass
         return 1.0 if _poisson_hi(min(s, sp)) < _poisson_lo(max(s, sp)) else super()._tv_exact_impl(s, sp)
 
-    def _couple_impl(self, s, sp, n, rng):
-        if _poisson_hi(min(s, sp)) >= _poisson_lo(max(s, sp)):
-            return super()._couple_impl(s, sp, n, rng)
-        # windows apart: to within their 2e-13 overlap, maximally coupled draws are independent
-        return self.sample_inverse(s, rng.random(n)), self.sample_inverse(sp, rng.random(n)), np.zeros(n, dtype=bool)
+    def _pdf(self, y, s):
+        # the pmf times y^y e^-y / y!: exp(y log1p((s - y)/y) - (s - y)), e^-s at y = 0;
+        # it peaks at 1 for s = y, so the bulk does not underflow at any mean
+        if s == 0.0:
+            return (y == 0.0).astype(float)
+        d = s - y
+        return np.exp(y * np.log1p(np.maximum(d / np.maximum(y, 1.0), _LOG1P_FLOOR)) - d)
 
     def _pmfs(self, s, sp):
         # the window of integers where either pmf may reach 1e-13
@@ -647,7 +628,20 @@ class NegBinomial(_Discrete):
         return self.r / (self.r + np.asarray(s, dtype=float))
 
     def sample(self, s, rng):
-        return rng.negative_binomial(self.r, self._p_success(s))
+        """``rng.negative_binomial``.  Where numpy refuses the mean (above about 1.4e18 at
+        r = 3), numpy's own mixture Poisson(Gamma(r) (1 - p)/p), whose Poisson step
+        (``Poisson.sample``) takes any finite mean; a float then."""
+        p = self._p_success(s)
+        try:
+            return rng.negative_binomial(self.r, p)
+        except ValueError:
+            # numpy's own test, on the largest Poisson rate its gamma mixture may ask for
+            if not np.any((1.0 - p) / p * (self.r + 10.0 * math.sqrt(self.r)) > _POISSON_LAM_MAX):
+                raise  # a negative or NaN mean
+        # numpy checks every mean before it draws, so the refused call took no words
+        lam = rng.standard_gamma(self.r, np.shape(p)) * ((1.0 - p) / p)
+        y = np.asarray(Poisson().sample(lam, rng), float)
+        return float(y) if y.ndim == 0 else y
 
     def sample_inverse(self, s, u):
         """``stats.nbinom.ppf`` with the edge outcomes of ``Poisson.sample_inverse``.
@@ -664,6 +658,15 @@ class NegBinomial(_Discrete):
 
     def phi(self):
         return PhiSpec(((1, 1.0),))
+
+    def _pdf(self, y, s):
+        # p^r (1 - p)^y over its peak in s (at s = y), a factor of y alone: its log,
+        # r log((r + y)/(r + s)) + y log1p(r (s - y)/(y (r + s))), has terms of order r
+        if s == 0.0:
+            return (y == 0.0).astype(float)
+        r = self.r
+        x = r * (s - y) / (np.maximum(y, 1.0) * (r + s))
+        return np.exp(r * np.log((r + y) / (r + s)) + y * np.log1p(np.maximum(x, _LOG1P_FLOOR)))
 
     def tv_bound_sharp(self, s, sp) -> float:
         """Intermediate mixture bound 1 - (1 + h/r)^(-r), tighter than phi."""
@@ -724,6 +727,10 @@ class _Bernoulli(_Discrete):
         p1 = self._success(np.asarray(s, dtype=float))
         out = (np.asarray(u) > 1.0 - p1).astype(np.int64)
         return out if out.ndim else int(out)
+
+    def _pdf(self, y, s):
+        p1 = self._success(s)
+        return np.array([1.0 - p1, p1])[y.astype(np.intp)]
 
     def _pmfs(self, s, sp):
         p1, q1 = float(self._success(s)), float(self._success(sp))
@@ -806,6 +813,9 @@ class Multinomial(_Discrete):
     def phi(self):
         return PhiSpec(((1, 1.0),))
 
+    def _pdf(self, y, s):
+        return self.probabilities(s)[0, y.astype(np.intp)]
+
     def _pmfs(self, s, sp):
         support = np.arange(self.n_categories, dtype=float)
         return support, self.probabilities(s)[0], self.probabilities(sp)[0]
@@ -842,25 +852,13 @@ class Multinomial(_Discrete):
 # continuous families
 # ---------------------------------------------------------------------------
 
-class _Continuous(ObservationKernel):
-    discrete = False
-
-    def _pdf(self, y, s):
-        raise NotImplementedError
-
-    def _draw(self, s, n, rng):
-        raise NotImplementedError
-
-    def _couple_impl(self, s, sp, n, rng):
-        return _couple_continuous_batch(self, s, sp, n, rng)
-
-
 @dataclass(frozen=True, repr=False)
-class GarchGaussian(_Continuous):
+class GarchGaussian(ObservationKernel):
     """y|s = sqrt(s) eps with standard normal eps; states s >= c_minus > 0."""
 
     c_minus: float = 1.0
     family = "garch_gaussian"
+    discrete = False
     moment_order = 2
 
     def __post_init__(self):
@@ -884,9 +882,6 @@ class GarchGaussian(_Continuous):
 
     def _pdf(self, y, s):
         return np.exp(-np.asarray(y) ** 2 / (2.0 * s)) / math.sqrt(2.0 * math.pi * s)
-
-    def _draw(self, s, n, rng):
-        return math.sqrt(s) * rng.standard_normal(n)
 
     def phi(self):
         return PhiSpec(((1, 1.0 / (2.0 * self.c_minus**1.5)),))
@@ -1039,11 +1034,12 @@ _NOISES = {"gaussian": GaussianNoise, "laplace": LaplaceNoise, "student_t": Stud
 
 
 @dataclass(frozen=True, repr=False)
-class Location(_Continuous):
+class Location(ObservationKernel):
     """y|s = s + eps with symmetric unimodal noise; autoregressions with noise."""
 
     noise: GaussianNoise | LaplaceNoise | StudentTNoise = GaussianNoise()
     family = "location"
+    discrete = False
     moment_order = 1
 
     def domain_contains(self, s):
@@ -1060,9 +1056,6 @@ class Location(_Continuous):
 
     def _pdf(self, y, s):
         return self.noise.pdf(np.asarray(y) - s)
-
-    def _draw(self, s, n, rng):
-        return s + self.noise.draw(n, rng)
 
     def phi(self):
         return self.noise.rate()

@@ -251,13 +251,9 @@ def test_w1_symmetry_triangle_and_monotone_bound():
         assert ab.value <= ac.value + cb.value + 1e-12
 
 
-def test_w1_unequal_sizes_bootstrap_flag_and_error():
-    a, b = np.zeros(100), np.full(150, 0.2)
-    r = od.wasserstein1(a, b)
-    assert r.bootstrap and r.n_used == 150
-    assert r.value == pytest.approx(0.2)
+def test_w1_unequal_sizes_are_refused():
     with pytest.raises(SizeMismatch):
-        od.wasserstein1(a, b, allow_bootstrap=False)
+        od.wasserstein1(np.zeros(100), np.full(150, 0.2))
 
 
 def test_w1_subsampling_for_large_inputs():

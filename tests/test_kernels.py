@@ -265,6 +265,31 @@ def test_poisson_sample_beyond_numpys_bound_is_an_inverse_draw():
             k.sample(bad, generator(4))
 
 
+def test_negbinomial_sample_beyond_numpys_bound_is_the_gamma_poisson_mixture():
+    # rng.negative_binomial refuses (1 - p)/p (r + 10 sqrt(r)) above its Poisson bound,
+    # a mean of about 1.36e18 at r = 3; the draw is then numpy's own mixture
+    # Poisson(Gamma(r) (1 - p)/p), its Poisson step through Poisson.sample
+    k = od.NegBinomial(3)
+    assert k.sample(1e18, generator(3)) == generator(3).negative_binomial(3, 3 / (3 + 1e18))
+    for s in (1.4e18, 1e20, 1e300):
+        if s < 1e300:
+            with pytest.raises(ValueError):
+                generator(3).negative_binomial(3, 3 / (3 + s))
+        rng, ref = generator(3), generator(3)
+        y = k.sample(s, rng)
+        p = 3 / (3 + s)
+        assert type(y) is float and y == od.Poisson().sample(ref.standard_gamma(3, ()) * ((1 - p) / p), ref)
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+        # the Poisson step is a relative 1/sqrt(mean) from its rate: y/s is Gamma(3, 1/3)
+        y = k.sample(np.full(4000, s), generator(5))
+        assert sstats.kstest(y / s, "gamma", args=(3, 0, 1 / 3)).pvalue > 1e-3
+    y = k.sample(np.array([2.0, 1e20, 0.0]), generator(4))
+    assert y[2] == 0.0 and y[0] == np.floor(y[0]) and 0.0 < y[1] < 1e22
+    for bad in (-1.0, math.nan, np.array([1e20, math.nan])):
+        with pytest.raises(ValueError):
+            k.sample(bad, generator(4))
+
+
 def test_poisson_quantile_at_means_where_scipy_is_nan():
     # scipy 1.17 returns NaN for about half of these draws
     s = np.full(2000, 1e12)
@@ -695,27 +720,94 @@ def test_coupling_marginals_correct_all_families():
         assert _marginal_pvalue(k, sp, yp) > 1e-3, f"{k!r} second marginal"
 
 
-def test_continuous_coupling_does_not_call_the_oracle(monkeypatch):
+def test_coupling_does_not_call_the_oracle(monkeypatch):
+    # every family couples on its own draws and _pdf: no TV value, no support table
     def no_oracle(*args, **kwargs):
         raise AssertionError("the coupling called the TV oracle")
 
-    continuous = [k for k in all_kernels() if not k.discrete]
-    assert len(continuous) == 4
     monkeypatch.setattr(kernels.ObservationKernel, "tv_exact", no_oracle)
-    for cls in {type(k) for k in continuous}:
+    monkeypatch.setattr(kernels._Discrete, "_pmfs", no_oracle)
+    for cls in {type(k) for k in all_kernels()}:
         monkeypatch.setattr(cls, "_tv_exact_impl", no_oracle)
-    for k in continuous:
-        s = 0.5 if k.domain_floor() is None else k.domain_floor() + 0.5
-        y, yp, met = k.couple_batch(s, s + 1.5, 1000, generator(14))
-        assert 0 < met.sum() < 1000
+    for k in all_kernels():
+        if k.state_dim > 1:
+            s, sp = np.zeros(2), np.array([1.5, -1.0])
+        else:
+            s = 0.5 if k.domain_floor() is None else k.domain_floor() + 0.5
+            sp = s + 1.5
+        y, yp, met = k.couple_batch(s, sp, 1000, generator(14))
+        assert 0 < met.sum() < 1000, k
         assert np.all(y[met] == yp[met]) and np.all(y[~met] != yp[~met])
 
 
 def test_coupling_budget_bounds_the_residual_rejection(monkeypatch):
     monkeypatch.setattr(kernels, "_COUPLE_CAP", 0)
-    k = od.Location(od.GaussianNoise(1.0))
-    with pytest.raises(CouplingBudgetExceeded):
-        k.couple_batch(0.0, 3.0, 100, generator(15))
+    for k in (od.Location(od.GaussianNoise(1.0)), od.Poisson()):
+        with pytest.raises(CouplingBudgetExceeded):
+            k.couple_batch(0.0, 3.0, 100, generator(15))
+
+
+def test_count_pdf_ratios_match_mpmath_at_every_mean():
+    # the coupling reads only _pdf(y, s') / _pdf(y, s); against 50 digits it is
+    # within the bound derived from the float steps of each _pdf, plus the two
+    # exps and the division.  Seen: Poisson within 1.3e-10 at means near 1e10
+    # and 2e-6 near 1e20 (at most 0.13 of the bound); negative binomial within
+    # 2e-14 at every mean (its log has terms of order r, not sqrt(s))
+    mp = pytest.importorskip("mpmath").mp
+    u, r = 2.0**-53, 3
+
+    def poisson_log_pdf(y, t):
+        """(log of Poisson ``_pdf``, p(y|t) y! e^y / y^y, and its error bound).
+
+        log1p's argument (t - y)/y carries a few units of roundoff, and its
+        condition there turns that into y |t - y| / t in the log; each other
+        term of y log1p(...) - (t - y) is rounded once or twice."""
+        e = y * mp.log(t / y) - (t - y) if y else -t
+        d = abs(t - y)
+        return e, 4 * u * ((y * d / t if y else 0) + abs(e + (t - y)) + d + abs(e))
+
+    def negbinomial_log_pdf(y, t):
+        """(log of NegBinomial ``_pdf``, its error bound), as for Poisson.
+
+        The log is a + b, a = r log((r + y)/(r + t)), b = y log1p(x) with
+        x = r (t - y)/(max(y, 1)(r + t)); a is off by a few units absolutely
+        (times r), and b by x's few units of roundoff times log1p's condition."""
+        a = r * mp.log((r + y) / (r + t))
+        x = r * (t - y) / (max(y, 1) * (r + t))
+        b = y * mp.log1p(x)
+        return a + b, 6 * u * (r + abs(a) + y * abs(x) / (1 + x) + abs(b) + abs(a + b))
+
+    cases = [(k, log_pdf, s) for k, log_pdf in ((od.Poisson(), poisson_log_pdf), (od.NegBinomial(r), negbinomial_log_pdf))
+             for s in np.geomspace(0.3, 1e20, 41).tolist()]
+    with mp.workdps(50):
+        for k, log_pdf, s in cases:
+            sd = math.sqrt(s if k.family == "poisson" else s + s * s / r)
+            for z in (-3.0, -1.0, 0.0, 0.5, 1.0, 3.0):
+                y = float(max(0.0, math.floor(s + z * sd)))
+                got = k._pdf(np.array([y]), s + sd)[0] / k._pdf(np.array([y]), s)[0]
+                (e, de), (ep, dep) = (log_pdf(mp.mpf(y), mp.mpf(t)) for t in (s, s + sd))
+                assert abs(got / mp.exp(ep - e) - 1) <= de + dep + 4 * u, (k, s, y)
+
+
+def test_count_coupling_beside_a_tiny_mean():
+    # p(y|s) for y >= 1 at s = 1e-300 is below e^-690: log1p's argument rounds
+    # to -1 there, and the coupling must neither warn nor lose the law
+    n = 10**4
+    for k, tv in ((od.Poisson(), 1 - math.exp(-2.0)), (od.NegBinomial(3), 1 - 0.6**3)):
+        for s in (5e-324, 1e-300):
+            y, yp, met = k.couple_batch(s, 2.0, n, generator(18))
+            assert np.all(y == 0.0) and np.all(yp[~met] > 0.0)
+            assert abs((1 - met.mean()) - tv) < 3 * math.sqrt(tv * (1 - tv) / n)
+
+
+def test_poisson_coupling_at_a_huge_mean_builds_no_support():
+    # a window of about 15 sqrt(1e20) points once asked numpy for 1.2 TiB; the states
+    # are one standard deviation apart, so TV is 2 Phi(1/2) - 1
+    n = 10**4
+    y, yp, met = od.Poisson().couple_batch(1e20, 1e20 + 1e10, n, generator(17))
+    assert np.all(y[met] == yp[met]) and np.all(y[~met] != yp[~met])
+    tv = 2 * ndtr(0.5) - 1
+    assert abs((1 - met.mean()) - tv) < 3 * math.sqrt(tv * (1 - tv) / n)
 
 
 def test_multinomial_coupling_on_identical_states_draws_per_row():
