@@ -133,14 +133,21 @@ def _check_state(model: ModelSpec, s, where: str, t=None, previous=None, y=None)
         f"{where.format(t=t)}: {what}", t, replica, previous, y, s)
 
 
-def _step(model: ModelSpec, row, s, y, where: str, t: int):
-    """One step of the recursion from a coefficient-table row, then the domain check."""
+def _step(model: ModelSpec, row, s, y, where: str, t: int, pair: bool = False):
+    """One step of the recursion from a coefficient-table row, then the domain check; with
+    ``pair``, s stacks two equal chains, the first one's failure reported first, then the
+    second's with " (prime)" and its own replica index."""
     if type(s) is float and type(row) is list:  # links.step on Python floats never warns
         new = links_mod.step(model.link, row, s, y)
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_state
             new = links_mod.step(model.link, row, s, y)
-    _check_state(model, new, where, t, s, y)
+    if not pair:
+        _check_state(model, new, where, t, s, y)
+    elif not model.kernel.domain_contains(new):
+        m = len(s) // 2
+        _check_state(model, new[:m], where, t, s[:m], y[:m])
+        _check_state(model, new[m:], where + " (prime)", t, s[m:], y[m:])
     return new
 
 
@@ -356,10 +363,11 @@ def coupled_backward_cost(
 ) -> float:
     """Transport cost of the synchronized coupling of two backward runs.
 
-    Both chains consume the same per-(time, replica) uniforms; their state
-    gap is propagated multiplicatively through the link's exact state
-    coefficient whenever the coupled observations agree, so separations
-    stay representable far below the resolution of the states themselves.
+    Both chains consume the same per-(time, replica) uniforms, as one
+    stacked batch of 2 * replicas states; their state gap is propagated
+    multiplicatively through the link's exact state coefficient whenever
+    the coupled observations agree, so separations stay representable far
+    below the resolution of the states themselves.
     The mean of min(gap, 1) is the cost of an explicit coupling of the two
     backward laws and hence an upper bound for their W1 distance.  States
     are checked at every step as in ``backward_measure``: StateOverflow
@@ -374,24 +382,20 @@ def coupled_backward_cost(
         raise PathTooShort("path does not cover the backward window")
     kernel, link = model.kernel, model.link
     stream = _obs_stream(seed, replicas)
-    lam = np.full(replicas, float(s0))
-    lamp = np.full(replicas, float(s0_prime))
+    lam = np.repeat([float(s0), float(s0_prime)], replicas)  # the main chain, then the prime one
     gap = np.full(replicas, abs(float(s0_prime) - float(s0)))
     floor = link.floor
     for t, row, u in zip(range(t_start, t_end), coefficient_table(link, path.window(t_start, t_end - 1)),
                          _uniform_rows(stream, t_start, t_end)):
-        y = np.asarray(kernel.sample_inverse(lam, u), dtype=float)
-        yp = np.asarray(kernel.sample_inverse(lamp, u), dtype=float)
-        lam_next = _step(model, row, lam, y, "coupled backward step t={t}", t)
-        lamp_next = _step(model, row, lamp, yp, "coupled backward step t={t} (prime)", t)
+        y = np.asarray(kernel.sample_inverse(lam, np.concatenate((u, u))), dtype=float)
+        lam = _step(model, row, lam, y, "coupled backward step t={t}", t, pair=True)
+        y, yp, main, prime = y[:replicas], y[replicas:], lam[:replicas], lam[replicas:]
         mult = y == yp
         if floor is not None:
-            mult &= (lam_next > floor) & (lamp_next > floor)
-        new_gap = np.abs(lamp_next - lam_next)
-        if mult.any():
-            coefs = np.abs(links_mod.state_multiplier(link, row, y))
-            new_gap[mult] = coefs[mult] * gap[mult]
-        lam, lamp, gap = lam_next, lamp_next, new_gap
+            mult &= (main > floor) & (prime > floor)
+        # multiplied only where mult, so a replica whose gap is not kept cannot overflow
+        coefs = np.abs(links_mod.state_multiplier(link, row, y))
+        gap = np.multiply(coefs, gap, out=np.abs(prime - main), where=mult)
     return float(np.minimum(gap, 1.0).mean())
 
 

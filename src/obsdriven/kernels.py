@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, gammaln, log_ndtr, ndtr, ndtri, pdtr, pdtrik, stdtr, stdtrit
+from scipy.special import expit, gammaincinv, gammaln, log_ndtr, ndtr, ndtri, pdtr, pdtrik, stdtr, stdtrit
 
 from .errors import (
     CouplingBudgetExceeded,
@@ -287,7 +287,7 @@ def _bounded_below(s, floor: float = float(np.finfo(float).min)) -> bool:
     if isinstance(s, float):
         return floor <= s < math.inf
     s = np.asarray(s, float)
-    return bool(np.all((s >= floor) & (s < np.inf)))
+    return s.size == 0 or bool(s.min() >= floor and s.max() < np.inf)  # a NaN makes both False
 
 
 def _scalar_pairs(bases, n_pairs, centered=False):
@@ -350,10 +350,10 @@ _CERTIFIED_GAP = 1e-9
 # and the bisection inside the bracket at most 54 more.
 _QUANTILE_PROBES = 128
 # The summed cdf of _poisson_quantile_summed: up to this mean, certified
-# outside this absolute margin of u, in at most this many terms (68).
+# outside this absolute margin of u, in blocks of this many draws.
 _SUMMED_MEAN = 20.0
 _SUMMED_MARGIN = 1e-12
-_SUMMED_TERMS = _poisson_hi(_SUMMED_MEAN)
+_SUMMED_BLOCK = 2000
 # rng.poisson refuses larger means; this is numpy's own bound
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
@@ -364,8 +364,10 @@ def _poisson_quantile_search(s, u):
     Starts from the normal quantile with the Cornish-Fisher skewness
     correction and continuity correction, ceil(s + sqrt(s) z + (z^2 - 1)/6
     - 1/2) (Giles, ACM TOMS Algorithm 955, 2016), which is within one of
-    the answer for s >= 1 in nearly every draw; then gallops away from the
-    start until the answer is bracketed and bisects the bracket, keeping
+    the answer for s >= 1 in nearly every draw; probes the start's neighbour
+    on that side, which settles most draws in one array pass; then gallops
+    the draws still open away from the start until the answer is bracketed
+    and bisects the bracket, keeping
     pdtr(lo, s) < u <= pdtr(hi, s) (lo = -1 is below the support, where
     pdtr is 0; +-inf a side not found yet).  At most ``_QUANTILE_PROBES``
     evaluations of pdtr per element; the second value is pdtr at the final
@@ -378,27 +380,31 @@ def _poisson_quantile_search(s, u):
     exact = s < _EXACT_QUANTILE_MEAN
     p = pdtr(k, s)
     above = p >= u
-    hi = np.where(above | ~exact, k, np.inf)
-    lo = np.where(~exact, k - 1.0, np.where(above, -np.inf, k))
-    p_lo = np.where(exact & ~above, p, np.nan)
-    step = np.ones_like(k)
-    for _ in range(_QUANTILE_PROBES):
-        act = np.flatnonzero(hi - lo > 1.0)
+    # the start's neighbour first, over every draw: k - 1 where pdtr(k) >= u, else k + 1
+    probe = np.where(above, k - 1.0, k + 1.0)
+    q = np.where(probe >= 0.0, pdtr(np.maximum(probe, 0.0), s), 0.0)
+    up = q >= u
+    hi = np.where(exact, np.where(up, probe, np.where(above, k, np.inf)), k)
+    lo = np.where(exact, np.where(up, np.where(above, -np.inf, k), probe), k - 1.0)
+    p_lo = np.where(exact, np.where(up, np.where(above, np.nan, p), q), np.nan)
+    # only the draws still open gallop and bisect; every open draw has taken as many probes
+    act, step = np.flatnonzero(hi - lo > 1.0), 2.0
+    for _ in range(_QUANTILE_PROBES - 1):
         if act.size == 0:
             break
-        lo_a, hi_a, step_a = lo[act], hi[act], step[act]
+        lo_a, hi_a = lo[act], hi[act]
         with np.errstate(invalid="ignore"):  # the unused branch may be inf - inf
             probe = np.where(
-                hi_a == np.inf, lo_a + step_a,
-                np.where(lo_a == -np.inf, np.maximum(hi_a - step_a, -1.0),
+                hi_a == np.inf, lo_a + step,
+                np.where(lo_a == -np.inf, np.maximum(hi_a - step, -1.0),
                          lo_a + np.floor((hi_a - lo_a) / 2.0)),
             )
         p = np.where(probe >= 0.0, pdtr(np.maximum(probe, 0.0), s[act]), 0.0)
         up = p >= u[act]
-        hi[act] = np.where(up, probe, hi_a)
-        lo[act] = np.where(up, lo_a, probe)
+        hi[act] = hi_a = np.where(up, probe, hi_a)
+        lo[act] = lo_a = np.where(up, lo_a, probe)
         p_lo[act] = np.where(up, p_lo[act], p)
-        step[act] = 2.0 * step_a
+        act, step = act[hi_a - lo_a > 1.0], 2.0 * step
     return hi, p_lo
 
 
@@ -406,11 +412,12 @@ def _poisson_quantile_summed(s, u):
     """(k, certified) for the quantile at 0 < s <= 20, 1e-12 < u < 1 - 1e-12, elementwise.
 
     Sums the cdf, F(j) = e^-s sum_{i <= j} s^i / i!, one term per pass over
-    every draw (term_j = term_{j-1} * (s / j)) until each draw has
-    F(j) >= u, and takes k as the first such j.  Against cephes' pdtr, the
-    cdf of the searched route, max |F(j) - pdtr(j, s)| is 1.7e-15 over
-    j <= 68 and 2.3e5 means in (0, 20] (uniform, a log grid from 1e-300,
-    and a fine grid up to 20).  A draw is certified when
+    every draw (term_j = term_{j-1} * (s / j)), one row per j, until the
+    smallest F(j) reaches the largest u, and takes k = #{j : F(j) < u},
+    the first j with F(j) >= u.  Against cephes' pdtr, the cdf of the
+    searched route, max |F(j) - pdtr(j, s)| is 1.7e-15 over j <= 68 and
+    2.3e5 means in (0, 20] (uniform, a log grid from 1e-300, and a fine
+    grid up to 20).  A draw is certified when
 
     * F(k) - u > M and
     * u - F(k - 1) > 1e-9 u + M (F(-1) = 0; this also gives u - F(k - 1) > M),
@@ -419,24 +426,26 @@ def _poisson_quantile_summed(s, u):
     nondecreasing, so pdtr(j, s) < u for every j < k and pdtr(j, s) > u for
     every j >= k: the search lands on this k, and u - pdtr(k - 1, s) >
     1e-9 u certifies it there as well.  A certified k is thus the searched
-    route's bit for bit; the rest (near a jump, near the gap, or not
-    reached in ``_SUMMED_TERMS`` = 68 terms, which the Bernstein bound of
-    ``_poisson_hi`` rules out for these u) go to that route.
+    route's bit for bit; the rest (near a jump, or near the gap) go to that
+    route.  The rows stop at j = ``_poisson_hi`` of the largest mean (68 at
+    20), where F(j) exceeds these u; blocks of 2000 draws keep them within 1.1 MB.
     """
+    if s.size > _SUMMED_BLOCK:
+        parts = [_poisson_quantile_summed(s[i:i + _SUMMED_BLOCK], u[i:i + _SUMMED_BLOCK])
+                 for i in range(0, s.size, _SUMMED_BLOCK)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    cdf = np.empty((_poisson_hi(s.max()) + 1, s.size))
     term = np.exp(-s)
-    cdf = term.copy()
-    below = np.zeros_like(s)
-    k = np.zeros_like(s)
-    for j in range(1, _SUMMED_TERMS + 1):
-        low = cdf < u
-        if not low.any():
-            break
-        np.copyto(below, cdf, where=low)
-        k += low
+    cdf[0], u_max, j = term, u.max(), 0
+    while j + 1 < len(cdf) and cdf[j].min() < u_max:
+        j += 1
         term *= s / j
-        np.add(cdf, term, out=cdf, where=low)
-    certified = (cdf - u > _SUMMED_MARGIN) & (u - below > _CERTIFIED_GAP * u + _SUMMED_MARGIN)
-    return k, certified
+        np.add(cdf[j - 1], term, out=cdf[j])
+    k = np.minimum((cdf[:j + 1] < u).sum(axis=0), j)
+    cols = np.arange(s.size)
+    below = np.where(k > 0, cdf[k - 1, cols], 0.0)  # k = 0 reads the last row, unused
+    certified = (cdf[k, cols] - u > _SUMMED_MARGIN) & (u - below > _CERTIFIED_GAP * u + _SUMMED_MARGIN)
+    return k.astype(float), certified
 
 
 def _poisson_quantile_searched(s, u):
@@ -503,21 +512,22 @@ def _poisson_quantile(s, u):
     s, u = np.broadcast_arrays(np.maximum(np.asarray(s, dtype=float), 0.0),
                                np.asarray(u, dtype=float))
     shape, s, u = s.shape, s.ravel(), u.ravel()
-    out = np.full(s.shape, np.nan)
-    inner = np.flatnonzero((s > 0.0) & (s < np.inf) & (u > 0.0) & (u < 1.0))
-    if inner.size:
-        s_in, u_in = s[inner], u[inner]
-        k = np.empty_like(s_in)
-        rest = ~((s_in <= _SUMMED_MEAN) & (u_in > _CERTIFIED_TAIL) & (u_in < 1.0 - _CERTIFIED_TAIL))
-        small = np.flatnonzero(~rest)
+    if (s.size and 0.0 < s.min() and s.max() <= _SUMMED_MEAN  # every draw summed: no masks or edges
+            and _CERTIFIED_TAIL < u.min() and u.max() < 1.0 - _CERTIFIED_TAIL):
+        out, certified = _poisson_quantile_summed(s, u)
+        rest = np.flatnonzero(~certified)
+    else:
+        out = _count_quantile_edges(s, u, np.full(s.shape, np.nan))
+        inner = (s > 0.0) & (s < np.inf) & (u > 0.0) & (u < 1.0)
+        small = np.flatnonzero(inner & (s <= _SUMMED_MEAN) & (u > _CERTIFIED_TAIL)
+                               & (u < 1.0 - _CERTIFIED_TAIL))
         if small.size:
-            k[small], certified = _poisson_quantile_summed(s_in[small], u_in[small])
-            rest[small[~certified]] = True
-        rest = np.flatnonzero(rest)
-        if rest.size:
-            k[rest] = _poisson_quantile_searched(s_in[rest], u_in[rest])
-        out[inner] = k
-    return _count_quantile_edges(s, u, out).reshape(shape)
+            out[small], certified = _poisson_quantile_summed(s[small], u[small])
+            inner[small[certified]] = False
+        rest = np.flatnonzero(inner)
+    if rest.size:
+        out[rest] = _poisson_quantile_searched(s[rest], u[rest])
+    return out.reshape(shape)
 
 
 def _count_quantile_edges(s, u, out):
@@ -558,19 +568,9 @@ class Poisson(_Discrete):
         return float(y) if y.ndim == 0 else y
 
     def sample_inverse(self, s, u):
-        """Poisson quantile, finite at every finite mean (``_poisson_quantile``).
-
-        Bit for bit ``stats.poisson.ppf`` up to a mean of 1e10.  For s <= 20
-        and u more than 1e-12 from 0 and 1 the cdf is summed term by term
-        and k is kept where u lies more than 1e-12 (600 times the sum's
-        largest distance to pdtr) from the cdf on both sides of it and from
-        the gap below; nearly every such draw is kept.  Every other draw is
-        the smallest k with pdtr(k, s) >= u, from a Cornish-Fisher start in
-        at most 128 probes of pdtr, and scipy where this search cannot
-        certify: s > 1e5, u within 1e-12 of 0 or 1, or u - pdtr(k - 1, s)
-        <= 1e-9 u.  Above 1e10 the search alone (approximate for s >=
-        2**52).  s = 0 and u = 0 give 0, u = 1 and s = inf give inf, NaN
-        gives NaN, all at once.
+        """Poisson quantile, finite at every finite mean, by the routes of ``_poisson_quantile``
+        (bit for bit ``stats.poisson.ppf`` up to a mean of 1e10).  s = 0 and u = 0 give 0,
+        u = 1 and s = inf give inf, NaN gives NaN, all at once.
         """
         return _poisson_quantile(s, u)
 
@@ -646,14 +646,25 @@ class NegBinomial(_Discrete):
     def sample_inverse(self, s, u):
         """``stats.nbinom.ppf`` with the edge outcomes of ``Poisson.sample_inverse``.
 
-        s = 0 and u = 0 give 0 (scipy gives -1 at u = 0), u = 1 and s = inf
-        give inf (scipy: NaN at s = inf), NaN in s or u and u outside [0, 1]
-        give NaN; negative s counts as 0.
+        For u > 1/2 it is ``stats.nbinom.isf(1 - u)`` (1 - u is exact): boost's
+        ppf searches a cdf rounded near 1, slowly at large means (no return
+        at s = 2**52, u = 1 - 1e-10).  Above a finite mean of 2**52, where
+        boost may not return at any u, it is the gamma mixture's quantile
+        ceil((s / r) P^-1(r, u)), P the regularized lower incomplete gamma:
+        approximate, as the Poisson quantile is there.  s = 0 and u = 0 give 0
+        (scipy gives -1 at u = 0), u = 1 and s = inf give inf (scipy: NaN at
+        s = inf), NaN in s or u and u outside [0, 1] give NaN; negative s
+        counts as 0.
         """
         s, u = np.broadcast_arrays(np.maximum(np.asarray(s, dtype=float), 0.0),
                                    np.asarray(u, dtype=float))
+        big = (s > _EXACT_QUANTILE_MEAN) & (s < np.inf)
+        out = np.empty(s.shape)
+        out[big] = np.ceil(s[big] / self.r * gammaincinv(self.r, u[big]))
         from scipy import stats  # first use only: no other family needs it
-        out = np.array(stats.nbinom.ppf(u, self.r, self._p_success(s)), dtype=float)
+        upper, lower = ~big & (u > 0.5), ~big & ~(u > 0.5)  # NaN u takes ppf
+        out[upper] = stats.nbinom.isf(1.0 - u[upper], self.r, self._p_success(s[upper]))
+        out[lower] = stats.nbinom.ppf(u[lower], self.r, self._p_success(s[lower]))
         return _count_quantile_edges(s, u, out)
 
     def phi(self):

@@ -1,6 +1,9 @@
 """Simulation, coupling traces, backward measures, W1, control statistics."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1058,3 +1061,77 @@ def test_backward_domain_errors_name_the_first_failing_replica():
         coupled_backward_cost(big, 0.0, 1.0, 5, path, 100, 1)
     e = info.value
     assert (e.t, e.replica, e.previous, e.state) == (-4, 0, 1e300, math.inf)
+
+
+def test_coupled_backward_cost_steps_one_stacked_batch_per_time(monkeypatch):
+    # both chains share every uniform, so they are drawn and stepped as one batch
+    from obsdriven import links
+
+    draws, steps = [], []
+    sample_inverse, step = od.Poisson.sample_inverse, links.step
+
+    def counting_draw(self, s, u):
+        draws.append((np.shape(s), np.shape(u)))
+        return sample_inverse(self, s, u)
+
+    def counting_step(link, row, s, y):
+        steps.append(np.shape(s))
+        return step(link, row, s, y)
+
+    monkeypatch.setattr(od.Poisson, "sample_inverse", counting_draw)
+    monkeypatch.setattr(links, "step", counting_step)
+    m = poisson_ingarch_x()
+    n, replicas = 13, 150
+    path = od.generate_path(m.covariates, -n, -1, 5)
+    cost = coupled_backward_cost(m, 0.0, 10.0, n, path, replicas, 5)
+    assert draws == [((2 * replicas,), (2 * replicas,))] * n
+    assert steps == [(2 * replicas,)] * n
+    monkeypatch.undo()
+    assert cost == _ref_backward_cost(m, 0.0, 10.0, n, path, replicas, 5)
+
+
+def test_coupled_backward_both_chains_failing_report_the_main_chain():
+    # f = 0.5 - y leaves the Poisson domain wherever y >= 1; the prime chain, at
+    # mean 5, fails at replicas before the main chain's (mean 0.1) first failure
+    m = od.ModelSpec(od.Poisson(), od.LinearLink(CM(0.0), CM(-1.0), CM(0.5), 1), od.Constant((1.0,)))
+    path = od.generate_path(m.covariates, -5, -1, 1)
+    replicas, seed = 200, 7
+    u = engine._obs_stream(seed, replicas).uniforms(-5, 1)[0]
+    y, yp = m.kernel.sample_inverse(np.full(replicas, 0.1), u), m.kernel.sample_inverse(np.full(replicas, 5.0), u)
+    first = int(np.flatnonzero(y >= 1)[0])
+    assert np.flatnonzero(yp >= 1)[0] < first
+    with pytest.raises(DomainViolation, match=r"^coupled backward step t=-5: state left the poisson domain$") as info:
+        coupled_backward_cost(m, 0.1, 5.0, 5, path, replicas, seed)
+    e = info.value
+    assert (e.t, e.replica, e.previous, e.y, e.state) == (-5, first, 0.1, y[first], 0.5 - y[first])
+
+    # the main chain leaves the domain while the prime one overflows, at the same step
+    big = od.ModelSpec(od.Poisson(), od.LinearLink(CM(1e300), CM(0.0), CM(-1.0), 1), od.Constant((1.0,)))
+    with pytest.raises(DomainViolation, match=r"^coupled backward step t=-5: state left") as info:
+        coupled_backward_cost(big, 0.0, 1e10, 5, path, 100, 1)
+    assert (info.value.replica, info.value.previous, info.value.state) == (0, 0.0, -1.0)
+
+
+_NB_DIVERGENT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import obsdriven as od
+from obsdriven.errors import StateOverflow
+
+CM = od.ConstantMap
+m = od.ModelSpec(od.NegBinomial(3), od.LinearLink(CM(4.0, True), CM(1.0, True), CM(1.0, True), 1, 0.0),
+                 od.Constant((1.0,)))
+try:
+    od.backward_measure(m, 1.0, 700, od.generate_path(m.covariates, -700, -1, 1), 200, 3)
+except StateOverflow as e:
+    print(e.t)
+"""
+
+
+def test_divergent_negbinomial_backward_run_ends_in_overflow():
+    # its means pass 1e19, where boost's quantile search does not return; in a
+    # process of its own, so that a hang ends in the timeout
+    src = str(Path(od.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _NB_DIVERGENT, src], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert -700 < int(out.stdout) < 0

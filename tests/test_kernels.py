@@ -3,6 +3,8 @@
 import ast
 import io
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +249,143 @@ def test_poisson_search_sees_only_the_uncertified_draws(monkeypatch):
     np.testing.assert_array_equal(got, sstats.poisson.ppf(u, s))
 
 
+def _masked_summed_quantile(s, u):
+    """The summed route as one masked pass per term, before the row buffer: the oracle."""
+    term = np.exp(-s)
+    cdf = term.copy()
+    below = np.zeros_like(s)
+    k = np.zeros_like(s)
+    for j in range(1, kernels._poisson_hi(20.0) + 1):
+        low = cdf < u
+        if not low.any():
+            break
+        np.copyto(below, cdf, where=low)
+        k += low
+        term *= s / j
+        np.add(cdf, term, out=cdf, where=low)
+    certified = (cdf - u > 1e-12) & (u - below > 1e-9 * u + 1e-12)
+    return k, certified
+
+
+def test_poisson_summed_rows_match_the_masked_loop():
+    # k and the certified flags, at means on (0, 20] down to 1e-300, on the
+    # cdf's jumps and 1 or 2 ulps beside them, in both tails and in the gap
+    from scipy.special import pdtr
+
+    rng = generator(41)
+    n = 3000
+    s = np.concatenate([rng.uniform(0.0, 20.0, n), 10.0 ** rng.uniform(-300.0, math.log10(20.0), n),
+                        np.nextafter(20.0, 0.0) - rng.integers(0, 4, 50) * 2.0**-48, [20.0, 1e-300, 5e-324]])
+    s = s[s > 0.0]
+    k = np.floor(s + rng.uniform(-6.0, 8.0, s.size) * np.sqrt(s))
+    jump = pdtr(np.maximum(k, 0.0), s)
+    gap = np.where(k > 0, pdtr(k - 1.0, s), 0.0) * (1.0 + rng.uniform(-1.5e-9, 2.5e-9, s.size))
+    tails = np.where(rng.random(s.size) < 0.5, rng.uniform(1e-12, 1e-9, s.size),
+                     1.0 - rng.uniform(1e-12, 1e-9, s.size))
+    us = [rng.random(s.size), jump, gap, tails]
+    for side in (0.0, 1.0):
+        us += [np.nextafter(jump, side), np.nextafter(np.nextafter(jump, side), side)]
+    s, u = np.tile(s, len(us)), np.concatenate(us)
+    keep = (u > 1e-12) & (u < 1.0 - 1e-12)
+    s, u = s[keep], u[keep]
+    got, want = kernels._poisson_quantile_summed(s, u), _masked_summed_quantile(s, u)
+    assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
+    np.testing.assert_array_equal(got[1], want[1])
+    assert 0 < np.count_nonzero(got[1]) < u.size  # both outcomes are exercised
+    # one mean per call, as a backward step at a narrow spread of means calls it
+    for i in rng.integers(0, s.size, 200):
+        got_one, want_one = kernels._poisson_quantile_summed(s[i:i + 1], u[i:i + 1]), _masked_summed_quantile(
+            s[i:i + 1], u[i:i + 1])
+        assert (got_one[0][0], got_one[1][0]) == (want_one[0][0], want_one[1][0])
+
+
+def test_poisson_quantile_fast_path_is_the_gathered_route(monkeypatch):
+    # a batch whose draws all fit the summed route skips the gathers and the
+    # edge pass, and sends exactly its uncertified draws to the searched route;
+    # its result equals the general route's on the same draws
+    rng = generator(43)
+    s, u = rng.uniform(0.01, 20.0, 4100), rng.uniform(1e-9, 1.0 - 1e-9, 4100)
+    u[:3] = kernels.pdtr(np.array([2.0, 5.0, 0.0]), s[:3])  # on jumps: uncertified
+    doubt = np.flatnonzero(~kernels._poisson_quantile_summed(s, u)[1])
+    assert 3 <= doubt.size < 10
+    edge = od.Poisson().sample_inverse(np.append(s, 0.0), np.append(u, 0.5))  # one edge draw: the general route
+    seen, searched = [], kernels._poisson_quantile_searched
+
+    def recording(s, u):
+        seen.append((s.copy(), u.copy()))
+        return searched(s, u)
+
+    def no_edges(*args):
+        raise AssertionError("edge pass on the fast path")
+
+    monkeypatch.setattr(kernels, "_poisson_quantile_searched", recording)
+    monkeypatch.setattr(kernels, "_count_quantile_edges", no_edges)
+    fast = od.Poisson().sample_inverse(s, u)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0][0], s[doubt])
+    np.testing.assert_array_equal(seen[0][1], u[doubt])
+    assert fast.tobytes() == edge[:-1].tobytes() and edge[-1] == 0.0
+    np.testing.assert_array_equal(fast, sstats.poisson.ppf(u, s))
+    assert od.Poisson().sample_inverse(s[:6].reshape(2, 3), u[:6].reshape(2, 3)).shape == (2, 3)
+    assert np.ndim(od.Poisson().sample_inverse(3.0, 0.5)) == 0
+
+
+def _per_pass_search(s, u):
+    """The pdtr search as one re-indexed pass per probe, neighbour included: the oracle."""
+    from scipy.special import ndtri, pdtr
+
+    z = ndtri(u)
+    k = np.maximum(np.ceil(s + np.sqrt(s) * z + (z * z - 1.0) / 6.0 - 0.5), 0.0)
+    exact = s < 2.0**52
+    p = pdtr(k, s)
+    above = p >= u
+    hi = np.where(above | ~exact, k, np.inf)
+    lo = np.where(~exact, k - 1.0, np.where(above, -np.inf, k))
+    p_lo = np.where(exact & ~above, p, np.nan)
+    step = np.ones_like(k)
+    for _ in range(128):
+        act = np.flatnonzero(hi - lo > 1.0)
+        if act.size == 0:
+            break
+        lo_a, hi_a, step_a = lo[act], hi[act], step[act]
+        with np.errstate(invalid="ignore"):
+            probe = np.where(
+                hi_a == np.inf, lo_a + step_a,
+                np.where(lo_a == -np.inf, np.maximum(hi_a - step_a, -1.0),
+                         lo_a + np.floor((hi_a - lo_a) / 2.0)),
+            )
+        p = np.where(probe >= 0.0, pdtr(np.maximum(probe, 0.0), s[act]), 0.0)
+        up = p >= u[act]
+        hi[act] = np.where(up, probe, hi_a)
+        lo[act] = np.where(up, lo_a, probe)
+        p_lo[act] = np.where(up, p_lo[act], p)
+        step[act] = 2.0 * step_a
+    return hi, p_lo
+
+
+def test_poisson_search_matches_the_per_pass_search():
+    # (k, pdtr(k - 1)) bit for bit, NaN included: in the bulk, both tails,
+    # on the cdf's jumps and 1 ulp beside them, and either side of 2**52
+    from scipy.special import pdtr
+
+    rng = generator(47)
+    n = 3000
+    s = np.concatenate([10.0 ** rng.uniform(-8.0, 12.0, n), rng.uniform(0.0, 60.0, n), [0.0, 1.0, 1e5],
+                        2.0**52 + np.arange(-4.0, 5.0) * 2.0, 10.0 ** rng.uniform(15.0, 20.0, 20)])
+    k = np.maximum(np.floor(s + rng.uniform(-7.0, 7.0, s.size) * np.sqrt(s)), 0.0)
+    jump = pdtr(k, s)
+    tails = 10.0 ** rng.uniform(-300.0, -1.0, s.size)
+    us = [rng.random(s.size), tails, 1.0 - tails, jump, np.nextafter(jump, 0.0), np.nextafter(jump, 1.0),
+          np.full(s.size, 2.0**-1074), np.full(s.size, 1.0 - 2.0**-53)]
+    s, u = np.tile(s, len(us)), np.concatenate(us)
+    keep = (u > 0.0) & (u < 1.0)
+    s, u = s[keep], u[keep]
+    got, want = kernels._poisson_quantile_search(s, u), _per_pass_search(s, u)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert np.isnan(got[1][(s >= 2.0**52) & (s < 2.0**53)]).all()  # unsearched there
+
+
 def test_poisson_sample_beyond_numpys_bound_is_an_inverse_draw():
     # rng.poisson refuses means above about 9.2e18; such a draw is the
     # quantile of one fresh uniform, and a batch keeps its other draws
@@ -297,6 +436,89 @@ def test_poisson_quantile_at_means_where_scipy_is_nan():
     k = od.Poisson().sample_inverse(s, u)
     z = (k - s) / np.sqrt(s)
     assert np.all(np.abs(z - sstats.norm.ppf(u)) < 1e-5)
+
+
+_NB_GRID = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+import obsdriven as od
+
+u = np.array([1e-300, 2.0**-54, 1e-10, 1e-3, 0.3, 0.5, 0.7, 0.999, 1 - 1e-10, 1 - 1e-14, 1 - 2.0**-53])
+for r in (1, 3, 50):
+    for s in np.append(np.logspace(0.0, 15.0, 16), [3e15, np.nextafter(2.0**52, 0.0), 2.0**52]):
+        k = od.NegBinomial(r).sample_inverse(np.full(u.size, s), u)
+        assert np.all(np.isfinite(k)) and np.all(np.diff(k) >= 0.0), (r, s, k)
+print("ok")
+"""
+
+
+def test_negbinomial_quantile_returns_below_the_cut():
+    # up to a mean of 2**52 the draws go to boost, which must return at every u
+    # an IndexedStream uniform can take (2**-54 to 1 - 2**-53): its ppf alone
+    # took seconds above s = 1e8 at u = 1 - 2**-53; a hang ends in the timeout
+    src = str(Path(od.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _NB_GRID, src], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.strip() == "ok"
+
+
+def test_negbinomial_upper_half_is_the_ppf():
+    # isf(1 - u) for u > 1/2 is ppf(u) away from the cdf's jumps
+    rng = generator(53)
+    for r in (1, 3, 50):
+        s, u = 10.0 ** rng.uniform(-3.0, 6.0, 4000), rng.random(4000)
+        np.testing.assert_array_equal(od.NegBinomial(r).sample_inverse(s, u),
+                                      sstats.nbinom.ppf(u, r, r / (r + s)))
+
+
+def test_negbinomial_quantile_at_huge_means_is_finite_and_monotone():
+    # above 2**52 the gamma mixture's quantile, without boost (which hangs at 1e19)
+    from scipy.special import gammaincinv
+
+    u = np.sort(np.concatenate([generator(59).random(200), [2.0**-1074, 1e-300, 1e-10, 0.5, 1 - 1e-10,
+                                                              1 - 2.0**-53]]))
+    for r in (1, 3, 50):
+        k = od.NegBinomial(r)
+        for s in (np.nextafter(2.0**52, np.inf), 1e19, 1e20, 1e50, 1e100, 1e200, 1e300):
+            y = k.sample_inverse(np.full(u.size, s), u)
+            assert np.all(np.isfinite(y)) and np.all(np.diff(y) >= 0.0), (r, s)
+            np.testing.assert_array_equal(y, np.ceil(s / r * gammaincinv(r, u)))
+        assert k.sample_inverse(1e19, 0.0) == 0.0 and k.sample_inverse(1e19, 1.0) == np.inf
+        assert np.isnan(k.sample_inverse(1e19, np.nan)) and np.isnan(k.sample_inverse(1e19, 1.5))
+        # on either side of the cut the two quantiles differ by the Poisson step, 1/sqrt(s) relative
+        bulk = u[(u > 1e-10) & (u < 1 - 1e-10)]
+        below = k.sample_inverse(np.full(bulk.size, 2.0**52), bulk)
+        above = k.sample_inverse(np.full(bulk.size, np.nextafter(2.0**52, np.inf)), bulk)
+        assert np.all(np.abs(above - below) <= 1e-6 * np.maximum(above, 1.0) + 1.0), r
+
+
+def _bounded_below_by_masks(s, floor):
+    """The array branch of ``kernels._bounded_below`` as two masks and np.all: the oracle."""
+    s = np.asarray(s, float)
+    return bool(np.all((s >= floor) & (s < np.inf)))
+
+
+def test_bounded_below_matches_the_masks():
+    hyp, st, settings = hypothesis_settings()
+    special = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 5e-324, -5e-324, 1.7e308])
+    values = st.one_of(special, st.floats(allow_nan=True, allow_infinity=True))
+    floors = st.sampled_from([0.0, -0.0, 1.0, float(np.finfo(float).min)])
+
+    @settings
+    @hyp.given(st.lists(values, max_size=6), floors, st.booleans())
+    def check(xs, floor, at_floor):
+        if at_floor:
+            xs = xs + [floor]
+        s = np.array(xs, dtype=float)
+        assert kernels._bounded_below(s, floor) is _bounded_below_by_masks(s, floor)
+        for x in xs[:2]:  # 0-d arrays
+            assert kernels._bounded_below(np.array(x), floor) is _bounded_below_by_masks(x, floor)
+        assert kernels._bounded_below(s.reshape(-1, 1), floor) is _bounded_below_by_masks(s, floor)
+
+    check()
+    assert kernels._bounded_below(np.empty(0), 0.0) is True
+    assert kernels._bounded_below(np.empty((0, 3)), 0.0) is True
 
 
 def test_count_domains_exclude_non_finite_states():
