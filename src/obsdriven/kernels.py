@@ -7,10 +7,11 @@ Every family carries four routes to the same object:
   experiments rely on);
 * ``phi`` returns the closed-form polynomial rate certifying
   d_TV(p(.|s), p(.|s')) <= 1 - exp(-phi(|s-s'|));
-* ``tv_exact`` is the exact oracle, independent of ``phi``: half the l1
-  distance of the two pmfs on a truncated support for discrete families
-  (the ``_pmfs`` hook), and for continuous ones a difference of cdfs at
-  the closed-form density crossings (Scheffe's identity);
+* ``tv_exact`` is the exact oracle, independent of ``phi``, by one rule,
+  Scheffe's identity: TV is the mass p(.|s) puts where it exceeds
+  p(.|s'), a difference of two cdfs at the closed-form crossings of the
+  two laws (the count families' likelihood ratio is monotone in y);
+  the binary and multinomial families compare their few probabilities;
 * ``maximal_couple`` draws a pair with the prescribed marginals whose
   disagreement probability equals the total-variation distance.  One
   routine serves every family, the ordinary rejection coupling
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, gammaincinv, gammaln, log_ndtr, ndtr, ndtri, pdtr, pdtrik, stdtr, stdtrit
+from scipy.special import betaincc, expit, gammaincinv, gammaln, log_ndtr, ndtr, ndtri, pdtr, pdtrik, stdtr, stdtrit
 
 from .errors import (
     CouplingBudgetExceeded,
@@ -41,7 +42,6 @@ from .errors import (
 
 _CERT_GRID = np.logspace(-4, 2, 200)
 _CERT_MARGIN = 1.05
-_TAIL_Q = 2.5e-13  # discrete supports truncated at the 1 - 1e-12 quantile
 _COUPLE_CAP = 10**6
 # The count _pdfs' log1p arguments round to -1 only where s/y < about 2**-53;
 # the next float up stands in for log(0) there, a factor e^-35.7 per unit of y.
@@ -224,8 +224,10 @@ class ObservationKernel:
 
     def tv_exact(self, s, sp, tol: float = 1e-7) -> float:
         """d_TV(p(.|s), p(.|s')) within ``tol`` in (0, 1e-3]; ``tol`` is only
-        validated, as every family meets it by construction (closed forms, or
-        supports truncated at a 1e-12 tail)."""
+        validated, as every family meets it by construction (closed forms:
+        cdf differences at the crossings of the two laws), except Poisson
+        means within 18 standard deviations of each other above about 1e25,
+        where the crossing is a rounded float."""
         if not 0 < tol <= 1e-3:
             raise InvalidSpec("tv_exact needs tol in (0, 1e-3]")
         self.require_domain(s, sp)
@@ -300,28 +302,9 @@ def _scalar_pairs(bases, n_pairs, centered=False):
     return pairs[:n_pairs] if len(pairs) >= n_pairs else pairs
 
 
-class _Discrete(ObservationKernel):
-    """Families whose exact TV reads the two pmfs on one finite support (``_pmfs``)."""
-
-    def _pmfs(self, s, sp):
-        """(support as floats, p(.|s), p(.|s')) on a common finite support."""
-        raise NotImplementedError
-
-    def _tv_exact_impl(self, s, sp):
-        _, p, q = self._pmfs(s, sp)
-        return float(0.5 * np.abs(p - q).sum())
-
-
 # ---------------------------------------------------------------------------
 # count families
 # ---------------------------------------------------------------------------
-
-def _poisson_pmf(k, mu):
-    k = np.asarray(k, dtype=float)
-    if mu == 0.0:
-        return (k == 0).astype(float)
-    return np.exp(k * math.log(mu) - mu - gammaln(k + 1.0))
-
 
 def _poisson_hi(mu) -> int:
     # Bernstein tail: P(X >= mu + x) <= exp(-x^2 / (2 mu + 2x/3)) < 1e-13
@@ -329,9 +312,27 @@ def _poisson_hi(mu) -> int:
     return int(math.ceil(mu + 10.0 + math.sqrt(100.0 + 60.0 * mu))) + 1
 
 
-def _poisson_lo(mu) -> int:
-    # the lower tail P(X <= mu - x) <= exp(-x^2 / (2 mu)) < 1e-13 at the same x; 0 up to mu = 83
-    return max(0, int(math.floor(mu - 10.0 - math.sqrt(100.0 + 60.0 * mu))) - 1)
+def _poisson_cdf(k, s) -> float:
+    """P(X <= k) for X ~ Poisson(s), at one integer k >= 0 and s >= 0.
+
+    ``pdtr``, except more than 4.5 standard deviations from a mean over
+    1e5: there cephes sums a series capped at 2000 terms, which drops part
+    of the upper tail (1.3e-12 at s = 1e6, 1e-7 at 1e8, 2.6e-7 at 1e10),
+    and it returns NaN far below means from about 1e306.  Past that line
+    it is Q(k + 1, s), the regularized upper incomplete gamma function, by
+    the first two terms of Temme's uniform expansion (DLMF 8.12.3 and
+    8.12.8): within 1e-15 of 50-digit quadrature at means 1.1e5 to 1e20,
+    4.5 to 40 standard deviations out on either side.
+    """
+    if s <= 1e5 or abs(k - s) <= 4.5 * math.sqrt(s):
+        return float(pdtr(k, s))
+    a = k + 1.0
+    mu = (s - a) / a
+    # eta^2 / 2 = mu - log1p(mu), by its series where the difference would cancel
+    half = mu * mu * (0.5 - mu / 3.0 + mu * mu / 4.0 - mu**3 / 5.0) if abs(mu) < 1e-3 else mu - math.log1p(mu)
+    eta = math.copysign(math.sqrt(2.0 * half), mu)
+    return (0.5 * math.erfc(eta * math.sqrt(0.5 * a))
+            + math.exp(-0.5 * a * eta * eta) / math.sqrt(2.0 * math.pi * a) * (1.0 / mu - 1.0 / eta))
 
 
 # Below this mean every probe of the quantile search (at most s + 9 sqrt(s)
@@ -388,7 +389,7 @@ def _poisson_quantile_search(s, u):
     lo = np.where(exact, np.where(up, np.where(above, -np.inf, k), probe), k - 1.0)
     p_lo = np.where(exact, np.where(up, np.where(above, np.nan, p), q), np.nan)
     # only the draws still open gallop and bisect; every open draw has taken as many probes
-    act, step = np.flatnonzero(hi - lo > 1.0), 2.0
+    act, step = np.flatnonzero(exact & (hi - lo > 1.0)), 2.0
     for _ in range(_QUANTILE_PROBES - 1):
         if act.size == 0:
             break
@@ -543,7 +544,7 @@ def _count_quantile_edges(s, u, out):
 
 
 @dataclass(frozen=True, repr=False)
-class Poisson(_Discrete):
+class Poisson(ObservationKernel):
     family = "poisson"
     moment_order = 1
 
@@ -578,8 +579,16 @@ class Poisson(_Discrete):
         return PhiSpec(((1, 1.0),))
 
     def _tv_exact_impl(self, s, sp):
-        # windows (see _pmfs) that do not meet share less than 2e-13 of mass
-        return 1.0 if _poisson_hi(min(s, sp)) < _poisson_lo(max(s, sp)) else super()._tv_exact_impl(s, sp)
+        # for s < s' the pmf ratio (s'/s)^k e^(s - s') rises in k, so p(.|s) exceeds p(.|s')
+        # exactly up to k* (0 at s = 0, delta_0): TV = F_s(k*) - F_s'(k*)
+        s, sp = sorted((float(s), float(sp)))
+        if (sp - s) / (math.sqrt(sp) + math.sqrt(s)) > 9.0:
+            # the overlap is below the Bhattacharyya coefficient exp(-(sqrt s' - sqrt s)^2 / 2) <
+            # 3e-18, so TV rounds to 1; this also covers means whose float spacing exceeds 18
+            # standard deviations, where k* would round to s or s'
+            return 1.0
+        k = 0.0 if s == 0.0 else float(math.floor((sp - s) / math.log1p((sp - s) / s)))
+        return max(_poisson_cdf(k, s) - _poisson_cdf(k, sp), 0.0)  # rounding may dip below 0
 
     def _pdf(self, y, s):
         # the pmf times y^y e^-y / y!: exp(y log1p((s - y)/y) - (s - y)), e^-s at y = 0;
@@ -588,11 +597,6 @@ class Poisson(_Discrete):
             return (y == 0.0).astype(float)
         d = s - y
         return np.exp(y * np.log1p(np.maximum(d / np.maximum(y, 1.0), _LOG1P_FLOOR)) - d)
-
-    def _pmfs(self, s, sp):
-        # the window of integers where either pmf may reach 1e-13
-        k = np.arange(_poisson_lo(min(s, sp)), _poisson_hi(max(s, sp)) + 1, dtype=float)
-        return k, _poisson_pmf(k, float(s)), _poisson_pmf(k, float(sp))
 
     def conditional_moment(self, s, order):
         if order != 1:
@@ -605,7 +609,7 @@ class Poisson(_Discrete):
 
 
 @dataclass(frozen=True, repr=False)
-class NegBinomial(_Discrete):
+class NegBinomial(ObservationKernel):
     """NB(r, s/(s+r)) parameterized by its mean s; gamma-Poisson mixture."""
 
     r: int = 1
@@ -685,19 +689,16 @@ class NegBinomial(_Discrete):
         h = self.state_distance(s, sp)
         return float(1.0 - (1.0 + h / self.r) ** (-self.r))
 
-    def _pmfs(self, s, sp):
-        from scipy import stats  # first use only: no other family needs it
-        hi = int(stats.nbinom.isf(_TAIL_Q, self.r, self._p_success(max(s, sp, 1e-12))))
-        k = np.arange(hi + 2, dtype=float)
-        def pmf(mean):
-            if mean == 0.0:
-                return (k == 0).astype(float)
-            p = self.r / (self.r + mean)
-            return np.exp(
-                gammaln(k + self.r) - gammaln(self.r) - gammaln(k + 1.0)
-                + self.r * math.log(p) + k * math.log1p(-p)
-            )
-        return k, pmf(float(s)), pmf(float(sp))
+    def _tv_exact_impl(self, s, sp):
+        # for s < s' the pmf ratio ((r + s)/(r + s'))^r (s' (r + s)/(s (r + s')))^k rises in k:
+        # TV = F_s(k*) - F_s'(k*) at its crossing k* (0 at s = 0), with 1 - F_s(k) = I_(1-p)(k + 1, r)
+        # by ``betaincc`` (``betainc`` is 5.7e-9 off at s = 7.7e8, r = 2); k* lies in [s, s'], as in any
+        # exponential family, and its denominator underflows only for adjacent means above 4e307
+        s, sp = sorted((float(s), float(sp)))
+        r, d = self.r, sp - s
+        den = math.log1p(d / s * (r / (r + sp))) if s else math.inf
+        k = float(math.floor(min(r * math.log1p(d / (r + s)) / den, sp) if den else s))
+        return max(float(betaincc(r, k + 1.0, r / (r + sp)) - betaincc(r, k + 1.0, r / (r + s))), 0.0)
 
     def conditional_moment(self, s, order):
         if order != 1:
@@ -719,7 +720,7 @@ class NegBinomial(_Discrete):
 # binary families
 # ---------------------------------------------------------------------------
 
-class _Bernoulli(_Discrete):
+class _Bernoulli(ObservationKernel):
     moment_order = 1
 
     def _success(self, s):
@@ -743,9 +744,8 @@ class _Bernoulli(_Discrete):
         p1 = self._success(s)
         return np.array([1.0 - p1, p1])[y.astype(np.intp)]
 
-    def _pmfs(self, s, sp):
-        p1, q1 = float(self._success(s)), float(self._success(sp))
-        return np.array([0.0, 1.0]), np.array([1.0 - p1, p1]), np.array([1.0 - q1, q1])
+    def _tv_exact_impl(self, s, sp):
+        return abs(float(self._success(s)) - float(self._success(sp)))
 
     def conditional_moment(self, s, order):
         if order != 1:
@@ -784,7 +784,7 @@ class BernoulliProbit(_Bernoulli):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, repr=False)
-class Multinomial(_Discrete):
+class Multinomial(ObservationKernel):
     """Categories {0..N-1}; p(i|s) = exp(s_i)/S(s), S(s) = 1 + sum exp(s_j)."""
 
     n_categories: int = 2
@@ -827,9 +827,8 @@ class Multinomial(_Discrete):
     def _pdf(self, y, s):
         return self.probabilities(s)[0, y.astype(np.intp)]
 
-    def _pmfs(self, s, sp):
-        support = np.arange(self.n_categories, dtype=float)
-        return support, self.probabilities(s)[0], self.probabilities(sp)[0]
+    def _tv_exact_impl(self, s, sp):
+        return float(0.5 * np.abs(self.probabilities(s)[0] - self.probabilities(sp)[0]).sum())
 
     def conditional_moment(self, s, order):
         # one-hot observation vector: |y|_inf is 1 off category 0, else 0

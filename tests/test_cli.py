@@ -266,6 +266,9 @@ with tempfile.TemporaryDirectory() as tmp:
 # draws the Poisson search cannot certify: in the tails and at a large mean
 od.Poisson().sample_inverse([3.0, 3.0, 2e6], [1e-13, 1.0 - 1e-13, 0.5])
 assert not [m for m in HEAVY if m in sys.modules], "an uncertified Poisson draw"
+# the negative binomial TV oracle is closed-form; only its inverse-cdf sampler needs scipy.stats
+od.NegBinomial(3).tv_exact(1.0, 2.0)
+assert "scipy.stats" not in sys.modules, "NegBinomial.tv_exact"
 print("ok")
 """
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy import stats as sstats
-from scipy.special import expit, log_ndtr, ndtr, pdtr, pdtrc
+from scipy.special import expit, gammaln, log_ndtr, ndtr, pdtr, pdtrc
 
 import obsdriven as od
 from obsdriven import kernels
@@ -344,7 +344,7 @@ def _per_pass_search(s, u):
     p_lo = np.where(exact & ~above, p, np.nan)
     step = np.ones_like(k)
     for _ in range(128):
-        act = np.flatnonzero(hi - lo > 1.0)
+        act = np.flatnonzero(exact & (hi - lo > 1.0))
         if act.size == 0:
             break
         lo_a, hi_a, step_a = lo[act], hi[act], step[act]
@@ -383,7 +383,7 @@ def test_poisson_search_matches_the_per_pass_search():
     got, want = kernels._poisson_quantile_search(s, u), _per_pass_search(s, u)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-    assert np.isnan(got[1][(s >= 2.0**52) & (s < 2.0**53)]).all()  # unsearched there
+    assert np.isnan(got[1][s >= 2.0**52]).all()  # unsearched there
 
 
 def test_poisson_sample_beyond_numpys_bound_is_an_inverse_draw():
@@ -744,12 +744,12 @@ def test_continuous_tv_exact_matches_quadrature_on_standard_pairs():
             assert k.tv_exact(s, sp, 1e-7) == pytest.approx(_overlap_by_quadrature(k, s, sp), abs=1e-8), (k, s, sp)
 
 
-def test_continuous_tv_exact_symmetric_bounded_and_monotone():
+def test_tv_exact_symmetric_bounded_and_monotone():
     hyp, st, settings = hypothesis_settings()
-    continuous = [k for k in all_kernels() if not k.discrete]
+    scalar = [k for k in all_kernels() if k.state_dim == 1]
 
     @settings
-    @hyp.given(st.sampled_from(continuous), st.floats(-1e3, 1e3),
+    @hyp.given(st.sampled_from(scalar), st.floats(-1e3, 1e3),
                st.floats(0.0, 1e2), st.floats(0.0, 1e2))
     def check(k, s, h1, h2):
         if k.domain_floor() is not None:
@@ -757,7 +757,9 @@ def test_continuous_tv_exact_symmetric_bounded_and_monotone():
         near, far = s + min(h1, h2), s + max(h1, h2)
         tv_near, tv_far = k.tv_exact(s, near), k.tv_exact(s, far)
         assert tv_near == k.tv_exact(near, s) and tv_far == k.tv_exact(far, s)
-        assert 0.0 <= tv_near <= tv_far <= 1.0
+        # the count families difference two cdfs at a crossing that moves with s'
+        slack = 1e-12 if k.domain_floor() == 0.0 else 0.0
+        assert 0.0 <= tv_near <= tv_far + slack and tv_far <= 1.0
 
     check()
 
@@ -812,13 +814,9 @@ def test_tv_monotone_in_separation_for_poisson():
     assert all(vals[i] <= vals[i + 1] + 1e-12 for i in range(len(vals) - 1))
 
 
-def test_poisson_window_leaves_out_under_1e_13_on_each_side():
+def test_poisson_hi_leaves_out_under_1e_13_above():
     for mu in np.geomspace(1e-3, 1e5, 80):
-        lo, hi = kernels._poisson_lo(mu), kernels._poisson_hi(mu)
-        assert lo == 0 or pdtr(lo - 1, mu) < 1e-13
-        assert pdtrc(hi, mu) < 1e-13
-    # the lower end stays 0, and so every pmf array stays as it was, up to a mean of 83
-    assert kernels._poisson_lo(83.4) == 0 < kernels._poisson_lo(83.5)
+        assert pdtrc(kernels._poisson_hi(mu), mu) < 1e-13
 
 
 def test_poisson_tv_exact_at_a_huge_mean_is_the_scheffe_form():
@@ -829,12 +827,96 @@ def test_poisson_tv_exact_at_a_huge_mean_is_the_scheffe_form():
     assert od.Poisson().tv_exact(s, sp) == pytest.approx(pdtr(kstar, s) - pdtr(kstar, sp), abs=1e-7)
 
 
+def _pmf_sum_tv(kernel, s, sp):
+    """TV as half the l1 distance of the two pmfs on 0 .. the 1 - 1e-12 quantile of the
+    larger mean: a reference for the count families that does not use the crossing."""
+    s, sp = float(s), float(sp)
+    if kernel.family == "poisson":
+        k = np.arange(kernels._poisson_hi(max(s, sp)) + 1, dtype=float)
+        log_pmf = lambda mu: k * math.log(mu) - mu - gammaln(k + 1.0)
+    else:
+        r = kernel.r
+        k = np.arange(int(sstats.nbinom.isf(2.5e-13, r, r / (r + max(s, sp, 1e-12)))) + 2, dtype=float)
+        log_pmf = lambda mu: (gammaln(k + r) - gammaln(r) - gammaln(k + 1.0)
+                              + r * math.log(r / (r + mu)) + k * math.log1p(-r / (r + mu)))
+    p, q = ((k == 0).astype(float) if mu == 0.0 else np.exp(log_pmf(mu)) for mu in (s, sp))
+    return 0.5 * np.abs(p - q).sum()
+
+
+@pytest.mark.parametrize("kernel", [od.Poisson(), od.NegBinomial(1), od.NegBinomial(3), od.NegBinomial(50)], ids=repr)
+def test_count_tv_exact_is_the_pmf_sum(kernel):
+    rng = generator(61)
+    means = 10.0 ** rng.uniform(-4.0, 4.0 if kernel.family == "poisson" else 3.0, (300, 2))
+    pairs = kernel.standard_pairs(200) + [tuple(m) for m in means] + [(0.0, m) for m in means[:20, 0]]
+    for s, sp in pairs:
+        assert kernel.tv_exact(s, sp) == pytest.approx(_pmf_sum_tv(kernel, s, sp), abs=1e-10), (s, sp)
+
+
+def test_binary_and_multinomial_tv_exact_is_half_the_l1_distance_of_their_pmfs():
+    rng = generator(62)
+    for k, success in ((od.BernoulliLogit(), expit), (od.BernoulliProbit(), ndtr)):
+        for s, sp in k.standard_pairs(200) + [tuple(x) for x in rng.normal(0.0, 4.0, (200, 2))]:
+            p, q = float(success(s)), float(success(sp))
+            assert k.tv_exact(s, sp) == pytest.approx(0.5 * (abs(p - q) + abs((1 - p) - (1 - q))), abs=1e-15)
+    k = od.Multinomial(4)
+    for s, sp in k.standard_pairs(200) + [tuple(x) for x in rng.normal(0.0, 3.0, (200, 2, 3))]:
+        p, q = (np.exp(np.concatenate([[0.0], x])) / (1.0 + np.exp(x).sum()) for x in (s, sp))
+        assert k.tv_exact(s, sp) == pytest.approx(0.5 * np.abs(p - q).sum(), abs=1e-14)
+
+
+def _mp_poisson_cdf(mp, k, s):
+    """P(X <= k), X ~ Poisson(s), as the Gamma(k + 1) mass above s, by quadrature split at its
+    standard deviations (mpmath's own gammainc takes minutes from a mean of 1e12)."""
+    a = k + 1
+    log_norm, sd = mp.loggamma(a), mp.sqrt(a)
+    cuts = sorted({s} | {a - 1 + j * sd for j in (-40, -12, -8, -4, -2, -1, 0, 1, 2, 4, 8, 12, 40)})
+    return mp.quad(lambda t: mp.exp((a - 1) * mp.log(t) - t - log_norm), [c for c in cuts if c >= s] + [mp.inf])
+
+
+def test_count_tv_exact_matches_mpmath_at_huge_means():
+    # Scheffe at 50 digits: k* from the exact means, F_s(k*) - F_s'(k*); s' from 0.001 to 40
+    # standard deviations above s, so k* lies up to 20 deviations from both means, beyond the
+    # 4.5 where pdtr alone starts to lose the upper tail (up to 2e-6 at these means)
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        for mean in (1e8, 1e10, 1e20):
+            for z in (1e-3, 0.3, 1.0, 3.0, 9.5, 12.0, 40.0):
+                s, sp = mean, mean + z * math.sqrt(mean)
+                ms, msp = mp.mpf(s), mp.mpf(sp)
+                k = mp.floor((msp - ms) / mp.log(msp / ms))
+                want = _mp_poisson_cdf(mp, k, ms) - _mp_poisson_cdf(mp, k, msp)
+                assert abs(od.Poisson().tv_exact(s, sp) - want) < 1e-10, (s, z)
+                for r in (1, 3, 50):
+                    sp = mean + z * math.sqrt(mean * (1.0 + mean / r))
+                    ms, msp = mp.mpf(s), mp.mpf(sp)
+                    k = mp.floor(r * mp.log((r + msp) / (r + ms)) / mp.log(msp * (r + ms) / (ms * (r + msp))))
+                    want = mp.betainc(r, k + 1, 0, r / (r + ms), regularized=True) - mp.betainc(
+                        r, k + 1, 0, r / (r + msp), regularized=True)
+                    assert abs(od.NegBinomial(r).tv_exact(s, sp) - want) < 1e-10, (r, s, z)
+    for k in (od.Poisson(), od.NegBinomial(3)):
+        assert 0.0 <= k.tv_exact(1e20, 1e20 + 1e10) <= 1.0  # a support table here once took 1.2 TiB
+
+
+def test_count_tv_exact_at_extreme_means_stays_in_the_unit_interval():
+    # from subnormal means to the largest float, beside 0, adjacent floats and far means: no
+    # exception (pdtr is NaN far below means past 1e306, and the crossing's log1p underflows
+    # for adjacent negative binomial means past 4e307), symmetric, and in [0, 1]
+    big = float(np.finfo(float).max)
+    for k in (od.Poisson(), od.NegBinomial(1), od.NegBinomial(50)):
+        for s in [5e-324] + [10.0**e for e in range(-320, 309, 7)] + [big]:
+            for sp in (0.0, 5e-324, 1.0, 1e10, 1e300, big, np.nextafter(s, 0.0), np.nextafter(s, big), 2.0 * s):
+                sp = float(min(sp, big))
+                tv = k.tv_exact(s, sp)
+                assert 0.0 <= tv <= 1.0 and tv == k.tv_exact(sp, s), (k, s, sp)
+
+
 def test_poisson_windows_apart_give_tv_one_and_independent_draws():
     k = od.Poisson()
-    for s, sp in ((2.0, 500.0), (1.0, 1e10 + 1.0), (1e10, 1e20)):
+    # the last two are adjacent floats, 58 and 1.5e134 standard deviations apart
+    for s, sp in ((2.0, 500.0), (1.0, 1e10 + 1.0), (1e10, 1e20), (1e35, 1.0000000000000001e35), (1e300, 1.0000000000000002e300)):
         assert k.tv_exact(s, sp) == k.tv_exact(sp, s) == 1.0
     full = np.arange(700.0)  # the whole support at (2, 500) leaves TV within 2e-13 of 1
-    assert 0.5 * np.abs(kernels._poisson_pmf(full, 2.0) - kernels._poisson_pmf(full, 500.0)).sum() > 1 - 2e-13
+    assert 0.5 * np.abs(sstats.poisson.pmf(full, 2.0) - sstats.poisson.pmf(full, 500.0)).sum() > 1 - 2e-13
     y, yp, met = k.couple_batch(2.0, 500.0, 20000, generator(12))
     assert not met.any() and np.all(y != yp)
     for draws, mean in ((y, 2.0), (yp, 500.0)):
@@ -948,7 +1030,6 @@ def test_coupling_does_not_call_the_oracle(monkeypatch):
         raise AssertionError("the coupling called the TV oracle")
 
     monkeypatch.setattr(kernels.ObservationKernel, "tv_exact", no_oracle)
-    monkeypatch.setattr(kernels._Discrete, "_pmfs", no_oracle)
     for cls in {type(k) for k in all_kernels()}:
         monkeypatch.setattr(cls, "_tv_exact_impl", no_oracle)
     for k in all_kernels():
