@@ -31,7 +31,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincc, expit, gammaincinv, gammaln, log_ndtr, ndtr, ndtri, pdtr, pdtrik, stdtr, stdtrit
+from scipy.special import (betainc, betaincc, erfc, expit, gammaincinv, gammaln, log_ndtr, ndtr, ndtri, pdtr, pdtrc,
+                           stdtr, stdtrit)
 
 from .errors import (
     CouplingBudgetExceeded,
@@ -312,8 +313,8 @@ def _poisson_hi(mu) -> int:
     return int(math.ceil(mu + 10.0 + math.sqrt(100.0 + 60.0 * mu))) + 1
 
 
-def _poisson_cdf(k, s) -> float:
-    """P(X <= k) for X ~ Poisson(s), at one integer k >= 0 and s >= 0.
+def _poisson_cdf(k, s):
+    """P(X <= k) for X ~ Poisson(s), elementwise at integers k >= 0 and s >= 0.
 
     ``pdtr``, except more than 4.5 standard deviations from a mean over
     1e5: there cephes sums a series capped at 2000 terms, which drops part
@@ -324,29 +325,35 @@ def _poisson_cdf(k, s) -> float:
     8.12.8): within 1e-15 of 50-digit quadrature at means 1.1e5 to 1e20,
     4.5 to 40 standard deviations out on either side.
     """
-    if s <= 1e5 or abs(k - s) <= 4.5 * math.sqrt(s):
-        return float(pdtr(k, s))
-    a = k + 1.0
-    mu = (s - a) / a
+    return _poisson_tail(k, s, 1.0)
+
+
+def _poisson_sf(k, s):
+    """P(X > k), the survival twin of ``_poisson_cdf``: ``pdtrc``, or P(k + 1, s) = 1 - Q by
+    the same two terms (DLMF 8.12.4), so the upper tail is not read as 1 less a rounded cdf."""
+    return _poisson_tail(k, s, -1.0)
+
+
+def _poisson_tail(k, s, sign):
+    out = pdtr(k, s) if sign > 0 else pdtrc(k, s)
+    far = (s > 1e5) & (abs(k - s) > 4.5 * s**0.5)  # Python operators: one pair stays in floats
+    if not np.count_nonzero(far):
+        return out
+    k, s = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(s, dtype=float))
+    out, a = np.array(out), k[far] + 1.0
+    mu = (s[far] - a) / a
     # eta^2 / 2 = mu - log1p(mu), by its series where the difference would cancel
-    half = mu * mu * (0.5 - mu / 3.0 + mu * mu / 4.0 - mu**3 / 5.0) if abs(mu) < 1e-3 else mu - math.log1p(mu)
-    eta = math.copysign(math.sqrt(2.0 * half), mu)
-    return (0.5 * math.erfc(eta * math.sqrt(0.5 * a))
-            + math.exp(-0.5 * a * eta * eta) / math.sqrt(2.0 * math.pi * a) * (1.0 / mu - 1.0 / eta))
+    half = np.where(np.abs(mu) < 1e-3, mu * mu * (0.5 - mu / 3.0 + mu * mu / 4.0 - mu**3 / 5.0), mu - np.log1p(mu))
+    eta = np.copysign(np.sqrt(2.0 * half), mu)
+    out[far] = (0.5 * erfc(sign * eta * np.sqrt(0.5 * a))
+                + sign * np.exp(-0.5 * a * eta * eta) / np.sqrt(2.0 * np.pi * a) * (1.0 / mu - 1.0 / eta))
+    return out[()]
 
 
-# Below this mean every probe of the quantile search (at most s + 9 sqrt(s)
-# + 12 for u < 1 - 2**-54, and galloping at most doubles the distance from
-# the start) is an integer that float64 holds exactly.
+# Below this mean every Poisson probe of the quantile search (at most
+# s + 9 sqrt(s) + 12 for u < 1 - 2**-54, and galloping at most doubles the
+# distance from the start) is an integer that float64 holds exactly.
 _EXACT_QUANTILE_MEAN = 2.0**52
-# Up to this mean a draw the search cannot certify is scipy's quantile;
-# above it scipy costs seconds per 2000 draws and returns NaN for u below
-# about 1/2 once s passes about 3e10 (see _poisson_quantile).
-_SCIPY_QUANTILE_MEAN = 1e10
-# The certification rule of _poisson_quantile, justified in its docstring.
-_CERTIFIED_MEAN = 1e5
-_CERTIFIED_TAIL = 1e-12
-_CERTIFIED_GAP = 1e-9
 # Galloping from a start in [0, 2**53) to a bracket takes at most 54 probes
 # and the bisection inside the bracket at most 54 more.
 _QUANTILE_PROBES = 128
@@ -359,37 +366,48 @@ _SUMMED_BLOCK = 2000
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
-def _poisson_quantile_search(s, u):
-    """(k, pdtr(k - 1, s)) for k = min{k >= 0 : pdtr(k, s) >= u}, finite s >= 0, u in (0, 1).
+def _count_quantile_search(s, u, cdf, sf, inv_r=0.0):
+    """k = min{k >= 0 : F(k) >= u} under a count family's float cdf, at finite s >= 0, u in (0, 1).
 
-    Starts from the normal quantile with the Cornish-Fisher skewness
-    correction and continuity correction, ceil(s + sqrt(s) z + (z^2 - 1)/6
-    - 1/2) (Giles, ACM TOMS Algorithm 955, 2016), which is within one of
-    the answer for s >= 1 in nearly every draw; probes the start's neighbour
-    on that side, which settles most draws in one array pass; then gallops
-    the draws still open away from the start until the answer is bracketed
-    and bisects the bracket, keeping
-    pdtr(lo, s) < u <= pdtr(hi, s) (lo = -1 is below the support, where
-    pdtr is 0; +-inf a side not found yet).  At most ``_QUANTILE_PROBES``
-    evaluations of pdtr per element; the second value is pdtr at the final
-    lo, so it costs none.  For s >= 2**52 the rounded start is returned
-    unsearched, with NaN for the second value: an approximation, float64
-    cannot hold every integer the search visits.
+    ``cdf(k, s)`` is F(k) and ``sf(k, s)`` is 1 - F(k), elementwise; where
+    u > 1/2 the search reads F(k) >= u as sf(k, s) <= 1 - u, which is exact
+    there, so the upper tail is not read through a cdf rounded near 1.  It
+    starts from the normal quantile with the Cornish-Fisher skewness and
+    continuity corrections, ceil(s + sqrt(s v) z + (1 + 2s/r)(z^2 - 1)/6
+    - 1/2) with v = 1 + s/r the variance over the mean (Giles, ACM TOMS
+    Algorithm 955, 2016, for Poisson, where 1/r = ``inv_r`` = 0), which is
+    within one of the answer for Poisson means s >= 1 in nearly every draw.
+    Each half is then bracketed and bisected by ``_count_quantile_bracket``.
+    For s >= 2**52 the rounded start is returned unsearched: an
+    approximation, float64 cannot hold every integer the search visits.
     """
-    z = ndtri(u)
-    k = np.maximum(np.ceil(s + np.sqrt(s) * z + (z * z - 1.0) / 6.0 - 0.5), 0.0)
-    exact = s < _EXACT_QUANTILE_MEAN
-    p = pdtr(k, s)
-    above = p >= u
-    # the start's neighbour first, over every draw: k - 1 where pdtr(k) >= u, else k + 1
+    z, w = ndtri(u), s * inv_r
+    k = np.maximum(np.ceil(s + np.sqrt(s * (1.0 + w)) * z + (1.0 + 2.0 * w) * (z * z - 1.0) / 6.0 - 0.5), 0.0)
+    searched, upper = s < _EXACT_QUANTILE_MEAN, u > 0.5
+    # -sf(k) >= u - 1 is F(k) >= u, and u - 1 is exact for u > 1/2
+    for half, t, g in ((searched & upper, u - 1.0, lambda k, s: -sf(k, s)), (searched & ~upper, u, cdf)):
+        k[half] = _count_quantile_bracket(k[half], s[half], t[half], g)
+    return k
+
+
+def _count_quantile_bracket(k, s, t, g):
+    """min{k >= 0 : g(k, s) >= t} for g nondecreasing in k, from the starts k.
+
+    Probes each start's neighbour on the side of the answer, which settles
+    most draws in one array pass; then gallops the draws still open away
+    from the start until the answer is bracketed and bisects the bracket,
+    keeping g(lo, s) < t <= g(hi, s) (lo = -1 is below the support, where no
+    draw is reached; +-inf a side not found yet).  At most
+    ``_QUANTILE_PROBES`` evaluations of g per element.
+    """
+    above = g(k, s) >= t
+    # the start's neighbour first, over every draw: k - 1 where g(k) >= t, else k + 1
     probe = np.where(above, k - 1.0, k + 1.0)
-    q = np.where(probe >= 0.0, pdtr(np.maximum(probe, 0.0), s), 0.0)
-    up = q >= u
-    hi = np.where(exact, np.where(up, probe, np.where(above, k, np.inf)), k)
-    lo = np.where(exact, np.where(up, np.where(above, -np.inf, k), probe), k - 1.0)
-    p_lo = np.where(exact, np.where(up, np.where(above, np.nan, p), q), np.nan)
+    up = (probe >= 0.0) & (g(np.maximum(probe, 0.0), s) >= t)
+    hi = np.where(up, probe, np.where(above, k, np.inf))
+    lo = np.where(up, np.where(above, -np.inf, k), probe)
     # only the draws still open gallop and bisect; every open draw has taken as many probes
-    act, step = np.flatnonzero(exact & (hi - lo > 1.0)), 2.0
+    act, step = np.flatnonzero(hi - lo > 1.0), 2.0
     for _ in range(_QUANTILE_PROBES - 1):
         if act.size == 0:
             break
@@ -400,36 +418,31 @@ def _poisson_quantile_search(s, u):
                 np.where(lo_a == -np.inf, np.maximum(hi_a - step, -1.0),
                          lo_a + np.floor((hi_a - lo_a) / 2.0)),
             )
-        p = np.where(probe >= 0.0, pdtr(np.maximum(probe, 0.0), s[act]), 0.0)
-        up = p >= u[act]
+        up = (probe >= 0.0) & (g(np.maximum(probe, 0.0), s[act]) >= t[act])
         hi[act] = hi_a = np.where(up, probe, hi_a)
         lo[act] = lo_a = np.where(up, lo_a, probe)
-        p_lo[act] = np.where(up, p_lo[act], p)
         act, step = act[hi_a - lo_a > 1.0], 2.0 * step
-    return hi, p_lo
+    return hi
 
 
 def _poisson_quantile_summed(s, u):
-    """(k, certified) for the quantile at 0 < s <= 20, 1e-12 < u < 1 - 1e-12, elementwise.
+    """(k, certified) for the quantile at 0 < s <= 20, 0 < u < 1, elementwise.
 
     Sums the cdf, F(j) = e^-s sum_{i <= j} s^i / i!, one term per pass over
     every draw (term_j = term_{j-1} * (s / j)), one row per j, until the
     smallest F(j) reaches the largest u, and takes k = #{j : F(j) < u},
-    the first j with F(j) >= u.  Against cephes' pdtr, the cdf of the
-    searched route, max |F(j) - pdtr(j, s)| is 1.7e-15 over j <= 68 and
-    2.3e5 means in (0, 20] (uniform, a log grid from 1e-300, and a fine
-    grid up to 20).  A draw is certified when
-
-    * F(k) - u > M and
-    * u - F(k - 1) > 1e-9 u + M (F(-1) = 0; this also gives u - F(k - 1) > M),
-
-    with M = ``_SUMMED_MARGIN`` = 1e-12, 600 times that error.  F is
-    nondecreasing, so pdtr(j, s) < u for every j < k and pdtr(j, s) > u for
-    every j >= k: the search lands on this k, and u - pdtr(k - 1, s) >
-    1e-9 u certifies it there as well.  A certified k is thus the searched
-    route's bit for bit; the rest (near a jump, or near the gap) go to that
-    route.  The rows stop at j = ``_poisson_hi`` of the largest mean (68 at
-    20), where F(j) exceeds these u; blocks of 2000 draws keep them within 1.1 MB.
+    the first j with F(j) >= u.  Against the search's cdfs, max |F(j) -
+    pdtr(j, s)| and max |F(j) - (1 - pdtrc(j, s))| are both 1.7e-15 over
+    j <= 68 and 2.3e5 means in (0, 20] (uniform, a log grid from 1e-300,
+    and a fine grid up to 20).  A draw is certified when F(k) - u > M and
+    u - F(k - 1) > M (F(-1) = 0), with M = ``_SUMMED_MARGIN`` = 1e-12, 600
+    times those errors.  F is nondecreasing, so pdtr(j, s) < u for every
+    j < k and pdtr(j, s) > u for every j >= k, and likewise pdtrc(j, s) >
+    1 - u and < 1 - u: ``_count_quantile_search`` lands on this k from
+    either half.  The rest (near a jump, or in a tail below M) go to the
+    search.  The rows stop at j = ``_poisson_hi`` of the largest mean (68 at
+    20), where F(j) exceeds these u; blocks of 2000 draws keep them within
+    1.1 MB.
     """
     if s.size > _SUMMED_BLOCK:
         parts = [_poisson_quantile_summed(s[i:i + _SUMMED_BLOCK], u[i:i + _SUMMED_BLOCK])
@@ -445,89 +458,38 @@ def _poisson_quantile_summed(s, u):
     k = np.minimum((cdf[:j + 1] < u).sum(axis=0), j)
     cols = np.arange(s.size)
     below = np.where(k > 0, cdf[k - 1, cols], 0.0)  # k = 0 reads the last row, unused
-    certified = (cdf[k, cols] - u > _SUMMED_MARGIN) & (u - below > _CERTIFIED_GAP * u + _SUMMED_MARGIN)
+    certified = (cdf[k, cols] - u > _SUMMED_MARGIN) & (u - below > _SUMMED_MARGIN)
     return k.astype(float), certified
 
 
-def _poisson_quantile_searched(s, u):
-    """The quantile from ``_poisson_quantile_search``, and scipy's where it cannot certify.
-
-    The search gives k with pdtr(k - 1, s) < u <= pdtr(k, s).  Scipy takes
-    ceil(r), for r cdflib's root of the continuous cdf at u, less one when
-    pdtr(ceil(r) - 1, s) >= u: that is k whenever r lies in (k - 1, k + 1],
-    and the exact root lies in (k - 1, k].  r leaves that interval only
-    when u sits a hair above pdtr(k - 1, s), so that cdflib's root
-    tolerance (relative 1e-8) or the gap between its cdf (DiDonato-Morris)
-    and cephes' pdtr pushes it below k - 1; or where pdtr itself is off: it
-    rounds the upper tail near u = 1 (s = 1868.32, u = 1 - 2**-53: scipy
-    2233, search 2232) and, past 4.5 standard deviations above means of a
-    few million, leaves its asymptotic series for a capped continued
-    fraction.  A draw is therefore certified, and scipy is not called, when
-
-    * s <= ``_CERTIFIED_MEAN`` = 1e5,
-    * ``_CERTIFIED_TAIL`` < u < 1 - ``_CERTIFIED_TAIL``, with 1e-12, and
-    * u - pdtr(k - 1, s) > ``_CERTIFIED_GAP`` * u, with 1e-9.
-
-    Mapped back to u, scipy's root at u = pdtr(k, s) lies within 7e-13 u of
-    the jump for every s <= 1e5 checked (k within 7 standard deviations), a
-    margin of 1000 to the gap.  The gap leaves to scipy every atom lighter
-    than 1e-9 u and, of each other atom, draws of probability at most 1e-9.
-    Sweeps against scipy find no mismatch at means up to 2e6 and the first
-    ones at 3.3e6, where pdtr's error reaches the gap (against mpmath,
-    within 7 standard deviations: below 1e-16 at 1e5, about 1e-12 at 1e6
-    and 1e-10 at 2e6); the cut at 1e5 keeps both margins at three orders of
-    magnitude or more.  Above 1e10, and wherever scipy returns NaN, the
-    search stands (approximate for s >= 2**52).
-    """
-    k, p_below = _poisson_quantile_search(s, u)
-    certified = ((s <= _CERTIFIED_MEAN) & (u > _CERTIFIED_TAIL) & (u < 1.0 - _CERTIFIED_TAIL)
-                 & (u - p_below > _CERTIFIED_GAP * u))
-    doubt = np.flatnonzero(~certified & (s <= _SCIPY_QUANTILE_MEAN))
-    if doubt.size:
-        ref = _scipy_poisson_ppf(s[doubt], u[doubt])
-        k[doubt] = np.where(np.isnan(ref), k[doubt], ref)
-    return k
-
-
-def _scipy_poisson_ppf(s, u):
-    """``stats.poisson.ppf(u, s)`` bit for bit at s >= 0, 0 < u < 1, without importing scipy.stats."""
-    r = np.ceil(pdtrik(u, s))
-    below = np.maximum(r - 1.0, 0.0)
-    return np.where(pdtr(below, s) >= u, below, r) + 0.0
-
-
 def _poisson_quantile(s, u):
-    """Poisson(s) quantile at u, elementwise; finite at every finite s.
+    """Poisson(s) quantile at u, elementwise: the smallest k with F(k) >= u under
+    ``_poisson_cdf`` (and ``_poisson_sf`` for u > 1/2), finite at every finite s.
 
-    Bit for bit ``stats.poisson.ppf`` up to a mean of 1e10
-    (``_SCIPY_QUANTILE_MEAN``), by two routes.  Draws with s <= 20 and u
-    more than 1e-12 from 0 and 1 first sum the cdf
-    (``_poisson_quantile_summed``), which certifies k when u lies more than
-    1e-12, 600 times the sum's distance to pdtr, from both cdf values
-    around it and from the certification gap of the searched route; that
-    k is the searched route's.  Every other draw takes the searched route
-    (``_poisson_quantile_searched``): a certified pdtr search, and scipy
-    for the draws it cannot certify.  Edge inputs reach neither route
-    (``_count_quantile_edges``); negative s counts as 0.
+    Draws with 0 < s <= 20 first sum the cdf (``_poisson_quantile_summed``),
+    which certifies k when u lies more than 1e-12 from both cdf values
+    around it; that k is the search's.  Every other draw is
+    ``_count_quantile_search``'s, approximate from a mean of 2**52.  ``pdtr``
+    reads a cdf below the smallest normal float (2.2e-308) as 0, so u below
+    it may land above the exact quantile; stream uniforms are >= 2**-54.
+    Edge inputs reach neither (``_count_quantile_edges``); negative s counts as 0.
     """
     s, u = np.broadcast_arrays(np.maximum(np.asarray(s, dtype=float), 0.0),
                                np.asarray(u, dtype=float))
     shape, s, u = s.shape, s.ravel(), u.ravel()
-    if (s.size and 0.0 < s.min() and s.max() <= _SUMMED_MEAN  # every draw summed: no masks or edges
-            and _CERTIFIED_TAIL < u.min() and u.max() < 1.0 - _CERTIFIED_TAIL):
-        out, certified = _poisson_quantile_summed(s, u)
+    if s.size and 0.0 < s.min() and s.max() <= _SUMMED_MEAN and 0.0 < u.min() and u.max() < 1.0:
+        out, certified = _poisson_quantile_summed(s, u)  # every draw summed: no masks or edges
         rest = np.flatnonzero(~certified)
     else:
         out = _count_quantile_edges(s, u, np.full(s.shape, np.nan))
         inner = (s > 0.0) & (s < np.inf) & (u > 0.0) & (u < 1.0)
-        small = np.flatnonzero(inner & (s <= _SUMMED_MEAN) & (u > _CERTIFIED_TAIL)
-                               & (u < 1.0 - _CERTIFIED_TAIL))
+        small = np.flatnonzero(inner & (s <= _SUMMED_MEAN))
         if small.size:
             out[small], certified = _poisson_quantile_summed(s[small], u[small])
             inner[small[certified]] = False
         rest = np.flatnonzero(inner)
     if rest.size:
-        out[rest] = _poisson_quantile_searched(s[rest], u[rest])
+        out[rest] = _count_quantile_search(s[rest], u[rest], _poisson_cdf, _poisson_sf)
     return out.reshape(shape)
 
 
@@ -569,8 +531,8 @@ class Poisson(ObservationKernel):
         return float(y) if y.ndim == 0 else y
 
     def sample_inverse(self, s, u):
-        """Poisson quantile, finite at every finite mean, by the routes of ``_poisson_quantile``
-        (bit for bit ``stats.poisson.ppf`` up to a mean of 1e10).  s = 0 and u = 0 give 0,
+        """Poisson quantile, the smallest k with F(k) >= u under ``_poisson_cdf`` (by
+        ``_poisson_quantile``), finite at every finite mean.  s = 0 and u = 0 give 0,
         u = 1 and s = inf give inf, NaN gives NaN, all at once.
         """
         return _poisson_quantile(s, u)
@@ -588,7 +550,7 @@ class Poisson(ObservationKernel):
             # standard deviations, where k* would round to s or s'
             return 1.0
         k = 0.0 if s == 0.0 else float(math.floor((sp - s) / math.log1p((sp - s) / s)))
-        return max(_poisson_cdf(k, s) - _poisson_cdf(k, sp), 0.0)  # rounding may dip below 0
+        return max(float(_poisson_cdf(k, s) - _poisson_cdf(k, sp)), 0.0)  # rounding may dip below 0
 
     def _pdf(self, y, s):
         # the pmf times y^y e^-y / y!: exp(y log1p((s - y)/y) - (s - y)), e^-s at y = 0;
@@ -648,28 +610,24 @@ class NegBinomial(ObservationKernel):
         return float(y) if y.ndim == 0 else y
 
     def sample_inverse(self, s, u):
-        """``stats.nbinom.ppf`` with the edge outcomes of ``Poisson.sample_inverse``.
-
-        For u > 1/2 it is ``stats.nbinom.isf(1 - u)`` (1 - u is exact): boost's
-        ppf searches a cdf rounded near 1, slowly at large means (no return
-        at s = 2**52, u = 1 - 1e-10).  Above a finite mean of 2**52, where
-        boost may not return at any u, it is the gamma mixture's quantile
-        ceil((s / r) P^-1(r, u)), P the regularized lower incomplete gamma:
-        approximate, as the Poisson quantile is there.  s = 0 and u = 0 give 0
-        (scipy gives -1 at u = 0), u = 1 and s = inf give inf (scipy: NaN at
-        s = inf), NaN in s or u and u outside [0, 1] give NaN; negative s
-        counts as 0.
+        """The smallest k with F(k) >= u under F(k) = ``betainc(r, k + 1, p)`` (read as
+        ``betaincc`` for u > 1/2), by ``_count_quantile_search``, with the edge outcomes of
+        ``Poisson.sample_inverse``; negative s counts as 0.  For u near 1 at r = 1 the quantile
+        passes 2**53, where it is exact only to float spacing, from a mean of about 2.4e14.
+        From a mean of 2**52 it is the gamma mixture's quantile ceil((s / r) P^-1(r, u)), P the
+        regularized lower incomplete gamma: approximate, as the Poisson quantile is there.
         """
+        r, p = self.r, self._p_success
         s, u = np.broadcast_arrays(np.maximum(np.asarray(s, dtype=float), 0.0),
                                    np.asarray(u, dtype=float))
-        big = (s > _EXACT_QUANTILE_MEAN) & (s < np.inf)
-        out = np.empty(s.shape)
-        out[big] = np.ceil(s[big] / self.r * gammaincinv(self.r, u[big]))
-        from scipy import stats  # first use only: no other family needs it
-        upper, lower = ~big & (u > 0.5), ~big & ~(u > 0.5)  # NaN u takes ppf
-        out[upper] = stats.nbinom.isf(1.0 - u[upper], self.r, self._p_success(s[upper]))
-        out[lower] = stats.nbinom.ppf(u[lower], self.r, self._p_success(s[lower]))
-        return _count_quantile_edges(s, u, out)
+        out = _count_quantile_edges(s, u, np.full(s.shape, np.nan))
+        inner = (s > 0.0) & (s < np.inf) & (u > 0.0) & (u < 1.0)
+        big = inner & (s >= _EXACT_QUANTILE_MEAN)
+        out[big] = np.ceil(s[big] / r * gammaincinv(r, u[big]))
+        small = inner & ~big
+        out[small] = _count_quantile_search(s[small], u[small], lambda k, s: betainc(r, k + 1.0, p(s)),
+                                            lambda k, s: betaincc(r, k + 1.0, p(s)), 1.0 / r)
+        return out
 
     def phi(self):
         return PhiSpec(((1, 1.0),))

@@ -263,12 +263,13 @@ with tempfile.TemporaryDirectory() as tmp:
             cli.run_manifest(cli.validate_manifest(raw), Path(tmp) / f"{i}-{cmd}")
             loaded = [m for m in HEAVY if m in sys.modules]
             assert not loaded, f"{cmd} on {type(model.kernel).__name__} loaded {loaded}"
-# draws the Poisson search cannot certify: in the tails and at a large mean
-od.Poisson().sample_inverse([3.0, 3.0, 2e6], [1e-13, 1.0 - 1e-13, 0.5])
+# Poisson draws the summed cdf cannot certify: in the tails, at large means and from 2**52
+od.Poisson().sample_inverse([3.0, 3.0, 2e6, 6.9e9, 1e12, 1e20], [1e-13, 1.0 - 1e-13, 0.5, 0.9999981, 0.3, 0.7])
 assert not [m for m in HEAVY if m in sys.modules], "an uncertified Poisson draw"
-# the negative binomial TV oracle is closed-form; only its inverse-cdf sampler needs scipy.stats
+# the negative binomial quantile near 0, 1/2 and 1, and its closed-form TV oracle
+od.NegBinomial(3).sample_inverse([5.0, 5.0, 5.0, 1e6], [2.0**-54, 0.5, 1.0 - 2.0**-53, 0.3])
 od.NegBinomial(3).tv_exact(1.0, 2.0)
-assert "scipy.stats" not in sys.modules, "NegBinomial.tv_exact"
+assert not [m for m in HEAVY if m in sys.modules], "NegBinomial"
 print("ok")
 """
 

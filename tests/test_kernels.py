@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy import stats as sstats
-from scipy.special import expit, gammaln, log_ndtr, ndtr, pdtr, pdtrc
+from scipy.special import betainc, betaincc, expit, gammaln, log_ndtr, ndtr, ndtri, pdtr, pdtrc
 
 import obsdriven as od
 from obsdriven import kernels
@@ -39,30 +39,58 @@ def _poisson_inputs(st, max_mean, u=None):
     return st.floats(0.0, max_mean), u
 
 
+def _count_cdfs(kernel):
+    """(F, 1 - F) of a count kernel as functions of (k, s): the float cdfs its quantile reads."""
+    if kernel.family == "poisson":
+        return kernels._poisson_cdf, kernels._poisson_sf
+    r = kernel.r
+    return (lambda k, s: betainc(r, k + 1.0, r / (r + s)), lambda k, s: betaincc(r, k + 1.0, r / (r + s)))
+
+
+def _check_count_quantile(kernel, s, u, ppf=None):
+    """Assert the quantile's own definition and, where u is clear of the jumps, scipy's ``ppf``.
+
+    F(k - 1) < u <= F(k) under the family's float cdf (F(-1) = 0), read for
+    u > 1/2 as 1 - F(k) <= 1 - u < 1 - F(k - 1); and k == ppf(u, s) wherever
+    u lies more than 1e-9 u from both F(k - 1) and F(k) and s <= 1e5, and
+    above the smallest normal float, below which ``pdtr`` reads 0.  Returns
+    the number of draws compared with ``ppf``.
+    """
+    s, u = (a.ravel() for a in np.broadcast_arrays(np.asarray(s, float), np.asarray(u, float)))
+    k = np.ravel(kernel.sample_inverse(s, u))
+    cdf, sf = _count_cdfs(kernel)
+    below = np.maximum(k - 1.0, 0.0)
+    f_lo, f_hi = np.where(k > 0.0, cdf(below, s), 0.0), cdf(k, s)
+    upper_ok = (sf(k, s) <= 1.0 - u) & (1.0 - u < np.where(k > 0.0, sf(below, s), 1.0))
+    bad = ~np.where(u > 0.5, upper_ok, (f_lo < u) & (u <= f_hi))
+    assert not bad.any(), (kernel, s[bad][:5], u[bad][:5], k[bad][:5])
+    if ppf is None:
+        return 0
+    clear = (s <= 1e5) & (u - f_lo > 1e-9 * u + np.finfo(float).tiny) & (f_hi - u > 1e-9 * u)
+    np.testing.assert_array_equal(k[clear], ppf(u[clear], s[clear]))
+    return int(clear.sum())
+
+
 def test_poisson_quantile_matches_scipy_where_finite():
     hyp, st, settings = hypothesis_settings()
 
     @settings
     @hyp.given(*_poisson_inputs(st, 1e10))
     def check(s, u):
-        ref = sstats.poisson.ppf(u, s)
-        if np.isfinite(ref):
-            assert od.Poisson().sample_inverse(s, u) == ref
+        _check_count_quantile(od.Poisson(), s, u, sstats.poisson.ppf)
 
     check()
 
 
 def test_poisson_quantile_search_matches_scipy_in_the_bulk():
-    # the search that takes over above a mean of 1e10 is the same quantile
-    # as scipy's wherever pdtr is accurate: within 4 standard deviations
-    from obsdriven.kernels import _poisson_quantile_search
-
+    # the search that every draw above a mean of 20 takes is scipy's quantile
+    # wherever the cdfs are accurate: within 4 standard deviations
     hyp, st, settings = hypothesis_settings()
 
     @settings
     @hyp.given(*_poisson_inputs(st, 1e10, st.floats(ndtr(-4.0), ndtr(4.0))))
     def check(s, u):
-        got = _poisson_quantile_search(np.array([s]), np.array([u]))[0]
+        got = kernels._count_quantile_search(np.array([s]), np.array([u]), *_count_cdfs(od.Poisson()))[0]
         assert got == sstats.poisson.ppf(u, s)
 
     check()
@@ -71,11 +99,12 @@ def test_poisson_quantile_search_matches_scipy_in_the_bulk():
 def test_poisson_quantile_nondecreasing_in_u():
     hyp, st, settings = hypothesis_settings()
     s_st, u_st = _poisson_inputs(st, 1e15)
+    families = st.sampled_from([od.Poisson(), od.NegBinomial(1), od.NegBinomial(3), od.NegBinomial(50)])
 
     @settings
-    @hyp.given(s_st, u_st, u_st)
-    def check(s, u1, u2):
-        lo, hi = od.Poisson().sample_inverse(s, np.array([min(u1, u2), max(u1, u2)]))
+    @hyp.given(families, s_st, u_st, u_st)
+    def check(kernel, s, u1, u2):
+        lo, hi = kernel.sample_inverse(s, np.array([min(u1, u2), max(u1, u2)]))
         assert lo <= hi
 
     check()
@@ -94,13 +123,11 @@ def test_poisson_quantile_finite_up_to_mean_1e15():
 
 
 def test_poisson_quantile_edge_inputs_return_at_once(monkeypatch):
-    from obsdriven import kernels
-
     def never(*args):
         raise AssertionError("edge input reached the quantile computation")
 
-    monkeypatch.setattr(kernels, "_poisson_quantile_search", never)
-    monkeypatch.setattr(kernels, "_scipy_poisson_ppf", never)
+    monkeypatch.setattr(kernels, "_count_quantile_search", never)
+    monkeypatch.setattr(kernels, "_poisson_quantile_summed", never)
     s = np.array([np.inf, np.nan, 3.0, 3.0, 3.0, 3.0, 0.0, np.inf])
     u = np.array([0.5, 0.5, np.nan, 0.0, 1.0, 1.5, 0.7, 1.0])
     got = od.Poisson().sample_inverse(s, u)
@@ -115,84 +142,64 @@ def test_negbinomial_quantile_edge_inputs():
 
 
 def test_poisson_quantile_matches_scipy_at_cdf_jumps():
-    # u = pdtr(k, s) and its float neighbours sit on and beside a jump of
-    # the cdf, where a certified search and scipy's root could part ways
-    from scipy.special import pdtr
-
+    # u = pdtr(k, s) and its float neighbours sit on and beside a jump of the
+    # cdf, where only the definition binds; u = pdtr(k, s) (1 +- 3e-9) is clear
+    # of it, where scipy's quantile must be the search's too
     hyp, st, settings = hypothesis_settings()
 
     @settings
     @hyp.given(st.one_of(st.floats(0.0, 1e10), st.floats(-3.0, 10.0).map(lambda e: 10.0**e)),
-               st.floats(-6.0, 6.0), st.sampled_from([-1, 0, 1]))
+               st.floats(-6.0, 6.0), st.sampled_from([-2, -1, 0, 1, 2]))
     def check(s, z, side):
         k = max(math.floor(s + z * math.sqrt(s)), 0)
         u = float(pdtr(k, s))
-        if side:
+        if abs(side) == 1:
             u = math.nextafter(u, side * math.inf)
+        elif side:
+            u *= 1.0 + math.copysign(3e-9, side)
         hyp.assume(0.0 < u < 1.0)
-        ref = sstats.poisson.ppf(u, s)
-        if np.isfinite(ref):
-            assert od.Poisson().sample_inverse(s, u) == ref
+        _check_count_quantile(od.Poisson(), s, u, sstats.poisson.ppf)
 
     check()
 
 
-def test_poisson_quantile_is_scipy_where_pdtr_drifts():
-    # 4.5 standard deviations above these means pdtr's tail is off by more
-    # than the certification gap: the search lands below scipy's quantile
-    from obsdriven.kernels import _poisson_quantile_search
+def test_poisson_quantile_is_the_50_digit_quantile_where_pdtr_drifts():
+    # 4.5 standard deviations above the first three means cephes' pdtr drops
+    # part of the upper tail, and at the fourth draw it rounds near 1, so a
+    # search on pdtr alone lands below the quantile; the third draw sits in
+    # pdtr's 3e-6 jump between adjacent k at s = 6.9e9.  The search reads that
+    # tail through its survival function (pdtrc, and Temme's expansion beyond
+    # 4.5 deviations) and lands on the 50-digit quantile (scipy 1.17 lands
+    # one below it at all four, pdtr alone 10 308 below at the third); so it
+    # does at means from 1e5 to 1e10 in both tails, 3 to 8 deviations out,
+    # where both pdtr and Temme's terms are read
+    mp = pytest.importorskip("mpmath").mp
+    s = np.array([3748452.024508666, 8108291.920843777, 6.9e9, 1868.32])
+    u = np.array([0.9999972414486797, 0.9999978904155897, 0.9999981194030738, 1.0 - 2.0**-53])
+    k = od.Poisson().sample_inverse(s, u)
+    np.testing.assert_array_equal(k, [3757253.0, 8121395.0, 6900384115.0, 2234.0])
+    assert np.all(kernels._count_quantile_search(s, u, pdtr, lambda k, s: 1.0 - pdtr(k, s)) < k)
+    rng = generator(67)
+    sampled = np.repeat(10.0 ** rng.uniform(5.0, 10.0, 8), 2)
+    s = np.append(s, sampled)
+    u = np.append(u, ndtr(rng.uniform(3.0, 8.0, sampled.size) * np.tile([-1.0, 1.0], 8)))
+    with mp.workdps(50):
+        for si, ui, ki in zip(s, u, od.Poisson().sample_inverse(s, u)):
+            assert _mp_poisson_cdf(mp, mp.mpf(ki) - 1, mp.mpf(si)) < ui <= _mp_poisson_cdf(mp, mp.mpf(ki), mp.mpf(si))
 
-    s = np.array([3748452.024508666, 8108291.920843777])
-    u = np.array([0.9999972414486797, 0.9999978904155897])
-    ref = sstats.poisson.ppf(u, s)
-    assert np.all(_poisson_quantile_search(s, u)[0] < ref)
-    np.testing.assert_array_equal(od.Poisson().sample_inverse(s, u), ref)
 
-
-def test_poisson_bulk_draws_do_not_call_scipy(monkeypatch):
+def test_poisson_bulk_draws_do_not_call_scipy():
+    # the bulk of the draws is scipy's quantile, with no scipy quantile left to call
     rng = generator(17)
     s, u = rng.uniform(0.5, 50.0, 2000), rng.random(2000)
-    ref = sstats.poisson.ppf(u, s)
-    calls = []
-    monkeypatch.setattr(kernels, "_scipy_poisson_ppf", lambda *args: calls.append(args))
-    got = od.Poisson().sample_inverse(s, u)
-    assert calls == []
-    np.testing.assert_array_equal(got, ref)
-
-
-def test_scipy_poisson_ppf_is_scipys_bit_for_bit():
-    # the uncertified draws' quantile, on scipy.special alone: on and
-    # beside the cdf's jumps, in both tails and at means from 1e-8 to 1e10
-    from scipy.special import pdtr
-
-    rng = generator(29)
-    n = 4000
-    s = np.concatenate([10.0 ** rng.uniform(-8.0, 6.0, n), 10.0 ** rng.uniform(6.0, 10.0, 50),
-                        rng.uniform(0.0, 30.0, n)])
-    k = np.maximum(np.floor(s + rng.uniform(-6.0, 6.0, s.size) * np.sqrt(s)), 0.0)
-    jump = pdtr(k, s)
-    tails = np.concatenate([10.0 ** rng.uniform(-16.0, -1.0, s.size // 2),
-                            1.0 - 10.0 ** rng.uniform(-16.0, -1.0, s.size - s.size // 2)])
-    s = np.tile(s, 5)
-    u = np.concatenate([rng.random(jump.size), tails, jump,
-                        np.nextafter(jump, 0.0), np.nextafter(jump, 1.0)])
-    keep = (u > 0.0) & (u < 1.0)
-    s, u = s[keep], u[keep]
-    got = kernels._scipy_poisson_ppf(s, u)
-    np.testing.assert_array_equal(got.view(np.int64), sstats.poisson.ppf(u, s).view(np.int64))
-
-
-def _searched_quantile(s, u):
-    """The route every draw took before the summed cdf: the pdtr search, and scipy where it cannot certify."""
-    return kernels._poisson_quantile_searched(np.array([s]), np.array([u]))[0]
+    assert not hasattr(kernels, "pdtrik")
+    np.testing.assert_array_equal(od.Poisson().sample_inverse(s, u), sstats.poisson.ppf(u, s))
 
 
 def test_poisson_summed_route_is_the_searched_route():
-    # draws at s <= 20 sum the cdf; on a jump, beside it, near the
-    # certification gap, in the tails and at means either side of 20 the
-    # quantile must still be the searched route's
-    from scipy.special import pdtr
-
+    # draws at s <= 20 sum the cdf; on a jump, beside it, within 1e-9 u of
+    # the jump below, in the tails and at means either side of 20 the quantile
+    # must still be the search's
     hyp, st, settings = hypothesis_settings()
     means = st.one_of(
         st.floats(0.0, 20.0, exclude_min=True),
@@ -217,36 +224,35 @@ def test_poisson_summed_route_is_the_searched_route():
         else:
             u = frac
         hyp.assume(0.0 < u < 1.0)
-        assert kernels._poisson_quantile(np.array([s]), np.array([u]))[0] == _searched_quantile(s, u)
+        s_, u_ = np.array([s]), np.array([u])
+        assert kernels._poisson_quantile(s_, u_)[0] == kernels._count_quantile_search(s_, u_, *_count_cdfs(od.Poisson()))[0]
 
     check()
 
 
 def test_poisson_search_sees_only_the_uncertified_draws(monkeypatch):
-    from scipy.special import pdtr
-
     rng = generator(23)
     bulk_s, bulk_u = rng.uniform(0.0, 20.0, 1000), rng.random(1000)
-    bulk_s[0], bulk_u[:2] = 20.0, (0.5, 1.5e-12)
-    # past 20, in the tails, on and beside a jump, inside the gap, and inside the gap's margin
-    rest_s = np.array([np.nextafter(20.0, np.inf), 35.0, 3.0, 3.0, 1.0, 1.0, 1.0, 7.0, 7.0])
+    # at 20, within 1e-9 u above a jump, and a tail draw 2e-12 clear of the margin
+    bulk_s[:4], bulk_u[:4] = (20.0, 7.0, 7.0, 3.0), (0.5, pdtr(4, 7.0) * (1.0 + 5e-10),
+                                                     (pdtr(4, 7.0) + 5e-13) / (1.0 - 1e-9), 3e-12)
+    # past 20, in the tails, on and beside a jump, and within the margin of one
+    rest_s = np.array([np.nextafter(20.0, np.inf), 35.0, 3.0, 3.0, 1.0, 1.0, 1.0, 7.0])
     rest_u = np.array([0.5, 0.3, 1e-12, 1.0 - 1e-12, pdtr(3, 1.0), np.nextafter(pdtr(3, 1.0), np.inf),
-                       np.nextafter(pdtr(3, 1.0), 0.0), pdtr(4, 7.0) * (1.0 + 5e-10),
-                       (pdtr(4, 7.0) + 5e-13) / (1.0 - 1e-9)])
+                       np.nextafter(pdtr(3, 1.0), 0.0), pdtr(4, 7.0) + 5e-13])
     s, u = np.concatenate([bulk_s, rest_s]), np.concatenate([bulk_u, rest_u])
     seen = []
-    search = kernels._poisson_quantile_search
+    search = kernels._count_quantile_search
 
-    def recording(s, u):
+    def recording(s, u, *args):
         seen.append((s.copy(), u.copy()))
-        return search(s, u)
+        return search(s, u, *args)
 
-    monkeypatch.setattr(kernels, "_poisson_quantile_search", recording)
-    got = od.Poisson().sample_inverse(s, u)
+    monkeypatch.setattr(kernels, "_count_quantile_search", recording)
+    assert _check_count_quantile(od.Poisson(), s, u, sstats.poisson.ppf) >= 1000
     assert len(seen) == 1
     np.testing.assert_array_equal(seen[0][0], rest_s)
     np.testing.assert_array_equal(seen[0][1], rest_u)
-    np.testing.assert_array_equal(got, sstats.poisson.ppf(u, s))
 
 
 def _masked_summed_quantile(s, u):
@@ -263,15 +269,13 @@ def _masked_summed_quantile(s, u):
         k += low
         term *= s / j
         np.add(cdf, term, out=cdf, where=low)
-    certified = (cdf - u > 1e-12) & (u - below > 1e-9 * u + 1e-12)
+    certified = (cdf - u > 1e-12) & (u - below > 1e-12)
     return k, certified
 
 
 def test_poisson_summed_rows_match_the_masked_loop():
     # k and the certified flags, at means on (0, 20] down to 1e-300, on the
-    # cdf's jumps and 1 or 2 ulps beside them, in both tails and in the gap
-    from scipy.special import pdtr
-
+    # cdf's jumps and 1 or 2 ulps beside them, within 1e-9 u of them and in both tails
     rng = generator(41)
     n = 3000
     s = np.concatenate([rng.uniform(0.0, 20.0, n), 10.0 ** rng.uniform(-300.0, math.log10(20.0), n),
@@ -280,13 +284,14 @@ def test_poisson_summed_rows_match_the_masked_loop():
     k = np.floor(s + rng.uniform(-6.0, 8.0, s.size) * np.sqrt(s))
     jump = pdtr(np.maximum(k, 0.0), s)
     gap = np.where(k > 0, pdtr(k - 1.0, s), 0.0) * (1.0 + rng.uniform(-1.5e-9, 2.5e-9, s.size))
-    tails = np.where(rng.random(s.size) < 0.5, rng.uniform(1e-12, 1e-9, s.size),
-                     1.0 - rng.uniform(1e-12, 1e-9, s.size))
+    tail = 10.0 ** rng.uniform(-16.0, -9.0, s.size)
+    tails = np.where(rng.random(s.size) < 0.5, tail, 1.0 - tail)
     us = [rng.random(s.size), jump, gap, tails]
     for side in (0.0, 1.0):
         us += [np.nextafter(jump, side), np.nextafter(np.nextafter(jump, side), side)]
     s, u = np.tile(s, len(us)), np.concatenate(us)
-    keep = (u > 1e-12) & (u < 1.0 - 1e-12)
+    # above 1 - 1e-12 no draw is certified, and the rows end at a cap set per block
+    keep = (u > 0.0) & (u < 1.0 - 1e-12)
     s, u = s[keep], u[keep]
     got, want = kernels._poisson_quantile_summed(s, u), _masked_summed_quantile(s, u)
     assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
@@ -301,7 +306,7 @@ def test_poisson_summed_rows_match_the_masked_loop():
 
 def test_poisson_quantile_fast_path_is_the_gathered_route(monkeypatch):
     # a batch whose draws all fit the summed route skips the gathers and the
-    # edge pass, and sends exactly its uncertified draws to the searched route;
+    # edge pass, and sends exactly its uncertified draws to the search;
     # its result equals the general route's on the same draws
     rng = generator(43)
     s, u = rng.uniform(0.01, 20.0, 4100), rng.uniform(1e-9, 1.0 - 1e-9, 4100)
@@ -309,39 +314,42 @@ def test_poisson_quantile_fast_path_is_the_gathered_route(monkeypatch):
     doubt = np.flatnonzero(~kernels._poisson_quantile_summed(s, u)[1])
     assert 3 <= doubt.size < 10
     edge = od.Poisson().sample_inverse(np.append(s, 0.0), np.append(u, 0.5))  # one edge draw: the general route
-    seen, searched = [], kernels._poisson_quantile_searched
+    seen, search = [], kernels._count_quantile_search
 
-    def recording(s, u):
+    def recording(s, u, *args):
         seen.append((s.copy(), u.copy()))
-        return searched(s, u)
+        return search(s, u, *args)
 
     def no_edges(*args):
         raise AssertionError("edge pass on the fast path")
 
-    monkeypatch.setattr(kernels, "_poisson_quantile_searched", recording)
+    monkeypatch.setattr(kernels, "_count_quantile_search", recording)
     monkeypatch.setattr(kernels, "_count_quantile_edges", no_edges)
     fast = od.Poisson().sample_inverse(s, u)
     assert len(seen) == 1
     np.testing.assert_array_equal(seen[0][0], s[doubt])
     np.testing.assert_array_equal(seen[0][1], u[doubt])
     assert fast.tobytes() == edge[:-1].tobytes() and edge[-1] == 0.0
-    np.testing.assert_array_equal(fast, sstats.poisson.ppf(u, s))
+    assert _check_count_quantile(od.Poisson(), s, u, sstats.poisson.ppf) > 4000
     assert od.Poisson().sample_inverse(s[:6].reshape(2, 3), u[:6].reshape(2, 3)).shape == (2, 3)
     assert np.ndim(od.Poisson().sample_inverse(3.0, 0.5)) == 0
 
 
-def _per_pass_search(s, u):
-    """The pdtr search as one re-indexed pass per probe, neighbour included: the oracle."""
-    from scipy.special import ndtri, pdtr
+def _per_pass_search(s, u, cdf, sf, inv_r=0.0):
+    """The count search as one re-indexed pass per probe over both halves, neighbour included: the oracle."""
+    z, w = ndtri(u), s * inv_r
+    k = np.maximum(np.ceil(s + np.sqrt(s * (1.0 + w)) * z + (1.0 + 2.0 * w) * (z * z - 1.0) / 6.0 - 0.5), 0.0)
+    upper = u > 0.5
 
-    z = ndtri(u)
-    k = np.maximum(np.ceil(s + np.sqrt(s) * z + (z * z - 1.0) / 6.0 - 0.5), 0.0)
+    def reached(k, i):  # F(k) >= u, read as 1 - F(k) <= 1 - u above 1/2; F(-1) = 0
+        kk, si, ui = np.maximum(k, 0.0), s[i], u[i]
+        return (k >= 0.0) & np.where(upper[i], sf(kk, si) <= 1.0 - ui, cdf(kk, si) >= ui)
+
     exact = s < 2.0**52
-    p = pdtr(k, s)
-    above = p >= u
+    every = np.arange(s.size)
+    above = reached(k, every)
     hi = np.where(above | ~exact, k, np.inf)
     lo = np.where(~exact, k - 1.0, np.where(above, -np.inf, k))
-    p_lo = np.where(exact & ~above, p, np.nan)
     step = np.ones_like(k)
     for _ in range(128):
         act = np.flatnonzero(exact & (hi - lo > 1.0))
@@ -354,20 +362,17 @@ def _per_pass_search(s, u):
                 np.where(lo_a == -np.inf, np.maximum(hi_a - step_a, -1.0),
                          lo_a + np.floor((hi_a - lo_a) / 2.0)),
             )
-        p = np.where(probe >= 0.0, pdtr(np.maximum(probe, 0.0), s[act]), 0.0)
-        up = p >= u[act]
+        up = reached(probe, act)
         hi[act] = np.where(up, probe, hi_a)
         lo[act] = np.where(up, lo_a, probe)
-        p_lo[act] = np.where(up, p_lo[act], p)
         step[act] = 2.0 * step_a
-    return hi, p_lo
+    return hi, k
 
 
 def test_poisson_search_matches_the_per_pass_search():
-    # (k, pdtr(k - 1)) bit for bit, NaN included: in the bulk, both tails,
-    # on the cdf's jumps and 1 ulp beside them, and either side of 2**52
-    from scipy.special import pdtr
-
+    # k bit for bit, for Poisson and the negative binomial: in the bulk, both
+    # tails, on the cdf's jumps and 1 ulp beside them, and either side of 2**52,
+    # from where the start is returned unsearched
     rng = generator(47)
     n = 3000
     s = np.concatenate([10.0 ** rng.uniform(-8.0, 12.0, n), rng.uniform(0.0, 60.0, n), [0.0, 1.0, 1e5],
@@ -380,10 +385,21 @@ def test_poisson_search_matches_the_per_pass_search():
     s, u = np.tile(s, len(us)), np.concatenate(us)
     keep = (u > 0.0) & (u < 1.0)
     s, u = s[keep], u[keep]
-    got, want = kernels._poisson_quantile_search(s, u), _per_pass_search(s, u)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-    assert np.isnan(got[1][s >= 2.0**52]).all()  # unsearched there
+    cdfs = _count_cdfs(od.Poisson())
+    got = kernels._count_quantile_search(s, u, *cdfs)
+    want, start = _per_pass_search(s, u, *cdfs)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(got[s >= 2.0**52], start[s >= 2.0**52])  # unsearched there
+    s, u = s[s < 2.0**52], u[s < 2.0**52]
+    bulk = (s >= 1.0) & (u > 1e-3) & (u < 1.0 - 1e-3)
+    for r in (1, 3, 50):
+        cdfs = _count_cdfs(od.NegBinomial(r))
+        got = kernels._count_quantile_search(s, u, *cdfs, 1.0 / r)
+        want, start = _per_pass_search(s, u, *cdfs, 1.0 / r)
+        assert got.tobytes() == want.tobytes(), r
+        # the skewness term of the start keeps it within a fifth of a standard deviation in the bulk
+        sd = np.sqrt(s * (1.0 + s / r))
+        assert np.quantile(np.abs(got - start)[bulk] / sd[bulk], 0.9) < 0.25, r
 
 
 def test_poisson_sample_beyond_numpys_bound_is_an_inverse_draw():
@@ -444,7 +460,7 @@ import numpy as np
 sys.path.insert(0, sys.argv[1])
 import obsdriven as od
 
-u = np.array([1e-300, 2.0**-54, 1e-10, 1e-3, 0.3, 0.5, 0.7, 0.999, 1 - 1e-10, 1 - 1e-14, 1 - 2.0**-53])
+u = np.array([2.0**-1074, 1e-300, 2.0**-54, 1e-10, 1e-3, 0.3, 0.5, 0.7, 0.999, 1 - 1e-10, 1 - 1e-14, 1 - 2.0**-53])
 for r in (1, 3, 50):
     for s in np.append(np.logspace(0.0, 15.0, 16), [3e15, np.nextafter(2.0**52, 0.0), 2.0**52]):
         k = od.NegBinomial(r).sample_inverse(np.full(u.size, s), u)
@@ -454,9 +470,10 @@ print("ok")
 
 
 def test_negbinomial_quantile_returns_below_the_cut():
-    # up to a mean of 2**52 the draws go to boost, which must return at every u
-    # an IndexedStream uniform can take (2**-54 to 1 - 2**-53): its ppf alone
-    # took seconds above s = 1e8 at u = 1 - 2**-53; a hang ends in the timeout
+    # below a mean of 2**52 the draws go to the search, which must return at
+    # every u, down to 2**-1074: boost's ppf, the route before it, took seconds
+    # above s = 1e8 at u = 1 - 2**-53 and 0.66-3.0 s at u = 2**-1074 from
+    # s = 1e15 at r = 50; a hang ends in the timeout
     src = str(Path(od.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", _NB_GRID, src], capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr[-2000:]
@@ -464,23 +481,25 @@ def test_negbinomial_quantile_returns_below_the_cut():
 
 
 def test_negbinomial_upper_half_is_the_ppf():
-    # isf(1 - u) for u > 1/2 is ppf(u) away from the cdf's jumps
+    # the search reads u > 1/2 through betaincc; in both halves it is boost's
+    # ppf wherever u is clear of the cdf's jumps
     rng = generator(53)
     for r in (1, 3, 50):
-        s, u = 10.0 ** rng.uniform(-3.0, 6.0, 4000), rng.random(4000)
-        np.testing.assert_array_equal(od.NegBinomial(r).sample_inverse(s, u),
-                                      sstats.nbinom.ppf(u, r, r / (r + s)))
+        s = 10.0 ** rng.uniform(-3.0, 6.0, 5000)
+        u = np.append(rng.random(4000), 1.0 - 10.0 ** rng.uniform(-16.0, -10.0, 1000))
+        ppf = lambda u, s: sstats.nbinom.ppf(u, r, r / (r + s))
+        assert _check_count_quantile(od.NegBinomial(r), s, u, ppf) > 3000
 
 
 def test_negbinomial_quantile_at_huge_means_is_finite_and_monotone():
-    # above 2**52 the gamma mixture's quantile, without boost (which hangs at 1e19)
+    # from 2**52 the gamma mixture's quantile, without a search (boost's ppf hung at 1e19)
     from scipy.special import gammaincinv
 
     u = np.sort(np.concatenate([generator(59).random(200), [2.0**-1074, 1e-300, 1e-10, 0.5, 1 - 1e-10,
                                                               1 - 2.0**-53]]))
     for r in (1, 3, 50):
         k = od.NegBinomial(r)
-        for s in (np.nextafter(2.0**52, np.inf), 1e19, 1e20, 1e50, 1e100, 1e200, 1e300):
+        for s in (2.0**52, np.nextafter(2.0**52, np.inf), 1e19, 1e20, 1e50, 1e100, 1e200, 1e300):
             y = k.sample_inverse(np.full(u.size, s), u)
             assert np.all(np.isfinite(y)) and np.all(np.diff(y) >= 0.0), (r, s)
             np.testing.assert_array_equal(y, np.ceil(s / r * gammaincinv(r, u)))
@@ -488,8 +507,8 @@ def test_negbinomial_quantile_at_huge_means_is_finite_and_monotone():
         assert np.isnan(k.sample_inverse(1e19, np.nan)) and np.isnan(k.sample_inverse(1e19, 1.5))
         # on either side of the cut the two quantiles differ by the Poisson step, 1/sqrt(s) relative
         bulk = u[(u > 1e-10) & (u < 1 - 1e-10)]
-        below = k.sample_inverse(np.full(bulk.size, 2.0**52), bulk)
-        above = k.sample_inverse(np.full(bulk.size, np.nextafter(2.0**52, np.inf)), bulk)
+        below = k.sample_inverse(np.full(bulk.size, np.nextafter(2.0**52, 0.0)), bulk)
+        above = k.sample_inverse(np.full(bulk.size, 2.0**52), bulk)
         assert np.all(np.abs(above - below) <= 1e-6 * np.maximum(above, 1.0) + 1.0), r
 
 
