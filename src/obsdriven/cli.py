@@ -202,7 +202,7 @@ def run_manifest(manifest: dict, out_dir: Path) -> tuple[int, str]:
     # diagnose
     length = params["length"]
     path = generate_path(model.covariates, 0, length - 1, split_seed(seed, engine._SEED_ENV))
-    H = params["H"] or max(10, min(50, length // 4))
+    H = params["H"] if params["H"] is not None else max(10, min(50, length // 4))
     if params["h"] is None or params["C"] is None:
         stats, C, h = engine.calibrate_regeneration(model, path, H)
         if params["h"] is not None:

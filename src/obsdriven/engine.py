@@ -309,12 +309,31 @@ def _obs_stream(seed: int, replicas: int) -> IndexedStream:
     return IndexedStream(split_seed(seed, _SEED_OBS), _TAG_BACKWARD, replicas)
 
 
-def _uniform_rows(stream: IndexedStream, t_start: int, t_end: int):
-    """The uniforms of times t_start .. t_end - 1, one row per time, fetched
-    ``_U_BLOCK`` times per call; counter addressing makes each row the one
-    ``stream.uniforms(t, 1)`` would give."""
-    for t in range(t_start, t_end, _U_BLOCK):
-        yield from stream.uniforms(t, min(_U_BLOCK, t_end - t))
+def _refuse_small_run(where: str, n: int, replicas: int):
+    if n < 1:
+        raise InvalidSpec(f"{where} needs n >= 1")
+    if replicas < 100:
+        raise InvalidSpec(f"{where} needs replicas >= 100")
+
+
+def _backward_steps(model: ModelSpec, lam, t_start: int, t_end: int, path: CovariatePath, seed: int,
+                    where: str, pair: bool = False):
+    """Step the batch lam from t_start to t_end along the path, yielding (row, y, lam) per time.
+
+    Each time t draws y by inverse transform from the per-(t, replica) uniforms,
+    fetched ``_U_BLOCK`` times per call (counter addressing makes each row the one
+    ``stream.uniforms(t, 1)`` would give); with ``pair``, lam stacks two chains
+    that share every uniform, stepped as one batch (``_step``'s ``pair``).
+    """
+    if path.t_min > t_start or path.t_max < t_end - 1:
+        raise PathTooShort(f"path [{path.t_min}, {path.t_max}] does not cover [{t_start}, {t_end - 1}]")
+    stream = _obs_stream(seed, len(lam) // 2 if pair else len(lam))
+    blocks = (stream.uniforms(t, min(_U_BLOCK, t_end - t)) for t in range(t_start, t_end, _U_BLOCK))
+    for t, row, u in zip(range(t_start, t_end), coefficient_table(model.link, path.window(t_start, t_end - 1)),
+                         itertools.chain.from_iterable(blocks)):
+        y = model.kernel.sample_inverse(lam, np.concatenate((u, u)) if pair else u)
+        lam = _step(model, row, lam, y, where, t, pair)
+        yield row, y, lam
 
 
 def backward_measure(
@@ -328,27 +347,12 @@ def backward_measure(
     per-(time, replica) uniforms, so runs sharing a seed are coupled on
     common time indices regardless of n or s0.
     """
-    if n < 1:
-        raise InvalidSpec("backward_measure needs n >= 1")
-    if replicas < 100:
-        raise InvalidSpec("backward_measure needs replicas >= 100")
-    t_start = t_end - n
-    if path.t_min > t_start or path.t_max < t_end - 1:
-        raise PathTooShort(
-            f"path [{path.t_min}, {path.t_max}] does not cover [{t_start}, {t_end - 1}]"
-        )
-    kernel, link = model.kernel, model.link
-    vector = kernel.state_dim > 1
-    stream = _obs_stream(seed, replicas)
-    if vector:
-        lam = np.tile(np.asarray(s0, dtype=float), (replicas, 1))
-    else:
-        lam = np.full(replicas, float(s0))
+    _refuse_small_run("backward_measure", n, replicas)
+    vector = model.kernel.state_dim > 1
+    lam = np.tile(np.asarray(s0, dtype=float), (replicas, 1)) if vector else np.full(replicas, float(s0))
     _check_state(model, lam, "start state")
-    for t, row, u in zip(range(t_start, t_end), coefficient_table(link, path.window(t_start, t_end - 1)),
-                         _uniform_rows(stream, t_start, t_end)):
-        y = kernel.sample_inverse(lam, u)
-        lam = _step(model, row, lam, y, "backward step t={t}", t)
+    for _, _, lam in _backward_steps(model, lam, t_end - n, t_end, path, seed, "backward step t={t}"):
+        pass
     meta = {
         "n_backward": n, "t_end": t_end, "replicas": replicas, "seed": seed,
         "start_state": np.asarray(s0).tolist() if vector else float(s0),
@@ -375,20 +379,12 @@ def coupled_backward_cost(
     """
     if model.kernel.state_dim > 1:
         raise InvalidSpec("gap tracking is defined for scalar-state models")
-    if n < 1:
-        raise InvalidSpec("need n >= 1")
-    t_start = t_end - n
-    if path.t_min > t_start or path.t_max < t_end - 1:
-        raise PathTooShort("path does not cover the backward window")
-    kernel, link = model.kernel, model.link
-    stream = _obs_stream(seed, replicas)
+    _refuse_small_run("coupled_backward_cost", n, replicas)
+    link, floor = model.link, model.link.floor
     lam = np.repeat([float(s0), float(s0_prime)], replicas)  # the main chain, then the prime one
     gap = np.full(replicas, abs(float(s0_prime) - float(s0)))
-    floor = link.floor
-    for t, row, u in zip(range(t_start, t_end), coefficient_table(link, path.window(t_start, t_end - 1)),
-                         _uniform_rows(stream, t_start, t_end)):
-        y = np.asarray(kernel.sample_inverse(lam, np.concatenate((u, u))), dtype=float)
-        lam = _step(model, row, lam, y, "coupled backward step t={t}", t, pair=True)
+    for row, y, lam in _backward_steps(model, lam, t_end - n, t_end, path, seed,
+                                       "coupled backward step t={t}", pair=True):
         y, yp, main, prime = y[:replicas], y[replicas:], lam[:replicas], lam[replicas:]
         mult = y == yp
         if floor is not None:
@@ -408,12 +404,7 @@ def push_measure(
     seed would use at index t, so pushed and directly-computed measures
     stay coupled.
     """
-    replicas = len(measure)
-    stream = _obs_stream(seed, replicas)
-    u = stream.uniforms(t, 1)[0]
-    y = model.kernel.sample_inverse(measure.points, u)
-    row = coefficient_table(model.link, path.value_at(t))[0]
-    lam = _step(model, row, measure.points, y, "push step t={t}", t)
+    _, _, lam = next(_backward_steps(model, measure.points, t, t + 1, path, seed, "push step t={t}"))
     meta = dict(measure.meta)
     meta["t_end"] = t + 1
     meta["pushed"] = True
@@ -427,20 +418,18 @@ def push_measure(
 @dataclass(frozen=True)
 class W1Result:
     value: float
-    exact: bool                   # solved on the full point sets (always for scalar states)
     n_used: int
-    spread: float = 0.0           # max-min over subsample draws when not exact
 
     def __float__(self):
         return self.value
 
 
 def _cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.ndim == 1:
-        c = np.abs(a[:, None] - b[None, :])
-    else:
-        c = np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
-    return np.minimum(c, 1.0)
+    """min(sup_j |a_j - b_j|, 1) for every pair, one coordinate at a time (no n x n x d array)."""
+    c = np.zeros((len(a), len(b)))
+    for aj, bj in zip(a.reshape(len(a), -1).T, b.reshape(len(b), -1).T):
+        np.maximum(c, np.abs(aj[:, None] - bj[None, :]), out=c)
+    return np.minimum(c, 1.0, out=c)
 
 
 def _assignment_cost(a: np.ndarray, b: np.ndarray) -> float:
@@ -537,26 +526,17 @@ def _line_hub_coupling(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     return ia, ib
 
 
-def _stratified_subsample(x: np.ndarray, k: int, rng) -> np.ndarray:
-    order = np.argsort(x if x.ndim == 1 else x[:, 0], kind="stable")
-    strata = np.array_split(order, k)
-    picks = [s[rng.integers(0, len(s))] for s in strata]
-    return x[np.array(picks)]
+def wasserstein1(mu, nu) -> W1Result:
+    """Exact W1 under min(|s-s'|, 1) between two uniform empirical measures.
 
-
-def wasserstein1(
-    mu, nu, *, seed: int = 0, max_exact: int = MAX_EXACT_ASSIGNMENT, subsample_draws: int = 8,
-) -> W1Result:
-    """W1 under min(|s-s'|, 1) between two uniform empirical measures.
-
-    Scalar states are solved exactly at any size by a sort and a pass over
-    the merged points (``_line_hub_coupling``), in O(n log n) time and O(n)
+    Scalar states are solved at any size by a sort and a pass over the
+    merged points (``_line_hub_coupling``), in O(n log n) time and O(n)
     memory.  Vector states (sup-norm) use an assignment solve on the full
-    cost matrix; larger vector inputs are handled by stratified subsampling
-    to ``max_exact`` points, averaged over ``subsample_draws`` draws.  Either
-    way the value is the exactly-rounded sum of the chosen coupling's costs.
-    NaN or infinite points, and an empty measure, raise ``InvalidSpec``;
-    measures of different sizes or state spaces raise ``SizeMismatch``.
+    cost matrix, up to ``MAX_EXACT_ASSIGNMENT`` points; more raise
+    ``InvalidSpec``.  Either way the value is the exactly-rounded sum of the
+    optimal coupling's costs.  NaN or infinite points, and an empty measure,
+    raise ``InvalidSpec``; measures of different sizes or state spaces raise
+    ``SizeMismatch``.
     """
     a = mu.points if isinstance(mu, EmpiricalMeasure) else np.asarray(mu, dtype=float)
     b = nu.points if isinstance(nu, EmpiricalMeasure) else np.asarray(nu, dtype=float)
@@ -571,18 +551,10 @@ def wasserstein1(
     n = len(a)
     if a.ndim == 1:
         ia, ib = _line_hub_coupling(a, b)
-        value = math.fsum(np.minimum(np.abs(a[ia] - b[ib]), 1.0)) / n
-        return W1Result(value, True, n)
-    if n <= max_exact:
-        return W1Result(_assignment_cost(a, b), True, n)
-    rng = generator(seed, 72)
-    vals = []
-    for _ in range(subsample_draws):
-        sa = _stratified_subsample(a, max_exact, rng)
-        sb = _stratified_subsample(b, max_exact, rng)
-        vals.append(_assignment_cost(sa, sb))
-    vals = np.asarray(vals)
-    return W1Result(float(vals.mean()), False, max_exact, float(vals.max() - vals.min()))
+        return W1Result(math.fsum(np.minimum(np.abs(a[ia] - b[ib]), 1.0)) / n, n)
+    if n > MAX_EXACT_ASSIGNMENT:
+        raise InvalidSpec(f"vector-state W1 is solved exactly up to {MAX_EXACT_ASSIGNMENT} points; got {n}")
+    return W1Result(_assignment_cost(a, b), n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -642,10 +614,12 @@ def stationary_sampler(
 ) -> StationaryResult:
     """Approximate the quenched stationary law at time 0 by backward doubling.
 
-    Doubles the backward horizon from 25, extending one environment path
-    into the past (counter-based streams keep the shared suffix fixed),
-    until consecutive measures are within ``tol`` in W1 (reason
-    ``"tolerance"``).  Non-convergence returns the last measure with a
+    Doubles the backward horizon from 25 along one environment path on
+    [-max_n, -1], each run reading the suffix it needs (counter-based
+    streams make that suffix the path a shorter run would generate), until
+    consecutive measures are within ``tol`` in W1 (reason ``"tolerance"``).
+    Vector states with more than ``MAX_EXACT_ASSIGNMENT`` replicas, which
+    W1 refuses, are refused before any run.  Non-convergence returns the last measure with a
     diagnostic rather than raising: ``converged=False`` with reason
     ``"max_n"`` when the budget runs out, or with the overflow message
     (the doubled n and the time index) when a doubled run overflows
@@ -659,17 +633,18 @@ def stationary_sampler(
     k = max_n / 25.0
     if max_n < 50 or abs(k - 2 ** round(math.log2(k))) > 1e-9:
         raise InvalidSpec("max_n must be 25 times a power of 2, at least 50")
+    if model.kernel.state_dim > 1 and replicas > MAX_EXACT_ASSIGNMENT:
+        raise InvalidSpec(f"vector-state W1 is solved exactly up to {MAX_EXACT_ASSIGNMENT} replicas; "
+                          f"got {replicas}")
     if s0 is None:
         s0 = model.start_state()
-    env_seed = split_seed(seed, _SEED_ENV)
+    path = generate_path(model.covariates, -max_n, -1, split_seed(seed, _SEED_ENV))
     n = 25
-    path = generate_path(model.covariates, -n, -1, env_seed)
     mu = backward_measure(model, s0, n, path, replicas, seed)
     history = []
     reason = "max_n"
     while 2 * n <= max_n:
         m = 2 * n
-        path = generate_path(model.covariates, -m, -1, env_seed)
         try:
             mu2 = backward_measure(model, s0, m, path, replicas, seed)
         except StateOverflow as e:
@@ -851,6 +826,8 @@ def calibrate_regeneration(
 ) -> tuple[WStats, float, int]:
     """Pick (h, C) on a pilot path: smallest h admitting any time, then the
     smallest grid C whose acceptance frequency reaches ``min_frequency``."""
+    if H < 1:
+        raise InvalidSpec("need 1 <= h <= H")
     for h in range(1, min(h_max, H) + 1):
         stats = w_stats(model, path, h, H)
         for C in c_grid:

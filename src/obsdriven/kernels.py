@@ -34,6 +34,7 @@ import numpy as np
 from scipy.special import (betainc, betaincc, erfc, expit, gammaincinv, gammaln, log_ndtr, ndtr, ndtri, pdtr, pdtrc,
                            stdtr, stdtrit)
 
+from .covariates import write_csv
 from .errors import (
     CouplingBudgetExceeded,
     InvalidSpec,
@@ -1093,16 +1094,7 @@ def tv_table(kernel: ObservationKernel, pairs, tol: float = 1e-7):
     return rows
 
 
-def _fmt_state(v) -> str:
-    if np.ndim(v):
-        return ";".join(format(float(c), ".17g") for c in np.asarray(v).ravel())
-    return format(float(v), ".17g")
-
-
 def tv_table_to_csv(rows, fileobj):
-    import csv as _csv
-
-    w = _csv.writer(fileobj)
-    w.writerow(["s", "s_prime", "tv_exact", "tv_bound"])
-    for s, sp, tve, tvb in rows:
-        w.writerow([_fmt_state(s), _fmt_state(sp), format(tve, ".17g"), format(tvb, ".17g")])
+    """Columns s, s_prime (s_1 .. s_k, s_prime_1 .. s_prime_k for vector states), tv_exact, tv_bound."""
+    cols = [np.asarray(c, dtype=float) for c in zip(*rows)] or [np.empty(0)] * 4
+    write_csv(fileobj, list(zip(("s", "s_prime", "tv_exact", "tv_bound"), cols)))

@@ -177,7 +177,9 @@ def test_norm_other_than_the_kernel_state_norm_is_manifest_error(tmp_path, capsy
     ("backward", {"s0": 0.0, "n": 50, "replicas": 20}, "backward_measure needs replicas >= 100"),
     ("verify", {"mc_n": 1000, "grid_size": 60, "oracle_tol": 1.0}, "tv_exact needs tol in (0, 1e-3]"),
     ("stationary", {"tol": -1.0, "max_n": 100, "replicas": 200}, "tol must be positive"),
-], ids=["backward-replicas", "verify-oracle_tol", "stationary-tol"])
+    ("diagnose", {"length": 600, "H": 0}, "need 1 <= h <= H"),
+    ("diagnose", {"length": 600, "H": -3}, "need 1 <= h <= H"),
+], ids=["backward-replicas", "verify-oracle_tol", "stationary-tol", "diagnose-H0", "diagnose-H-3"])
 def test_param_out_of_range_is_manifest_error(tmp_path, capsys, command, params, message):
     man = write_manifest(tmp_path, "m.json", {"command": command, "model": BENCH,
                                               "params": params, "seed": 3})

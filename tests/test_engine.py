@@ -189,6 +189,21 @@ def test_backward_requires_covering_path():
     path = od.generate_path(m.covariates, -10, -1, 0)
     with pytest.raises(PathTooShort):
         od.backward_measure(m, 0.0, 20, path, 200, 1)
+    with pytest.raises(PathTooShort):
+        coupled_backward_cost(m, 0.0, 1.0, 20, path, 200, 1)
+    mu = od.backward_measure(m, 0.0, 10, path, 200, 1)
+    with pytest.raises(PathTooShort):  # the push from t = 0 needs the path at 0
+        push_measure(m, mu, path, 0, 1)
+
+
+@pytest.mark.parametrize("run", [od.backward_measure, coupled_backward_cost], ids=lambda f: f.__name__)
+def test_backward_runs_refuse_too_few_replicas_or_steps(run):
+    m = poisson_ingarch_x()
+    path = od.generate_path(m.covariates, -10, -1, 0)
+    starts = (0.0,) if run is od.backward_measure else (0.0, 1.0)
+    for n, replicas, need in ((10, 0, "replicas >= 100"), (10, 20, "replicas >= 100"), (0, 200, "n >= 1")):
+        with pytest.raises(InvalidSpec, match=rf"^{run.__name__} needs {need}$"):
+            run(m, *starts, n, path, replicas, 1)
 
 
 def test_backward_gap_decreases_with_horizon():
@@ -259,17 +274,33 @@ def test_w1_unequal_sizes_are_refused():
         od.wasserstein1(np.zeros(100), np.full(150, 0.2))
 
 
-def test_w1_subsampling_for_large_inputs():
-    # vector states keep the assignment and subsample above max_exact;
-    # scalar states are solved exactly at any size
+def test_w1_is_exact_or_refused_for_large_inputs():
+    # vector states are solved by assignment up to MAX_EXACT_ASSIGNMENT points and
+    # refused above, also by the sampler before its first run; scalar states at any size
     rng = generator(71)
-    a = rng.normal(size=(5000, 2))
-    b = rng.normal(size=(5000, 2))
-    r = od.wasserstein1(a, b, max_exact=512, subsample_draws=4)
-    assert not r.exact and r.n_used == 512
-    assert r.spread >= 0.0 and r.value < 0.2
-    r = od.wasserstein1(a[:, 0], b[:, 0], max_exact=512, subsample_draws=4)
-    assert r.exact and r.n_used == 5000 and r.spread == 0.0
+    n = engine.MAX_EXACT_ASSIGNMENT + 1
+    with pytest.raises(InvalidSpec, match="solved exactly up to 4096 points"):
+        od.wasserstein1(rng.normal(size=(n, 2)), rng.normal(size=(n, 2)))
+    model = _step_core_models()["multinomial"]
+    with pytest.raises(InvalidSpec, match="solved exactly up to 4096 replicas"):
+        od.stationary_sampler(model, 0.01, 50, n, 1)
+    r = od.wasserstein1(rng.normal(size=5000), rng.normal(size=5000))
+    assert r.n_used == 5000 and 0.0 < r.value < 0.2
+
+
+def test_w1_vector_matches_bruteforce_property():
+    # vector states go through the assignment solve on the sup-norm cost matrix
+    hyp, st, settings = hypothesis_settings()
+    point = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([-0.5, 0.0, 0.5, 1.0]))
+
+    @settings
+    @hyp.given(st.integers(1, 7), st.integers(2, 3), st.data())
+    def check(n, d, data):
+        a, b = (np.array(data.draw(st.lists(point, min_size=n * d, max_size=n * d))).reshape(n, d)
+                for _ in range(2))
+        assert abs(od.wasserstein1(a, b).value - od.wasserstein1_bruteforce(a, b)) <= 2.3e-16
+
+    check()
 
 
 def test_w1_rejects_non_finite_points_and_empty_measures():

@@ -1242,3 +1242,9 @@ def test_tv_table_csv():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "s,s_prime,tv_exact,tv_bound"
     assert len(lines) == 3
+    # vector states get one column per coordinate, as in every result file
+    buf = io.StringIO()
+    tv_table_to_csv(tv_table(od.Multinomial(3), [(np.array([0.0, 0.5]), np.array([0.25, 0.0]))]), buf)
+    header, row = buf.getvalue().splitlines()
+    assert header == "s_1,s_2,s_prime_1,s_prime_2,tv_exact,tv_bound"
+    assert row.startswith("0,0.5,0.25,0,")
