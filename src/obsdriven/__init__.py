@@ -47,7 +47,6 @@ from .engine import (
 from .kernels import (
     BernoulliLogit,
     BernoulliProbit,
-    CoupleDraw,
     GarchGaussian,
     GaussianNoise,
     LaplaceNoise,

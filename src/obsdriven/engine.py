@@ -12,6 +12,12 @@ replica) by counter-based streams: runs with the same seed but different
 start states or different n share every uniform on common indices, which
 realizes the coupling the backward Cauchy argument is built on, and which
 keeps a path extension from perturbing the shared suffix.
+
+Two stepping cores, each fed and checked by ``_start_states``, serve every
+entry point: ``_forward_steps`` steps one chain or a coupled pair on Python
+floats from a sequential generator (a coupled draw takes a variable number
+of words, which no counter can address); ``_backward_steps`` steps replica
+batches by inverse transform from counter-addressed uniforms.
 """
 
 from __future__ import annotations
@@ -151,6 +157,51 @@ def _step(model: ModelSpec, row, s, y, where: str, t: int, pair: bool = False):
     return new
 
 
+def _start_states(model: ModelSpec, starts, where: str, replicas: int | None = None) -> list:
+    """Each start of one chain or a pair as a float or a (state_dim,) vector, or with ``replicas``
+    as that many copies (a measure's points are a batch as they are), checked by ``_check_state``
+    with t=None, the second with " (prime)"; a start of the wrong shape raises InvalidSpec."""
+    shape, out = (model.kernel.state_dim,) if model.kernel.state_dim > 1 else (), []
+    for s0, name in zip(starts, (where, where + " (prime)")):
+        batch = isinstance(s0, EmpiricalMeasure)
+        s = s0.points if batch else s0
+        try:
+            if np.shape(s)[1 if batch else 0:] != shape:
+                raise ValueError
+            s = s if batch else np.array(s, dtype=float) if shape else float(s)
+        except (TypeError, ValueError):
+            raise InvalidSpec(f"{name} must be {f'{shape[0]} numbers' if shape else 'a number'}; "
+                              f"got {s0!r:.80}") from None
+        if replicas is not None:
+            s = np.tile(s, (replicas, 1)) if shape else np.full(replicas, s)
+        _check_state(model, s, name)
+        out.append(s)
+    return out
+
+
+def _forward_steps(model: ModelSpec, starts, path: CovariatePath, rng):
+    """Step one chain, or a maximally coupled pair, along the path with the generator rng;
+    returns the histories (lam, y, lam', y', met), the primed ones left unset for one chain.
+    A lone chain, and a pair at equal states (glued: zero TV), draws once per step by
+    ``kernel.sample``; a pair at distinct states draws one ``couple_batch`` pair."""
+    kernel, pair, n = model.kernel, len(starts) == 2, len(path)
+    lam, lamp = _start_states(model, (starts * 2)[:2], "initial state")  # a lone chain is a glued pair
+    lam_h, lamp_h = (np.empty((n, kernel.state_dim) if kernel.state_dim > 1 else n) for _ in range(2))
+    y_h, yp_h, met_h = np.empty(n), np.empty(n), np.ones(n, dtype=bool)
+    for i, row in enumerate(coefficient_table(model.link, path.values).tolist()):
+        lam_h[i] = lam
+        if not pair or kernel.state_distance(lam, lamp) == 0.0:
+            y = yp = kernel.sample(lam, rng)
+        else:
+            (y,), (yp,), (met_h[i],) = kernel.couple_batch(lam, lamp, 1, rng)
+        y_h[i] = y
+        lam = _step(model, row, lam, y, "step t={t}", path.t_min + i)
+        if pair:
+            lamp_h[i], yp_h[i] = lamp, yp
+            lamp = _step(model, row, lamp, yp, "step t={t} (prime)", path.t_min + i)
+    return lam_h, y_h, lamp_h, yp_h, met_h
+
+
 # ---------------------------------------------------------------------------
 # forward simulation
 # ---------------------------------------------------------------------------
@@ -185,19 +236,8 @@ def simulate(model: ModelSpec, s0, t_min: int, t_max: int, seed: int) -> Traject
     if t_max < t_min:
         raise EmptyRange(f"empty range [{t_min}, {t_max}]")
     path = generate_path(model.covariates, t_min, t_max, split_seed(seed, _SEED_ENV))
-    rng = generator(seed, _SEED_OBS)
-    n = t_max - t_min + 1
-    vector = model.kernel.state_dim > 1
-    lam = np.asarray(s0, dtype=float).copy() if vector else float(s0)
-    _check_state(model, lam, "initial state")
-    lam_hist = np.empty((n, model.kernel.state_dim)) if vector else np.empty(n)
-    y_hist = np.empty(n)
-    for i, row in enumerate(coefficient_table(model.link, path.values).tolist()):
-        lam_hist[i] = lam
-        y = model.kernel.sample(lam, rng)
-        y_hist[i] = y
-        lam = _step(model, row, lam, y, "step t={t}", t_min + i)
-    return Trajectory(t_min, t_max, path.values, lam_hist, y_hist, seed)
+    lam, y, *_ = _forward_steps(model, (s0,), path, generator(seed, _SEED_OBS))
+    return Trajectory(t_min, t_max, path.values, lam, y, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -240,40 +280,16 @@ def couple_forward(model: ModelSpec, s0, s0_prime, path: CovariatePath, seed: in
     both chains then move through the shared link and covariate.  Identical
     states take a glued fast path (zero TV keeps the chains together).
     """
-    rng = generator(seed, _SEED_COUPLE)
-    kernel, link = model.kernel, model.link
-    n = len(path)
-    vector = kernel.state_dim > 1
-    lam = np.asarray(s0, dtype=float).copy() if vector else float(s0)
-    lamp = np.asarray(s0_prime, dtype=float).copy() if vector else float(s0_prime)
-    _check_state(model, lam, "initial state")
-    _check_state(model, lamp, "initial state (prime)")
-    shape = (n, kernel.state_dim) if vector else (n,)
-    lam_h = np.empty(shape)
-    lamp_h = np.empty(shape)
-    y_h = np.empty(n)
-    yp_h = np.empty(n)
-    met_h = np.empty(n, dtype=bool)
-    for i, row in enumerate(coefficient_table(link, path.values).tolist()):
-        lam_h[i], lamp_h[i] = lam, lamp
-        if kernel.state_distance(lam, lamp) == 0.0:
-            y = kernel.sample(lam, rng)
-            yp, met = y, True
-        else:
-            draw = kernel.maximal_couple(lam, lamp, rng)
-            y, yp, met = draw.y, draw.y_prime, draw.met
-        y_h[i], yp_h[i], met_h[i] = y, yp, met
-        lam = _step(model, row, lam, y, "step t={t}", path.t_min + i)
-        lamp = _step(model, row, lamp, yp, "step t={t} (prime)", path.t_min + i)
+    lam_h, y_h, lamp_h, yp_h, met_h = _forward_steps(model, (s0, s0_prime), path, generator(seed, _SEED_COUPLE))
     # first time from which every recorded draw agreed; unmet residual
     # draws come from disjoint supports, so met is equivalent to Y-equality
     not_met = np.flatnonzero(~met_h)
     meet_idx = int(not_met[-1]) + 1 if len(not_met) else 0
-    if meet_idx == n:  # the last draw disagreed
+    if meet_idx == len(path):  # the last draw disagreed
         meet_time, censored, gap_sum = None, True, float("nan")
     else:
         meet_time, censored = path.t_min + meet_idx, False
-        gap_sum = float(kernel.state_distance(lam_h[meet_idx:], lamp_h[meet_idx:]).sum())
+        gap_sum = float(model.kernel.state_distance(lam_h[meet_idx:], lamp_h[meet_idx:]).sum())
     return CouplingTrace(
         path.t_min, path.t_max, lam_h, lamp_h, y_h, yp_h, met_h,
         meet_time, censored, gap_sum, seed,
@@ -316,18 +332,22 @@ def _refuse_small_run(where: str, n: int, replicas: int):
         raise InvalidSpec(f"{where} needs replicas >= 100")
 
 
-def _backward_steps(model: ModelSpec, lam, t_start: int, t_end: int, path: CovariatePath, seed: int,
-                    where: str, pair: bool = False):
-    """Step the batch lam from t_start to t_end along the path, yielding (row, y, lam) per time.
+def _backward_steps(model: ModelSpec, starts, replicas: int | None, t_start: int, t_end: int,
+                    path: CovariatePath, seed: int, where: str):
+    """Step one chain's batch, or a pair's, from t_start to t_end along the path: yields
+    (None, None, lam) for the start (``_start_states``), then (row, y, lam) per time.
 
     Each time t draws y by inverse transform from the per-(t, replica) uniforms,
     fetched ``_U_BLOCK`` times per call (counter addressing makes each row the one
-    ``stream.uniforms(t, 1)`` would give); with ``pair``, lam stacks two chains
-    that share every uniform, stepped as one batch (``_step``'s ``pair``).
+    ``stream.uniforms(t, 1)`` would give); a pair stacks its two batches, which share
+    every uniform, and steps them as one (``_step``'s ``pair``).
     """
+    pair = len(starts) == 2
+    lam = np.concatenate(_start_states(model, starts, "start state", replicas))
+    yield None, None, lam
     if path.t_min > t_start or path.t_max < t_end - 1:
         raise PathTooShort(f"path [{path.t_min}, {path.t_max}] does not cover [{t_start}, {t_end - 1}]")
-    stream = _obs_stream(seed, len(lam) // 2 if pair else len(lam))
+    stream = _obs_stream(seed, len(lam) // len(starts))
     blocks = (stream.uniforms(t, min(_U_BLOCK, t_end - t)) for t in range(t_start, t_end, _U_BLOCK))
     for t, row, u in zip(range(t_start, t_end), coefficient_table(model.link, path.window(t_start, t_end - 1)),
                          itertools.chain.from_iterable(blocks)):
@@ -348,14 +368,11 @@ def backward_measure(
     common time indices regardless of n or s0.
     """
     _refuse_small_run("backward_measure", n, replicas)
-    vector = model.kernel.state_dim > 1
-    lam = np.tile(np.asarray(s0, dtype=float), (replicas, 1)) if vector else np.full(replicas, float(s0))
-    _check_state(model, lam, "start state")
-    for _, _, lam in _backward_steps(model, lam, t_end - n, t_end, path, seed, "backward step t={t}"):
-        pass
+    (_, _, lam), = deque(_backward_steps(model, (s0,), replicas, t_end - n, t_end, path, seed,
+                                         "backward step t={t}"), maxlen=1)
     meta = {
         "n_backward": n, "t_end": t_end, "replicas": replicas, "seed": seed,
-        "start_state": np.asarray(s0).tolist() if vector else float(s0),
+        "start_state": np.asarray(s0).tolist() if model.kernel.state_dim > 1 else float(s0),
         "path_hash": path.spec_hash,
     }
     return EmpiricalMeasure(lam, meta)
@@ -374,17 +391,18 @@ def coupled_backward_cost(
     below the resolution of the states themselves.
     The mean of min(gap, 1) is the cost of an explicit coupling of the two
     backward laws and hence an upper bound for their W1 distance.  States
-    are checked at every step as in ``backward_measure``: StateOverflow
-    for a non-finite one, DomainViolation for one outside the domain.
+    are checked at the start and at every step as in ``backward_measure``:
+    StateOverflow for a non-finite one, DomainViolation for one outside the domain.
     """
     if model.kernel.state_dim > 1:
         raise InvalidSpec("gap tracking is defined for scalar-state models")
     _refuse_small_run("coupled_backward_cost", n, replicas)
     link, floor = model.link, model.link.floor
-    lam = np.repeat([float(s0), float(s0_prime)], replicas)  # the main chain, then the prime one
-    gap = np.full(replicas, abs(float(s0_prime) - float(s0)))
-    for row, y, lam in _backward_steps(model, lam, t_end - n, t_end, path, seed,
-                                       "coupled backward step t={t}", pair=True):
+    steps = _backward_steps(model, (s0, s0_prime), replicas, t_end - n, t_end, path, seed,
+                            "coupled backward step t={t}")
+    _, _, lam = next(steps)  # the main chain, then the prime one
+    gap = np.abs(lam[replicas:] - lam[:replicas])
+    for row, y, lam in steps:
         y, yp, main, prime = y[:replicas], y[replicas:], lam[:replicas], lam[replicas:]
         mult = y == yp
         if floor is not None:
@@ -402,9 +420,9 @@ def push_measure(
 
     Uses the same per-(time, replica) uniforms as a backward run with this
     seed would use at index t, so pushed and directly-computed measures
-    stay coupled.
+    stay coupled.  Its points are checked as a start state.
     """
-    _, _, lam = next(_backward_steps(model, measure.points, t, t + 1, path, seed, "push step t={t}"))
+    *_, (_, _, lam) = _backward_steps(model, (measure,), None, t, t + 1, path, seed, "push step t={t}")
     meta = dict(measure.meta)
     meta["t_end"] = t + 1
     meta["pushed"] = True
@@ -614,9 +632,9 @@ def stationary_sampler(
 ) -> StationaryResult:
     """Approximate the quenched stationary law at time 0 by backward doubling.
 
-    Doubles the backward horizon from 25 along one environment path on
-    [-max_n, -1], each run reading the suffix it needs (counter-based
-    streams make that suffix the path a shorter run would generate), until
+    Doubles the backward horizon from 25 along one environment path, each
+    run of n steps generating only [-n, -1] (counter-based streams make it
+    the suffix of every longer run's path, so no run reads more), until
     consecutive measures are within ``tol`` in W1 (reason ``"tolerance"``).
     Vector states with more than ``MAX_EXACT_ASSIGNMENT`` replicas, which
     W1 refuses, are refused before any run.  Non-convergence returns the last measure with a
@@ -628,25 +646,23 @@ def stationary_sampler(
     outside the kernel's domain (a model error), and an overflow in the
     first run (n = 25), which leaves no finite measure to return.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise InvalidSpec("tol must be positive")
-    k = max_n / 25.0
-    if max_n < 50 or abs(k - 2 ** round(math.log2(k))) > 1e-9:
+    # NaN, inf and ints beyond the float range fail the bounds, before max_n / 25 is taken
+    if not 50 <= max_n <= float(np.finfo(float).max) or abs((k := max_n / 25.0) - 2 ** round(math.log2(k))) > 1e-9:
         raise InvalidSpec("max_n must be 25 times a power of 2, at least 50")
     if model.kernel.state_dim > 1 and replicas > MAX_EXACT_ASSIGNMENT:
         raise InvalidSpec(f"vector-state W1 is solved exactly up to {MAX_EXACT_ASSIGNMENT} replicas; "
                           f"got {replicas}")
-    if s0 is None:
-        s0 = model.start_state()
-    path = generate_path(model.covariates, -max_n, -1, split_seed(seed, _SEED_ENV))
-    n = 25
-    mu = backward_measure(model, s0, n, path, replicas, seed)
-    history = []
-    reason = "max_n"
+    s0 = model.start_state() if s0 is None else s0
+    # a run of n steps generates [-n, -1] alone: counter addressing makes it every longer run's suffix
+    path = functools.partial(generate_path, model.covariates, t_max=-1, seed=split_seed(seed, _SEED_ENV))
+    n, history, reason = 25, [], "max_n"
+    mu = backward_measure(model, s0, n, path(-n), replicas, seed)
     while 2 * n <= max_n:
         m = 2 * n
         try:
-            mu2 = backward_measure(model, s0, m, path, replicas, seed)
+            mu2 = backward_measure(model, s0, m, path(-m), replicas, seed)
         except StateOverflow as e:
             reason = f"overflow at n={m}: {e}"
             break

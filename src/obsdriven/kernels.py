@@ -12,7 +12,7 @@ Every family carries four routes to the same object:
   p(.|s'), a difference of two cdfs at the closed-form crossings of the
   two laws (the count families' likelihood ratio is monotone in y);
   the binary and multinomial families compare their few probabilities;
-* ``maximal_couple`` draws a pair with the prescribed marginals whose
+* ``couple_batch`` draws n pairs with the prescribed marginals whose
   disagreement probability equals the total-variation distance.  One
   routine serves every family, the ordinary rejection coupling
   (``_couple_batch``): it draws through ``sample`` and reads only the
@@ -125,17 +125,6 @@ def _student_location_rate(nu: float) -> float:
 # coupling draws
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoupleDraw:
-    y: float
-    y_prime: float
-    met: bool
-
-    def __post_init__(self):
-        if self.met and self.y != self.y_prime:
-            raise InvalidSpec("met=True requires y == y_prime")
-
-
 def _couple_batch(kernel, s, sp, n, rng):
     """Ordinary maximal coupling of p = p(.|s) and q = p(.|s'), for every family.
 
@@ -246,13 +235,7 @@ class ObservationKernel:
         if self.state_distance(s, sp) == 0.0:
             y = self.sample_inverse(s, rng.random(n))
             return np.asarray(y, float), np.asarray(y, float), np.ones(n, dtype=bool)
-        return self._couple_impl(s, sp, n, rng)
-
-    def maximal_couple(self, s, sp, rng) -> CoupleDraw:
-        y, yp, met = self.couple_batch(s, sp, 1, rng)
-        return CoupleDraw(float(y[0]), float(yp[0]), bool(met[0]))
-
-    _couple_impl = _couple_batch
+        return _couple_batch(self, s, sp, n, rng)
 
     def _pdf(self, y, s):
         """p(y|s) at the draws y, up to a positive factor of y alone."""

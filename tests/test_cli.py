@@ -187,6 +187,23 @@ def test_param_out_of_range_is_manifest_error(tmp_path, capsys, command, params,
     assert capsys.readouterr().err.startswith(f"manifest error: {message}")
 
 
+@pytest.mark.parametrize("command, model, params, message", [
+    ("simulate", BENCH, {"s0": [1.0, 2.0], "t_min": 0, "t_max": 9}, "initial state must be a number"),
+    ("simulate", MULTINOMIAL, {"s0": [0.0, 0.0, 0.0], "t_min": 0, "t_max": 9}, "initial state must be 2 numbers"),
+    ("couple", BENCH, {"s0": 0.0, "s0_prime": [1.0, 2.0], "horizon": 10}, "initial state (prime) must be a number"),
+    ("backward", BENCH, {"s0": [1.0, 2.0], "n": 10, "replicas": 100}, "start state must be a number"),
+    ("stationary", BENCH, {"s0": [1.0, 2.0], "max_n": 50, "replicas": 100}, "start state must be a number"),
+    ("stationary", BENCH, {"tol": float("nan"), "max_n": 50, "replicas": 100}, "tol must be positive"),
+], ids=["simulate-list", "simulate-multinomial-length", "couple-list", "backward-list", "stationary-list",
+        "stationary-nan-tol"])
+def test_edge_manifest_is_manifest_error(tmp_path, capsys, command, model, params, message):
+    # a start state of the wrong shape and a NaN tol end in a manifest error, not a traceback
+    man = write_manifest(tmp_path, "m.json", {"command": command, "model": model, "params": params, "seed": 3})
+    assert cli.main(["--manifest", str(man), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"manifest error: {message}") and "Traceback" not in err
+
+
 def test_overflow_in_the_first_run_still_raises(tmp_path):
     # a model error, not a manifest error: README's documented exception
     bad_model = dict(BENCH)

@@ -85,13 +85,14 @@ def test_one_step_conditional_kernel_consistency():
 # ---------------------------------------------------------------------------
 
 def test_couple_identical_starts_stay_glued():
-    m = poisson_ingarch_x()
-    path = od.generate_path(m.covariates, 0, 100, 3)
-    tr = od.couple_forward(m, 4.0, 4.0, path, 11)
-    assert tr.met.all()
-    assert tr.meet_time == 0
-    assert tr.lambda_gap_sum == 0.0
-    assert np.array_equal(tr.y, tr.y_prime)
+    # equal states draw once by kernel.sample, so the pair never splits, in every family
+    for name, m, _ in _family_models():
+        s0 = _start(m, 4.0)
+        path = od.generate_path(m.covariates, 0, 100, 3)
+        tr = od.couple_forward(m, s0, np.copy(s0), path, 11)
+        assert tr.met.all(), name
+        assert tr.meet_time == 0 and tr.lambda_gap_sum == 0.0, name
+        assert np.array_equal(tr.y, tr.y_prime) and np.array_equal(tr.lam, tr.lam_prime), name
 
 
 def test_couple_meeting_on_benchmark():
@@ -451,6 +452,40 @@ def test_count_chain_past_numpys_poisson_bound_overflows():
 def test_stationary_sampler_validates_max_n():
     with pytest.raises(InvalidSpec):
         od.stationary_sampler(poisson_ingarch_x(), 0.01, 300, 200, 1)
+
+
+def test_stationary_sampler_refuses_nan_tol_and_non_finite_max_n():
+    m = poisson_ingarch_x()
+    with pytest.raises(InvalidSpec, match="tol must be positive"):
+        od.stationary_sampler(m, math.nan, 400, 200, 1)
+    for max_n in (math.inf, math.nan, 25 * 2**2000):
+        with pytest.raises(InvalidSpec, match="max_n must be 25 times a power of 2"):
+            od.stationary_sampler(m, 0.01, max_n, 200, 1)
+
+
+def test_stationary_sampler_generates_only_the_windows_it_runs(monkeypatch):
+    # each run of n steps generates [-n, -1] alone, which is the suffix of the
+    # longer path a run used to read, so the measures keep their bits
+    windows = []
+    generate = engine.generate_path
+
+    def recording(spec, t_min, t_max, seed):
+        windows.append((t_min, t_max))
+        return generate(spec, t_min, t_max, seed)
+
+    monkeypatch.setattr(engine, "generate_path", recording)
+    link = od.LinearLink(CM(0.0, True), CM(0.0, True), CM(2.5, True), 1, 0.0)
+    m = od.ModelSpec(od.Poisson(), link, od.IID(od.Uniform(0.0, 1.0)))
+    res = od.stationary_sampler(m, 0.01, 25 * 2**16, 200, 3)
+    assert res.converged and res.n_final == 50
+    assert windows == [(-25, -1), (-50, -1)]
+
+    m, seed = poisson_ingarch_x(), 5
+    windows.clear()
+    res = od.stationary_sampler(m, 0.01, 400, 200, seed)
+    whole = generate(m.covariates, -400, -1, split_seed(seed, engine._SEED_ENV))
+    assert max(-t_min for t_min, _ in windows) == res.n_final < 400
+    assert _same_bits(res.measure.points, od.backward_measure(m, 0.0, res.n_final, whole, 200, seed).points)
 
 
 def test_invariance_push_through_kernel():
@@ -833,8 +868,7 @@ def _ref_couple(model, s0, s0p, path, seed):
             y = model.kernel.sample(lam, rng)
             yp, met = y, True
         else:
-            draw = model.kernel.maximal_couple(lam, lamp, rng)
-            y, yp, met = draw.y, draw.y_prime, draw.met
+            (y,), (yp,), (met,) = model.kernel.couple_batch(lam, lamp, 1, rng)
         rows.append((lam, lamp, y, yp, met))
         lam, lamp = od.apply(model.link, lam, y, x), od.apply(model.link, lamp, yp, x)
     lam_h, lamp_h, y_h, yp_h, met_h = (np.array(c) for c in zip(*rows))
@@ -1071,6 +1105,54 @@ def test_simulate_domain_errors_carry_the_failing_step():
     with pytest.raises(DomainViolation, match=r"^initial state \(prime\): ") as info:
         od.couple_forward(neg, 0.0, -2.0, path, 1)
     assert (info.value.t, info.value.state, info.value.previous) == (None, -2.0, None)
+
+
+def test_push_measure_checks_its_start_points():
+    m = poisson_ingarch_x()
+    path = od.generate_path(m.covariates, -1, 0, 1)
+    points = np.ones(200)
+    points[7] = -1.0
+    with pytest.raises(DomainViolation, match=r"^start state: state left the poisson domain$") as info:
+        push_measure(m, od.EmpiricalMeasure(points), path, 0, 1)
+    assert (info.value.t, info.value.replica, info.value.state) == (None, 7, -1.0)
+    with pytest.raises(DomainViolation, match=r"^start state: ") as info:
+        push_measure(m, od.EmpiricalMeasure(-np.ones(200)), path, 0, 1)
+    assert info.value.t is None
+    with pytest.raises(InvalidSpec, match="start state must be a number"):
+        push_measure(m, od.EmpiricalMeasure(np.ones((200, 2))), path, 0, 1)
+
+
+def test_coupled_backward_cost_checks_both_start_states():
+    m = poisson_ingarch_x()
+    path = od.generate_path(m.covariates, -5, -1, 1)
+    with pytest.raises(DomainViolation, match=r"^start state \(prime\): state left the poisson domain$") as info:
+        coupled_backward_cost(m, 1.0, -1.0, 5, path, 100, 1)
+    assert (info.value.t, info.value.replica, info.value.state) == (None, 0, -1.0)
+    with pytest.raises(DomainViolation, match=r"^start state: state left the poisson domain$") as info:
+        coupled_backward_cost(m, -1.0, 1.0, 5, path, 100, 1)
+    assert info.value.t is None
+
+
+def test_wrong_shaped_start_state_is_invalid_spec():
+    # every entry point shapes its start through one rule: a number for a scalar
+    # model, state_dim numbers for a vector one; InvalidSpec, not a TypeError
+    m, multi = poisson_ingarch_x(), _step_core_models()["multinomial"]
+    for model, bad in ((m, [1.0, 2.0]), (m, "x"), (m, {"x": 1}), (multi, [0.0, 0.0, 0.0]), (multi, 0.0)):
+        what = "2 numbers" if model is multi else "a number"
+        path = od.generate_path(model.covariates, -30, 30, 1)
+        good = model.start_state()
+        for call, where in (
+            (lambda: od.simulate(model, bad, 0, 5, 1), "initial state"),
+            (lambda: od.couple_forward(model, bad, good, path, 1), "initial state"),
+            (lambda: od.couple_forward(model, good, bad, path, 1), r"initial state \(prime\)"),
+            (lambda: od.backward_measure(model, bad, 5, path, 100, 1), "start state"),
+            (lambda: od.stationary_sampler(model, 0.01, 50, 100, 1, s0=bad), "start state"),
+        ):
+            with pytest.raises(InvalidSpec, match=f"^{where} must be {what}; got "):
+                call()
+    path = od.generate_path(m.covariates, -5, -1, 1)
+    with pytest.raises(InvalidSpec, match=r"^start state \(prime\) must be a number"):
+        coupled_backward_cost(m, 0.0, [1.0, 2.0], 5, path, 100, 1)
 
 
 def test_backward_domain_errors_name_the_first_failing_replica():

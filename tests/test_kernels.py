@@ -1167,11 +1167,15 @@ def test_float_domain_checks_match_the_array_checks():
             assert kernel.domain_contains(s) is bool(kernel.domain_contains(np.array([s])))
 
 
-def test_maximal_couple_scalar_interface():
-    d = od.Poisson().maximal_couple(1.0, 1.5, generator(12))
-    assert isinstance(d, od.CoupleDraw)
-    if d.met:
-        assert d.y == d.y_prime
+def test_couple_batch_single_draw():
+    # one pair per call, as the forward coupling draws it: met pairs agree, unmet ones differ
+    met_seen = set()
+    for seed in range(40):
+        y, yp, met = od.Poisson().couple_batch(1.0, 1.5, 1, generator(12, seed))
+        assert y.shape == yp.shape == met.shape == (1,)
+        assert (y[0] == yp[0]) == met[0]
+        met_seen.add(bool(met[0]))
+    assert met_seen == {True, False}
 
 
 # ---------------------------------------------------------------------------
