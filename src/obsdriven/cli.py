@@ -83,7 +83,7 @@ def validate_manifest(raw: dict) -> dict:
         raise _fail(f"command must be one of {_COMMANDS}, got {cmd!r}")
     if "model" not in raw:
         raise _fail("manifest needs a 'model' object")
-    if "seed" not in raw or not isinstance(raw["seed"], int):
+    if "seed" not in raw or not _is_number(raw["seed"], int):
         raise _fail("manifest needs an integer 'seed'")
     spec = _PARAM_SPEC[cmd]
     params = raw.get("params", {})
@@ -117,6 +117,11 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _write_csv(path: Path, to_csv, **kw) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        to_csv(f, **kw)
+
+
 def _write_replay(out_dir: Path, manifest: dict) -> None:
     replay = {
         "command": manifest["command"],
@@ -140,8 +145,7 @@ def run_manifest(manifest: dict, out_dir: Path) -> tuple[int, str]:
 
     if cmd == "simulate":
         traj = engine.simulate(model, params["s0"], params["t_min"], params["t_max"], seed)
-        with open(out_dir / "trajectory.csv", "w", newline="", encoding="utf-8") as f:
-            traj.to_csv(f)
+        _write_csv(out_dir / "trajectory.csv", traj.to_csv)
         _write_replay(out_dir, manifest)
         return 0, f"simulate: {len(traj)} steps -> {out_dir / 'trajectory.csv'}"
 
@@ -149,8 +153,7 @@ def run_manifest(manifest: dict, out_dir: Path) -> tuple[int, str]:
         horizon = params["horizon"]
         path = generate_path(model.covariates, 0, horizon - 1, split_seed(seed, engine._SEED_ENV))
         trace = engine.couple_forward(model, params["s0"], params["s0_prime"], path, seed)
-        with open(out_dir / "trace.csv", "w", newline="", encoding="utf-8") as f:
-            trace.to_csv(f, x_values=path.values)
+        _write_csv(out_dir / "trace.csv", trace.to_csv, x_values=path.values)
         _write_json(out_dir / "couple.json", {
             "meet_time": trace.meet_time,
             "censored": trace.censored,
@@ -165,8 +168,7 @@ def run_manifest(manifest: dict, out_dir: Path) -> tuple[int, str]:
         n, replicas = params["n"], params["replicas"]
         path = generate_path(model.covariates, -n, -1, split_seed(seed, engine._SEED_ENV))
         mu = engine.backward_measure(model, params["s0"], n, path, replicas, seed)
-        with open(out_dir / "measure.csv", "w", newline="", encoding="utf-8") as f:
-            mu.to_csv(f)
+        _write_csv(out_dir / "measure.csv", mu.to_csv)
         _write_json(out_dir / "backward.json", mu.meta)
         _write_replay(out_dir, manifest)
         return 0, f"backward: {replicas} points at n={n} -> {out_dir / 'measure.csv'}"
@@ -176,8 +178,7 @@ def run_manifest(manifest: dict, out_dir: Path) -> tuple[int, str]:
         res = engine.stationary_sampler(
             model, params["tol"], params["max_n"], params["replicas"], seed, s0=s0,
         )
-        with open(out_dir / "measure.csv", "w", newline="", encoding="utf-8") as f:
-            res.measure.to_csv(f)
+        _write_csv(out_dir / "measure.csv", res.measure.to_csv)
         _write_json(out_dir / "stationary.json", res.to_dict())
         _write_replay(out_dir, manifest)
         code = 0 if res.converged else 2
@@ -203,19 +204,16 @@ def run_manifest(manifest: dict, out_dir: Path) -> tuple[int, str]:
     length = params["length"]
     path = generate_path(model.covariates, 0, length - 1, split_seed(seed, engine._SEED_ENV))
     H = params["H"] if params["H"] is not None else max(10, min(50, length // 4))
-    if params["h"] is None or params["C"] is None:
-        stats, C, h = engine.calibrate_regeneration(model, path, H)
-        if params["h"] is not None:
-            h = params["h"]
-            stats = engine.w_stats(model, path, h, H)
-        if params["C"] is not None:
-            C = params["C"]
-    else:
-        h, C = params["h"], params["C"]
+    h, C, stats = params["h"], params["C"], None
+    if h is None or C is None:
+        # calibrate only what the manifest left null; its stats serve when h agrees
+        stats, C_cal, h_cal = engine.calibrate_regeneration(model, path, H)
+        h = h_cal if h is None else h
+        C = C_cal if C is None else C
+    if stats is None or stats.h != h:
         stats = engine.w_stats(model, path, h, H)
     regen = engine.regeneration_times(stats, C, h)
-    with open(out_dir / "wstats.csv", "w", newline="", encoding="utf-8") as f:
-        stats.to_csv(f)
+    _write_csv(out_dir / "wstats.csv", stats.to_csv)
     _write_json(out_dir / "regeneration.json", regen.to_dict())
     resolved = dict(manifest)
     resolved["params"] = {"length": length, "h": h, "H": H, "C": C}

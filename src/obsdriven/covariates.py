@@ -24,9 +24,17 @@ from .errors import DegenerateMap, EmptyRange, InvalidSpec
 from .rngstream import IndexedStream, split_seed
 
 LOG_FLOOR = 1e-300
+Z99 = 2.576  # 99% two-sided normal quantile
 
 # word-slot tags inside the per-index stream
 _TAG_ENV = 101
+
+
+def _require_finite(what: str, values) -> None:
+    """Refuse NaN or infinite spec values (NaN or inf paths) and an empty list of them (paths of width 0)."""
+    values = list(values)
+    if not values or not all(math.isfinite(v) for v in values):
+        raise InvalidSpec(f"{what} needs one or more finite values")
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +47,7 @@ class Gaussian:
     sigma: float = 1.0
 
     def __post_init__(self):
+        _require_finite("Gaussian", (self.mu, self.sigma))
         if self.sigma < 0:
             raise InvalidSpec("Gaussian sigma must be >= 0")
 
@@ -55,6 +64,7 @@ class Uniform:
     b: float = 1.0
 
     def __post_init__(self):
+        _require_finite("Uniform", (self.a, self.b))
         if not self.a <= self.b:
             raise InvalidSpec("Uniform requires a <= b")
 
@@ -68,6 +78,9 @@ class Uniform:
 @dataclass(frozen=True)
 class PointMass:
     value: float = 0.0
+
+    def __post_init__(self):
+        _require_finite("PointMass", (self.value,))
 
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(u, dtype=float), self.value)
@@ -107,6 +120,7 @@ class Constant:
 
     def __post_init__(self):
         object.__setattr__(self, "value", tuple(float(v) for v in np.atleast_1d(self.value)))
+        _require_finite("Constant", self.value)
 
     @property
     def dimension(self) -> int:
@@ -161,6 +175,7 @@ class FiniteStateMarkov:
     def __post_init__(self):
         states = tuple(tuple(float(v) for v in np.atleast_1d(s)) for s in self.states)
         object.__setattr__(self, "states", states)
+        _require_finite("FiniteStateMarkov", itertools.chain.from_iterable(states))
         P = np.asarray(self.transition, dtype=float)
         k = len(states)
         if P.shape != (k, k):
@@ -316,13 +331,22 @@ def write_csv(fileobj, columns) -> None:
     fileobj.writelines(row % r for r in zip(*cells))
 
 
+def _gaussian_ar1_law(spec: AR1) -> tuple[float, float]:
+    """Mean and standard deviation of a Gaussian AR(1)'s stationary law."""
+    return spec.noise.mu / (1.0 - spec.a), spec.noise.sigma / math.sqrt(1.0 - spec.a * spec.a)
+
+
+def _burn_in(spec: AR1) -> tuple[np.ndarray, float]:
+    """Weights a^0 .. a^B of a burn-in window, and the transient a^(B+1) times the stationary mean."""
+    a, B = spec.a, spec.burn_in
+    return a ** np.arange(B + 1), (a ** (B + 1)) * (_mean_of(spec.noise) / (1.0 - a))
+
+
 def _words_per_index(spec: CovariateProcessSpec) -> int:
     if isinstance(spec, Constant):
         return 1  # stream unused but keep layout uniform
-    if isinstance(spec, IID):
-        return spec.dimension
-    if isinstance(spec, AR1):
-        return spec.dimension  # one noise word per component; anchor reuses index words
+    if isinstance(spec, (IID, AR1)):
+        return spec.dimension  # one noise word per component; an AR(1) anchor reuses index words
     return 1  # FiniteStateMarkov: one inverse-cdf uniform per step
 
 
@@ -369,13 +393,11 @@ def _generate_ar1(
         # recursion backward from a stationary anchor at t_max yields the
         # exact joint law, and extending the range backward only continues
         # the recursion, which keeps the shared suffix identical.
-        mu, sig = spec.noise.mu, spec.noise.sigma
-        m_stat = mu / (1.0 - a)
-        s_stat = sig / math.sqrt(1.0 - a * a)
+        m_stat, s_stat = _gaussian_ar1_law(spec)
         u = stream.uniforms(t_min, n)[:, : spec.dimension]
         z = ndtri(u)
         anchor = m_stat + s_stat * z[-1]
-        centered = sig * z[:-1][::-1]  # innovations for t_max-1 ... t_min
+        centered = spec.noise.sigma * z[:-1][::-1]  # innovations for t_max-1 ... t_min
         # y_t = c_t + a y_{t-1} from y_{-1} = anchor - m_stat, per column on
         # Python floats: the same bits as lfilter([1], [1, -a], zi=a y_{-1})
         out = np.array([list(itertools.accumulate(col, lambda y, c: c + a * y, initial=y0))[1:]
@@ -389,14 +411,13 @@ def _generate_ar1(
     B = spec.burn_in
     u = stream.uniforms(t_min - B, n + B)[:, : spec.dimension]
     eps = spec.noise.from_uniform(u)  # index t_min-B .. t_max
-    weights = a ** np.arange(B + 1)  # j = 0 .. B
-    m_stat = _mean_of(spec.noise) / (1.0 - a)
+    weights, offset = _burn_in(spec)
     vals = np.empty((n, spec.dimension))
     for j in range(spec.dimension):
         # window sum_{k=0..B} a^k eps_{t-k}: correlate leaves per-output
         # windows independent of the array offset, keeping restriction exact
         vals[:, j] = np.correlate(eps[:, j], weights[::-1], mode="valid")
-    vals += (a ** (B + 1)) * m_stat
+    vals += offset
     return CovariatePath(t_min, t_max, vals, seed, h)
 
 
@@ -430,29 +451,20 @@ def stationary_draws(spec: CovariateProcessSpec, n: int, seed: int) -> np.ndarra
     """
     if n < 1:
         raise InvalidSpec("need n >= 1 draws")
-    stream = IndexedStream(seed, _TAG_ENV + 1, 1)
     if isinstance(spec, Constant):
         return np.tile(np.asarray(spec.value), (n, 1))
+    stream = IndexedStream(seed, _TAG_ENV + 1, _words_per_index(spec))
     if isinstance(spec, IID):
-        stream = IndexedStream(seed, _TAG_ENV + 1, spec.dimension)
-        return spec.marginal.from_uniform(stream.uniforms(0, n)[:, : spec.dimension])
+        return spec.marginal.from_uniform(stream.uniforms(0, n))
+    if isinstance(spec, AR1) and isinstance(spec.noise, Gaussian):
+        m, s = _gaussian_ar1_law(spec)
+        return m + s * ndtri(stream.uniforms(0, n))
     if isinstance(spec, AR1):
-        a = spec.a
-        if isinstance(spec.noise, Gaussian):
-            m = spec.noise.mu / (1.0 - a)
-            s = spec.noise.sigma / math.sqrt(1.0 - a * a)
-            stream = IndexedStream(seed, _TAG_ENV + 1, spec.dimension)
-            return m + s * ndtri(stream.uniforms(0, n)[:, : spec.dimension])
-        B = spec.burn_in
-        stream = IndexedStream(seed, _TAG_ENV + 1, spec.dimension)
-        u = stream.uniforms(0, n * (B + 1)).reshape(n, B + 1, spec.dimension)
+        weights, offset = _burn_in(spec)
+        u = stream.uniforms(0, n * len(weights)).reshape(n, len(weights), spec.dimension)
         eps = spec.noise.from_uniform(u)
-        weights = a ** np.arange(B + 1)
-        m_stat = _mean_of(spec.noise) / (1.0 - a)
-        return np.tensordot(weights, np.moveaxis(eps, 1, 0), axes=(0, 0)) + (a ** (B + 1)) * m_stat
-    pi = spec.stationary_vector()
-    u = stream.uniforms(0, n)[:, 0]
-    idx = np.searchsorted(np.cumsum(pi), u)
+        return np.tensordot(weights, np.moveaxis(eps, 1, 0), axes=(0, 0)) + offset
+    idx = np.searchsorted(np.cumsum(spec.stationary_vector()), stream.uniforms(0, n)[:, 0])
     return np.asarray(spec.states, dtype=float)[idx]
 
 
@@ -670,10 +682,9 @@ class MomentEstimate:
     n_floored: int = 0
 
     def __post_init__(self):
-        z = 2.576  # 99% two-sided normal quantile
-        if self.mean + z * self.std_error < 0:
+        if self.mean + Z99 * self.std_error < 0:
             v = "negative"
-        elif self.mean - z * self.std_error > 0:
+        elif self.mean - Z99 * self.std_error > 0:
             v = "nonnegative"
         else:
             v = "inconclusive"
@@ -689,6 +700,20 @@ class MomentEstimate:
         }
 
 
+def _abs_draws(name: str, coeff_map: CoefficientMap, spec: CovariateProcessSpec, n: int, seed: int) -> np.ndarray:
+    """|map(X_0)| at n >= 100 independent stationary draws."""
+    if n < 100:
+        raise InvalidSpec(f"{name} needs n >= 100")
+    x = stationary_draws(spec, n, seed)
+    return np.abs(np.asarray(coeff_map.evaluate(x), dtype=float))
+
+
+def _mean_estimate(logs: np.ndarray, n_floored: int = 0) -> MomentEstimate:
+    """Sample mean of logs with its standard error (0 when every value is equal)."""
+    se = 0.0 if np.ptp(logs) == 0.0 else float(logs.std(ddof=1) / math.sqrt(len(logs)))
+    return MomentEstimate(float(logs.mean()), se, len(logs), n_floored=n_floored)
+
+
 def log_moment_estimate(
     coeff_map: CoefficientMap, spec: CovariateProcessSpec, n: int, seed: int
 ) -> MomentEstimate:
@@ -698,19 +723,11 @@ def log_moment_estimate(
     on every draw is degenerate.  Flooring only helps a negativity verdict,
     matching the convention that kappa(x) = 0 contracts perfectly.
     """
-    if n < 100:
-        raise InvalidSpec("log_moment_estimate needs n >= 100")
-    x = stationary_draws(spec, n, seed)
-    vals = np.abs(np.asarray(coeff_map.evaluate(x), dtype=float))
-    floored = vals < LOG_FLOOR
-    n_floored = int(floored.sum())
+    vals = _abs_draws("log_moment_estimate", coeff_map, spec, n, seed)
+    n_floored = int((vals < LOG_FLOOR).sum())
     if n_floored == n:
         raise DegenerateMap("coefficient map is zero on the environment support")
-    vals[floored] = LOG_FLOOR
-    logs = np.log(vals)
-    mean = float(logs.mean())
-    se = 0.0 if np.ptp(logs) == 0.0 else float(logs.std(ddof=1) / math.sqrt(n))
-    return MomentEstimate(mean, se, n, n_floored=n_floored)
+    return _mean_estimate(np.log(np.maximum(vals, LOG_FLOOR)), n_floored)
 
 
 def plain_moment(
@@ -725,11 +742,5 @@ def log_plus_moment_estimate(
     coeff_map: CoefficientMap, spec: CovariateProcessSpec, n: int, seed: int
 ) -> MomentEstimate:
     """Same sampling scheme for E log^+ |map(X_0)| = E max(log|map|, 0)."""
-    if n < 100:
-        raise InvalidSpec("log_plus_moment_estimate needs n >= 100")
-    x = stationary_draws(spec, n, seed)
-    vals = np.abs(np.asarray(coeff_map.evaluate(x), dtype=float))
-    logs = np.log(np.maximum(vals, 1.0))
-    mean = float(logs.mean())
-    se = 0.0 if np.ptp(logs) == 0.0 else float(logs.std(ddof=1) / math.sqrt(n))
-    return MomentEstimate(mean, se, n)
+    vals = _abs_draws("log_plus_moment_estimate", coeff_map, spec, n, seed)
+    return _mean_estimate(np.log(np.maximum(vals, 1.0)))

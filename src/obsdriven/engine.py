@@ -32,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import links as links_mod
-from .covariates import CovariatePath, CovariateProcessSpec, generate_path, write_csv
+from .covariates import LOG_FLOOR, CovariatePath, CovariateProcessSpec, generate_path, write_csv
 from .errors import (
     DomainViolation,
     EmptyRange,
@@ -739,9 +739,8 @@ def w_stats(
     kappa = np.asarray(kappa_map.evaluate(path.values), dtype=float)
     gamma = np.asarray(gamma_map.evaluate(path.values), dtype=float)
     delta = np.asarray(delta_map.evaluate(path.values), dtype=float)
-    floor = 1e-300
-    g_mean_log = float(np.mean(np.log(np.maximum(gamma, floor))))
-    k_mean_log = float(np.mean(np.log(np.maximum(kappa, floor))))
+    g_mean_log = float(np.mean(np.log(np.maximum(gamma, LOG_FLOOR))))
+    k_mean_log = float(np.mean(np.log(np.maximum(kappa, LOG_FLOOR))))
     rho_g = math.exp(min(g_mean_log, 700.0))
     rho_k = math.exp(min(k_mean_log, 700.0))
     delta_bar = float(delta.mean())

@@ -265,9 +265,6 @@ class ObservationKernel:
     def to_dict(self) -> dict:
         return {"family": self.family}
 
-    def __repr__(self):
-        return f"{type(self).__name__}()"
-
 
 def _bounded_below(s, floor: float = float(np.finfo(float).min)) -> bool:
     """True when every state is finite and >= floor (by default: finite); inf and NaN are outside."""
@@ -489,7 +486,7 @@ def _count_quantile_edges(s, u, out):
     return out
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Poisson(ObservationKernel):
     family = "poisson"
     moment_order = 1
@@ -554,7 +551,7 @@ class Poisson(ObservationKernel):
         return _scalar_pairs([0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 100.0], n_pairs)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class NegBinomial(ObservationKernel):
     """NB(r, s/(s+r)) parameterized by its mean s; gamma-Poisson mixture."""
 
@@ -654,9 +651,6 @@ class NegBinomial(ObservationKernel):
     def to_dict(self):
         return {"family": self.family, "r": self.r}
 
-    def __repr__(self):
-        return f"NegBinomial(r={self.r})"
-
 
 # ---------------------------------------------------------------------------
 # binary families
@@ -698,7 +692,7 @@ class _Bernoulli(ObservationKernel):
         return _scalar_pairs([-5.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 5.0], n_pairs, centered=True)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class BernoulliLogit(_Bernoulli):
     family = "bernoulli_logit"
 
@@ -709,7 +703,7 @@ class BernoulliLogit(_Bernoulli):
         return PhiSpec(((1, 1.0),))
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class BernoulliProbit(_Bernoulli):
     family = "bernoulli_probit"
 
@@ -725,7 +719,7 @@ class BernoulliProbit(_Bernoulli):
 # multinomial family
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Multinomial(ObservationKernel):
     """Categories {0..N-1}; p(i|s) = exp(s_i)/S(s), S(s) = 1 + sum exp(s_j)."""
 
@@ -796,15 +790,12 @@ class Multinomial(ObservationKernel):
     def to_dict(self):
         return {"family": self.family, "n_categories": self.n_categories}
 
-    def __repr__(self):
-        return f"Multinomial(n_categories={self.n_categories})"
-
 
 # ---------------------------------------------------------------------------
 # continuous families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class GarchGaussian(ObservationKernel):
     """y|s = sqrt(s) eps with standard normal eps; states s >= c_minus > 0."""
 
@@ -869,9 +860,6 @@ class GarchGaussian(ObservationKernel):
 
     def to_dict(self):
         return {"family": self.family, "c_minus": self.c_minus}
-
-    def __repr__(self):
-        return f"GarchGaussian(c_minus={self.c_minus})"
 
 
 @dataclass(frozen=True)
@@ -985,7 +973,7 @@ class StudentTNoise:
 _NOISES = {"gaussian": GaussianNoise, "laplace": LaplaceNoise, "student_t": StudentTNoise}
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Location(ObservationKernel):
     """y|s = s + eps with symmetric unimodal noise; autoregressions with noise."""
 
@@ -1037,9 +1025,6 @@ class Location(ObservationKernel):
 
     def to_dict(self):
         return {"family": self.family, "noise": self.noise.to_dict()}
-
-    def __repr__(self):
-        return f"Location(noise={self.noise!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -411,11 +411,6 @@ class GrowthEnvelope:
         }
 
 
-def _contractive(m: CoefficientMap) -> bool:
-    sup = provable_sup(m)
-    return sup is not None and sup < 1.0
-
-
 def growth_envelope(link: LinkSpec) -> GrowthEnvelope:
     """Additive growth envelope of the recursion.
 
@@ -423,61 +418,54 @@ def growth_envelope(link: LinkSpec) -> GrowthEnvelope:
     regime-1 observation term is bounded on I(x) and absorbed into the
     intercept, so only the regime-2 slope survives in front of |y|^i.
     """
-    if isinstance(link, LinearLink):
-        if isinstance(link.kappa_tilde, CategoryTable):
-            # one-hot observations: the table term is bounded, so it lives
-            # in the intercept and the |y| slope is zero
-            k = abs_map(link.kappa)
-            extra = link.kappa_tilde.max_inf_norm()
-            delta = sum_map(
-                "|delta_tilde| + max_y|table|",
-                abs_map(link.delta_tilde),
-                ConstantMap(extra, nonnegative=True),
-            )
-            return GrowthEnvelope(k, ConstantMap(0.0, nonnegative=True), delta, link.order, _contractive(k), "linear")
-        k = abs_map(link.kappa)
-        return GrowthEnvelope(
-            k, abs_map(link.kappa_tilde), abs_map(link.delta_tilde),
-            link.order, _contractive(k), "linear",
+    order = link.order
+    if isinstance(link, LinearLink) and isinstance(link.kappa_tilde, CategoryTable):
+        # one-hot observations: the table term is bounded, so it lives
+        # in the intercept and the |y| slope is zero
+        kt, case = ConstantMap(0.0, nonnegative=True), "linear"
+        delta = sum_map(
+            "|delta_tilde| + max_y|table|",
+            abs_map(link.delta_tilde),
+            ConstantMap(link.kappa_tilde.max_inf_norm(), nonnegative=True),
         )
-
-    if isinstance(link, ThresholdLink):
+    elif isinstance(link, LinearLink):
+        kt, delta, case = abs_map(link.kappa_tilde), abs_map(link.delta_tilde), "linear"
+    elif isinstance(link, ThresholdLink):
         r1, r2 = link.regime_in, link.regime_out
-        k = max_map("max(|kappa_1|,|kappa_2|)", abs_map(r1.kappa), abs_map(r2.kappa))
         gmax = max_map("max(|gamma_1|,|gamma_2|)", abs_map(r1.gamma), abs_map(r2.gamma))
         if link.interval.is_bounded:
             kt1 = abs_map(r1.kappa_tilde)
-            interval, order = link.interval, link.order
             absorbed = DerivedMap(
                 "sup_{y in I(x)} |kappa_tilde_1(x) y^i|",
-                lambda x, _m=kt1, _iv=interval, _o=order: _m.evaluate(x) * _iv.sup_abs(x) ** _o,
+                lambda x, _m=kt1, _iv=link.interval, _o=order: _m.evaluate(x) * _iv.sup_abs(x) ** _o,
             )
+            kt, case = abs_map(r2.kappa_tilde), "pratique2-case2"
             delta = sum_map("max|gamma| + absorbed regime-1 term", gmax, absorbed)
-            return GrowthEnvelope(
-                k, abs_map(r2.kappa_tilde), delta, link.order, _contractive(k), "pratique2-case2",
-            )
-        kt = max_map("max(|kt_1|,|kt_2|)", abs_map(r1.kappa_tilde), abs_map(r2.kappa_tilde))
-        return GrowthEnvelope(k, kt, gmax, link.order, _contractive(k), "pratique2-case1")
+        else:
+            kt = max_map("max(|kt_1|,|kt_2|)", abs_map(r1.kappa_tilde), abs_map(r2.kappa_tilde))
+            delta, case = gmax, "pratique2-case1"
+    else:
+        # ARMA-like: f = a s + (b - a) y + c, so the |y| slope is |b| + |a|
+        kt = sum_map("|g_slope| + |a|", abs_map(link.g_slope), abs_map(link.a))
+        delta, case = abs_map(link.g_intercept), "arma"
+    k = contraction_map(link)
+    sup = provable_sup(k)
+    return GrowthEnvelope(k, kt, delta, order, sup is not None and sup < 1.0, case)
 
-    # ARMA-like: f = a s + (b - a) y + c, so the |y| slope is |b| + |a|
-    k = abs_map(link.a)
-    kt = sum_map("|g_slope| + |a|", abs_map(link.g_slope), abs_map(link.a))
-    return GrowthEnvelope(k, kt, abs_map(link.g_intercept), 1, _contractive(k), "arma")
 
-
-def structurally_nonnegative(link: LinkSpec) -> bool:
-    """True when every branch of f provably maps into [0, inf)."""
-    def nn(m):
-        return getattr(m, "nonnegative", False)
-
-    if isinstance(link, LinearLink):
-        if isinstance(link.kappa_tilde, CategoryTable):
-            return nn(link.kappa) and nn(link.delta_tilde) and bool(np.all(link.kappa_tilde.array >= 0))
-        return nn(link.kappa) and nn(link.kappa_tilde) and nn(link.delta_tilde)
+def structural_floor(link: LinkSpec) -> float | None:
+    """The least branch intercept (its constant, or 0 for a map flagged nonnegative) when every
+    branch's slopes are flagged nonnegative, else None; ARMA-like links subtract a(x) y, so None.
+    f is at least this bound wherever the state and the observation term are nonnegative."""
     if isinstance(link, ThresholdLink):
-        return all(
-            nn(m)
-            for r in (link.regime_in, link.regime_out)
-            for m in (r.kappa, r.kappa_tilde, r.gamma)
-        )
-    return False  # ARMA-like subtracts a(x) y, no structural sign
+        branches = [(r.kappa, r.kappa_tilde, r.gamma) for r in (link.regime_in, link.regime_out)]
+    elif isinstance(link, LinearLink):
+        branches = [(link.kappa, link.kappa_tilde, link.delta_tilde)]
+    else:
+        return None
+    bounds = []
+    for kappa, kappa_tilde, intercept in branches:
+        if not (kappa.nonnegative and getattr(kappa_tilde, "nonnegative", False)):
+            return None
+        bounds.append(intercept.c if isinstance(intercept, ConstantMap) else 0.0 if intercept.nonnegative else None)
+    return None if None in bounds else min(bounds)

@@ -22,12 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import links as links_mod
 from .covariates import (
     CoefficientMap,
-    ConstantMap,
     DerivedMap,
     MomentEstimate,
+    Z99,
     abs_map,
     log_moment_estimate,
     log_plus_moment_estimate,
@@ -38,14 +37,10 @@ from .engine import ModelSpec
 from .errors import UnsupportedCombination
 from .kernels import PhiSpec
 from .links import (
-    ArmaLikeLink,
-    CategoryTable,
-    LinearLink,
-    ThresholdLink,
     apply as link_apply,
     contraction_map,
     growth_envelope,
-    structurally_nonnegative,
+    structural_floor,
 )
 from .rngstream import generator, split_seed
 
@@ -73,20 +68,33 @@ class VerifyConfig:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _observation_menu(model: ModelSpec):
-    """Finite observation alphabets for the binary/categorical route."""
+def _observation_maps(model: ModelSpec) -> dict | None:
+    """{y: x -> max |f(s0, y, x)| over the state coordinates} for each observation y
+    of a binary/categorical kernel; None for every other family.
+
+    The route only needs existence at some s0; the start state (zero, floored
+    into the domain) is canonical and the conclusion does not depend on it.
+    """
     fam = model.kernel.family
     if fam.startswith("bernoulli"):
-        return [0, 1]
-    if fam == "multinomial":
-        return list(range(model.kernel.n_categories))
-    return None
+        menu = [0, 1]
+    elif fam == "multinomial":
+        menu = range(model.kernel.n_categories)
+    else:
+        return None
+    link, s0 = model.link, model.start_state()
+    return {
+        y: DerivedMap(f"|f(s0,{y},x)|",
+                      lambda x, _y=y: np.abs(link_apply(link, s0, _y, x)).reshape(len(x), -1).max(axis=1))
+        for y in menu
+    }
 
 
-def _reference_state(model: ModelSpec):
-    # the route only needs existence at some s0; zero (floored into the
-    # domain) is canonical and the conclusion does not depend on it
-    return model.start_state()
+def _envelope_drift(model: ModelSpec):
+    """The envelope route's growth envelope, moment constant D at the start state, and gamma."""
+    env = growth_envelope(model.link)
+    D = model.kernel.conditional_moment(model.start_state(), model.kernel.moment_order)[1]
+    return env, D, sum_map("kappa + kappa_tilde", env.kappa_map, env.kappa_tilde_map)
 
 
 def _random_states(model: ModelSpec, n: int, rng) -> np.ndarray:
@@ -99,11 +107,6 @@ def _random_states(model: ModelSpec, n: int, rng) -> np.ndarray:
     return floor + rng.exponential(3.0, size=n)
 
 
-def _sup_abs_f(link, s0, y, x) -> np.ndarray:
-    """max |f(s0, y, x)| over the state coordinates, one value per row of x (n, d)."""
-    return np.abs(link_apply(link, s0, y, x)).reshape(len(x), -1).max(axis=1)
-
-
 def drift_certificate(model: ModelSpec) -> tuple[CoefficientMap, CoefficientMap]:
     """(gamma, delta) maps with P_x V <= gamma(x) V + delta(x), V(s)=1+|s|.
 
@@ -112,20 +115,16 @@ def drift_certificate(model: ModelSpec) -> tuple[CoefficientMap, CoefficientMap]
     route: gamma = kappa + kappa_tilde and delta collects the intercept
     plus the conditional-moment constant D.
     """
-    menu = _observation_menu(model)
-    kappa = contraction_map(model.link)
-    if menu is not None:
-        s0 = _reference_state(model)
-        link = model.link
+    maps = _observation_maps(model)
+    if maps is not None:
+        kappa = contraction_map(model.link)
 
-        def delta_fn(x, _link=link, _s0=s0, _menu=tuple(menu), _k=kappa):
-            m = np.maximum.reduce([_sup_abs_f(_link, _s0, y, x) for y in _menu])
+        def delta_fn(x, _ms=tuple(maps.values()), _k=kappa):
+            m = np.maximum.reduce([f.evaluate(x) for f in _ms])
             return np.maximum(0.0, 1.0 + m - _k.evaluate(x))
 
         return kappa, DerivedMap("1 + max_y |f(s0,y,x)| - kappa", delta_fn)
-    env = growth_envelope(model.link)
-    D = model.kernel.conditional_moment(_reference_state(model), model.kernel.moment_order)[1]
-    gamma = sum_map("kappa + kappa_tilde", env.kappa_map, env.kappa_tilde_map)
+    env, D, gamma = _envelope_drift(model)
 
     def delta_fn(x, _env=env, _D=D, _g=gamma):
         return np.maximum(
@@ -137,33 +136,9 @@ def drift_certificate(model: ModelSpec) -> tuple[CoefficientMap, CoefficientMap]
     return gamma, DerivedMap("1 + kappa_tilde D + delta_tilde - gamma", delta_fn)
 
 
-def _structural_floor(link, obs_term_nonnegative: bool) -> float | None:
-    """A provable lower bound of f on its domain, if one is derivable.
-
-    Needs nonnegative coefficient maps, a nonnegative observation term
-    (even order, or observations that cannot be negative) and constant
-    intercepts.
-    """
-    if not obs_term_nonnegative:
-        return None
-
-    def const(m):
-        return m.c if isinstance(m, ConstantMap) else None
-
-    if isinstance(link, LinearLink) and not isinstance(link.kappa_tilde, CategoryTable):
-        if link.kappa.nonnegative and link.kappa_tilde.nonnegative:
-            return const(link.delta_tilde)
-    if isinstance(link, ThresholdLink):
-        rs = (link.regime_in, link.regime_out)
-        if all(r.kappa.nonnegative and r.kappa_tilde.nonnegative for r in rs):
-            cs = [const(r.gamma) for r in rs]
-            if all(c is not None for c in cs):
-                return min(cs)
-    return None
-
-
 def domain_compatible(model: ModelSpec) -> tuple[bool, str]:
-    """Can the link provably keep states inside the kernel domain?"""
+    """Can the link provably keep states inside the kernel domain?  A floor clamp, or else
+    ``structural_floor`` under a nonnegative observation term, must reach the kernel's floor."""
     kfloor = model.kernel.domain_floor()
     if kfloor is None:
         return True, "state space unbounded below"
@@ -173,9 +148,7 @@ def domain_compatible(model: ModelSpec) -> tuple[bool, str]:
             return True, f"floor clamp at {link.floor}"
         return False, f"floor {link.floor} lies below the domain bound {kfloor}"
     obs_nonneg = link.order == 2 or model.kernel.family in ("poisson", "negbinomial")
-    if kfloor == 0.0 and obs_nonneg and structurally_nonnegative(link):
-        return True, "structurally nonnegative coefficients"
-    sf = _structural_floor(link, obs_nonneg)
+    sf = structural_floor(link) if obs_nonneg else None
     if sf is not None and sf >= kfloor:
         return True, f"structural intercept bound {sf}"
     return False, f"no floor clamp and no structural bound >= {kfloor}"
@@ -289,29 +262,22 @@ class A2Report:
 def check_a2(model: ModelSpec, mc_n: int = 10_000, seed: int = 0) -> A2Report:
     """Drift check via the route the model family admits."""
     ok, reason = domain_compatible(model)
-    menu = _observation_menu(model)
-    if menu is not None:
-        s0 = _reference_state(model)
-        cat_reports = {}
-        for y in menu:
-            m = DerivedMap(
-                f"|f(s0,{y},x)|", lambda x, _y=y, _l=model.link, _s0=s0: _sup_abs_f(_l, _s0, _y, x),
-            )
-            est = log_plus_moment_estimate(m, model.covariates, mc_n, split_seed(seed, 10 + y))
-            cat_reports[str(y)] = est.to_dict()
+    maps = _observation_maps(model)
+    if maps is not None:
+        cat_reports = {
+            str(y): log_plus_moment_estimate(m, model.covariates, mc_n, split_seed(seed, 10 + y)).to_dict()
+            for y, m in maps.items()
+        }
         case = "binary" if model.kernel.family.startswith("bernoulli") else "categorical"
         return A2Report(case, model.link.order, None, None, None, None, None,
                         cat_reports, None, ok, reason)
 
-    env = growth_envelope(model.link)
-    D = model.kernel.conditional_moment(_reference_state(model), model.kernel.moment_order)[1]
-    gamma = sum_map("kappa + kappa_tilde", env.kappa_map, env.kappa_tilde_map)
+    env, D, gamma = _envelope_drift(model)
     gamma_est = log_moment_estimate(gamma, model.covariates, mc_n, split_seed(seed, 20))
     delta_lp = log_plus_moment_estimate(env.delta_map, model.covariates, mc_n, split_seed(seed, 21))
     est_k = est_k2 = None
-    if isinstance(model.link, ThresholdLink) and env.case == "pratique2-case2":
-        kappa = contraction_map(model.link)
-        est_k = log_moment_estimate(kappa, model.covariates, mc_n, split_seed(seed, 22))
+    if env.case == "pratique2-case2":
+        est_k = log_moment_estimate(env.kappa_map, model.covariates, mc_n, split_seed(seed, 22))
         r2 = model.link.regime_out
         reg2 = sum_map("|kappa_2| + |kappa_tilde_2|", abs_map(r2.kappa), abs_map(r2.kappa_tilde))
         est_k2 = log_moment_estimate(reg2, model.covariates, mc_n, split_seed(seed, 23))
@@ -409,7 +375,7 @@ class VerificationReport:
         lines = [
             f"overall: {self.overall.upper()}",
             f"  contraction (a1): {self.a1.verdict}  "
-            f"[E log kappa = {self.a1.moment.mean:.6g} +- {2.576 * self.a1.moment.std_error:.2g}, "
+            f"[E log kappa = {self.a1.moment.mean:.6g} +- {Z99 * self.a1.moment.std_error:.2g}, "
             f"lipschitz {'ok' if self.a1.lipschitz_pass else 'VIOLATED'}]",
             f"  drift (a2): {self.a2.verdict}  [route {self.a2.case}, "
             f"domain {'ok' if self.a2.domain_ok else 'BROKEN: ' + self.a2.domain_reason}]",
@@ -417,7 +383,7 @@ class VerificationReport:
         if self.a2.gamma_estimate is not None:
             lines.append(
                 f"    E log gamma = {self.a2.gamma_estimate.mean:.6g} "
-                f"+- {2.576 * self.a2.gamma_estimate.std_error:.2g} ({self.a2.gamma_estimate.verdict})"
+                f"+- {Z99 * self.a2.gamma_estimate.std_error:.2g} ({self.a2.gamma_estimate.verdict})"
             )
         lines.append(
             f"  tv rate (a3): {self.a3.verdict}  "

@@ -42,8 +42,9 @@ def test_manifest_rejects_unknown_fields():
         cli.validate_manifest(bad)
     with pytest.raises(ManifestError):
         cli.validate_manifest({"command": "nope", "model": BENCH, "seed": 1})
-    with pytest.raises(ManifestError):
-        cli.validate_manifest({"command": "simulate", "model": BENCH, "seed": "x"})
+    for seed in ("x", True):
+        with pytest.raises(ManifestError, match="integer 'seed'"):
+            cli.validate_manifest(simulate_manifest(seed=seed))
 
 
 def test_simulate_writes_trajectory_with_contract_header(tmp_path):
@@ -124,13 +125,24 @@ def test_missing_manifest_is_usage_error(tmp_path, capsys):
     assert cli.main(["--manifest", str(tmp_path / "none.json")]) == 1
 
 
-@pytest.mark.parametrize("breakage", ["missing_link", "unknown_family"])
+@pytest.mark.parametrize("breakage", ["missing_link", "unknown_family", "nan_sigma", "inf_uniform",
+                                      "nan_point", "empty_constant", "nan_markov_state"])
 def test_malformed_model_is_manifest_error(tmp_path, capsys, breakage):
     model = dict(BENCH)
     if breakage == "missing_link":
         del model["link"]
-    else:
+    elif breakage == "unknown_family":
         model["kernel"] = {"family": "no_such_family"}
+    else:
+        # json writes and reads NaN and Infinity; such a spec must not reach the recursion
+        model["covariates"] = {
+            "nan_sigma": {"kind": "iid", "marginal": {"name": "gaussian", "mu": 0.0, "sigma": float("nan")}},
+            "inf_uniform": {"kind": "ar1", "a": 0.5, "noise": {"name": "uniform", "a": -float("inf"), "b": 1.0}},
+            "nan_point": {"kind": "iid", "marginal": {"name": "point", "value": float("nan")}},
+            "empty_constant": {"kind": "constant", "value": []},
+            "nan_markov_state": {"kind": "finite_markov", "states": [[0.0], [float("nan")]],
+                                 "transition": [[0.5, 0.5], [0.5, 0.5]]},
+        }[breakage]
     man = write_manifest(tmp_path, "m.json", simulate_manifest(model=model))
     assert cli.main(["--manifest", str(man), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("manifest error: malformed model")

@@ -123,6 +123,13 @@ def test_invalid_specs_rejected():
         od.FiniteStateMarkov(((0.0,), (1.0,)), ((1.0, 0.0), (0.5, 0.5)))
     with pytest.raises(EmptyRange):
         od.generate_path(od.Constant((1.0,)), 3, 2, 0)
+    # non-finite parameters would give NaN or inf paths; an empty constant a path of width 0
+    nan, inf = float("nan"), float("inf")
+    for make in (lambda: od.Gaussian(0, nan), lambda: od.Uniform(-inf, inf), lambda: od.PointMass(nan),
+                 lambda: od.Constant((inf,)), lambda: od.Constant(()),
+                 lambda: od.FiniteStateMarkov(((0.0,), (nan,)), ((0.5, 0.5), (0.5, 0.5)))):
+        with pytest.raises(InvalidSpec):
+            make()
 
 
 def test_log_moment_constant_half():

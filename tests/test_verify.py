@@ -188,6 +188,53 @@ def test_a2_structural_positivity_without_clamp():
     assert ok and "structural" in reason
 
 
+AA, RC = od.AffineAbsMap, od.RegimeCoefficients
+SLOPE, VARYING = AA(0.0, (0.3,), True), AA(0.5, (0.1,), True)  # flagged slope, flagged non-constant intercept
+
+
+def _linear(kappa=CM(0.4, True), kappa_tilde=SLOPE, intercept=CM(1.0, True), order=1, floor=None):
+    return od.LinearLink(kappa, kappa_tilde, intercept, order, floor)
+
+
+def _threshold(gamma_in, gamma_out, kappa_out=CM(0.4, True), order=1):
+    return od.ThresholdLink(RC(CM(0.3, True), CM(0.2, True), gamma_in), RC(kappa_out, CM(0.1, True), gamma_out),
+                            od.FixedInterval(-1.0, 1.0), order)
+
+
+@pytest.mark.parametrize("kernel, link, ok, reason", [
+    (od.Poisson(), _linear(floor=0.0), True, "floor clamp at 0.0"),
+    (od.Poisson(), _linear(floor=-1.0), False, "floor -1.0 lies below the domain bound 0.0"),
+    (od.Poisson(), _linear(), True, "structural intercept bound 1.0"),
+    (od.Poisson(), _linear(intercept=CM(0.5)), True, "structural intercept bound 0.5"),
+    (od.Poisson(), _linear(intercept=CM(-0.2)), False, "no floor clamp and no structural bound >= 0.0"),
+    (od.Poisson(), _linear(intercept=VARYING), True, "structural intercept bound 0.0"),
+    (od.Poisson(), _linear(intercept=AA(0.5, (0.1,))), False, "no floor clamp and no structural bound >= 0.0"),
+    (od.Poisson(), _linear(kappa=CM(0.4)), False, "no floor clamp and no structural bound >= 0.0"),
+    (od.NegBinomial(2), _linear(kappa_tilde=AA(0.0, (0.3,))), False, "no floor clamp and no structural bound >= 0.0"),
+    (od.NegBinomial(2), _linear(intercept=od.ExpAffineMap(0.0, (1.0,))), True, "structural intercept bound 0.0"),
+    (od.Poisson(), _threshold(CM(0.5), CM(0.2, True)), True, "structural intercept bound 0.2"),
+    (od.Poisson(), _threshold(VARYING, VARYING), True, "structural intercept bound 0.0"),
+    (od.Poisson(), _threshold(CM(0.5), VARYING), True, "structural intercept bound 0.0"),
+    (od.Poisson(), _threshold(CM(0.5, True), CM(-0.1)), False, "no floor clamp and no structural bound >= 0.0"),
+    (od.Poisson(), _threshold(CM(0.5, True), CM(0.2, True), kappa_out=CM(0.4)), False,
+     "no floor clamp and no structural bound >= 0.0"),
+    (od.Poisson(), od.ArmaLikeLink(CM(0.5, True), CM(1.0, True), CM(0.2, True)), False,
+     "no floor clamp and no structural bound >= 0.0"),
+    (od.GarchGaussian(1.0), _linear(order=2), True, "structural intercept bound 1.0"),
+    (od.GarchGaussian(1.0), _linear(intercept=VARYING, order=2), False, "no floor clamp and no structural bound >= 1.0"),
+    (od.GarchGaussian(1.0), _threshold(CM(1.5), CM(2.0, True), order=2), True, "structural intercept bound 1.5"),
+    (od.GarchGaussian(1.0), _threshold(CM(0.5, True), CM(2.0, True), order=2), False,
+     "no floor clamp and no structural bound >= 1.0"),
+    (od.GarchGaussian(1.0), _linear(order=2, floor=0.5), False, "floor 0.5 lies below the domain bound 1.0"),
+    (od.Location(), _linear(kappa=CM(0.4), intercept=CM(-3.0)), True, "state space unbounded below"),
+    (od.BernoulliLogit(), od.ArmaLikeLink(CM(0.5), CM(-1.0), CM(0.2)), True, "state space unbounded below"),
+])
+def test_domain_compatible_verdicts(kernel, link, ok, reason):
+    # a floor clamp, or else the least intercept of branches with nonnegative slopes
+    # (observation term nonnegative), must lie at or above the kernel's floor
+    assert domain_compatible(od.ModelSpec(kernel, link, od.IID(od.Uniform(0.0, 1.0)))) == (ok, reason)
+
+
 # ---------------------------------------------------------------------------
 # a3
 # ---------------------------------------------------------------------------
