@@ -66,6 +66,12 @@ def load_manifest(path: Path) -> dict:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise _fail(f"manifest not found: {path}")
+    except IsADirectoryError:
+        raise _fail(f"manifest is a directory: {path}")
+    except OSError as e:
+        raise _fail(f"manifest cannot be read: {e}")
+    except UnicodeDecodeError as e:
+        raise _fail(f"manifest is not UTF-8 text: {e}")
     except json.JSONDecodeError as e:
         raise _fail(f"manifest is not valid JSON: {e}")
     return validate_manifest(raw)

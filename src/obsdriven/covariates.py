@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
+from . import _special as special
 from .errors import DegenerateMap, EmptyRange, InvalidSpec
 from .rngstream import IndexedStream, split_seed
 
@@ -28,6 +28,9 @@ Z99 = 2.576  # 99% two-sided normal quantile
 
 # word-slot tags inside the per-index stream
 _TAG_ENV = 101
+# |ndtri(u)| at the stream's extreme uniforms, u = 2**-54 and 1 - 2**-53, is at most
+# -ndtri(2**-54); a literal, so that building a Gaussian does not import scipy.special
+_NDTRI_TAIL = 8.292361075813597
 
 
 def _require_finite(what: str, values) -> None:
@@ -50,9 +53,12 @@ class Gaussian:
         _require_finite("Gaussian", (self.mu, self.sigma))
         if self.sigma < 0:
             raise InvalidSpec("Gaussian sigma must be >= 0")
+        reach = self.sigma * _NDTRI_TAIL
+        if not (math.isfinite(self.mu - reach) and math.isfinite(self.mu + reach)):
+            raise InvalidSpec("Gaussian draws overflow float64 in the tails (mu +- 8.3 sigma)")
 
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
-        return self.mu + self.sigma * ndtri(u)
+        return self.mu + self.sigma * special.ndtri(u)
 
     def to_dict(self) -> dict:
         return {"name": "gaussian", "mu": self.mu, "sigma": self.sigma}
@@ -67,6 +73,8 @@ class Uniform:
         _require_finite("Uniform", (self.a, self.b))
         if not self.a <= self.b:
             raise InvalidSpec("Uniform requires a <= b")
+        if not math.isfinite(self.b - self.a):
+            raise InvalidSpec("Uniform width b - a overflows float64")
 
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
         return self.a + (self.b - self.a) * u
@@ -176,6 +184,8 @@ class FiniteStateMarkov:
         states = tuple(tuple(float(v) for v in np.atleast_1d(s)) for s in self.states)
         object.__setattr__(self, "states", states)
         _require_finite("FiniteStateMarkov", itertools.chain.from_iterable(states))
+        if len({len(s) for s in states}) > 1:
+            raise InvalidSpec("FiniteStateMarkov states must all have the same length")
         P = np.asarray(self.transition, dtype=float)
         k = len(states)
         if P.shape != (k, k):
@@ -395,7 +405,7 @@ def _generate_ar1(
         # the recursion, which keeps the shared suffix identical.
         m_stat, s_stat = _gaussian_ar1_law(spec)
         u = stream.uniforms(t_min, n)[:, : spec.dimension]
-        z = ndtri(u)
+        z = special.ndtri(u)
         anchor = m_stat + s_stat * z[-1]
         centered = spec.noise.sigma * z[:-1][::-1]  # innovations for t_max-1 ... t_min
         # y_t = c_t + a y_{t-1} from y_{-1} = anchor - m_stat, per column on
@@ -458,7 +468,7 @@ def stationary_draws(spec: CovariateProcessSpec, n: int, seed: int) -> np.ndarra
         return spec.marginal.from_uniform(stream.uniforms(0, n))
     if isinstance(spec, AR1) and isinstance(spec.noise, Gaussian):
         m, s = _gaussian_ar1_law(spec)
-        return m + s * ndtri(stream.uniforms(0, n))
+        return m + s * special.ndtri(stream.uniforms(0, n))
     if isinstance(spec, AR1):
         weights, offset = _burn_in(spec)
         u = stream.uniforms(0, n * len(weights)).reshape(n, len(weights), spec.dimension)

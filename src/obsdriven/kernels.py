@@ -31,9 +31,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import (betainc, betaincc, erfc, expit, gammaincinv, gammaln, log_ndtr, ndtr, ndtri, pdtr, pdtrc,
-                           stdtr, stdtrit)
 
+from . import _special as special
 from .covariates import write_csv
 from .errors import (
     CouplingBudgetExceeded,
@@ -107,18 +106,18 @@ def _certified_rate(log_overlap_fn, powers: tuple[int, ...]) -> float:
 
 @functools.lru_cache(maxsize=None)
 def _probit_rate() -> float:
-    return _certified_rate(lambda h: np.log(2.0) + log_ndtr(-h / 2.0), (1, 2))
+    return _certified_rate(lambda h: np.log(2.0) + special.log_ndtr(-h / 2.0), (1, 2))
 
 
 @functools.lru_cache(maxsize=None)
 def _gaussian_location_rate(sigma: float) -> float:
-    return _certified_rate(lambda h: np.log(2.0) + log_ndtr(-h / (2.0 * sigma)), (1, 2))
+    return _certified_rate(lambda h: np.log(2.0) + special.log_ndtr(-h / (2.0 * sigma)), (1, 2))
 
 
 @functools.lru_cache(maxsize=None)
 def _student_location_rate(nu: float) -> float:
     # stats.t.logsf(h / 2, nu) bit for bit: scipy logs the sf for h / 2 > 0
-    return _certified_rate(lambda h: np.log(2.0) + np.log(stdtr(nu, -h / 2.0)), (1,))
+    return _certified_rate(lambda h: np.log(2.0) + np.log(special.stdtr(nu, -h / 2.0)), (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +315,7 @@ def _poisson_sf(k, s):
 
 
 def _poisson_tail(k, s, sign):
-    out = pdtr(k, s) if sign > 0 else pdtrc(k, s)
+    out = special.pdtr(k, s) if sign > 0 else special.pdtrc(k, s)
     far = (s > 1e5) & (abs(k - s) > 4.5 * s**0.5)  # Python operators: one pair stays in floats
     if not np.count_nonzero(far):
         return out
@@ -326,7 +325,7 @@ def _poisson_tail(k, s, sign):
     # eta^2 / 2 = mu - log1p(mu), by its series where the difference would cancel
     half = np.where(np.abs(mu) < 1e-3, mu * mu * (0.5 - mu / 3.0 + mu * mu / 4.0 - mu**3 / 5.0), mu - np.log1p(mu))
     eta = np.copysign(np.sqrt(2.0 * half), mu)
-    out[far] = (0.5 * erfc(sign * eta * np.sqrt(0.5 * a))
+    out[far] = (0.5 * special.erfc(sign * eta * np.sqrt(0.5 * a))
                 + sign * np.exp(-0.5 * a * eta * eta) / np.sqrt(2.0 * np.pi * a) * (1.0 / mu - 1.0 / eta))
     return out[()]
 
@@ -362,7 +361,7 @@ def _count_quantile_search(s, u, cdf, sf, inv_r=0.0):
     For s >= 2**52 the rounded start is returned unsearched: an
     approximation, float64 cannot hold every integer the search visits.
     """
-    z, w = ndtri(u), s * inv_r
+    z, w = special.ndtri(u), s * inv_r
     k = np.maximum(np.ceil(s + np.sqrt(s * (1.0 + w)) * z + (1.0 + 2.0 * w) * (z * z - 1.0) / 6.0 - 0.5), 0.0)
     searched, upper = s < _EXACT_QUANTILE_MEAN, u > 0.5
     # -sf(k) >= u - 1 is F(k) >= u, and u - 1 is exact for u > 1/2
@@ -604,10 +603,10 @@ class NegBinomial(ObservationKernel):
         out = _count_quantile_edges(s, u, np.full(s.shape, np.nan))
         inner = (s > 0.0) & (s < np.inf) & (u > 0.0) & (u < 1.0)
         big = inner & (s >= _EXACT_QUANTILE_MEAN)
-        out[big] = np.ceil(s[big] / r * gammaincinv(r, u[big]))
+        out[big] = np.ceil(s[big] / r * special.gammaincinv(r, u[big]))
         small = inner & ~big
-        out[small] = _count_quantile_search(s[small], u[small], lambda k, s: betainc(r, k + 1.0, p(s)),
-                                            lambda k, s: betaincc(r, k + 1.0, p(s)), 1.0 / r)
+        out[small] = _count_quantile_search(s[small], u[small], lambda k, s: special.betainc(r, k + 1.0, p(s)),
+                                            lambda k, s: special.betaincc(r, k + 1.0, p(s)), 1.0 / r)
         return out
 
     def phi(self):
@@ -637,7 +636,7 @@ class NegBinomial(ObservationKernel):
         r, d = self.r, sp - s
         den = math.log1p(d / s * (r / (r + sp))) if s else math.inf
         k = float(math.floor(min(r * math.log1p(d / (r + s)) / den, sp) if den else s))
-        return max(float(betaincc(r, k + 1.0, r / (r + sp)) - betaincc(r, k + 1.0, r / (r + s))), 0.0)
+        return max(float(special.betaincc(r, k + 1.0, r / (r + sp)) - special.betaincc(r, k + 1.0, r / (r + s))), 0.0)
 
     def conditional_moment(self, s, order):
         if order != 1:
@@ -697,7 +696,7 @@ class BernoulliLogit(_Bernoulli):
     family = "bernoulli_logit"
 
     def _success(self, s):
-        return expit(s)
+        return special.expit(s)
 
     def phi(self):
         return PhiSpec(((1, 1.0),))
@@ -708,7 +707,7 @@ class BernoulliProbit(_Bernoulli):
     family = "bernoulli_probit"
 
     def _success(self, s):
-        return ndtr(s)
+        return special.ndtr(s)
 
     def phi(self):
         d = _probit_rate()
@@ -821,7 +820,7 @@ class GarchGaussian(ObservationKernel):
         return np.sqrt(s) * rng.standard_normal(s.shape)
 
     def sample_inverse(self, s, u):
-        return np.sqrt(np.asarray(s, dtype=float)) * ndtri(u)
+        return np.sqrt(np.asarray(s, dtype=float)) * special.ndtri(u)
 
     def _pdf(self, y, s):
         return np.exp(-np.asarray(y) ** 2 / (2.0 * s)) / math.sqrt(2.0 * math.pi * s)
@@ -874,7 +873,7 @@ class GaussianNoise:
         return np.exp(-np.asarray(y) ** 2 / (2.0 * self.sigma**2)) / (self.sigma * math.sqrt(2 * math.pi))
 
     def ppf(self, u):
-        return self.sigma * ndtri(u)
+        return self.sigma * special.ndtri(u)
 
     def tv(self, h):
         return math.erf(h / (2.0 * math.sqrt(2.0) * self.sigma))
@@ -934,10 +933,13 @@ class StudentTNoise:
     def __post_init__(self):
         if self.nu < 2:
             raise InvalidSpec("Student noise needs nu >= 2")
+
+    @functools.cached_property
+    def _pdf_const(self):
         # direct pdf; scipy's distribution call overhead would dominate the
         # rejection coupling, which evaluates it on every proposal
-        logc = gammaln((self.nu + 1) / 2.0) - gammaln(self.nu / 2.0) - 0.5 * math.log(self.nu * math.pi)
-        object.__setattr__(self, "_pdf_const", math.exp(logc))
+        nu = self.nu
+        return math.exp(special.gammaln((nu + 1) / 2.0) - special.gammaln(nu / 2.0) - 0.5 * math.log(nu * math.pi))
 
     def pdf(self, y):
         y = np.asarray(y, dtype=float)
@@ -949,18 +951,19 @@ class StudentTNoise:
         where it (and scipy) returns +inf for u < 1/2, below about u = 1e-222, this is -inf.
         Stream uniforms are >= 2**-54, so draws never reach it."""
         u = np.asarray(u, dtype=float)
-        x = stdtrit(self.nu, u)
+        x = special.stdtrit(self.nu, u)
         return np.where((u < 0.5) & (x > 0.0), -np.inf, x)[()]
 
     def tv(self, h):
-        return 2.0 * float(stdtr(self.nu, h / 2.0)) - 1.0
+        return 2.0 * float(special.stdtr(self.nu, h / 2.0)) - 1.0
 
     def draw(self, n, rng):
         return rng.standard_t(self.nu, n)
 
     def mean_abs(self):
         n = self.nu
-        return 2.0 * math.sqrt(n) * math.exp(gammaln((n + 1) / 2.0) - gammaln(n / 2.0)) / ((n - 1) * math.sqrt(math.pi))
+        lg = special.gammaln((n + 1) / 2.0) - special.gammaln(n / 2.0)
+        return 2.0 * math.sqrt(n) * math.exp(lg) / ((n - 1) * math.sqrt(math.pi))
 
     def rate(self) -> PhiSpec:
         # polynomial tails dominate any exponential, so a linear phi works
@@ -1011,13 +1014,14 @@ class Location(ObservationKernel):
         s = float(s)
         if isinstance(self.noise, GaussianNoise):
             sig = self.noise.sigma
-            val = sig * math.sqrt(2.0 / math.pi) * math.exp(-s * s / (2 * sig * sig)) + s * (1.0 - 2.0 * ndtr(-s / sig))
+            val = (sig * math.sqrt(2.0 / math.pi) * math.exp(-s * s / (2 * sig * sig))
+                   + s * (1.0 - 2.0 * special.ndtr(-s / sig)))
         elif isinstance(self.noise, LaplaceNoise):
             val = abs(s) + self.noise.b * math.exp(-abs(s) / self.noise.b)
         else:
             # E|a + T| = a (1 - 2F(-a)) + 2 (nu + a^2) f(a) / (nu - 1), even in s
             a, nu = abs(s), self.noise.nu
-            val = a * (1.0 - 2.0 * stdtr(nu, -a)) + 2.0 * (nu + a * a) * float(self.noise.pdf(a)) / (nu - 1.0)
+            val = a * (1.0 - 2.0 * special.stdtr(nu, -a)) + 2.0 * (nu + a * a) * float(self.noise.pdf(a)) / (nu - 1.0)
         return float(val), float(self.noise.mean_abs())
 
     def standard_pairs(self, n_pairs=200):

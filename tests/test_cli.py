@@ -125,8 +125,24 @@ def test_missing_manifest_is_usage_error(tmp_path, capsys):
     assert cli.main(["--manifest", str(tmp_path / "none.json")]) == 1
 
 
+@pytest.mark.parametrize("case, message", [
+    ("directory", "manifest is a directory"),
+    ("under_a_file", "manifest cannot be read"),
+    ("not_utf8", "manifest is not UTF-8 text"),
+])
+def test_unreadable_manifest_is_manifest_error(tmp_path, capsys, case, message):
+    # IsADirectoryError, another OSError (NotADirectoryError here) and a UnicodeDecodeError
+    (tmp_path / "f.json").write_bytes(b"\xff\xfe")
+    path = {"directory": tmp_path, "under_a_file": tmp_path / "f.json" / "m.json",
+            "not_utf8": tmp_path / "f.json"}[case]
+    assert cli.main(["--manifest", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"manifest error: {message}") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("breakage", ["missing_link", "unknown_family", "nan_sigma", "inf_uniform",
-                                      "nan_point", "empty_constant", "nan_markov_state"])
+                                      "nan_point", "empty_constant", "nan_markov_state", "ragged_markov_states",
+                                      "wide_uniform", "wide_gaussian"])
 def test_malformed_model_is_manifest_error(tmp_path, capsys, breakage):
     model = dict(BENCH)
     if breakage == "missing_link":
@@ -142,6 +158,11 @@ def test_malformed_model_is_manifest_error(tmp_path, capsys, breakage):
             "empty_constant": {"kind": "constant", "value": []},
             "nan_markov_state": {"kind": "finite_markov", "states": [[0.0], [float("nan")]],
                                  "transition": [[0.5, 0.5], [0.5, 0.5]]},
+            "ragged_markov_states": {"kind": "finite_markov", "states": [[0.0], [1.0, 2.0]],
+                                     "transition": [[0.5, 0.5], [0.5, 0.5]]},
+            # finite parameters whose draws overflow float64
+            "wide_uniform": {"kind": "iid", "marginal": {"name": "uniform", "a": -1e308, "b": 1e308}},
+            "wide_gaussian": {"kind": "iid", "marginal": {"name": "gaussian", "mu": 0.0, "sigma": 1e308}},
         }[breakage]
     man = write_manifest(tmp_path, "m.json", simulate_manifest(model=model))
     assert cli.main(["--manifest", str(man), "--out", str(tmp_path / "o")]) == 1
@@ -270,6 +291,7 @@ HEAVY = ("scipy.stats", "scipy.signal", "scipy.optimize")
 import obsdriven as od
 from obsdriven import cli
 assert not [m for m in HEAVY if m in sys.modules], "import obsdriven"
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "import obsdriven loaded scipy"
 CM, U01 = od.ConstantMap, od.IID(od.Uniform(0.0, 1.0))
 models = [
     od.ModelSpec(od.Poisson(), od.LinearLink(CM(0.4, True), od.AffineAbsMap(0.0, (0.3,), True),
@@ -280,6 +302,7 @@ models = [
                                                       CM(1.0, True), order=2, floor=1.0), U01),
     od.ModelSpec(od.Location(od.GaussianNoise(1.0)), od.LinearLink(CM(0.5), CM(0.3), CM(0.0), order=1), U01),
 ]
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "building the models loaded scipy"
 params = {
     "simulate": lambda s0: {"s0": s0, "t_min": 0, "t_max": 199},
     "couple": lambda s0: {"s0": s0, "s0_prime": s0 + 10.0, "horizon": 100},
@@ -288,6 +311,11 @@ params = {
     "diagnose": lambda s0: {"length": 500},
 }
 with tempfile.TemporaryDirectory() as tmp:
+    # scipy.special loads on first use: Poisson, GARCH and loc-ar chains never use it, a logit step does
+    for i, cmd in ((0, "simulate"), (0, "couple"), (2, "simulate"), (3, "simulate"), (3, "couple"), (1, "simulate")):
+        raw = {"command": cmd, "model": models[i].to_dict(), "params": params[cmd](models[i].start_state()), "seed": 3}
+        cli.run_manifest(cli.validate_manifest(raw), Path(tmp) / f"lazy-{i}-{cmd}")
+        assert ("scipy.special" in sys.modules) == (i == 1), f"{cmd} on {type(models[i].kernel).__name__}"
     for i, model in enumerate(models):
         for cmd, make in params.items():
             raw = {"command": cmd, "model": model.to_dict(), "params": make(model.start_state()), "seed": 3}
@@ -312,3 +340,71 @@ def test_import_and_benchmark_manifests_leave_heavy_scipy_unloaded():
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
     assert out.stdout.strip() == "ok"
+
+
+_SPECIAL_ENTRY_POINTS = r"""
+import numpy as np
+import obsdriven as od
+
+u = [2.0**-54, 0.1, 0.5, 0.9, 1.0 - 2.0**-53]
+CALLS = {
+    "gaussian iid path": lambda: od.generate_path(od.IID(od.Gaussian(1.0, 2.0), 2), -3, 5, 11).values,
+    "gaussian ar1 path": lambda: od.generate_path(od.AR1(0.6, od.Gaussian(0.5, 1.5)), -3, 5, 11).values,
+    "gaussian ar1 draws": lambda: od.stationary_draws(od.AR1(0.6, od.Gaussian(0.5, 1.5)), 6, 11),
+    "GaussianNoise.ppf": lambda: od.GaussianNoise(1.5).ppf(np.array(u)),
+    "BernoulliLogit.sample_inverse": lambda: od.BernoulliLogit().sample_inverse([-1.0, 0.3, 2.0], [0.2, 0.5, 0.9]),
+    "BernoulliProbit.sample_inverse": lambda: od.BernoulliProbit().sample_inverse([-1.0, 0.3, 2.0], [0.2, 0.5, 0.9]),
+    "Poisson uncertified draws": lambda: od.Poisson().sample_inverse(
+        [3.0, 3.0, 2e6, 6.9e9, 1e12, 1e20], [1e-13, 1.0 - 1e-13, 0.5, 0.9999981, 0.3, 0.7]),
+    "NegBinomial.sample_inverse": lambda: od.NegBinomial(3).sample_inverse(
+        [5.0, 5.0, 5.0, 1e6, 1e18], [2.0**-54, 0.5, 1.0 - 2.0**-53, 0.3, 0.6]),
+    "NegBinomial.tv_exact": lambda: od.NegBinomial(3).tv_exact(1.0, 2.0),
+    "StudentTNoise.ppf": lambda: od.StudentTNoise(3.0).ppf(np.array(u)),
+    "StudentTNoise.tv": lambda: od.StudentTNoise(3.0).tv(0.7),
+    "StudentTNoise.pdf": lambda: od.StudentTNoise(3.0).pdf(np.array([-2.0, 0.0, 1.5])),
+}
+KERNELS = [od.Poisson(), od.NegBinomial(3), od.BernoulliLogit(), od.BernoulliProbit(), od.Multinomial(3),
+           od.GarchGaussian(1.0), od.Location(od.GaussianNoise(1.5)), od.Location(od.LaplaceNoise(0.5)),
+           od.Location(od.StudentTNoise(4.0))]
+CALLS.update({f"{type(k).__name__}({k.to_dict()}).phi": k.phi for k in KERNELS})
+
+
+def values(before_each=lambda: None):
+    out = {}
+    for name, call in CALLS.items():
+        before_each()
+        out[name] = repr(call())
+    return out
+"""
+
+_SPECIAL_FRESH = r"""
+import json, sys
+sys.path.insert(0, sys.argv[1])
+exec(sys.argv[2])
+from obsdriven import _special
+assert "scipy.special" not in sys.modules, "scipy.special loaded before the first call"
+
+
+def forget():
+    # every call takes the first-use path: the lazily stored names go
+    for name in [n for n in vars(_special) if not n.startswith("_")]:
+        del vars(_special)[name]
+
+
+out = values(forget)
+assert "scipy.special" in sys.modules
+print(json.dumps(out))
+"""
+
+
+def test_special_entry_points_on_first_use_match_this_process():
+    # each entry point backed by scipy.special, called in a fresh interpreter where the
+    # lazy handle has stored no name, returns what this process (scipy already loaded) does
+    ns = {}
+    exec(_SPECIAL_ENTRY_POINTS, ns)
+    src = str(Path(od.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _SPECIAL_FRESH, src, _SPECIAL_ENTRY_POINTS],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    fresh = json.loads(out.stdout.strip().splitlines()[-1])
+    assert fresh == ns["values"]()

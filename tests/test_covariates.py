@@ -9,6 +9,7 @@ import pytest
 
 import obsdriven as od
 from conftest import hypothesis_settings
+from obsdriven import covariates
 from obsdriven.covariates import (
     abs_map,
     log_plus_moment_estimate,
@@ -130,6 +131,31 @@ def test_invalid_specs_rejected():
                  lambda: od.FiniteStateMarkov(((0.0,), (nan,)), ((0.5, 0.5), (0.5, 0.5)))):
         with pytest.raises(InvalidSpec):
             make()
+    # states of unequal length make no path; finite parameters whose draws overflow make inf paths
+    for make in (lambda: od.FiniteStateMarkov(((0.0,), (1.0, 2.0)), ((0.5, 0.5), (0.5, 0.5))),
+                 lambda: od.Uniform(-1e308, 1e308), lambda: od.Gaussian(0.0, 1e308),
+                 lambda: od.Gaussian(1e308, 1e307), lambda: od.Gaussian(-1e308, 1e307)):
+        with pytest.raises(InvalidSpec):
+            make()
+
+
+def test_widest_accepted_gaussian_and_uniform_draw_finite_paths():
+    # the stream's uniforms lie in [2**-54, 1 - 2**-53]; |ndtri| there is at most -ndtri(2**-54)
+    from scipy.special import ndtri
+
+    assert covariates._NDTRI_TAIL == -ndtri(2.0**-54) > ndtri(1.0 - 2.0**-53)
+    top, tail = np.finfo(float).max, covariates._NDTRI_TAIL
+    sigma = top / tail  # then the largest sigma whose tail draw is finite
+    while math.isfinite(math.nextafter(sigma, math.inf) * tail):
+        sigma = math.nextafter(sigma, math.inf)
+    while not math.isfinite(sigma * tail):
+        sigma = math.nextafter(sigma, 0.0)
+    with pytest.raises(InvalidSpec):
+        od.Gaussian(0.0, math.nextafter(sigma, math.inf))
+    u = np.array([2.0**-54, 0.5, 1.0 - 2.0**-53])
+    for marginal in (od.Gaussian(0.0, sigma), od.Uniform(-top / 2, top / 2)):
+        assert np.isfinite(marginal.from_uniform(u)).all()
+        assert np.isfinite(od.generate_path(od.IID(marginal), 0, 999, 3).values).all()
 
 
 def test_log_moment_constant_half():

@@ -310,7 +310,7 @@ def test_poisson_quantile_fast_path_is_the_gathered_route(monkeypatch):
     # its result equals the general route's on the same draws
     rng = generator(43)
     s, u = rng.uniform(0.01, 20.0, 4100), rng.uniform(1e-9, 1.0 - 1e-9, 4100)
-    u[:3] = kernels.pdtr(np.array([2.0, 5.0, 0.0]), s[:3])  # on jumps: uncertified
+    u[:3] = pdtr(np.array([2.0, 5.0, 0.0]), s[:3])  # on jumps: uncertified
     doubt = np.flatnonzero(~kernels._poisson_quantile_summed(s, u)[1])
     assert 3 <= doubt.size < 10
     edge = od.Poisson().sample_inverse(np.append(s, 0.0), np.append(u, 0.5))  # one edge draw: the general route
@@ -813,10 +813,13 @@ def test_no_module_in_src_imports_scipy_integrate():
 
 
 def test_no_module_in_src_imports_heavy_scipy_at_module_level():
-    # import obsdriven loads numpy and scipy.special only; scipy.stats and
-    # scipy.optimize cost about a second and are imported where first used
+    # import obsdriven loads numpy only; scipy.stats and scipy.optimize cost
+    # about a second and are imported where first used, and scipy.special
+    # (about 0.3 s) by the one lazy handle, ``_special``
     heavy = ("scipy.stats", "scipy.signal", "scipy.optimize")
     assert _src_imports_of(heavy, module_level_only=True) == []
+    assert _src_imports_of(("scipy",), module_level_only=True) == []
+    assert [p.split(":")[0] for p in _src_imports_of(("scipy.special",))] == ["_special.py"]
     assert _src_imports_of(("scipy.signal",)) == []
     assert _src_imports_of(heavy)  # the walk does see the first-use imports
 
