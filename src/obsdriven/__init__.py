@@ -42,7 +42,6 @@ from .engine import (
     stationary_sampler,
     w_stats,
     wasserstein1,
-    wasserstein1_bruteforce,
 )
 from .kernels import (
     BernoulliLogit,

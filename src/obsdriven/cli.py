@@ -74,6 +74,8 @@ def load_manifest(path: Path) -> dict:
         raise _fail(f"manifest is not UTF-8 text: {e}")
     except json.JSONDecodeError as e:
         raise _fail(f"manifest is not valid JSON: {e}")
+    except RecursionError:
+        raise _fail("manifest is nested too deeply") from None
     return validate_manifest(raw)
 
 

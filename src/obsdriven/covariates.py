@@ -162,6 +162,11 @@ class AR1:
     def __post_init__(self):
         if not abs(self.a) < 1:
             raise InvalidSpec(f"AR1 needs |a| < 1 for stationarity, got a={self.a}")
+        e = self.noise  # its largest magnitude, grown by up to 1 / (1 - |a|) in the recursion
+        peak = (max(abs(e.a), abs(e.b)) if isinstance(e, Uniform) else
+                abs(e.mu) + _NDTRI_TAIL * e.sigma if isinstance(e, Gaussian) else abs(e.value))
+        if not math.isfinite(peak / (1.0 - abs(self.a))):
+            raise InvalidSpec("AR1 paths overflow float64: the stationary reach max|noise| / (1 - |a|) is not finite")
         if self.dimension < 1:
             raise InvalidSpec("dimension must be >= 1")
 

@@ -14,10 +14,12 @@ realizes the coupling the backward Cauchy argument is built on, and which
 keeps a path extension from perturbing the shared suffix.
 
 Two stepping cores, each fed and checked by ``_start_states``, serve every
-entry point: ``_forward_steps`` steps one chain or a coupled pair on Python
-floats from a sequential generator (a coupled draw takes a variable number
-of words, which no counter can address); ``_backward_steps`` steps replica
-batches by inverse transform from counter-addressed uniforms.
+entry point.  ``_forward_steps`` steps on Python floats from a sequential
+generator (a coupled draw takes a variable number of words, which no counter
+can address): a coupled pair until its states have the same bits, then one
+glued chain, which draws its noise in one call where the words do not depend
+on the state.  ``_backward_steps`` steps replica batches by inverse
+transform from counter-addressed uniforms.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import (
     StateOverflow,
     UnsupportedCombination,
 )
-from .kernels import ObservationKernel, PhiSpec, state_distance
+from .kernels import ObservationKernel, PhiSpec, _NoiseKernel, state_distance
 # every loop steps a coefficient table; link_apply stays importable for callers that patch it
 from .links import LinkSpec, apply as link_apply, coefficient_table, contraction_map
 from .rngstream import IndexedStream, generator, split_seed
@@ -181,24 +183,35 @@ def _start_states(model: ModelSpec, starts, where: str, replicas: int | None = N
 
 def _forward_steps(model: ModelSpec, starts, path: CovariatePath, rng):
     """Step one chain, or a maximally coupled pair, along the path with the generator rng;
-    returns the histories (lam, y, lam', y', met), the primed ones left unset for one chain.
-    A lone chain, and a pair at equal states (glued: zero TV), draws once per step by
-    ``kernel.sample``; a pair at distinct states draws one ``couple_batch`` pair."""
-    kernel, pair, n = model.kernel, len(starts) == 2, len(path)
+    returns the histories (lam, y, lam', y', met), the primed ones a copy for one chain.
+    A pair draws one ``couple_batch`` pair per step (one shared ``sample`` at distance 0)
+    until its two states have the same bits; from then on, and from the start for one chain,
+    it is glued: one chain, whose noise is one ``kernel._noise`` call where the family's words
+    do not depend on the state (the words of one ``sample`` per step), else a ``sample`` a step."""
+    kernel, n, t0 = model.kernel, len(path), path.t_min
     lam, lamp = _start_states(model, (starts * 2)[:2], "initial state")  # a lone chain is a glued pair
     lam_h, lamp_h = (np.empty((n, kernel.state_dim) if kernel.state_dim > 1 else n) for _ in range(2))
     y_h, yp_h, met_h = np.empty(n), np.empty(n), np.ones(n, dtype=bool)
-    for i, row in enumerate(coefficient_table(model.link, path.values).tolist()):
-        lam_h[i] = lam
-        if not pair or kernel.state_distance(lam, lamp) == 0.0:
+    rows, i = coefficient_table(model.link, path.values).tolist(), 0
+    while i < n and np.asarray(lam).tobytes() != np.asarray(lamp).tobytes():
+        lam_h[i], lamp_h[i] = lam, lamp
+        if kernel.state_distance(lam, lamp) == 0.0:  # +0.0 and -0.0
             y = yp = kernel.sample(lam, rng)
         else:
             (y,), (yp,), (met_h[i],) = kernel.couple_batch(lam, lamp, 1, rng)
-        y_h[i] = y
-        lam = _step(model, row, lam, y, "step t={t}", path.t_min + i)
-        if pair:
-            lamp_h[i], yp_h[i] = lamp, yp
-            lamp = _step(model, row, lamp, yp, "step t={t} (prime)", path.t_min + i)
+        y_h[i], yp_h[i] = y, yp
+        lam = _step(model, rows[i], lam, y, "step t={t}", t0 + i)
+        lamp = _step(model, rows[i], lamp, yp, "step t={t} (prime)", t0 + i)
+        i += 1
+    noise = kernel._noise(n - i, rng).tolist() if isinstance(kernel, _NoiseKernel) else None
+    for j in range(i, n):
+        lam_h[j] = lam
+        y_h[j] = y = kernel.sample(lam, rng) if noise is None else kernel._from_noise(lam, noise[j - i])
+        if type(lam) is float and kernel.domain_contains(new := links_mod.step(model.link, rows[j], lam, y)):
+            lam = new
+        else:  # a vector state, or a failure to report
+            lam = _step(model, rows[j], lam, y, "step t={t}", t0 + j)
+    lamp_h[i:], yp_h[i:] = lam_h[i:], y_h[i:]
     return lam_h, y_h, lamp_h, yp_h, met_h
 
 
@@ -573,34 +586,6 @@ def wasserstein1(mu, nu) -> W1Result:
     if n > MAX_EXACT_ASSIGNMENT:
         raise InvalidSpec(f"vector-state W1 is solved exactly up to {MAX_EXACT_ASSIGNMENT} points; got {n}")
     return W1Result(_assignment_cost(a, b), n)
-
-
-@functools.lru_cache(maxsize=None)
-def _permutations(n: int) -> np.ndarray:
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
-    perms.flags.writeable = False
-    return perms
-
-
-def wasserstein1_bruteforce(a: np.ndarray, b: np.ndarray) -> float:
-    """Exhaustive minimum over all couplings (permutations); tiny n only.
-
-    Every permutation's cost is summed in float, and the sums within 1e-12
-    of the least (far above the rounding error of at most 9 terms, each at
-    most 1) are summed again exactly; the least exact sum is returned.  An
-    exact sum does not depend on the order of its terms, so those rows are
-    sorted and each distinct one is summed once (tied inputs repeat rows).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = len(a)
-    if n > 9:
-        raise InvalidSpec("brute force oracle limited to n <= 9")
-    costs = _cost_matrix(a, b)[np.arange(n), _permutations(n)]
-    sums = costs.sum(axis=1)
-    near = np.sort(costs[sums <= sums.min() + 1e-12], axis=1)
-    rows = np.unique(near.view(np.dtype((np.void, near.itemsize * n))).ravel())
-    return min(math.fsum(row) for row in rows.view(float).reshape(-1, n)) / n
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,19 @@ class ObservationKernel:
         return {"family": self.family}
 
 
+class _NoiseKernel(ObservationKernel):
+    """A family whose draws take words that do not depend on the state: ``sample(s, rng)`` is
+    ``_from_noise(s, _noise(shape, rng))``, shape the batch shape of s, None (a Python float) for
+    one state.  numpy fills an array by a scalar call's per-draw routine: n calls' words in one."""
+
+    def sample(self, s, rng):
+        shape = None if isinstance(s, float) else np.shape(s)[:np.ndim(s) - (self.state_dim > 1)] or None
+        return self._from_noise(s, self._noise(shape, rng))
+
+    def _noise(self, shape, rng):
+        return rng.random(shape)  # the uniforms of the binary and multinomial families
+
+
 def _bounded_below(s, floor: float = float(np.finfo(float).min)) -> bool:
     """True when every state is finite and >= floor (by default: finite); inf and NaN are outside."""
     if isinstance(s, float):
@@ -655,7 +668,7 @@ class NegBinomial(ObservationKernel):
 # binary families
 # ---------------------------------------------------------------------------
 
-class _Bernoulli(ObservationKernel):
+class _Bernoulli(_NoiseKernel):
     moment_order = 1
 
     def _success(self, s):
@@ -664,11 +677,10 @@ class _Bernoulli(ObservationKernel):
     def domain_contains(self, s):
         return _bounded_below(s)
 
-    def sample(self, s, rng):
-        if isinstance(s, float) or not np.ndim(s):  # one chain: rng.random() is rng.random(())'s word
-            return int(rng.random() < self._success(float(s)))
-        p1 = self._success(np.asarray(s, dtype=float))
-        return (rng.random(p1.shape) < p1).astype(np.int64)
+    def _from_noise(self, s, e):
+        if isinstance(s, float) or not np.ndim(s):  # one chain: a Python int
+            return int(e < self._success(float(s)))
+        return (e < self._success(np.asarray(s, dtype=float))).astype(np.int64)
 
     def sample_inverse(self, s, u):
         p1 = self._success(np.asarray(s, dtype=float))
@@ -719,7 +731,7 @@ class BernoulliProbit(_Bernoulli):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Multinomial(ObservationKernel):
+class Multinomial(_NoiseKernel):
     """Categories {0..N-1}; p(i|s) = exp(s_i)/S(s), S(s) = 1 + sum exp(s_j)."""
 
     n_categories: int = 2
@@ -744,17 +756,11 @@ class Multinomial(ObservationKernel):
         e = np.exp(z)
         return e / e.sum(axis=1, keepdims=True)
 
-    def sample(self, s, rng):
-        p = self.probabilities(s)
-        u = rng.random(p.shape[0])
-        idx = (np.cumsum(p, axis=1) < u[:, None]).sum(axis=1)
-        return idx if np.asarray(s).ndim > 1 else int(idx[0])
-
     def sample_inverse(self, s, u):
-        p = self.probabilities(s)
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        idx = (np.cumsum(p, axis=1) < u[:, None]).sum(axis=1)
-        return idx if np.asarray(s).ndim > 1 or np.ndim(u) else int(idx[0])
+        idx = (np.cumsum(self.probabilities(s), axis=1) < np.reshape(u, (-1, 1))).sum(axis=1)
+        return idx if np.ndim(s) > 1 or np.ndim(u) else int(idx[0])
+
+    _from_noise = sample_inverse
 
     def phi(self):
         return PhiSpec(((1, 1.0),))
@@ -795,7 +801,7 @@ class Multinomial(ObservationKernel):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GarchGaussian(ObservationKernel):
+class GarchGaussian(_NoiseKernel):
     """y|s = sqrt(s) eps with standard normal eps; states s >= c_minus > 0."""
 
     c_minus: float = 1.0
@@ -813,11 +819,13 @@ class GarchGaussian(ObservationKernel):
     def domain_floor(self):
         return self.c_minus
 
-    def sample(self, s, rng):
+    def _noise(self, shape, rng):
+        return rng.standard_normal(shape)
+
+    def _from_noise(self, s, e):
         if isinstance(s, float) or not np.ndim(s):
-            return math.sqrt(s) * rng.standard_normal()
-        s = np.asarray(s, dtype=float)
-        return np.sqrt(s) * rng.standard_normal(s.shape)
+            return math.sqrt(s) * e
+        return np.sqrt(np.asarray(s, dtype=float)) * e
 
     def sample_inverse(self, s, u):
         return np.sqrt(np.asarray(s, dtype=float)) * special.ndtri(u)
@@ -977,7 +985,7 @@ _NOISES = {"gaussian": GaussianNoise, "laplace": LaplaceNoise, "student_t": Stud
 
 
 @dataclass(frozen=True)
-class Location(ObservationKernel):
+class Location(_NoiseKernel):
     """y|s = s + eps with symmetric unimodal noise; autoregressions with noise."""
 
     noise: GaussianNoise | LaplaceNoise | StudentTNoise = GaussianNoise()
@@ -988,11 +996,11 @@ class Location(ObservationKernel):
     def domain_contains(self, s):
         return _bounded_below(s)
 
-    def sample(self, s, rng):
-        if isinstance(s, float) or not np.ndim(s):
-            return float(s) + self.noise.draw(None, rng)
-        s = np.asarray(s, dtype=float)
-        return s + self.noise.draw(s.shape, rng)
+    def _noise(self, shape, rng):
+        return self.noise.draw(shape, rng)
+
+    def _from_noise(self, s, e):
+        return (float(s) if isinstance(s, float) or not np.ndim(s) else np.asarray(s, dtype=float)) + e
 
     def sample_inverse(self, s, u):
         return np.asarray(s, dtype=float) + self.noise.ppf(u)

@@ -129,12 +129,15 @@ def test_missing_manifest_is_usage_error(tmp_path, capsys):
     ("directory", "manifest is a directory"),
     ("under_a_file", "manifest cannot be read"),
     ("not_utf8", "manifest is not UTF-8 text"),
+    ("nested", "manifest is nested too deeply"),
 ])
 def test_unreadable_manifest_is_manifest_error(tmp_path, capsys, case, message):
-    # IsADirectoryError, another OSError (NotADirectoryError here) and a UnicodeDecodeError
+    # IsADirectoryError, another OSError (NotADirectoryError here), a UnicodeDecodeError
+    # and the RecursionError of json.loads
     (tmp_path / "f.json").write_bytes(b"\xff\xfe")
+    (tmp_path / "n.json").write_text("[" * 100_000, encoding="utf-8")
     path = {"directory": tmp_path, "under_a_file": tmp_path / "f.json" / "m.json",
-            "not_utf8": tmp_path / "f.json"}[case]
+            "not_utf8": tmp_path / "f.json", "nested": tmp_path / "n.json"}[case]
     assert cli.main(["--manifest", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"manifest error: {message}") and "Traceback" not in err
@@ -142,7 +145,7 @@ def test_unreadable_manifest_is_manifest_error(tmp_path, capsys, case, message):
 
 @pytest.mark.parametrize("breakage", ["missing_link", "unknown_family", "nan_sigma", "inf_uniform",
                                       "nan_point", "empty_constant", "nan_markov_state", "ragged_markov_states",
-                                      "wide_uniform", "wide_gaussian"])
+                                      "wide_uniform", "wide_gaussian", "wide_ar1"])
 def test_malformed_model_is_manifest_error(tmp_path, capsys, breakage):
     model = dict(BENCH)
     if breakage == "missing_link":
@@ -163,6 +166,8 @@ def test_malformed_model_is_manifest_error(tmp_path, capsys, breakage):
             # finite parameters whose draws overflow float64
             "wide_uniform": {"kind": "iid", "marginal": {"name": "uniform", "a": -1e308, "b": 1e308}},
             "wide_gaussian": {"kind": "iid", "marginal": {"name": "gaussian", "mu": 0.0, "sigma": 1e308}},
+            # draws that fit, on a path that grows them by 1 / (1 - a) = 10
+            "wide_ar1": {"kind": "ar1", "a": 0.9, "noise": {"name": "uniform", "a": -8e307, "b": 8e307}},
         }[breakage]
     man = write_manifest(tmp_path, "m.json", simulate_manifest(model=model))
     assert cli.main(["--manifest", str(man), "--out", str(tmp_path / "o")]) == 1

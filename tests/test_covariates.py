@@ -117,6 +117,12 @@ def test_invalid_specs_rejected():
         od.AR1(1.0, od.Gaussian(0, 1))
     with pytest.raises(InvalidSpec):
         od.AR1(-1.3, od.Gaussian(0, 1))
+    # finite noise whose stationary reach max|noise| / (1 - |a|) overflows float64
+    for a, noise in ((0.9, od.Uniform(-8e307, 8e307)), (-0.999, od.Gaussian(1e305, 1e304)),
+                     (0.5, od.PointMass(-1e308))):
+        with pytest.raises(InvalidSpec, match="stationary reach"):
+            od.AR1(a, noise)
+    assert np.all(np.isfinite(od.generate_path(od.AR1(0.9, od.Uniform(-1e306, 1e306)), 0, 99, 3).values))
     with pytest.raises(InvalidSpec):
         od.FiniteStateMarkov(((0.0,), (1.0,)), ((0.5, 0.6), (0.4, 0.6)))
     with pytest.raises(InvalidSpec):

@@ -22,6 +22,7 @@ from obsdriven.rngstream import generator, split_seed
 from conftest import (
     divergent_model, hypothesis_settings, logit_benchmark, poisson_ingarch_const, poisson_ingarch_x,
 )
+from w1_oracle import wasserstein1_bruteforce
 
 CM = od.ConstantMap
 
@@ -257,7 +258,7 @@ def test_w1_assignment_matches_bruteforce_oracle():
     for _ in range(25):
         a = rng.normal(0, 2, size=8)
         b = rng.normal(0.5, 2, size=8)
-        assert od.wasserstein1(a, b).value == od.wasserstein1_bruteforce(a, b)
+        assert od.wasserstein1(a, b).value == wasserstein1_bruteforce(a, b)
 
 
 def test_w1_symmetry_triangle_and_monotone_bound():
@@ -299,7 +300,7 @@ def test_w1_vector_matches_bruteforce_property():
     def check(n, d, data):
         a, b = (np.array(data.draw(st.lists(point, min_size=n * d, max_size=n * d))).reshape(n, d)
                 for _ in range(2))
-        assert abs(od.wasserstein1(a, b).value - od.wasserstein1_bruteforce(a, b)) <= 2.3e-16
+        assert abs(od.wasserstein1(a, b).value - wasserstein1_bruteforce(a, b)) <= 2.3e-16
 
     check()
 
@@ -359,7 +360,7 @@ def test_w1_scalar_matches_bruteforce_property():
     @hyp.given(_scalar_clouds(st, 8, 8))
     def check(ab):
         a, b = ab
-        assert abs(od.wasserstein1(a, b).value - od.wasserstein1_bruteforce(a, b)) <= 2.3e-16
+        assert abs(od.wasserstein1(a, b).value - wasserstein1_bruteforce(a, b)) <= 2.3e-16
 
     check()
 
@@ -942,6 +943,35 @@ def test_step_core_matches_per_step_apply(name):
             assert got == _ref_backward_cost(model, s0, s0p, n, path, replicas, seed)
 
     check()
+
+
+@pytest.mark.parametrize("seed", [5, 1931])
+def test_couple_forward_glued_tail_matches_per_step_reference(seed):
+    # the pair steps as two chains until its states have the same bits, then as one chain
+    # that draws its noise in one call; every history must be the per-step loop's, bit for bit
+    for name, m, _ in _family_models():
+        path = od.generate_path(m.covariates, 0, 399, seed)
+        ct = od.couple_forward(m, m.start_state(), _start(m, 10.0), path, seed)
+        for got, want in zip((ct.lam, ct.lam_prime, ct.y, ct.y_prime, ct.met),
+                             _ref_couple(m, m.start_state(), _start(m, 10.0), path, seed)):
+            assert _same_bits(got, want), name
+        glued = [_same_bits(a, b) for a, b in zip(ct.lam, ct.lam_prime)]
+        assert not glued[0] and glued[-1], name  # glued strictly inside the horizon
+        assert all(glued[glued.index(True):]), name
+
+
+def test_pair_at_signed_zeros_steps_as_two_chains():
+    # -0.0 and +0.0 are at distance 0, so they share each draw, but they have different bits
+    # and can step to different bits: here the main chain keeps -0.0 while its draws are
+    # negative (0.0 * y is then -0.0), and the prime chain stays at +0.0
+    m = od.ModelSpec(od.Location(od.GaussianNoise(1.0)), od.LinearLink(CM(0.5), CM(0.0), CM(-0.0), 1),
+                     od.IID(od.Uniform(0.0, 1.0)))
+    path = od.generate_path(m.covariates, 0, 39, 1)
+    ct = od.couple_forward(m, -0.0, 0.0, path, 1)  # seed 1: the first five draws are negative
+    for got, want in zip((ct.lam, ct.lam_prime, ct.y, ct.y_prime, ct.met), _ref_couple(m, -0.0, 0.0, path, 1)):
+        assert _same_bits(got, want)
+    assert np.all(ct.lam == 0.0) and not np.signbit(ct.lam_prime).any() and ct.met.all()
+    assert np.signbit(ct.lam).tolist() == [True] * 5 + [False] * 35
 
 
 def test_engine_loops_evaluate_each_map_once_per_path():

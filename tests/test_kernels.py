@@ -1164,6 +1164,25 @@ def test_float_sample_is_the_zero_d_draw(kernel):
     check()
 
 
+@pytest.mark.parametrize("kernel", all_kernels(), ids=repr)
+def test_noise_of_n_draws_is_n_scalar_noise_calls(kernel):
+    # a glued chain draws its noise in one call: it must give the values and take the words
+    # of one scalar call per step, and sample must be _from_noise of that noise
+    if kernel.family in ("poisson", "negbinomial"):  # numpy's count draws take state-dependent words
+        assert not isinstance(kernel, kernels._NoiseKernel)
+        return
+    rng, twin = generator(5, 1), generator(5, 1)
+    batch = kernel._noise(200, rng)
+    scalars = [kernel._noise(None, twin) for _ in range(200)]
+    assert all(type(e) is float for e in scalars)
+    assert batch.tobytes() == np.array(scalars).tobytes()
+    assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)
+    s = np.array([0.5, -1.0]) if kernel.state_dim > 1 else 1.5
+    ys = [kernel.sample(s, rng) for _ in range(20)]
+    assert ys == [kernel._from_noise(s, kernel._noise(None, twin)) for _ in range(20)]
+    assert {type(y) for y in ys} == {int if kernel.discrete else float}
+
+
 def test_float_domain_checks_match_the_array_checks():
     for kernel in (od.BernoulliLogit(), od.Location(od.LaplaceNoise(1.0))):
         for s in (0.0, -0.0, 5e-324, -1e308, math.inf, -math.inf, math.nan):
