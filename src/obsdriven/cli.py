@@ -146,7 +146,10 @@ def run_manifest(manifest: dict, out_dir: Path) -> tuple[int, str]:
         model = model_from_dict(manifest["model"])
     except (KeyError, TypeError, ValueError) as e:
         raise _fail(f"malformed model ({type(e).__name__}: {e})") from e
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a file at the path or on the way to it
+        raise _fail(f"output directory {out_dir} cannot be made: {e.strerror}") from None
     cmd = manifest["command"]
     params = manifest["params"]
     seed = manifest["seed"]
@@ -202,7 +205,7 @@ def run_manifest(manifest: dict, out_dir: Path) -> tuple[int, str]:
             oracle_tol=params["oracle_tol"], lipschitz_n=params["lipschitz_n"], seed=seed,
         )
         report = verify.full_report(model, cfg)
-        (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
+        _write_json(out_dir / "report.json", report.to_dict())
         (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
         _write_replay(out_dir, manifest)
         code = {"pass": 0, "fail": 2, "inconclusive": 3}[report.overall]

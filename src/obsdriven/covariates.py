@@ -309,16 +309,64 @@ class CovariatePath:
         write_csv(fileobj, [("t", self.times)] + [(f"x_{j + 1}", self.values[:, j]) for j in range(self.dimension)])
 
 
-def _run_cells(col):
-    """``%.17g`` text of the cells of a float64 column with at most n/2 runs of
-    one bit pattern, each run formatted once; None for any other column."""
-    bits = col.view(np.int64) if col.dtype == np.float64 else col[:0]
-    firsts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
-    if 2 * len(firsts) <= len(bits):
-        text = ["%.17g" % c for c in col[firsts].tolist()]  # one str per run, shared by its cells
-        counts = np.diff(np.r_[firsts, len(col)]).tolist()
-        return list(itertools.chain.from_iterable(map(itertools.repeat, text, counts)))
-    return None
+# Exact "%.17g" text of doubles in [1e-4, 1e15) and of +-0, in numpy passes of at
+# most _PASS cells.  For X the decimal exponent of |v|, i = searchsorted(_T10, |v|,
+# "right") is X + 6 exactly: the doubles nearest 10**-5 .. 10**-1 lie above their
+# powers.  Its 17 digits D, |v| * 10**(16 - X) rounded half to even, are dtoa's:
+# Dekker's product gives |v| * _P10[i] exactly as x + e, and x >= 2**53 is an even
+# integer, so D = x + rint(e).
+_PASS = 1024
+_T10 = np.array([float(f"1e{k}") for k in range(-5, 17)])
+_P10 = np.array([float(10**k) for k in range(22, -1, -1)])  # 10**(16 - X) at i, exact
+
+
+def _split(a):
+    """Veltkamp split of a into 26-bit halves hi + lo."""
+    c = a * 134217729.0
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_P10_HI, _P10_LO = _split(_P10)
+# 4-digit groups 0000 .. 9999 as little-endian ASCII words; word 10000 is "-." and NULs
+_DIG4 = (np.arange(10_001)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+_DIG4[10_000] = (45, 46, 0, 0)
+_TZ4 = 2 * (_DIG4[:10_000, ::-1] == 48).cumprod(axis=1).sum(axis=1)  # twice the trailing zeros
+_DIG4 = _DIG4.view("<u4").ravel()
+# A cell's 24 source bytes are "000", its 17 digits, "-", "." and NULs; row 34 i + 2 z
+# + sign of _PATTERNS picks its text from them, for z trailing zeros in its digits.
+_X, _Z, _NEG, _J = np.ogrid[-6:15, 0:17, 0:2, 0:24]
+_Q, _S = _J - _NEG, 17 - _Z
+_LEN = _NEG + np.where(_X < 0, 1 - _X + _S, np.where(_S <= _X + 1, _X + 1, _S + 1))
+_BODY = np.where(_X >= 0, np.select([_Q <= _X, _Q == _X + 1], [3 + _Q, 21], 2 + _Q),
+                 np.select([_Q == 1, _Q < 1 - _X], [21, 0], 2 + _Q + _X))
+_PATTERNS = np.where(_J < _LEN, np.where(_Q < 0, 20, _BODY), 22).reshape(-1, 24)
+del _X, _Z, _NEG, _J, _Q, _S, _LEN, _BODY
+
+
+def _fast_cells(v):
+    """Rows of 24 NUL-padded ASCII bytes, the %.17g text of each float64 cell
+    with 1e-4 <= |v| < 1e15 or v = +-0, and a mask of the other cells."""
+    a = np.abs(v)
+    zero = a == 0
+    fast = (a >= 1e-4) & (a < 1e15)
+    a = np.where(fast, a, 1.0)
+    i = np.searchsorted(_T10, a, "right")
+    x = a * _P10[i]
+    ah, al = _split(a)
+    ph, pl = _P10_HI[i], _P10_LO[i]
+    e = al * pl - (((x - ah * ph) - al * ph) - ah * pl)
+    D = x.astype(np.int64) + np.rint(e).astype(np.int64)
+    fast &= (D >= 10**16) & (D < 10**17)
+    D[zero] = 0
+    hi, lo = np.divmod(D, 10**8)
+    d0, hi = np.divmod(hi, 10**8)
+    (g1, g2), (g3, g4) = np.divmod(hi, 10**4), np.divmod(lo, 10**4)
+    src = _DIG4[np.column_stack((d0, g1, g2, g3, g4, np.full(len(v), 10_000)))]
+    zeros = np.where(lo, np.where(g4, _TZ4[g4], 8 + _TZ4[g3]), np.where(g2, _TZ4[g2], 8 + _TZ4[g1]) + 16)
+    index = np.take(_PATTERNS, 34 * i + zeros + np.signbit(v), axis=0)
+    index += 24 * np.arange(len(v))[:, None]
+    return np.take(src.view(np.uint8), index), ~(fast | zero)
 
 
 def write_csv(fileobj, columns) -> None:
@@ -326,24 +374,37 @@ def write_csv(fileobj, columns) -> None:
 
     k > 1 columns are headed name_1 .. name_k.  The one format of every
     result file: ints and bools as ints, other values with 17 significant
-    digits, cells never quoted, lines ending in csv's \\r\\n.  A float column
-    of at most n/2 runs of one bit pattern formats each run once (``_run_cells``).
+    digits, cells never quoted, lines ending in csv's \\r\\n.  Cells are
+    formatted in exact numpy passes (``_fast_cells``); NaN, infinities,
+    |v| < 1e-4, |v| >= 1e15 and ints past 1e15 go through ``%.17g`` / ``%d``.
     """
-    header, cells, fmt = [], [], []
+    header, cols = [], []
     for name, values in columns:
         v = np.asarray(values)
         v = (v if v.ndim == 2 else v[:, None]).T
-        k = len(v)
-        header += [name] if k == 1 else [f"{name}_{j + 1}" for j in range(k)]
-        integer = v.dtype.kind in "biu"
-        for col in v.astype(np.int64) if integer else v:
-            runs = None if integer else _run_cells(col)
-            cells.append(col.tolist() if runs is None else runs)
-            fmt.append("%d" if integer else "%.17g" if runs is None else "%s")
+        header += [name] if len(v) == 1 else [f"{name}_{j + 1}" for j in range(len(v))]
+        cols += list(v.astype(np.int64) if v.dtype.kind in "biu" else v.astype(np.float64))
     csv.writer(fileobj).writerow(header)
-    # numbers never need csv quoting, so one template renders each row
-    row = ",".join(fmt) + "\r\n"
-    fileobj.writelines(row % r for r in zip(*cells))
+    if not cols or not len(cols[0]):
+        return
+    # passes of whole rows (one at least), up to _PASS cells; a cell is 24 text bytes and "," or "\r\n"
+    m = len(cols)
+    rows = max(1, _PASS // m)
+    ints = np.array([c.dtype == np.int64 for c in cols])
+    block = np.column_stack(cols).astype(np.float64)
+    block[ints & (np.abs(block) >= 1e15)] = np.nan  # past 1e15 an int may not be its float
+    text = np.zeros((rows * m, 26), np.uint8)
+    text[:, 24:] = np.tile([(44, 0)] * (m - 1) + [(13, 10)], (rows, 1))
+    for lo in range(0, len(block), rows):
+        flat = block[lo:lo + rows].ravel()
+        cells = text[:len(flat)]
+        cells[:, :24], slow = _fast_cells(flat)
+        slow = np.flatnonzero(slow)
+        if len(slow):
+            texts = [("%d" if ints[i % m] else "%.17g") % cols[i % m][lo + i // m].item() for i in slow.tolist()]
+            padded = "".join(t.ljust(24, "\0") for t in texts).encode("ascii")
+            cells[slow, :24] = np.frombuffer(padded, np.uint8).reshape(-1, 24)
+        fileobj.write(cells.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _gaussian_ar1_law(spec: AR1) -> tuple[float, float]:

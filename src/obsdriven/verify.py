@@ -16,7 +16,6 @@ sign cannot be settled at 99% confidence must not be called either way.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -367,9 +366,6 @@ class VerificationReport:
             "a3": self.a3.to_dict(),
             "overall": self.overall,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
         lines = [

@@ -143,6 +143,16 @@ def test_unreadable_manifest_is_manifest_error(tmp_path, capsys, case, message):
     assert err.startswith(f"manifest error: {message}") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("case, reason", [("a_file", "File exists"), ("under_a_file", "Not a directory")])
+def test_unusable_output_directory_is_manifest_error(tmp_path, capsys, case, reason):
+    # FileExistsError and NotADirectoryError of mkdir: one line naming the path and the reason
+    man = write_manifest(tmp_path, "m.json", simulate_manifest())
+    out = {"a_file": man, "under_a_file": man / "sub"}[case]
+    assert cli.main(["--manifest", str(man), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"manifest error: output directory {out} cannot be made: {reason}\n"
+
+
 @pytest.mark.parametrize("breakage", ["missing_link", "unknown_family", "nan_sigma", "inf_uniform",
                                       "nan_point", "empty_constant", "nan_markov_state", "ragged_markov_states",
                                       "wide_uniform", "wide_gaussian", "wide_ar1"])

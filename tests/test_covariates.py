@@ -278,7 +278,8 @@ def test_write_csv_keeps_the_csv_writer_bytes():
     edge = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1])
     floats = st.one_of(edge, st.floats(allow_nan=True, allow_infinity=True))
     kinds = {"float": (floats, float), "int": (st.integers(-2**63, 2**63 - 1), np.int64), "bool": (st.booleans(), bool)}
-    # run-heavy float columns, drawn as bit patterns: runs of one value are formatted once
+    # run-heavy float columns, drawn as bit patterns: long runs of one value, signed
+    # zeros, NaN payloads and infinities next to the fast cells
     bits = floats.map(lambda f: int(np.float64(f).view(np.int64)))
     nan_payloads = [0x7FF8000000000000, 0x7FF8000000000001, 0x7FF4000000000000, -0x0008000000000000, -1]
     runs = {
@@ -318,6 +319,36 @@ def test_write_csv_keeps_the_csv_writer_bytes():
     check()
     # a constant column (one run) next to one whose every cell differs
     columns = [("constant", np.full(200, 0.1)), ("distinct", np.arange(200) / 7.0), ("t", np.arange(200))]
+    buf = io.StringIO(newline="")
+    write_csv(buf, columns)
+    assert buf.getvalue() == _reference_csv(columns)
+
+
+def test_write_csv_fast_path_matches_the_reference_bytes():
+    from obsdriven.covariates import _PASS, _fast_cells, write_csv
+
+    rng = np.random.default_rng(20240)
+    bits = rng.integers(-2**63, 2**63 - 1, 100_000, dtype=np.int64, endpoint=True).view(np.float64)
+    log_uniform = rng.choice([-1.0, 1.0], 20_000) * 10 ** rng.uniform(-6, 17, 20_000)
+    powers = np.array([float(f"1e{k}") for k in range(-6, 18)])
+    edges = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    # exact ties of the 17-digit rounding: v = N * 2**-k, N odd, has the 18 significant
+    # digits of N * 5**k, the last one a 5; k from 2 to 25 puts v in [1e-8, 1e16)
+    ties = []
+    for k in range(2, 26):
+        lo, hi = -(-10**17 // 5**k), min(10**18 // 5**k, 2**53)
+        ties.append(np.ldexp(2.0 * rng.integers(lo // 2, hi // 2, 300) + 1, -k))
+    ties = np.concatenate(ties)
+    floats = np.concatenate([bits, log_uniform, edges, -edges, ties, -ties, [0.0, -0.0]])
+    # the fast path formats every cell of its class, so the Python path sees only the others
+    for lo in range(0, len(floats), _PASS):
+        v = floats[lo:lo + _PASS]
+        a = np.abs(v)
+        assert (_fast_cells(v)[1] == ~((a == 0) | ((a >= 1e-4) & (a < 1e15)))).all()
+    n = len(floats) // 2
+    ints = np.array([10**15 - 1, 1 - 10**15, 10**15, -10**15, 2**63 - 1, -2**63, 0, 1, -1, 12345])
+    columns = [("t", np.resize(ints, n)), ("v", floats[:2 * n].reshape(n, 2)),
+               ("met", np.resize([True, False, False], n)), ("w", floats[::-1][:n])]
     buf = io.StringIO(newline="")
     write_csv(buf, columns)
     assert buf.getvalue() == _reference_csv(columns)

@@ -3,7 +3,8 @@
 The per-step reference loops in test_engine.py call the same ``kernel.sample``
 as the engine, so a drift in the draws themselves would pass them; these
 digests were recorded from an earlier tree and catch any change in a byte
-of ``trajectory.csv``, ``trace.csv`` or ``couple.json``.  Regenerate with
+of ``trajectory.csv``, ``trace.csv`` or ``couple.json``, and of the
+``stationary`` and ``diagnose`` result files at one seed.  Regenerate with
 ``PYTHONPATH=src python tests/test_golden_bytes.py`` only for a change that
 is meant to alter the draws, and say so.
 """
@@ -30,8 +31,17 @@ MODELS = {
     "loc-ar": od.ModelSpec(od.Location(od.GaussianNoise(1.0)), od.LinearLink(
         CM(0.5), CM(0.3), CM(0.0), order=1), U01),
 }
+FORWARD = sorted(MODELS)
+# the persistent logit of the benchmark's backward workload
+MODELS["logit-persistent"] = od.ModelSpec(od.BernoulliLogit(), od.LinearLink(
+    CM(0.8), od.AffineAbsMap(0.0, (0.8,), True), CM(-0.2), order=1), U01)
 SEEDS = (5, 2024)
-FILES = {"simulate": ("trajectory.csv",), "couple": ("trace.csv", "couple.json")}
+FILES = {"simulate": ("trajectory.csv",), "couple": ("trace.csv", "couple.json"),
+         "stationary": ("measure.csv", "stationary.json"), "diagnose": ("wstats.csv", "regeneration.json")}
+# the stationary models of the backward workload and the certify models, at one seed
+ONE_SEED_CASES = ([("stationary", name) for name in ("ingarch-x", "logit-persistent", "loc-ar")]
+         + [("diagnose", name) for name in FORWARD])
+ONE_SEED = 5
 
 GOLDEN = {
     "couple/garch/5": {
@@ -90,13 +100,42 @@ GOLDEN = {
     "simulate/logit/2024": {
         "trajectory.csv": "583e5e1d61264f54f4c91f94fbb165db27d7e58df18df89b0f37e3239b727b5a",
     },
+    "stationary/ingarch-x/5": {
+        "measure.csv": "60c6362dd12e8e51657797cdbe6ad07b9896e6c14bb579d710393af911f0b7a6",
+        "stationary.json": "dbbbb1fa4bedb70622ad01fb80110049ca1f4aa3826bad2d8bc29d11a3d8fbe7",
+    },
+    "stationary/logit-persistent/5": {
+        "measure.csv": "670a214009eb1496e57696e86eeaa307869c71193170b8d400f6fd1020dbf04e",
+        "stationary.json": "ae8423194808176002a0d42a330ca071f77b5cf3fd9ed649eb12588713a55cab",
+    },
+    "stationary/loc-ar/5": {
+        "measure.csv": "bcf029a42e47cfe324b7c0db87e17a9c678dd99d824558153e7c788a03954eae",
+        "stationary.json": "54d011f0d87bb8eef63af8cc5a87593b55db338acf54fbfc3ecf5f2fca7a3e1c",
+    },
+    "diagnose/garch/5": {
+        "wstats.csv": "00aad47adfd1078e451f33daac34758e39e9ca460843c32719093a018a0938a9",
+        "regeneration.json": "f3945e7a12a670de22d16263eed19688e8a477997f3b1c58b49078a379aa65af",
+    },
+    "diagnose/ingarch-x/5": {
+        "wstats.csv": "12a3ea964aeff2233b82e54713258cd0e4c20760282b842b6835da499333c414",
+        "regeneration.json": "f3945e7a12a670de22d16263eed19688e8a477997f3b1c58b49078a379aa65af",
+    },
+    "diagnose/loc-ar/5": {
+        "wstats.csv": "56129773a4a6b5620b9fa6f8186f2f827d1b2c74cc470c5be44c16c42415c132",
+        "regeneration.json": "c083f340eb0f6664b9ad66f58bbaea3f1c94c3811ab11cbc5ad6e93fc994413a",
+    },
+    "diagnose/logit/5": {
+        "wstats.csv": "6b327c1f13f95c7d99f88e50e719e56fddbf960bc0ab5ac17121832e684187f4",
+        "regeneration.json": "867669cce98691bebaf93bbe20aa8b0b8f23752625be2f2ca9279c3c8a0fee76",
+    },
 }
 
 
 def _manifest(command: str, model: od.ModelSpec, seed: int) -> dict:
     s0 = model.start_state()
-    params = ({"s0": s0, "t_min": 0, "t_max": 1999} if command == "simulate"
-              else {"s0": s0, "s0_prime": s0 + 10.0, "horizon": 400})
+    params = {"simulate": {"s0": s0, "t_min": 0, "t_max": 1999},
+              "couple": {"s0": s0, "s0_prime": s0 + 10.0, "horizon": 400},
+              "stationary": {}, "diagnose": {"length": 2000}}[command]
     return cli.validate_manifest({"command": command, "model": model.to_dict(), "params": params, "seed": seed})
 
 
@@ -106,22 +145,28 @@ def _digests(command: str, name: str, seed: int, out_dir: Path) -> dict:
     return {f: hashlib.sha256((out_dir / f).read_bytes()).hexdigest() for f in FILES[command]}
 
 
-@pytest.mark.parametrize("command", sorted(FILES))
-@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("command", ("couple", "simulate"))
+@pytest.mark.parametrize("name", FORWARD)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_forward_result_bytes_match_recorded_digests(tmp_path, command, name, seed):
     assert _digests(command, name, seed, tmp_path) == GOLDEN[f"{command}/{name}/{seed}"]
 
 
+@pytest.mark.parametrize("command, name", ONE_SEED_CASES)
+def test_stationary_and_diagnose_result_bytes_match_recorded_digests(tmp_path, command, name):
+    key = f"{command}/{name}/{ONE_SEED}"
+    assert _digests(command, name, ONE_SEED, tmp_path) == GOLDEN[key]
+
+
 if __name__ == "__main__":
     import tempfile
 
+    cases = [(c, n, s) for c in ("couple", "simulate") for n in FORWARD for s in SEEDS]
+    cases += [(c, n, ONE_SEED) for c, n in ONE_SEED_CASES]
     with tempfile.TemporaryDirectory() as tmp:
-        for command in sorted(FILES):
-            for name in sorted(MODELS):
-                for seed in SEEDS:
-                    key = f"{command}/{name}/{seed}"
-                    print(f'    "{key}": {{')
-                    for f, h in _digests(command, name, seed, Path(tmp) / key).items():
-                        print(f'        "{f}": "{h}",')
-                    print("    },")
+        for command, name, seed in cases:
+            key = f"{command}/{name}/{seed}"
+            print(f'    "{key}": {{')
+            for f, h in _digests(command, name, seed, Path(tmp) / key).items():
+                print(f'        "{f}": "{h}",')
+            print("    },")

@@ -317,7 +317,6 @@ def test_full_report_deterministic():
     a = od.full_report(poisson_ingarch_x(), cfg)
     b = od.full_report(poisson_ingarch_x(), cfg)
     assert a.to_dict() == b.to_dict()
-    assert a.to_json() == b.to_json()
 
 
 def test_drift_certificate_benchmark_values():
