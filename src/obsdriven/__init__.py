@@ -57,7 +57,6 @@ from .kernels import (
     Poisson,
     StudentTNoise,
     kernel_from_dict,
-    tv_table,
 )
 from .links import (
     ArmaLikeLink,

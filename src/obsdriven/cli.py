@@ -38,8 +38,7 @@ _PARAM_SPEC = {
     "verify": {
         "required": [],
         "optional": {
-            "mc_n": 10_000, "grid_size": 200, "tol": 1e-6,
-            "oracle_tol": 1e-7, "lipschitz_n": 1000,
+            "mc_n": 10_000, "grid_size": 200, "tol": 1e-6, "lipschitz_n": 1000,
         },
     },
     "diagnose": {
@@ -49,7 +48,7 @@ _PARAM_SPEC = {
 }
 # params that take real numbers, s0 and s0_prime also a list of them (a
 # vector start state); every other param takes integers
-_REAL_PARAMS = ("s0", "s0_prime", "tol", "oracle_tol", "C")
+_REAL_PARAMS = ("s0", "s0_prime", "tol", "C")
 _VECTOR_PARAMS = ("s0", "s0_prime")
 
 
@@ -202,7 +201,7 @@ def run_manifest(manifest: dict, out_dir: Path) -> tuple[int, str]:
     if cmd == "verify":
         cfg = verify.VerifyConfig(
             mc_n=params["mc_n"], grid_size=params["grid_size"], tol=params["tol"],
-            oracle_tol=params["oracle_tol"], lipschitz_n=params["lipschitz_n"], seed=seed,
+            lipschitz_n=params["lipschitz_n"], seed=seed,
         )
         report = verify.full_report(model, cfg)
         _write_json(out_dir / "report.json", report.to_dict())

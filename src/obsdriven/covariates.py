@@ -211,17 +211,18 @@ class FiniteStateMarkov:
     def dimension(self) -> int:
         return len(self.states[0])
 
-    def stationary_vector(self, tol: float = 1e-12, max_iter: int = 200000) -> np.ndarray:
-        """Stationary row vector by (damped) power iteration to ``tol``."""
+    def stationary_vector(self) -> np.ndarray:
+        """Stationary row vector by (damped) power iteration, to an l1 step below 1e-12
+        within 200000 iterations."""
         P = np.asarray(self.transition)
         k = P.shape[0]
         # damping keeps periodic chains convergent without moving the fixed point
         Q = 0.5 * (P + np.eye(k))
         pi = np.full(k, 1.0 / k)
-        for _ in range(max_iter):
+        for _ in range(200000):
             nxt = pi @ Q
             nxt /= nxt.sum()
-            if np.abs(nxt - pi).sum() < tol:
+            if np.abs(nxt - pi).sum() < 1e-12:
                 return nxt
             pi = nxt
         raise InvalidSpec("power iteration for the stationary vector did not converge")
@@ -268,7 +269,6 @@ class CovariatePath:
     values: np.ndarray  # shape (length, d), read-only
     seed: int
     spec_hash: str
-    state_index: np.ndarray | None = None  # finite-state chains only
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -276,10 +276,6 @@ class CovariatePath:
             v = v[:, None]
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        if self.state_index is not None:
-            si = np.asarray(self.state_index)
-            si.setflags(write=False)
-            object.__setattr__(self, "state_index", si)
         if len(v) != self.t_max - self.t_min + 1:
             raise InvalidSpec("path length does not match its time range")
 
@@ -293,11 +289,6 @@ class CovariatePath:
     @property
     def dimension(self) -> int:
         return self.values.shape[1]
-
-    def value_at(self, t: int) -> np.ndarray:
-        if not self.t_min <= t <= self.t_max:
-            raise EmptyRange(f"time {t} outside path range [{self.t_min}, {self.t_max}]")
-        return self.values[t - self.t_min]
 
     def window(self, t_lo: int, t_hi: int) -> np.ndarray:
         if t_lo < self.t_min or t_hi > self.t_max:
@@ -515,7 +506,7 @@ def _generate_markov(
     for k in range(n - 2, -1, -1):
         idx[k] = int(np.searchsorted(cdf_rev[idx[k + 1]], u[k]))
     states = np.asarray(spec.states, dtype=float)
-    return CovariatePath(t_min, t_max, states[idx], seed, h, state_index=idx)
+    return CovariatePath(t_min, t_max, states[idx], seed, h)
 
 
 def stationary_draws(spec: CovariateProcessSpec, n: int, seed: int) -> np.ndarray:
@@ -809,7 +800,8 @@ def log_moment_estimate(
 def plain_moment(
     coeff_map: CoefficientMap, spec: CovariateProcessSpec, n: int, seed: int
 ) -> float:
-    """Monte Carlo mean of map(X_0) itself (used by drift fixed points)."""
+    """Monte Carlo mean of map(X_0) itself.  No library path reads it: the acceptance drift
+    test uses it for the fixed point (D + E delta) / (1 - E gamma) of the growth envelope."""
     x = stationary_draws(spec, n, seed)
     return float(np.mean(coeff_map.evaluate(x)))
 

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import links as links_mod
-from .covariates import LOG_FLOOR, CovariatePath, CovariateProcessSpec, generate_path, write_csv
+from .covariates import CovariatePath, CovariateProcessSpec, generate_path, write_csv
 from .errors import (
     DomainViolation,
     EmptyRange,
@@ -70,11 +70,8 @@ class ModelSpec:
     kernel: ObservationKernel
     link: LinkSpec
     covariates: CovariateProcessSpec
-    alpha: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.alpha <= 1:
-            raise InvalidSpec("alpha must lie in (0, 1]")
         if self.link.order != self.kernel.moment_order:
             raise UnsupportedCombination(
                 f"link order {self.link.order} incompatible with "
@@ -107,7 +104,6 @@ class ModelSpec:
             "kernel": self.kernel.to_dict(),
             "link": self.link.to_dict(),
             "covariates": self.covariates.to_dict(),
-            "alpha": self.alpha,
             "norm": self.norm,
         }
 
@@ -117,11 +113,14 @@ def model_from_dict(d: dict) -> ModelSpec:
     from .kernels import kernel_from_dict
     from .links import link_from_dict
 
+    unknown = set(d) - {"kernel", "link", "covariates", "norm"}
+    if unknown:
+        raise InvalidSpec(f"unknown model keys: {sorted(unknown)}")
     kernel = kernel_from_dict(d["kernel"])
     if d.get("norm", kernel.state_norm) != kernel.state_norm:
         raise InvalidSpec(f"norm {d['norm']!r} does not match the {kernel.family} state norm "
                           f"{kernel.state_norm!r}")
-    return ModelSpec(kernel, link_from_dict(d["link"]), spec_from_dict(d["covariates"]), d.get("alpha", 1.0))
+    return ModelSpec(kernel, link_from_dict(d["link"]), spec_from_dict(d["covariates"]))
 
 
 def _check_state(model: ModelSpec, s, where: str, t=None, previous=None, y=None):
@@ -171,7 +170,7 @@ def _start_states(model: ModelSpec, starts, where: str, replicas: int | None = N
             if np.shape(s)[1 if batch else 0:] != shape:
                 raise ValueError
             s = s if batch else np.array(s, dtype=float) if shape else float(s)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an int past the floats
             raise InvalidSpec(f"{name} must be {f'{shape[0]} numbers' if shape else 'a number'}; "
                               f"got {s0!r:.80}") from None
         if replicas is not None:
@@ -393,9 +392,8 @@ def backward_measure(
 
 def coupled_backward_cost(
     model: ModelSpec, s0, s0_prime, n: int, path: CovariatePath, replicas: int, seed: int,
-    t_end: int = 0,
 ) -> float:
-    """Transport cost of the synchronized coupling of two backward runs.
+    """Transport cost of the synchronized coupling of two backward runs from -n to 0.
 
     Both chains consume the same per-(time, replica) uniforms, as one
     stacked batch of 2 * replicas states; their state gap is propagated
@@ -411,7 +409,7 @@ def coupled_backward_cost(
         raise InvalidSpec("gap tracking is defined for scalar-state models")
     _refuse_small_run("coupled_backward_cost", n, replicas)
     link, floor = model.link, model.link.floor
-    steps = _backward_steps(model, (s0, s0_prime), replicas, t_end - n, t_end, path, seed,
+    steps = _backward_steps(model, (s0, s0_prime), replicas, -n, 0, path, seed,
                             "coupled backward step t={t}")
     _, _, lam = next(steps)  # the main chain, then the prime one
     gap = np.abs(lam[replicas:] - lam[:replicas])
@@ -671,8 +669,6 @@ class WStats:
     w1: delta_{t-1} + sum_i gamma_{t-1}...gamma_{t-i} delta_{t-i-1}
     w2/w3: sup over j in [h, H] of the backward gamma/kappa products
     w4: sum over s in [0, H] of phi(kappa_{t+s}...kappa_t)
-    Tail estimates extrapolate past H geometrically from the empirical
-    mean of log gamma and log kappa.
     """
 
     times: np.ndarray
@@ -682,12 +678,6 @@ class WStats:
     w4: np.ndarray
     h: int
     H: int
-    w1_tail: np.ndarray
-    w2_tail: np.ndarray
-    w3_tail: np.ndarray
-    w4_tail: np.ndarray
-    gamma_mean_log: float
-    kappa_mean_log: float
 
     def __len__(self):
         return len(self.times)
@@ -724,19 +714,10 @@ def w_stats(
     kappa = np.asarray(kappa_map.evaluate(path.values), dtype=float)
     gamma = np.asarray(gamma_map.evaluate(path.values), dtype=float)
     delta = np.asarray(delta_map.evaluate(path.values), dtype=float)
-    g_mean_log = float(np.mean(np.log(np.maximum(gamma, LOG_FLOOR))))
-    k_mean_log = float(np.mean(np.log(np.maximum(kappa, LOG_FLOOR))))
-    rho_g = math.exp(min(g_mean_log, 700.0))
-    rho_k = math.exp(min(k_mean_log, 700.0))
-    delta_bar = float(delta.mean())
-    phi1 = phi.linear_coefficient
 
     times = np.arange(t_lo, t_hi + 1)
     m = len(times)
     w1 = np.empty(m); w2 = np.empty(m); w3 = np.empty(m); w4 = np.empty(m)
-    w1_tail = np.empty(m); w2_tail = np.empty(m); w3_tail = np.empty(m); w4_tail = np.empty(m)
-    geo_g = rho_g / (1.0 - rho_g) if rho_g < 1 else math.inf
-    geo_k = rho_k / (1.0 - rho_k) if rho_k < 1 else math.inf
     # row j is time t_lo + j; backward windows run newest first (gamma_{t-1} ..
     # gamma_{t-H}, delta_{t-1} .. delta_{t-H-1}), forward is kappa_t .. kappa_{t+H}
     gwin = sliding_window_view(gamma, H)[1:, ::-1]
@@ -755,12 +736,7 @@ def w_stats(
         w3[b] = cpk[:, h - 1:].max(axis=1)
         cf = np.cumprod(fwin[b], axis=1)
         w4[b] = phi.evaluate(cf).sum(axis=1)
-        w1_tail[b] = cpg[:, -1] * delta_bar * geo_g
-        w2_tail[b] = cpg[:, -1] * rho_g
-        w3_tail[b] = cpk[:, -1] * rho_k
-        w4_tail[b] = phi1 * cf[:, -1] * geo_k
-    return WStats(times, w1, w2, w3, w4, h, H, w1_tail, w2_tail, w3_tail, w4_tail,
-                  g_mean_log, k_mean_log)
+    return WStats(times, w1, w2, w3, w4, h, H)
 
 
 @dataclass(frozen=True)
@@ -819,18 +795,14 @@ def regeneration_times(stats: WStats, C: float, h: int | None = None) -> Regener
     return RegenerationResult(accepted, m_counts, C, h, smallest)
 
 
-def calibrate_regeneration(
-    model: ModelSpec, path: CovariatePath, H: int,
-    c_grid=(2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0),
-    h_max: int = 50, min_frequency: float = 0.01,
-) -> tuple[WStats, float, int]:
-    """Pick (h, C) on a pilot path: smallest h admitting any time, then the
-    smallest grid C whose acceptance frequency reaches ``min_frequency``."""
+def calibrate_regeneration(model: ModelSpec, path: CovariatePath, H: int) -> tuple[WStats, float, int]:
+    """Pick (h, C) on a pilot path: the smallest h up to 50 admitting any time, then the
+    smallest C of 2, 4, .., 1024 whose acceptance frequency reaches 1%."""
     if H < 1:
         raise InvalidSpec("need 1 <= h <= H")
-    for h in range(1, min(h_max, H) + 1):
+    for h in range(1, min(50, H) + 1):
         stats = w_stats(model, path, h, H)
-        for C in c_grid:
-            if _passes_thresholds(stats, C).mean() >= min_frequency:
+        for C in 2.0 ** np.arange(1, 11):
+            if _passes_thresholds(stats, C).mean() >= 0.01:
                 return stats, float(C), h
     raise InvalidSpec("no (C, h) in the calibration grid admits regeneration times")

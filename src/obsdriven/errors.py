@@ -13,19 +13,16 @@ class DegenerateMap(ValueError):
     """A coefficient map is identically zero on the support of the environment."""
 
 
-class StateOutOfDomain(ValueError):
-    """A latent state lies outside the kernel's state space."""
-
-
 class UnsupportedOrder(ValueError):
     """The requested moment order is not defined for this kernel family."""
 
 
 class DomainViolation(ValueError):
-    """The link recursion produced a state outside the kernel's state space.
+    """A state lies outside the kernel's state space.
 
-    At step ``t`` (None: a start state), on the first failing ``replica`` of a batch (None:
-    one chain), the state went from ``previous`` with observation ``y`` to ``state``.
+    At step ``t`` (None: a start state, or one handed to a kernel), on the first failing
+    ``replica`` of a batch (None: one chain), the state went from ``previous`` with
+    observation ``y`` to ``state``.
     """
 
     def __init__(self, message, t=None, replica=None, previous=None, y=None, state=None):

@@ -33,13 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _special as special
-from .covariates import write_csv
-from .errors import (
-    CouplingBudgetExceeded,
-    InvalidSpec,
-    StateOutOfDomain,
-    UnsupportedOrder,
-)
+from .errors import CouplingBudgetExceeded, DomainViolation, InvalidSpec, UnsupportedOrder
 
 _CERT_GRID = np.logspace(-4, 2, 200)
 _CERT_MARGIN = 1.05
@@ -68,10 +62,6 @@ class PhiSpec:
             raise InvalidSpec("phi coefficients must be >= 0")
         if not any(c > 0 for _, c in coeffs):
             raise InvalidSpec("phi must not be identically zero")
-
-    @property
-    def degree(self) -> int:
-        return max(j for j, c in self.coefficients if c > 0)
 
     @property
     def linear_coefficient(self) -> float:
@@ -189,7 +179,7 @@ class ObservationKernel:
     def require_domain(self, *states):
         for s in states:
             if not self.domain_contains(s):
-                raise StateOutOfDomain(f"state {s!r} outside {self.family} domain")
+                raise DomainViolation(f"state {s!r} outside {self.family} domain", state=s)
 
     def state_distance(self, s, sp):
         """``state_distance`` in this family's state norm."""
@@ -212,14 +202,10 @@ class ObservationKernel:
         h = self.state_distance(s, sp)
         return float(1.0 - math.exp(-float(self.phi().evaluate(h))))
 
-    def tv_exact(self, s, sp, tol: float = 1e-7) -> float:
-        """d_TV(p(.|s), p(.|s')) within ``tol`` in (0, 1e-3]; ``tol`` is only
-        validated, as every family meets it by construction (closed forms:
-        cdf differences at the crossings of the two laws), except Poisson
-        means within 18 standard deviations of each other above about 1e25,
-        where the crossing is a rounded float."""
-        if not 0 < tol <= 1e-3:
-            raise InvalidSpec("tv_exact needs tol in (0, 1e-3]")
+    def tv_exact(self, s, sp) -> float:
+        """d_TV(p(.|s), p(.|s')) within 1e-7, by closed forms (cdf differences at the
+        crossings of the two laws), except Poisson means within 18 standard deviations of
+        each other above about 1e25, where the crossing is a rounded float."""
         self.require_domain(s, sp)
         if self.state_distance(s, sp) == 0.0:
             return 0.0
@@ -572,7 +558,7 @@ class NegBinomial(ObservationKernel):
     moment_order = 1
 
     def __post_init__(self):
-        if self.r < 1 or int(self.r) != self.r:
+        if not 1 <= self.r < math.inf or int(self.r) != self.r:
             raise InvalidSpec("negative binomial r must be a positive integer")
 
     def domain_contains(self, s):
@@ -810,8 +796,12 @@ class GarchGaussian(_NoiseKernel):
     moment_order = 2
 
     def __post_init__(self):
-        if not self.c_minus > 0:
-            raise InvalidSpec("c_minus must be positive")
+        try:  # phi's rate: 5e-324 divides by zero, 1e-215 gives inf, 1e206 overflows
+            ok = self.c_minus > 0 and 0 < 1.0 / (2.0 * self.c_minus**1.5) < math.inf
+        except ArithmeticError:
+            ok = False
+        if not ok:
+            raise InvalidSpec("c_minus must be positive with a finite phi rate 1 / (2 c_minus^1.5)")
 
     def domain_contains(self, s):
         return _bounded_below(s, self.c_minus - 1e-12)
@@ -874,8 +864,8 @@ class GaussianNoise:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise InvalidSpec("sigma must be positive")
+        if not (self.sigma > 0 and 2 * self.sigma * self.sigma > 0):  # the moment's exponent divides by it
+            raise InvalidSpec("sigma must be positive, with 2 sigma^2 > 0 in floats")
 
     def pdf(self, y):
         return np.exp(-np.asarray(y) ** 2 / (2.0 * self.sigma**2)) / (self.sigma * math.sqrt(2 * math.pi))
@@ -1040,7 +1030,7 @@ class Location(_NoiseKernel):
 
 
 # ---------------------------------------------------------------------------
-# registry / serialization / export helpers
+# registry / serialization
 # ---------------------------------------------------------------------------
 
 def kernel_from_dict(d: dict) -> ObservationKernel:
@@ -1065,16 +1055,3 @@ def kernel_from_dict(d: dict) -> ObservationKernel:
         return Location(_NOISES[name](**noise_d))
     raise InvalidSpec(f"unknown kernel family {fam!r}")
 
-
-def tv_table(kernel: ObservationKernel, pairs, tol: float = 1e-7):
-    """Rows (s, s_prime, tv_exact, tv_bound) for CSV export."""
-    rows = []
-    for s, sp in pairs:
-        rows.append((s, sp, kernel.tv_exact(s, sp, tol), kernel.tv_bound(s, sp)))
-    return rows
-
-
-def tv_table_to_csv(rows, fileobj):
-    """Columns s, s_prime (s_1 .. s_k, s_prime_1 .. s_prime_k for vector states), tv_exact, tv_bound."""
-    cols = [np.asarray(c, dtype=float) for c in zip(*rows)] or [np.empty(0)] * 4
-    write_csv(fileobj, list(zip(("s", "s_prime", "tv_exact", "tv_bound"), cols)))

@@ -52,14 +52,13 @@ class VerifyConfig:
     mc_n: int = 10_000
     grid_size: int = 200
     tol: float = 1e-6
-    oracle_tol: float = 1e-7
     lipschitz_n: int = 1000
     seed: int = 20240801
 
     def to_dict(self):
         return {
             "mc_n": self.mc_n, "grid_size": self.grid_size, "tol": self.tol,
-            "oracle_tol": self.oracle_tol, "lipschitz_n": self.lipschitz_n, "seed": self.seed,
+            "lipschitz_n": self.lipschitz_n, "seed": self.seed,
         }
 
 
@@ -314,8 +313,7 @@ class A3Report:
 
 
 def check_a3(
-    model: ModelSpec, grid_size: int = 200, tol: float = 1e-6,
-    oracle_tol: float = 1e-7, phi_override: PhiSpec | None = None,
+    model: ModelSpec, grid_size: int = 200, tol: float = 1e-6, phi_override: PhiSpec | None = None,
 ) -> A3Report:
     """Sweep tv_exact <= 1 - exp(-phi(|s-s'|)) + tol over the standard grid."""
     if grid_size < 50:
@@ -327,7 +325,7 @@ def check_a3(
     worst, worst_pair = -math.inf, pairs[0]
     for (s, sp), ph in zip(pairs, phis):
         # math.exp per pair: numpy's exp may round differently
-        v = kernel.tv_exact(s, sp, oracle_tol) - (1.0 - math.exp(-ph))
+        v = kernel.tv_exact(s, sp) - (1.0 - math.exp(-ph))
         if v > worst:
             worst, worst_pair = v, (s, sp)
     return A3Report(phi.to_dict(), len(pairs), float(worst), worst_pair, tol)
@@ -393,5 +391,5 @@ def full_report(model: ModelSpec, config: VerifyConfig | None = None) -> Verific
     cfg = config or VerifyConfig()
     a1 = check_a1(model, cfg.mc_n, split_seed(cfg.seed, 1), cfg.lipschitz_n)
     a2 = check_a2(model, cfg.mc_n, split_seed(cfg.seed, 2))
-    a3 = check_a3(model, cfg.grid_size, cfg.tol, cfg.oracle_tol)
+    a3 = check_a3(model, cfg.grid_size, cfg.tol)
     return VerificationReport(a1, a2, a3, cfg, model.to_dict())

@@ -39,7 +39,7 @@ def test_criterion_01_a3_certification_sweep():
     for k in all_kernels():
         w = -math.inf
         for s, sp in k.standard_pairs(200):
-            w = max(w, k.tv_exact(s, sp, 1e-7) - k.tv_bound(s, sp))
+            w = max(w, k.tv_exact(s, sp) - k.tv_bound(s, sp))
         worst[repr(k)] = w
     elapsed = time.time() - t0
     ok = all(v <= 1e-6 for v in worst.values()) and elapsed < 60.0
@@ -55,7 +55,7 @@ def test_criterion_02_maximal_coupling_exactness():
     for fi, k in enumerate(all_kernels()):
         pairs = k.standard_pairs(200)[5::10][:20]
         for pi, (s, sp) in enumerate(pairs):
-            tv = k.tv_exact(s, sp, 1e-7)
+            tv = k.tv_exact(s, sp)
             _, _, met = k.couple_batch(s, sp, n, generator(split_seed(20350, fi * 100 + pi)))
             phat = 1.0 - met.mean()
             band = 3.0 * math.sqrt(max(tv * (1.0 - tv), 1e-12) / n)

@@ -153,15 +153,32 @@ def test_unusable_output_directory_is_manifest_error(tmp_path, capsys, case, rea
     assert err == f"manifest error: output directory {out} cannot be made: {reason}\n"
 
 
+# kernel numbers whose phi rate or moment constant divides by zero, overflows or is
+# infinite, or that int(r) cannot take, run through verify, which reads both; order 2 and
+# floor 1 make the GARCH models well formed apart from c_minus
+_GARCH_LINK = {**BENCH["link"], "order": 2, "floor": 1.0}
+_EDGE_KERNELS = {
+    **{f"c_minus_{c}": ({"family": "garch_gaussian", "c_minus": float(c)}, _GARCH_LINK)
+       for c in ("5e-324", "1e-300", "1e-215", "1e206", "inf")},
+    "sigma_1e-163": ({"family": "location", "noise": {"name": "gaussian", "sigma": 1e-163}}, BENCH["link"]),
+    "r_inf": ({"family": "negbinomial", "r": float("inf")}, BENCH["link"]),
+}
+
+
 @pytest.mark.parametrize("breakage", ["missing_link", "unknown_family", "nan_sigma", "inf_uniform",
                                       "nan_point", "empty_constant", "nan_markov_state", "ragged_markov_states",
-                                      "wide_uniform", "wide_gaussian", "wide_ar1"])
+                                      "wide_uniform", "wide_gaussian", "wide_ar1", "alpha", *_EDGE_KERNELS])
 def test_malformed_model_is_manifest_error(tmp_path, capsys, breakage):
-    model = dict(BENCH)
+    model, manifest = dict(BENCH), simulate_manifest()
     if breakage == "missing_link":
         del model["link"]
     elif breakage == "unknown_family":
         model["kernel"] = {"family": "no_such_family"}
+    elif breakage == "alpha":  # a model key nothing reads is refused, not ignored
+        model["alpha"] = 1.0
+    elif breakage in _EDGE_KERNELS:
+        model["kernel"], model["link"] = _EDGE_KERNELS[breakage]
+        manifest.update(command="verify", params={"mc_n": 1000, "grid_size": 60})
     else:
         # json writes and reads NaN and Infinity; such a spec must not reach the recursion
         model["covariates"] = {
@@ -179,7 +196,7 @@ def test_malformed_model_is_manifest_error(tmp_path, capsys, breakage):
             # draws that fit, on a path that grows them by 1 / (1 - a) = 10
             "wide_ar1": {"kind": "ar1", "a": 0.9, "noise": {"name": "uniform", "a": -8e307, "b": 8e307}},
         }[breakage]
-    man = write_manifest(tmp_path, "m.json", simulate_manifest(model=model))
+    man = write_manifest(tmp_path, "m.json", {**manifest, "model": model})
     assert cli.main(["--manifest", str(man), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("manifest error: malformed model")
 
@@ -223,7 +240,7 @@ def test_norm_other_than_the_kernel_state_norm_is_manifest_error(tmp_path, capsy
 
 @pytest.mark.parametrize("command, params, message", [
     ("backward", {"s0": 0.0, "n": 50, "replicas": 20}, "backward_measure needs replicas >= 100"),
-    ("verify", {"mc_n": 1000, "grid_size": 60, "oracle_tol": 1.0}, "tv_exact needs tol in (0, 1e-3]"),
+    ("verify", {"mc_n": 1000, "grid_size": 60, "oracle_tol": 1e-7}, "unknown params for verify: ['oracle_tol']"),
     ("stationary", {"tol": -1.0, "max_n": 100, "replicas": 200}, "tol must be positive"),
     ("diagnose", {"length": 600, "H": 0}, "need 1 <= h <= H"),
     ("diagnose", {"length": 600, "H": -3}, "need 1 <= h <= H"),
@@ -242,10 +259,12 @@ def test_param_out_of_range_is_manifest_error(tmp_path, capsys, command, params,
     ("backward", BENCH, {"s0": [1.0, 2.0], "n": 10, "replicas": 100}, "start state must be a number"),
     ("stationary", BENCH, {"s0": [1.0, 2.0], "max_n": 50, "replicas": 100}, "start state must be a number"),
     ("stationary", BENCH, {"tol": float("nan"), "max_n": 50, "replicas": 100}, "tol must be positive"),
+    ("simulate", BENCH, {"s0": 10**400, "t_min": 0, "t_max": 9}, "initial state must be a number"),
 ], ids=["simulate-list", "simulate-multinomial-length", "couple-list", "backward-list", "stationary-list",
-        "stationary-nan-tol"])
+        "stationary-nan-tol", "simulate-int-past-floats"])
 def test_edge_manifest_is_manifest_error(tmp_path, capsys, command, model, params, message):
-    # a start state of the wrong shape and a NaN tol end in a manifest error, not a traceback
+    # a start state of the wrong shape or past the floats and a NaN tol end in a manifest
+    # error, not a traceback
     man = write_manifest(tmp_path, "m.json", {"command": command, "model": model, "params": params, "seed": 3})
     assert cli.main(["--manifest", str(man), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err

@@ -451,7 +451,8 @@ def test_table_map_on_a_markov_path_and_off_table_rows():
     path = od.generate_path(spec, 0, 299, 17)
     table = od.TableMap(spec.states, (0.5, 2.0, -1.0))
     got = table.evaluate(path.values)
-    assert np.array_equal(got, np.asarray(table.values)[path.state_index])
+    state_index = [spec.states.index(tuple(v)) for v in path.values.tolist()]
+    assert np.array_equal(got, np.asarray(table.values)[state_index])
     assert table.evaluate(path.values[4]) == got[4]
     off = path.values.copy()
     off[7] = (0.5, 0.5)

@@ -527,7 +527,6 @@ def test_w_stats_geometric_closed_forms():
     assert stats.w3[0] == pytest.approx(0.5**3)
     assert stats.w4[0] == pytest.approx(w4_oracle, abs=1e-12)  # = 1 - tail
     assert abs(stats.w1[0] - 2.0) < 1e-6 and abs(stats.w4[0] - 1.0) < 1e-6
-    assert stats.w1_tail[0] < 1e-6
 
 
 def test_w_stats_shift_invariant_in_constant_environment():
@@ -551,11 +550,8 @@ def test_w_stats_w3_vanishes_with_growing_h():
 
 
 def _w_stats_per_time(path, h, H, gamma, delta, kappa, phi):
-    """Reference: the four statistics and their tails, one time at a time."""
+    """Reference: the four statistics, one time at a time."""
     g, d, k = (np.asarray(m.evaluate(path.values), dtype=float) for m in (gamma, delta, kappa))
-    rho_g = math.exp(min(float(np.mean(np.log(np.maximum(g, 1e-300)))), 700.0))
-    rho_k = math.exp(min(float(np.mean(np.log(np.maximum(k, 1e-300)))), 700.0))
-    geo_g, geo_k = rho_g / (1.0 - rho_g), rho_k / (1.0 - rho_k)
     rows = []
     for i in range(H + 1, len(path) - H):
         cpg = np.cumprod(g[i - H: i][::-1])
@@ -563,8 +559,7 @@ def _w_stats_per_time(path, h, H, gamma, delta, kappa, phi):
         cpk = np.cumprod(k[i - H: i][::-1])
         cf = np.cumprod(k[i: i + H + 1])
         rows.append((dwin[0] + float(cpg @ dwin[1:]), cpg[h - 1:].max(), cpk[h - 1:].max(),
-                     float(np.sum(phi.evaluate(cf))), cpg[-1] * float(d.mean()) * geo_g,
-                     cpg[-1] * rho_g, cpk[-1] * rho_k, phi.linear_coefficient * cf[-1] * geo_k))
+                     float(np.sum(phi.evaluate(cf)))))
     return np.array(rows).T
 
 
@@ -578,7 +573,7 @@ def test_w_stats_matches_the_per_time_loop():
     for h, H in ((1, 7), (4, 33)):
         got = od.w_stats(m, path, h, H, gamma_map=gamma, delta_map=delta, kappa_map=kappa, phi=phi)
         ref = _w_stats_per_time(path, h, H, gamma, delta, kappa, phi)
-        cols = (got.w1, got.w2, got.w3, got.w4, got.w1_tail, got.w2_tail, got.w3_tail, got.w4_tail)
+        cols = (got.w1, got.w2, got.w3, got.w4)
         assert len(got) == ref.shape[1] == len(path) - 2 * H - 1
         for col, want in zip(cols, ref):
             assert col.tobytes() == want.tobytes()
@@ -589,12 +584,8 @@ def _w_stats_per_lag(path, h, H, gamma, delta, kappa, phi):
     from numpy.lib.stride_tricks import sliding_window_view
 
     g, d, k = (np.asarray(m.evaluate(path.values), dtype=float) for m in (gamma, delta, kappa))
-    rho_g = math.exp(min(float(np.mean(np.log(np.maximum(g, 1e-300)))), 700.0))
-    rho_k = math.exp(min(float(np.mean(np.log(np.maximum(k, 1e-300)))), 700.0))
-    geo_g = rho_g / (1.0 - rho_g) if rho_g < 1 else math.inf
-    geo_k = rho_k / (1.0 - rho_k) if rho_k < 1 else math.inf
     m = len(path) - 2 * H - 1
-    out = np.empty((8, m))
+    out = np.empty((4, m))
     gwin = sliding_window_view(g, H)[1:, ::-1]
     kwin = sliding_window_view(k, H)[1:, ::-1]
     dwin = sliding_window_view(d, H + 1)[:, ::-1]
@@ -607,8 +598,7 @@ def _w_stats_per_lag(path, h, H, gamma, delta, kappa, phi):
             acc += cpg[:, j] * dw[:, j + 1]
         cpk, cf = np.cumprod(kwin[b], axis=1), np.cumprod(fwin[b], axis=1)
         out[:, b] = (dw[:, 0] + acc, cpg[:, h - 1:].max(axis=1), cpk[:, h - 1:].max(axis=1),
-                     phi.evaluate(cf).sum(axis=1), cpg[:, -1] * float(d.mean()) * geo_g,
-                     cpg[:, -1] * rho_g, cpk[:, -1] * rho_k, phi.linear_coefficient * cf[:, -1] * geo_k)
+                     phi.evaluate(cf).sum(axis=1))
     return out
 
 
@@ -629,7 +619,7 @@ def test_w_stats_matches_the_per_lag_loop():
             for d in (delta, zeros, negative_zero):
                 got = od.w_stats(m, path, h, H, gamma_map=gamma, delta_map=d, kappa_map=kappa, phi=phi)
                 ref = _w_stats_per_lag(path, h, H, gamma, d, kappa, phi)
-                cols = (got.w1, got.w2, got.w3, got.w4, got.w1_tail, got.w2_tail, got.w3_tail, got.w4_tail)
+                cols = (got.w1, got.w2, got.w3, got.w4)
                 assert len(got) == n_times
                 for col, want in zip(cols, ref):
                     assert col.tobytes() == want.tobytes()
@@ -683,7 +673,7 @@ def test_regeneration_matches_the_all_times_scan():
     for trial in range(60):
         flags = rng.random((4, len(times))) < rng.uniform(0.4, 1.0)
         w = [np.where(f, a, b) * rng.uniform(0.9, 1.1, len(times)) for f, (a, b) in zip(flags, levels)]
-        stats = engine.WStats(times, *w, 1, 50, *([np.zeros(len(times))] * 4), -1.0, -1.0)
+        stats = engine.WStats(times, *w, 1, 50)
         for h in (1, 2, 5):
             regen = od.regeneration_times(stats, 2.0, h)
             want = _regeneration_all_times(stats, 2.0, h)
@@ -692,7 +682,7 @@ def test_regeneration_matches_the_all_times_scan():
             assert (regen.smallest_admitting_C is None) == (len(want) > 0)
     # the empty outcome: no time passes, and the smallest admitting C is reported
     stats = engine.WStats(times, np.full(len(times), 5.0), *([np.full(len(times), 0.1)] * 2),
-                          np.linspace(3.0, 9.0, len(times)), 1, 50, *([np.zeros(len(times))] * 4), -1.0, -1.0)
+                          np.linspace(3.0, 9.0, len(times)), 1, 50)
     for h in (1, 2, 5):
         regen = od.regeneration_times(stats, 2.0, h)
         assert len(regen) == 0 and len(_regeneration_all_times(stats, 2.0, h)) == 0
@@ -789,10 +779,11 @@ def test_model_spec_validation():
         od.ModelSpec(od.Multinomial(3),
                      od.LinearLink(CM(0.3, True), CM(0.2, True), CM(0.0), 1),
                      od.Constant((1.0,)))
-    with pytest.raises(InvalidSpec):
-        od.ModelSpec(od.Poisson(),
-                     od.LinearLink(CM(0.3, True), CM(0.2, True), CM(1.0, True), 1, 0.0),
-                     od.Constant((1.0,)), alpha=1.5)
+    # a model key nothing reads is refused, not ignored
+    d = od.ModelSpec(od.Poisson(), od.LinearLink(CM(0.3, True), CM(0.2, True), CM(1.0, True), 1, 0.0),
+                     od.Constant((1.0,))).to_dict()
+    with pytest.raises(InvalidSpec, match=r"unknown model keys: \['alpha'\]"):
+        od.model_from_dict({**d, "alpha": 1.0})
 
 
 def test_model_json_round_trip():
@@ -882,7 +873,7 @@ def _ref_backward(model, s0, n, path, replicas, seed):
         else np.full(replicas, float(s0))
     for t in range(-n, 0):
         y = model.kernel.sample_inverse(lam, stream.uniforms(t, 1)[0])
-        lam = od.apply(model.link, lam, y, path.value_at(t))
+        lam = od.apply(model.link, lam, y, path.window(t, t)[0])
     return lam
 
 
@@ -892,7 +883,7 @@ def _ref_backward_cost(model, s0, s0p, n, path, replicas, seed):
     gap = np.full(replicas, abs(float(s0p) - float(s0)))
     floor = model.link.floor
     for t in range(-n, 0):
-        u, x = stream.uniforms(t, 1)[0], path.value_at(t)
+        u, x = stream.uniforms(t, 1)[0], path.window(t, t)[0]
         y = np.asarray(model.kernel.sample_inverse(lam, u), dtype=float)
         yp = np.asarray(model.kernel.sample_inverse(lamp, u), dtype=float)
         lam_next, lamp_next = od.apply(model.link, lam, y, x), od.apply(model.link, lamp, yp, x)
@@ -936,7 +927,7 @@ def test_step_core_matches_per_step_apply(name):
         pushed = push_measure(model, mu, path, 0, seed)
         want = od.apply(model.link, mu.points,
                         model.kernel.sample_inverse(mu.points, engine._obs_stream(seed, replicas).uniforms(0, 1)[0]),
-                        path.value_at(0))
+                        path.window(0, 0)[0])
         assert _same_bits(pushed.points, want)
         if model.kernel.state_dim == 1:
             got = coupled_backward_cost(model, s0, s0p, n, path, replicas, seed)
@@ -1050,8 +1041,7 @@ def test_result_tables_keep_their_bytes():
         "measure": csv_of(od.EmpiricalMeasure(lam)),
         "measure_vector": csv_of(od.EmpiricalMeasure(lam2)),
         "wstats": csv_of(engine.WStats(np.arange(10, 13), np.array([0.5, np.nan, 1 / 7]), np.array([0.1, 0.2, 0.3]),
-                                       np.zeros(3), np.array([np.inf, 2.0, 1e-5]), 1, 2, *[np.zeros(3)] * 4,
-                                       -0.1, -0.2)),
+                                       np.zeros(3), np.array([np.inf, 2.0, 1e-5]), 1, 2)),
         "path": csv_of(od.CovariatePath(-2, 0, x1, 0, "h")),
         "path_vector": csv_of(od.CovariatePath(-2, 0, x2, 0, "h")),
     }

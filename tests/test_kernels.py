@@ -1,7 +1,6 @@
 """Kernel families: sampling, phi rates, the TV oracle, and maximal coupling."""
 
 import ast
-import io
 import math
 import subprocess
 import sys
@@ -15,8 +14,8 @@ from scipy.special import betainc, betaincc, expit, gammaln, log_ndtr, ndtr, ndt
 
 import obsdriven as od
 from obsdriven import kernels
-from obsdriven.errors import CouplingBudgetExceeded, StateOutOfDomain, UnsupportedOrder
-from obsdriven.kernels import kernel_from_dict, tv_table, tv_table_to_csv
+from obsdriven.errors import CouplingBudgetExceeded, DomainViolation, UnsupportedOrder
+from obsdriven.kernels import kernel_from_dict
 from obsdriven.rngstream import generator
 
 from conftest import all_kernels, hypothesis_settings
@@ -563,9 +562,10 @@ def test_negbinomial_mean_equals_state():
 
 
 def test_domain_checks():
-    with pytest.raises(StateOutOfDomain):
+    with pytest.raises(DomainViolation) as e:
         od.Poisson().tv_bound(-1.0, 2.0)
-    with pytest.raises(StateOutOfDomain):
+    assert e.value.state == -1.0 and e.value.t is None
+    with pytest.raises(DomainViolation):
         od.GarchGaussian(1.0).tv_exact(0.5, 2.0)
 
 
@@ -627,7 +627,7 @@ def test_phi_location_rates():
     cg = dict(gauss.coefficients)
     assert cg[1] == cg[2] and cg[1] > 1 / math.sqrt(2 * math.pi)
     stud = od.Location(od.StudentTNoise(2.0)).phi()
-    assert stud.degree == 1 and stud.linear_coefficient > 0
+    assert stud.coefficients == ((1, stud.linear_coefficient),) and stud.linear_coefficient > 0
 
 
 def test_phi_spec_validation():
@@ -760,7 +760,7 @@ def test_continuous_tv_exact_matches_quadrature_on_standard_pairs():
         pairs = k.standard_pairs(200)
         assert len(pairs) == 200
         for s, sp in pairs:
-            assert k.tv_exact(s, sp, 1e-7) == pytest.approx(_overlap_by_quadrature(k, s, sp), abs=1e-8), (k, s, sp)
+            assert k.tv_exact(s, sp) == pytest.approx(_overlap_by_quadrature(k, s, sp), abs=1e-8), (k, s, sp)
 
 
 def test_tv_exact_symmetric_bounded_and_monotone():
@@ -1260,17 +1260,10 @@ def test_kernel_json_round_trip():
         assert kernel_from_dict(k.to_dict()) == k
 
 
-def test_tv_table_csv():
+def test_tv_exact_within_bound_on_scalar_and_vector_pairs():
+    # the exact distance within the phi bound, on a scalar and a vector pair; both 0 at equal states
     k = od.Poisson()
-    rows = tv_table(k, [(0.0, 0.5), (1.0, 1.0)])
-    buf = io.StringIO()
-    tv_table_to_csv(rows, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "s,s_prime,tv_exact,tv_bound"
-    assert len(lines) == 3
-    # vector states get one column per coordinate, as in every result file
-    buf = io.StringIO()
-    tv_table_to_csv(tv_table(od.Multinomial(3), [(np.array([0.0, 0.5]), np.array([0.25, 0.0]))]), buf)
-    header, row = buf.getvalue().splitlines()
-    assert header == "s_1,s_2,s_prime_1,s_prime_2,tv_exact,tv_bound"
-    assert row.startswith("0,0.5,0.25,0,")
+    assert 0.0 < k.tv_exact(0.0, 0.5) <= k.tv_bound(0.0, 0.5) < 1.0
+    assert k.tv_exact(1.0, 1.0) == k.tv_bound(1.0, 1.0) == 0.0
+    m, s, sp = od.Multinomial(3), np.array([0.0, 0.5]), np.array([0.25, 0.0])
+    assert 0.0 < m.tv_exact(s, sp) <= m.tv_bound(s, sp) < 1.0

@@ -278,7 +278,7 @@ def test_a3_sweep_matches_the_per_pair_loop(kernel):
         worst, worst_pair = -math.inf, None
         for s, sp in kernel.standard_pairs(120):
             bound = 1.0 - math.exp(-float(phi.evaluate(kernel.state_distance(s, sp))))
-            v = kernel.tv_exact(s, sp, 1e-7) - bound
+            v = kernel.tv_exact(s, sp) - bound
             if v > worst:
                 worst, worst_pair = v, (s, sp)
         assert rep.max_violation == worst
