@@ -56,7 +56,6 @@ from .kernels import (
     PhiSpec,
     Poisson,
     StudentTNoise,
-    kernel_from_dict,
 )
 from .links import (
     ArmaLikeLink,
@@ -70,7 +69,6 @@ from .links import (
     apply,
     contraction_map,
     growth_envelope,
-    link_from_dict,
 )
 from .rngstream import split_seed
 from .verify import (

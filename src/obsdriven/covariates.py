@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _special as special
+from ._codec import Spec
 from .errors import DegenerateMap, EmptyRange, InvalidSpec
 from .rngstream import IndexedStream, split_seed
 
@@ -45,7 +46,8 @@ def _require_finite(what: str, values) -> None:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(Spec):
+    tag = ("name", "gaussian")
     mu: float = 0.0
     sigma: float = 1.0
 
@@ -60,12 +62,10 @@ class Gaussian:
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
         return self.mu + self.sigma * special.ndtri(u)
 
-    def to_dict(self) -> dict:
-        return {"name": "gaussian", "mu": self.mu, "sigma": self.sigma}
-
 
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(Spec):
+    tag = ("name", "uniform")
     a: float = 0.0
     b: float = 1.0
 
@@ -79,12 +79,10 @@ class Uniform:
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
         return self.a + (self.b - self.a) * u
 
-    def to_dict(self) -> dict:
-        return {"name": "uniform", "a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
-class PointMass:
+class PointMass(Spec):
+    tag = ("name", "point")
     value: float = 0.0
 
     def __post_init__(self):
@@ -92,20 +90,6 @@ class PointMass:
 
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(u, dtype=float), self.value)
-
-    def to_dict(self) -> dict:
-        return {"name": "point", "value": self.value}
-
-
-_MARGINALS = {"gaussian": Gaussian, "uniform": Uniform, "point": PointMass}
-
-
-def marginal_from_dict(d: dict):
-    kind = d.get("name")
-    if kind not in _MARGINALS:
-        raise InvalidSpec(f"unknown marginal {kind!r}")
-    args = {k: v for k, v in d.items() if k != "name"}
-    return _MARGINALS[kind](**args)
 
 
 def _mean_of(marginal) -> float:
@@ -121,9 +105,10 @@ def _mean_of(marginal) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Constant:
+class Constant(Spec):
     """Deterministic environment; the degenerate stationary process."""
 
+    tag = ("kind", "constant")
     value: tuple[float, ...]
 
     def __post_init__(self):
@@ -134,12 +119,10 @@ class Constant:
     def dimension(self) -> int:
         return len(self.value)
 
-    def to_dict(self) -> dict:
-        return {"kind": "constant", "value": list(self.value)}
-
 
 @dataclass(frozen=True)
-class IID:
+class IID(Spec):
+    tag = ("kind", "iid")
     marginal: Gaussian | Uniform | PointMass
     dimension: int = 1
 
@@ -147,14 +130,12 @@ class IID:
         if self.dimension < 1:
             raise InvalidSpec("dimension must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {"kind": "iid", "marginal": self.marginal.to_dict(), "dimension": self.dimension}
-
 
 @dataclass(frozen=True)
-class AR1:
+class AR1(Spec):
     """x_t = a x_{t-1} + eps_t with i.i.d. noise per component; |a| < 1."""
 
+    tag = ("kind", "ar1")
     a: float
     noise: Gaussian | Uniform | PointMass
     dimension: int = 1
@@ -174,14 +155,12 @@ class AR1:
     def burn_in(self) -> int:
         return 10 * math.ceil(1.0 / (1.0 - abs(self.a)))
 
-    def to_dict(self) -> dict:
-        return {"kind": "ar1", "a": self.a, "noise": self.noise.to_dict(), "dimension": self.dimension}
-
 
 @dataclass(frozen=True)
-class FiniteStateMarkov:
+class FiniteStateMarkov(Spec):
     """Irreducible finite-state chain started from its stationary vector."""
 
+    tag = ("kind", "finite_markov")
     states: tuple[tuple[float, ...], ...]
     transition: tuple[tuple[float, ...], ...]
 
@@ -227,28 +206,8 @@ class FiniteStateMarkov:
             pi = nxt
         raise InvalidSpec("power iteration for the stationary vector did not converge")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "finite_markov",
-            "states": [list(s) for s in self.states],
-            "transition": [list(r) for r in self.transition],
-        }
-
 
 CovariateProcessSpec = Constant | IID | AR1 | FiniteStateMarkov
-
-
-def spec_from_dict(d: dict) -> CovariateProcessSpec:
-    kind = d.get("kind")
-    if kind == "constant":
-        return Constant(tuple(d["value"]))
-    if kind == "iid":
-        return IID(marginal_from_dict(d["marginal"]), d.get("dimension", 1))
-    if kind == "ar1":
-        return AR1(d["a"], marginal_from_dict(d["noise"]), d.get("dimension", 1))
-    if kind == "finite_markov":
-        return FiniteStateMarkov(tuple(map(tuple, d["states"])), tuple(map(tuple, d["transition"])))
-    raise InvalidSpec(f"unknown covariate spec kind {kind!r}")
 
 
 def spec_hash(spec: CovariateProcessSpec) -> str:
@@ -539,7 +498,7 @@ def stationary_draws(spec: CovariateProcessSpec, n: int, seed: int) -> np.ndarra
 # coefficient maps
 # ---------------------------------------------------------------------------
 
-class CoefficientMapBase:
+class CoefficientMapBase(Spec):
     """Nonnegative (or signed) scalar functions of the covariate value."""
 
     nonnegative: bool = False
@@ -548,13 +507,11 @@ class CoefficientMapBase:
         """x of shape (d,) or (n, d); returns scalar or shape (n,)."""
         raise NotImplementedError
 
-    def __call__(self, x):
-        return self.evaluate(x)
-
 
 @dataclass(frozen=True)
 class ConstantMap(CoefficientMapBase):
-    c: float
+    tag = ("kind", "constant")
+    c: float = field(metadata={"key": "value"})
     nonnegative: bool = False
 
     def __post_init__(self):
@@ -567,14 +524,12 @@ class ConstantMap(CoefficientMapBase):
             return self.c
         return np.full(x.shape[0], self.c)
 
-    def to_dict(self):
-        return {"kind": "constant", "value": self.c, "nonnegative": self.nonnegative}
-
 
 @dataclass(frozen=True)
 class AffineAbsMap(CoefficientMapBase):
     """c0 + sum_k c1_k |x_k|; with the nonnegative flag, all coefficients >= 0."""
 
+    tag = ("kind", "affine_abs")
     c0: float
     c1: tuple[float, ...]
     nonnegative: bool = False
@@ -597,21 +552,18 @@ class AffineAbsMap(CoefficientMapBase):
             return self.c0 + c1[0] * np.abs(x).sum(axis=1)
         return self.c0 + (np.abs(x) * c1).sum(axis=1)
 
-    def to_dict(self):
-        return {"kind": "affine_abs", "c0": self.c0, "c1": list(self.c1), "nonnegative": self.nonnegative}
-
 
 @dataclass(frozen=True)
 class ExpAffineMap(CoefficientMapBase):
     """exp(c0 + sum_k c1_k x_k); strictly positive, hence always nonnegative."""
 
+    tag = ("kind", "exp_affine")
     c0: float
     c1: tuple[float, ...]
-    nonnegative: bool = True
+    nonnegative: bool = field(default=True, init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c1", tuple(float(v) for v in np.atleast_1d(self.c1)))
-        object.__setattr__(self, "nonnegative", True)
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -619,14 +571,12 @@ class ExpAffineMap(CoefficientMapBase):
         out = np.exp(self.c0 + (c1[0] * rows.sum(axis=1) if c1.size == 1 else (rows * c1).sum(axis=1)))
         return float(out[0]) if x.ndim <= 1 else out
 
-    def to_dict(self):
-        return {"kind": "exp_affine", "c0": self.c0, "c1": list(self.c1)}
-
 
 @dataclass(frozen=True)
 class TableMap(CoefficientMapBase):
     """One value per finite environment state, matched by state value."""
 
+    tag = ("kind", "table")
     states: tuple[tuple[float, ...], ...]
     values: tuple[float, ...]
     nonnegative: bool = False
@@ -651,14 +601,6 @@ class TableMap(CoefficientMapBase):
             raise InvalidSpec(f"covariate value {rows[off[0]]} not in table states")
         out = np.asarray(self.values)[j]
         return float(out[0]) if x.ndim <= 1 else out
-
-    def to_dict(self):
-        return {
-            "kind": "table",
-            "states": [list(s) for s in self.states],
-            "values": list(self.values),
-            "nonnegative": self.nonnegative,
-        }
 
 
 @dataclass(frozen=True)
@@ -686,19 +628,6 @@ class DerivedMap(CoefficientMapBase):
 
 
 CoefficientMap = ConstantMap | AffineAbsMap | ExpAffineMap | TableMap | DerivedMap
-
-
-def map_from_dict(d: dict) -> CoefficientMap:
-    kind = d.get("kind")
-    if kind == "constant":
-        return ConstantMap(d["value"], d.get("nonnegative", False))
-    if kind == "affine_abs":
-        return AffineAbsMap(d["c0"], tuple(d["c1"]), d.get("nonnegative", False))
-    if kind == "exp_affine":
-        return ExpAffineMap(d["c0"], tuple(d["c1"]))
-    if kind == "table":
-        return TableMap(tuple(map(tuple, d["states"])), tuple(d["values"]), d.get("nonnegative", False))
-    raise InvalidSpec(f"unknown coefficient map kind {kind!r}")
 
 
 def abs_map(m: CoefficientMap) -> CoefficientMap:

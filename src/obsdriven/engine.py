@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import links as links_mod
+from . import _codec, links as links_mod
 from .covariates import CovariatePath, CovariateProcessSpec, generate_path, write_csv
 from .errors import (
     DomainViolation,
@@ -44,7 +44,7 @@ from .errors import (
     StateOverflow,
     UnsupportedCombination,
 )
-from .kernels import ObservationKernel, PhiSpec, _NoiseKernel, state_distance
+from .kernels import KernelSpec, PhiSpec, _NoiseKernel, state_distance
 # every loop steps a coefficient table; link_apply stays importable for callers that patch it
 from .links import LinkSpec, apply as link_apply, coefficient_table, contraction_map
 from .rngstream import IndexedStream, generator, split_seed
@@ -67,7 +67,7 @@ MAX_EXACT_ASSIGNMENT = 4096
 class ModelSpec:
     """Kernel + link + environment; the complete recursion specification."""
 
-    kernel: ObservationKernel
+    kernel: KernelSpec
     link: LinkSpec
     covariates: CovariateProcessSpec
 
@@ -100,27 +100,18 @@ class ModelSpec:
         return 0.0 if floor is None else float(floor)
 
     def to_dict(self):
-        return {
-            "kernel": self.kernel.to_dict(),
-            "link": self.link.to_dict(),
-            "covariates": self.covariates.to_dict(),
-            "norm": self.norm,
-        }
+        return {**_codec.to_dict(self), "norm": self.norm}
 
 
 def model_from_dict(d: dict) -> ModelSpec:
-    from .covariates import spec_from_dict
-    from .kernels import kernel_from_dict
-    from .links import link_from_dict
-
-    unknown = set(d) - {"kernel", "link", "covariates", "norm"}
-    if unknown:
-        raise InvalidSpec(f"unknown model keys: {sorted(unknown)}")
-    kernel = kernel_from_dict(d["kernel"])
-    if d.get("norm", kernel.state_norm) != kernel.state_norm:
-        raise InvalidSpec(f"norm {d['norm']!r} does not match the {kernel.family} state norm "
-                          f"{kernel.state_norm!r}")
-    return ModelSpec(kernel, link_from_dict(d["link"]), spec_from_dict(d["covariates"]))
+    """The model of a manifest's model object, read by ``_codec``; an optional "norm" key
+    must name the kernel's state norm."""
+    model = _codec.from_dict(ModelSpec, {k: v for k, v in d.items() if k != "norm"}
+                             if isinstance(d, dict) else d, "model")
+    if d.get("norm", model.norm) != model.norm:
+        raise InvalidSpec(f"norm {d['norm']!r} does not match the {model.kernel.family} state norm "
+                          f"{model.norm!r}")
+    return model
 
 
 def _check_state(model: ModelSpec, s, where: str, t=None, previous=None, y=None):

@@ -13,10 +13,6 @@ class DegenerateMap(ValueError):
     """A coefficient map is identically zero on the support of the environment."""
 
 
-class UnsupportedOrder(ValueError):
-    """The requested moment order is not defined for this kernel family."""
-
-
 class DomainViolation(ValueError):
     """A state lies outside the kernel's state space.
 

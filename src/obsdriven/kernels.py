@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _special as special
-from .errors import CouplingBudgetExceeded, DomainViolation, InvalidSpec, UnsupportedOrder
+from ._codec import Spec
+from .errors import CouplingBudgetExceeded, DomainViolation, InvalidSpec
 
 _CERT_GRID = np.logspace(-4, 2, 200)
 _CERT_MARGIN = 1.05
@@ -58,8 +59,8 @@ class PhiSpec:
         object.__setattr__(self, "coefficients", coeffs)
         if any(j < 1 for j, _ in coeffs):
             raise InvalidSpec("phi must vanish at 0 (degrees >= 1 only)")
-        if any(c < 0 for _, c in coeffs):
-            raise InvalidSpec("phi coefficients must be >= 0")
+        if not all(0 <= c < math.inf for _, c in coeffs):
+            raise InvalidSpec("phi coefficients must be finite and >= 0")
         if not any(c > 0 for _, c in coeffs):
             raise InvalidSpec("phi must not be identically zero")
 
@@ -106,8 +107,10 @@ def _gaussian_location_rate(sigma: float) -> float:
 
 @functools.lru_cache(maxsize=None)
 def _student_location_rate(nu: float) -> float:
-    # stats.t.logsf(h / 2, nu) bit for bit: scipy logs the sf for h / 2 > 0
-    return _certified_rate(lambda h: np.log(2.0) + np.log(special.stdtr(nu, -h / 2.0)), (1,))
+    # stats.t.logsf(h / 2, nu) bit for bit: scipy logs the sf for h / 2 > 0; from nu of about 1e5
+    # the sf underflows to 0 on the grid, and the rate is inf, which PhiSpec refuses
+    with np.errstate(divide="ignore"):
+        return _certified_rate(lambda h: np.log(2.0) + np.log(special.stdtr(nu, -h / 2.0)), (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +166,17 @@ def state_distance(s, sp, vector: bool):
     return float(d) if d.ndim == 0 else d
 
 
-class ObservationKernel:
+class ObservationKernel(Spec):
     """Common interface; scalar state families override the hooks below."""
 
-    family: str = ""
     state_dim: int = 1
     state_norm: str = "abs"  # "inf" for the multinomial family
     moment_order: int = 1
     discrete: bool = True
+
+    @property
+    def family(self) -> str:
+        return self.tag[1]
 
     # -- domain ------------------------------------------------------------
     def domain_contains(self, s) -> bool:
@@ -234,8 +240,8 @@ class ObservationKernel:
         return np.asarray(self.sample(np.full((n, *np.shape(s)), s), rng), dtype=float)
 
     # -- moments -----------------------------------------------------------
-    def conditional_moment(self, s, order: int) -> tuple[float, float]:
-        """(integral of |y|^order p(dy|s), family constant D with bound |s|+D)."""
+    def conditional_moment(self, s) -> tuple[float, float]:
+        """(integral of |y|^moment_order p(dy|s), family constant D with bound |s|+D)."""
         raise NotImplementedError
 
     # -- misc ----------------------------------------------------------------
@@ -246,9 +252,6 @@ class ObservationKernel:
     def standard_pairs(self, n_pairs: int = 200):
         """Deterministic certification grid spanning small to large separations."""
         raise NotImplementedError
-
-    def to_dict(self) -> dict:
-        return {"family": self.family}
 
 
 class _NoiseKernel(ObservationKernel):
@@ -486,7 +489,7 @@ def _count_quantile_edges(s, u, out):
 
 @dataclass(frozen=True)
 class Poisson(ObservationKernel):
-    family = "poisson"
+    tag = ("family", "poisson")
     moment_order = 1
 
     def domain_contains(self, s):
@@ -539,9 +542,7 @@ class Poisson(ObservationKernel):
         d = s - y
         return np.exp(y * np.log1p(np.maximum(d / np.maximum(y, 1.0), _LOG1P_FLOOR)) - d)
 
-    def conditional_moment(self, s, order):
-        if order != 1:
-            raise UnsupportedOrder("Poisson supports order 1 only")
+    def conditional_moment(self, s):
         self.require_domain(s)
         return float(s), 0.0
 
@@ -554,7 +555,7 @@ class NegBinomial(ObservationKernel):
     """NB(r, s/(s+r)) parameterized by its mean s; gamma-Poisson mixture."""
 
     r: int = 1
-    family = "negbinomial"
+    tag = ("family", "negbinomial")
     moment_order = 1
 
     def __post_init__(self):
@@ -637,17 +638,12 @@ class NegBinomial(ObservationKernel):
         k = float(math.floor(min(r * math.log1p(d / (r + s)) / den, sp) if den else s))
         return max(float(special.betaincc(r, k + 1.0, r / (r + sp)) - special.betaincc(r, k + 1.0, r / (r + s))), 0.0)
 
-    def conditional_moment(self, s, order):
-        if order != 1:
-            raise UnsupportedOrder("negative binomial supports order 1 only")
+    def conditional_moment(self, s):
         self.require_domain(s)
         return float(s), 0.0
 
     def standard_pairs(self, n_pairs=200):
         return _scalar_pairs([0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 100.0], n_pairs)
-
-    def to_dict(self):
-        return {"family": self.family, "r": self.r}
 
 
 # ---------------------------------------------------------------------------
@@ -680,9 +676,7 @@ class _Bernoulli(_NoiseKernel):
     def _tv_exact_impl(self, s, sp):
         return abs(float(self._success(s)) - float(self._success(sp)))
 
-    def conditional_moment(self, s, order):
-        if order != 1:
-            raise UnsupportedOrder("binary kernels support order 1 only")
+    def conditional_moment(self, s):
         return float(self._success(float(s))), 1.0
 
     def standard_pairs(self, n_pairs=200):
@@ -691,7 +685,7 @@ class _Bernoulli(_NoiseKernel):
 
 @dataclass(frozen=True)
 class BernoulliLogit(_Bernoulli):
-    family = "bernoulli_logit"
+    tag = ("family", "bernoulli_logit")
 
     def _success(self, s):
         return special.expit(s)
@@ -702,7 +696,7 @@ class BernoulliLogit(_Bernoulli):
 
 @dataclass(frozen=True)
 class BernoulliProbit(_Bernoulli):
-    family = "bernoulli_probit"
+    tag = ("family", "bernoulli_probit")
 
     def _success(self, s):
         return special.ndtr(s)
@@ -721,7 +715,7 @@ class Multinomial(_NoiseKernel):
     """Categories {0..N-1}; p(i|s) = exp(s_i)/S(s), S(s) = 1 + sum exp(s_j)."""
 
     n_categories: int = 2
-    family = "multinomial"
+    tag = ("family", "multinomial")
     state_norm = "inf"
     moment_order = 1
 
@@ -757,10 +751,8 @@ class Multinomial(_NoiseKernel):
     def _tv_exact_impl(self, s, sp):
         return float(0.5 * np.abs(self.probabilities(s)[0] - self.probabilities(sp)[0]).sum())
 
-    def conditional_moment(self, s, order):
+    def conditional_moment(self, s):
         # one-hot observation vector: |y|_inf is 1 off category 0, else 0
-        if order != 1:
-            raise UnsupportedOrder("multinomial supports order 1 only")
         return float(1.0 - self.probabilities(s)[0, 0]), 1.0
 
     def standard_pairs(self, n_pairs=200):
@@ -778,9 +770,6 @@ class Multinomial(_NoiseKernel):
                 pairs.append((b.copy(), b + h * np.ones(d)))  # diagonal move
         return pairs[:n_pairs]
 
-    def to_dict(self):
-        return {"family": self.family, "n_categories": self.n_categories}
-
 
 # ---------------------------------------------------------------------------
 # continuous families
@@ -791,7 +780,7 @@ class GarchGaussian(_NoiseKernel):
     """y|s = sqrt(s) eps with standard normal eps; states s >= c_minus > 0."""
 
     c_minus: float = 1.0
-    family = "garch_gaussian"
+    tag = ("family", "garch_gaussian")
     discrete = False
     moment_order = 2
 
@@ -845,9 +834,7 @@ class GarchGaussian(_NoiseKernel):
         u = crossings[1]
         return math.erf(u / math.sqrt(2.0 * min(s, sp))) - math.erf(u / math.sqrt(2.0 * max(s, sp)))
 
-    def conditional_moment(self, s, order):
-        if order != 2:
-            raise UnsupportedOrder("volatility kernel supports order 2 only")
+    def conditional_moment(self, s):
         self.require_domain(s)
         return float(s), 0.0
 
@@ -855,17 +842,15 @@ class GarchGaussian(_NoiseKernel):
         c = self.c_minus
         return _scalar_pairs([c, 1.5 * c, 2.0 * c, 4.0 * c, 8.0 * c, 16.0 * c, 32.0 * c, 64.0 * c], n_pairs)
 
-    def to_dict(self):
-        return {"family": self.family, "c_minus": self.c_minus}
-
 
 @dataclass(frozen=True)
-class GaussianNoise:
+class GaussianNoise(Spec):
+    tag = ("name", "gaussian")
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (self.sigma > 0 and 2 * self.sigma * self.sigma > 0):  # the moment's exponent divides by it
-            raise InvalidSpec("sigma must be positive, with 2 sigma^2 > 0 in floats")
+        if not (math.inf > self.sigma > 0 and 2 * self.sigma * self.sigma > 0):  # the moment's exponent divides by it
+            raise InvalidSpec("sigma must be finite and positive, with 2 sigma^2 > 0 in floats")
 
     def pdf(self, y):
         return np.exp(-np.asarray(y) ** 2 / (2.0 * self.sigma**2)) / (self.sigma * math.sqrt(2 * math.pi))
@@ -886,17 +871,15 @@ class GaussianNoise:
         D = _gaussian_location_rate(self.sigma)
         return PhiSpec(((1, D), (2, D)))
 
-    def to_dict(self):
-        return {"name": "gaussian", "sigma": self.sigma}
-
 
 @dataclass(frozen=True)
-class LaplaceNoise:
+class LaplaceNoise(Spec):
+    tag = ("name", "laplace")
     b: float = 1.0
 
     def __post_init__(self):
-        if not self.b > 0:
-            raise InvalidSpec("b must be positive")
+        if not math.inf > self.b > 0:
+            raise InvalidSpec("b must be finite and positive")
 
     def pdf(self, y):
         return np.exp(-np.abs(np.asarray(y)) / self.b) / (2.0 * self.b)
@@ -920,17 +903,15 @@ class LaplaceNoise:
         D = _CERT_MARGIN / (4.0 * self.b)
         return PhiSpec(((1, 2.0 * D),))
 
-    def to_dict(self):
-        return {"name": "laplace", "b": self.b}
-
 
 @dataclass(frozen=True)
-class StudentTNoise:
+class StudentTNoise(Spec):
+    tag = ("name", "student_t")
     nu: float = 3.0
 
     def __post_init__(self):
-        if self.nu < 2:
-            raise InvalidSpec("Student noise needs nu >= 2")
+        if not math.inf > self.nu >= 2:
+            raise InvalidSpec("Student noise needs a finite nu >= 2")
 
     @functools.cached_property
     def _pdf_const(self):
@@ -967,19 +948,13 @@ class StudentTNoise:
         # polynomial tails dominate any exponential, so a linear phi works
         return PhiSpec(((1, _student_location_rate(self.nu)),))
 
-    def to_dict(self):
-        return {"name": "student_t", "nu": self.nu}
-
-
-_NOISES = {"gaussian": GaussianNoise, "laplace": LaplaceNoise, "student_t": StudentTNoise}
-
 
 @dataclass(frozen=True)
 class Location(_NoiseKernel):
     """y|s = s + eps with symmetric unimodal noise; autoregressions with noise."""
 
     noise: GaussianNoise | LaplaceNoise | StudentTNoise = GaussianNoise()
-    family = "location"
+    tag = ("family", "location")
     discrete = False
     moment_order = 1
 
@@ -1006,9 +981,7 @@ class Location(_NoiseKernel):
         # so TV is the noise's own distance to its shift (``noise.tv``)
         return self.noise.tv(abs(float(sp) - float(s)))
 
-    def conditional_moment(self, s, order):
-        if order != 1:
-            raise UnsupportedOrder("location kernels support order 1 only")
+    def conditional_moment(self, s):
         s = float(s)
         if isinstance(self.noise, GaussianNoise):
             sig = self.noise.sigma
@@ -1025,33 +998,5 @@ class Location(_NoiseKernel):
     def standard_pairs(self, n_pairs=200):
         return _scalar_pairs([-5.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 5.0], n_pairs, centered=True)
 
-    def to_dict(self):
-        return {"family": self.family, "noise": self.noise.to_dict()}
 
-
-# ---------------------------------------------------------------------------
-# registry / serialization
-# ---------------------------------------------------------------------------
-
-def kernel_from_dict(d: dict) -> ObservationKernel:
-    fam = d.get("family")
-    if fam == "poisson":
-        return Poisson()
-    if fam == "negbinomial":
-        return NegBinomial(d["r"])
-    if fam == "bernoulli_logit":
-        return BernoulliLogit()
-    if fam == "bernoulli_probit":
-        return BernoulliProbit()
-    if fam == "multinomial":
-        return Multinomial(d["n_categories"])
-    if fam == "garch_gaussian":
-        return GarchGaussian(d["c_minus"])
-    if fam == "location":
-        noise_d = dict(d["noise"])
-        name = noise_d.pop("name")
-        if name not in _NOISES:
-            raise InvalidSpec(f"unknown location noise {name!r}")
-        return Location(_NOISES[name](**noise_d))
-    raise InvalidSpec(f"unknown kernel family {fam!r}")
-
+KernelSpec = Poisson | NegBinomial | BernoulliLogit | BernoulliProbit | Multinomial | GarchGaussian | Location

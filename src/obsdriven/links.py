@@ -21,11 +21,11 @@ from .covariates import (
     ConstantMap,
     DerivedMap,
     abs_map,
-    map_from_dict,
     max_map,
     provable_sup,
     sum_map,
 )
+from ._codec import Spec
 from .errors import InvalidSpec
 
 
@@ -34,7 +34,8 @@ from .errors import InvalidSpec
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FixedInterval:
+class FixedInterval(Spec):
+    tag = ("kind", "fixed")
     lo: float
     hi: float
 
@@ -53,14 +54,12 @@ class FixedInterval:
     def sup_abs(self, x) -> float:
         return max(abs(self.lo), abs(self.hi))
 
-    def to_dict(self):
-        return {"kind": "fixed", "lo": self.lo, "hi": self.hi}
-
 
 @dataclass(frozen=True)
-class CovariateScaled:
+class CovariateScaled(Spec):
     """[lo |x|, hi |x|], |x| the summed absolute value of each covariate row."""
 
+    tag = ("kind", "covariate_scaled")
     lo: float
     hi: float
 
@@ -83,20 +82,8 @@ class CovariateScaled:
     def sup_abs(self, x):
         return max(abs(self.lo), abs(self.hi)) * self._scale(x)
 
-    def to_dict(self):
-        return {"kind": "covariate_scaled", "lo": self.lo, "hi": self.hi}
-
 
 IntervalMap = FixedInterval | CovariateScaled
-
-
-def interval_from_dict(d: dict) -> IntervalMap:
-    kind = d.get("kind")
-    if kind == "fixed":
-        return FixedInterval(d["lo"], d["hi"])
-    if kind == "covariate_scaled":
-        return CovariateScaled(d["lo"], d["hi"])
-    raise InvalidSpec(f"unknown interval kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +91,14 @@ def interval_from_dict(d: dict) -> IntervalMap:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CategoryTable:
+class CategoryTable(Spec):
     """Additive state increment per observation category (multinomial links).
 
     Column y of the (state_dim x n_categories) table is added to kappa(x)s,
     the one-hot reading of "kappa_tilde(x) y".
     """
 
+    tag = ("kind", "category_table")
     values: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
@@ -130,9 +118,6 @@ class CategoryTable:
     def max_inf_norm(self) -> float:
         return float(np.max(np.abs(self.array)))
 
-    def to_dict(self):
-        return {"kind": "category_table", "values": [list(r) for r in self.values]}
-
 
 def _check_floor(floor):
     """Refuse a link floor that is not a finite number (None is no floor)."""
@@ -141,9 +126,10 @@ def _check_floor(floor):
 
 
 @dataclass(frozen=True)
-class LinearLink:
+class LinearLink(Spec):
     """f(s,y,x) = kappa(x) s + kappa_tilde(x) y^i + delta_tilde(x)."""
 
+    tag = ("variant", "linear")
     kappa: CoefficientMap
     kappa_tilde: CoefficientMap | CategoryTable
     delta_tilde: CoefficientMap
@@ -155,35 +141,19 @@ class LinearLink:
             raise InvalidSpec("link order must be 1 or 2")
         _check_floor(self.floor)
 
-    def to_dict(self):
-        return {
-            "variant": "linear",
-            "kappa": self.kappa.to_dict(),
-            "kappa_tilde": self.kappa_tilde.to_dict(),
-            "delta_tilde": self.delta_tilde.to_dict(),
-            "order": self.order,
-            "floor": self.floor,
-        }
-
 
 @dataclass(frozen=True)
-class RegimeCoefficients:
+class RegimeCoefficients(Spec):
     kappa: CoefficientMap
     kappa_tilde: CoefficientMap
     gamma: CoefficientMap
 
-    def to_dict(self):
-        return {
-            "kappa": self.kappa.to_dict(),
-            "kappa_tilde": self.kappa_tilde.to_dict(),
-            "gamma": self.gamma.to_dict(),
-        }
-
 
 @dataclass(frozen=True)
-class ThresholdLink:
+class ThresholdLink(Spec):
     """Regime 1 applies when y falls in I(x), regime 2 otherwise."""
 
+    tag = ("variant", "threshold")
     regime_in: RegimeCoefficients
     regime_out: RegimeCoefficients
     interval: IntervalMap
@@ -195,19 +165,9 @@ class ThresholdLink:
             raise InvalidSpec("link order must be 1 or 2")
         _check_floor(self.floor)
 
-    def to_dict(self):
-        return {
-            "variant": "threshold",
-            "regime_in": self.regime_in.to_dict(),
-            "regime_out": self.regime_out.to_dict(),
-            "interval": self.interval.to_dict(),
-            "order": self.order,
-            "floor": self.floor,
-        }
-
 
 @dataclass(frozen=True)
-class ArmaLikeLink:
+class ArmaLikeLink(Spec):
     """f(s,y,x) = a(x)s + g(y,x) - a(x)y with g(y,x) = c(x) + b(x) y.
 
     Driving a location kernel, this gives varying-coefficient ARMA(1,1)
@@ -215,6 +175,7 @@ class ArmaLikeLink:
     growth envelope always exists at order 1.
     """
 
+    tag = ("variant", "arma_like")
     a: CoefficientMap
     g_intercept: CoefficientMap
     g_slope: CoefficientMap
@@ -227,15 +188,6 @@ class ArmaLikeLink:
     def order(self) -> int:
         return 1
 
-    def to_dict(self):
-        return {
-            "variant": "arma_like",
-            "a": self.a.to_dict(),
-            "g_intercept": self.g_intercept.to_dict(),
-            "g_slope": self.g_slope.to_dict(),
-            "floor": self.floor,
-        }
-
 
 LinkSpec = LinearLink | ThresholdLink | ArmaLikeLink
 
@@ -244,32 +196,6 @@ def category_table(link: LinkSpec) -> CategoryTable | None:
     """The category table of a multinomial link, None for every other link."""
     kt = getattr(link, "kappa_tilde", None)
     return kt if isinstance(kt, CategoryTable) else None
-
-
-def link_from_dict(d: dict) -> LinkSpec:
-    variant = d.get("variant")
-    if variant == "linear":
-        kt = d["kappa_tilde"]
-        kt_obj = CategoryTable(tuple(map(tuple, kt["values"]))) if kt.get("kind") == "category_table" else map_from_dict(kt)
-        return LinearLink(
-            map_from_dict(d["kappa"]), kt_obj, map_from_dict(d["delta_tilde"]),
-            d.get("order", 1), d.get("floor"),
-        )
-    if variant == "threshold":
-        def regime(r):
-            return RegimeCoefficients(
-                map_from_dict(r["kappa"]), map_from_dict(r["kappa_tilde"]), map_from_dict(r["gamma"])
-            )
-        return ThresholdLink(
-            regime(d["regime_in"]), regime(d["regime_out"]),
-            interval_from_dict(d["interval"]), d.get("order", 1), d.get("floor"),
-        )
-    if variant == "arma_like":
-        return ArmaLikeLink(
-            map_from_dict(d["a"]), map_from_dict(d["g_intercept"]), map_from_dict(d["g_slope"]),
-            d.get("floor"),
-        )
-    raise InvalidSpec(f"unknown link variant {variant!r}")
 
 
 # ---------------------------------------------------------------------------

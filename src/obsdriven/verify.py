@@ -91,7 +91,7 @@ def _observation_maps(model: ModelSpec) -> dict | None:
 def _envelope_drift(model: ModelSpec):
     """The envelope route's growth envelope, moment constant D at the start state, and gamma."""
     env = growth_envelope(model.link)
-    D = model.kernel.conditional_moment(model.start_state(), model.kernel.moment_order)[1]
+    D = model.kernel.conditional_moment(model.start_state())[1]
     return env, D, sum_map("kappa + kappa_tilde", env.kappa_map, env.kappa_tilde_map)
 
 

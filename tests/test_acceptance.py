@@ -193,7 +193,7 @@ def test_criterion_08_drift_soundness():
     """
     m = poisson_ingarch_x()
     env = od.growth_envelope(m.link)
-    D = m.kernel.conditional_moment(0.0, 1)[1]
+    D = m.kernel.conditional_moment(0.0)[1]
     from obsdriven.covariates import plain_moment, sum_map
 
     gamma = sum_map("kappa+kt", env.kappa_map, env.kappa_tilde_map)

@@ -160,7 +160,9 @@ _GARCH_LINK = {**BENCH["link"], "order": 2, "floor": 1.0}
 _EDGE_KERNELS = {
     **{f"c_minus_{c}": ({"family": "garch_gaussian", "c_minus": float(c)}, _GARCH_LINK)
        for c in ("5e-324", "1e-300", "1e-215", "1e206", "inf")},
-    "sigma_1e-163": ({"family": "location", "noise": {"name": "gaussian", "sigma": 1e-163}}, BENCH["link"]),
+    **{f"{name}_{v}": ({"family": "location", "noise": {"name": noise, name: float(v)}}, BENCH["link"])
+       for noise, name, v in (("gaussian", "sigma", "1e-163"), ("gaussian", "sigma", "inf"),
+                              ("laplace", "b", "inf"), ("student_t", "nu", "inf"))},
     "r_inf": ({"family": "negbinomial", "r": float("inf")}, BENCH["link"]),
 }
 

@@ -15,10 +15,11 @@ from obsdriven.covariates import (
     log_plus_moment_estimate,
     max_map,
     plain_moment,
-    spec_from_dict,
     spec_hash,
     sum_map,
 )
+from obsdriven._codec import from_dict
+from obsdriven.covariates import CovariateProcessSpec
 from obsdriven.errors import DegenerateMap, EmptyRange, InvalidSpec
 from obsdriven.verify import drift_certificate
 
@@ -236,7 +237,7 @@ def test_spec_json_round_trip_and_hash():
         od.FiniteStateMarkov(((0.0,), (1.0,)), ((0.9, 0.1), (0.2, 0.8))),
     ]
     for spec in specs:
-        again = spec_from_dict(spec.to_dict())
+        again = from_dict(CovariateProcessSpec, spec.to_dict(), "covariates")
         assert again == spec
         assert spec_hash(again) == spec_hash(spec)
 

@@ -14,8 +14,9 @@ from scipy.special import betainc, betaincc, expit, gammaln, log_ndtr, ndtr, ndt
 
 import obsdriven as od
 from obsdriven import kernels
-from obsdriven.errors import CouplingBudgetExceeded, DomainViolation, UnsupportedOrder
-from obsdriven.kernels import kernel_from_dict
+from obsdriven._codec import from_dict
+from obsdriven.errors import CouplingBudgetExceeded, DomainViolation, InvalidSpec
+from obsdriven.kernels import KernelSpec
 from obsdriven.rngstream import generator
 
 from conftest import all_kernels, hypothesis_settings
@@ -639,6 +640,19 @@ def test_phi_spec_validation():
         od.PhiSpec(((1, 0.0),))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: od.GaussianNoise(math.inf), lambda: od.LaplaceNoise(math.inf),
+    lambda: od.StudentTNoise(math.nan), lambda: od.StudentTNoise(math.inf),
+    lambda: od.PhiSpec(((1, math.inf),)), lambda: od.PhiSpec(((1, math.nan),)),
+    # stdtr(nu, -50) underflows to 0 from nu of about 1e5, so the certified rate is inf, and
+    # the Laplace rate 1.05 / (4 b) overflows at b = 5e-324
+    lambda: od.Location(od.StudentTNoise(1e6)).phi(), lambda: od.Location(od.LaplaceNoise(5e-324)).phi(),
+], ids=["sigma_inf", "b_inf", "nu_nan", "nu_inf", "phi_inf", "phi_nan", "student_nu_1e6", "laplace_b_5e-324"])
+def test_non_finite_noise_scale_or_phi_coefficient_is_invalid_spec(make):
+    with pytest.raises(InvalidSpec):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # tv bound and oracle
 # ---------------------------------------------------------------------------
@@ -1205,14 +1219,14 @@ def test_couple_batch_single_draw():
 # ---------------------------------------------------------------------------
 
 def test_conditional_moments_analytic():
-    assert od.Poisson().conditional_moment(3.0, 1) == (3.0, 0.0)
-    assert od.NegBinomial(4).conditional_moment(2.5, 1) == (2.5, 0.0)
-    assert od.GarchGaussian(1.0).conditional_moment(5.0, 2) == (5.0, 0.0)
-    val, D = od.Location(od.LaplaceNoise(1.0)).conditional_moment(0.0, 1)
+    assert od.Poisson().conditional_moment(3.0) == (3.0, 0.0)
+    assert od.NegBinomial(4).conditional_moment(2.5) == (2.5, 0.0)
+    assert od.GarchGaussian(1.0).conditional_moment(5.0) == (5.0, 0.0)
+    val, D = od.Location(od.LaplaceNoise(1.0)).conditional_moment(0.0)
     assert (val, D) == (1.0, 1.0)
-    val, D = od.BernoulliLogit().conditional_moment(0.0, 1)
+    val, D = od.BernoulliLogit().conditional_moment(0.0)
     assert val == pytest.approx(0.5) and D == 1.0
-    val, D = od.Multinomial(3).conditional_moment(np.zeros(2), 1)
+    val, D = od.Multinomial(3).conditional_moment(np.zeros(2))
     assert val == pytest.approx(2.0 / 3.0) and D == 1.0
 
 
@@ -1223,7 +1237,7 @@ def test_conditional_moments_monte_carlo_crosscheck():
     y = od.GarchGaussian(1.0).sample(np.full(10**5, 5.0), rng)
     assert abs((y**2).mean() - 5.0) < 0.1
     k = od.Location(od.StudentTNoise(2.0))
-    val, D = k.conditional_moment(0.7, 1)
+    val, D = k.conditional_moment(0.7)
     y = k.sample(np.full(4 * 10**5, 0.7), rng)
     # Student-2 has infinite variance; compare medians of |y| block means
     assert val <= 0.7 + D + 1e-12
@@ -1236,19 +1250,12 @@ def test_student_location_moment_closed_form(nu):
     k = od.Location(od.StudentTNoise(nu))
     # Jensen: E|s + T| >= |s + E T| = |s|, however heavy the tails
     for s in (-50.0, 1e3):
-        assert k.conditional_moment(s, 1)[0] >= abs(s)
+        assert k.conditional_moment(s)[0] >= abs(s)
     for s in (-4.0, -1.3, 0.0, 0.7, 4.0):
         f = lambda y: abs(s + y) * k.noise.pdf(y)
         want = (integrate.quad(f, -np.inf, -s, epsabs=0.0, epsrel=1e-13, limit=500)[0]
                 + integrate.quad(f, -s, np.inf, epsabs=0.0, epsrel=1e-13, limit=500)[0])
-        assert k.conditional_moment(s, 1)[0] == pytest.approx(want, rel=1e-9)
-
-
-def test_unsupported_orders_raise():
-    with pytest.raises(UnsupportedOrder):
-        od.Poisson().conditional_moment(1.0, 2)
-    with pytest.raises(UnsupportedOrder):
-        od.GarchGaussian(1.0).conditional_moment(2.0, 1)
+        assert k.conditional_moment(s)[0] == pytest.approx(want, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -1257,7 +1264,7 @@ def test_unsupported_orders_raise():
 
 def test_kernel_json_round_trip():
     for k in all_kernels():
-        assert kernel_from_dict(k.to_dict()) == k
+        assert from_dict(KernelSpec, k.to_dict(), "kernel") == k
 
 
 def test_tv_exact_within_bound_on_scalar_and_vector_pairs():

@@ -7,7 +7,8 @@ import pytest
 
 import obsdriven as od
 from obsdriven.errors import InvalidSpec
-from obsdriven.links import link_from_dict, state_coefficients
+from obsdriven._codec import from_dict
+from obsdriven.links import LinkSpec, state_coefficients
 from obsdriven.rngstream import generator
 
 CM = od.ConstantMap
@@ -231,7 +232,7 @@ def test_link_json_round_trip():
         od.ArmaLikeLink(CM(0.3), CM(0.1), CM(0.7)),
     ]
     for link in linkset:
-        assert link_from_dict(link.to_dict()) == link
+        assert from_dict(LinkSpec, link.to_dict(), "link") == link
 
 
 @pytest.mark.parametrize("floor", [math.nan, math.inf, -math.inf, "0"])
@@ -249,4 +250,4 @@ def test_link_floor_must_be_a_finite_number(floor):
         make(0.5)
     d = od.LinearLink(CM(0.5), CM(0.1), CM(1.0), floor=0.0).to_dict()
     with pytest.raises(InvalidSpec):
-        link_from_dict({**d, "floor": floor})
+        from_dict(LinkSpec, {**d, "floor": floor}, "link")
