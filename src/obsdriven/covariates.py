@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .rngstream import IndexedStream, split_seed
 
 LOG_FLOOR = 1e-300
 Z99 = 2.576  # 99% two-sided normal quantile
+MAX_DIMENSION = 4096  # the largest covariate dimension or multinomial category count
 
 # word-slot tags inside the per-index stream
 _TAG_ENV = 101
@@ -127,8 +127,8 @@ class IID(Spec):
     dimension: int = 1
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise InvalidSpec("dimension must be >= 1")
+        if not 1 <= self.dimension <= MAX_DIMENSION:
+            raise InvalidSpec(f"dimension must be in 1..{MAX_DIMENSION}")
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,8 @@ class AR1(Spec):
                 abs(e.mu) + _NDTRI_TAIL * e.sigma if isinstance(e, Gaussian) else abs(e.value))
         if not math.isfinite(peak / (1.0 - abs(self.a))):
             raise InvalidSpec("AR1 paths overflow float64: the stationary reach max|noise| / (1 - |a|) is not finite")
-        if self.dimension < 1:
-            raise InvalidSpec("dimension must be >= 1")
+        if not 1 <= self.dimension <= MAX_DIMENSION:
+            raise InvalidSpec(f"dimension must be in 1..{MAX_DIMENSION}")
 
     @property
     def burn_in(self) -> int:

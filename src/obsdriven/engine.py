@@ -53,7 +53,7 @@ _SEED_ENV = 11
 _SEED_OBS = 12
 _SEED_COUPLE = 13
 _TAG_BACKWARD = 201
-_W_BLOCK = 256  # times per block of w_stats windows; bounds their memory at long paths
+_W_BLOCK = 256  # times per block of w_stats' w4 windows; bounds their memory at long paths
 _U_BLOCK = 8  # times per uniforms call of a backward loop; bounds the block's memory
 
 MAX_EXACT_ASSIGNMENT = 4096
@@ -685,6 +685,8 @@ def w_stats(
 
     gamma/delta default to the drift certificate of the model's growth
     envelope, kappa to the exact link contraction, phi to the kernel rate.
+    w1..w3 come from one pass over the lags in O(m) memory for m times; only w4
+    runs in blocks of _W_BLOCK times, as numpy sums its rows pairwise.
     """
     if not 1 <= h <= H:
         raise InvalidSpec("need 1 <= h <= H")
@@ -708,25 +710,20 @@ def w_stats(
 
     times = np.arange(t_lo, t_hi + 1)
     m = len(times)
-    w1 = np.empty(m); w2 = np.empty(m); w3 = np.empty(m); w4 = np.empty(m)
-    # row j is time t_lo + j; backward windows run newest first (gamma_{t-1} ..
-    # gamma_{t-H}, delta_{t-1} .. delta_{t-H-1}), forward is kappa_t .. kappa_{t+H}
-    gwin = sliding_window_view(gamma, H)[1:, ::-1]
-    kwin = sliding_window_view(kappa, H)[1:, ::-1]
-    dwin = sliding_window_view(delta, H + 1)[:, ::-1]
-    fwin = sliding_window_view(kappa, H + 1)[H + 1:]
-    for lo in range(0, m, _W_BLOCK):
-        b = slice(lo, min(lo + _W_BLOCK, m))
-        cpg = np.cumprod(gwin[b], axis=1)
-        dw = dwin[b]
-        # sum_k cpg_k delta_{t-k-1} added in lag order from +0.0 (the + 0.0 turns
-        # an all -0.0 sum into +0.0): one accumulate does the per-lag loop's adds
-        w1[b] = dw[:, 0] + (np.cumsum(cpg * dw[:, 1:], axis=1)[:, -1] + 0.0)
-        w2[b] = cpg[:, h - 1:].max(axis=1)
-        cpk = np.cumprod(kwin[b], axis=1)
-        w3[b] = cpk[:, h - 1:].max(axis=1)
-        cf = np.cumprod(fwin[b], axis=1)
-        w4[b] = phi.evaluate(cf).sum(axis=1)
+    # lag k reads index H + 1 - k + j for time t_lo + j: the products grow as per-time
+    # cumprods do, and w1 adds its lag terms in lag order from +0.0 (all -0.0 give +0.0)
+    cpg = np.ones(m); cpk = np.ones(m); acc = np.zeros(m); term = np.empty(m)
+    w2 = np.full(m, -np.inf); w3 = np.full(m, -np.inf)
+    for k in range(1, H + 1):
+        cpg *= gamma[H + 1 - k: H + 1 - k + m]
+        cpk *= kappa[H + 1 - k: H + 1 - k + m]
+        acc += np.multiply(cpg, delta[H - k: H - k + m], out=term)
+        if k >= h:
+            np.maximum(w2, cpg, out=w2); np.maximum(w3, cpk, out=w3)
+    w1 = delta[H: H + m] + acc
+    fwin = sliding_window_view(kappa, H + 1)[H + 1:]  # row j: kappa_t .. kappa_{t+H}
+    w4 = np.concatenate([phi.evaluate(np.cumprod(fwin[lo: lo + _W_BLOCK], axis=1)).sum(axis=1)
+                         for lo in range(0, m, _W_BLOCK)])
     return WStats(times, w1, w2, w3, w4, h, H)
 
 
@@ -743,7 +740,7 @@ class RegenerationResult:
 
     def to_dict(self):
         return {
-            "times": [int(t) for t in self.times],
+            "times": self.times.tolist(),
             "C": self.C,
             "h": self.h,
             "count": int(len(self.times)),

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import _special as special
 from ._codec import Spec
+from .covariates import MAX_DIMENSION
 from .errors import CouplingBudgetExceeded, DomainViolation, InvalidSpec
 
 _CERT_GRID = np.logspace(-4, 2, 200)
@@ -720,8 +721,8 @@ class Multinomial(_NoiseKernel):
     moment_order = 1
 
     def __post_init__(self):
-        if self.n_categories < 2:
-            raise InvalidSpec("multinomial needs N >= 2 categories")
+        if not 2 <= self.n_categories <= MAX_DIMENSION:
+            raise InvalidSpec(f"multinomial needs 2..{MAX_DIMENSION} categories")
         object.__setattr__(self, "state_dim", self.n_categories - 1)
 
     def domain_contains(self, s):

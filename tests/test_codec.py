@@ -14,7 +14,7 @@ import pytest
 
 import obsdriven as od
 from obsdriven import _codec, cli
-from obsdriven.covariates import DerivedMap
+from obsdriven.covariates import MAX_DIMENSION, DerivedMap
 from obsdriven.errors import InvalidSpec
 
 from conftest import hypothesis_settings, logit_benchmark, poisson_ingarch_x
@@ -114,6 +114,19 @@ def test_every_model_value_out_of_its_field_is_one_manifest_error(tmp_path_facto
         assert code == 1 and err.startswith("manifest error: malformed model (InvalidSpec: "), err
 
     run()
+
+
+def test_a_count_past_the_dimension_limit_is_one_manifest_error(tmp_path):
+    # counts in the float range too large to allocate: refused, not a numpy traceback
+    sites = [(name, path) for name, m in MODELS.items() for path in _sites(m.to_dict())
+             if path and path[-1] in ("dimension", "n_categories")]
+    assert {path[-1] for _, path in sites} == {"dimension", "n_categories"}
+    for name, path in sites:
+        for count in (MAX_DIMENSION + 1, 2**40, 2**63, 10**300):
+            code, err = _simulate(tmp_path, name, _mutated(MODELS[name].to_dict(), path, count))
+            assert code == 1 and err.startswith("manifest error: malformed model (InvalidSpec: "), err
+    assert od.IID(od.Uniform(0.0, 1.0), MAX_DIMENSION).dimension == MAX_DIMENSION
+    assert od.Multinomial(MAX_DIMENSION).state_dim == MAX_DIMENSION - 1
 
 
 def test_every_model_as_written_runs(tmp_path):

@@ -590,8 +590,8 @@ def _w_stats_per_lag(path, h, H, gamma, delta, kappa, phi):
     kwin = sliding_window_view(k, H)[1:, ::-1]
     dwin = sliding_window_view(d, H + 1)[:, ::-1]
     fwin = sliding_window_view(k, H + 1)[H + 1:]
-    for lo in range(0, m, engine._W_BLOCK):
-        b = slice(lo, min(lo + engine._W_BLOCK, m))
+    for lo in range(0, m, 256):
+        b = slice(lo, min(lo + 256, m))
         cpg, dw = np.cumprod(gwin[b], axis=1), dwin[b]
         acc = np.zeros(len(cpg))
         for j in range(H):
@@ -611,7 +611,6 @@ def test_w_stats_matches_the_per_lag_loop():
     phi = od.PhiSpec(((1, 0.7), (2, 0.2)))
     zeros = DerivedMap("0 or x", lambda x: np.where(x[:, 0] < 0.5, 0.0, x[:, 0]))
     negative_zero = DerivedMap("-0.0", lambda x: np.full(len(x), -0.0))
-    assert engine._W_BLOCK == 256
     H = 40
     for n_times in (255, 256, 257, 600):
         path = od.generate_path(m.covariates, 0, n_times + 2 * H, n_times)
@@ -624,6 +623,37 @@ def test_w_stats_matches_the_per_lag_loop():
                 for col, want in zip(cols, ref):
                     assert col.tobytes() == want.tobytes()
     assert np.all(np.signbit(got.w1) == 0)  # the -0.0 map: -0.0 + (+0.0)
+
+
+def test_w_stats_matches_the_per_time_loop_property():
+    # short horizons, 1 to 600 interior times, delta maps with exact zeros of
+    # either sign and a kappa map that reaches 0 on part of the path
+    hyp, st, settings = hypothesis_settings()
+    m = poisson_ingarch_x()
+    gamma, delta = od.drift_certificate(m)
+    kappa = DerivedMap("0 or 0.3 + 0.5x", lambda x: np.where(x[:, 0] < 0.2, 0.0, 0.3 + 0.5 * x[:, 0]))
+    deltas = (
+        delta,
+        DerivedMap("0 or x", lambda x: np.where(x[:, 0] < 0.5, 0.0, x[:, 0])),
+        DerivedMap("-0.0", lambda x: np.full(len(x), -0.0)),
+        DerivedMap("-0.0 or 0.0 or -x", lambda x: np.select(
+            [x[:, 0] < 0.3, x[:, 0] < 0.6], [-0.0, 0.0], -x[:, 0])),
+    )
+    phi = od.PhiSpec(((1, 0.7), (2, 0.2)))
+
+    @settings
+    @hyp.given(st.integers(1, 12), st.data(), st.integers(1, 600), st.sampled_from(deltas),
+               st.integers(0, 2**32))
+    def check(H, data, n_times, d, seed):
+        h = data.draw(st.integers(1, H))
+        path = od.generate_path(m.covariates, 0, n_times + 2 * H, seed)
+        got = od.w_stats(m, path, h, H, gamma_map=gamma, delta_map=d, kappa_map=kappa, phi=phi)
+        ref = _w_stats_per_time(path, h, H, gamma, d, kappa, phi)
+        assert len(got) == n_times
+        for col, want in zip((got.w1, got.w2, got.w3, got.w4), ref):
+            assert col.tobytes() == want.tobytes()
+
+    check()
 
 
 def test_w_stats_too_short_path():
