@@ -726,15 +726,6 @@ def log_moment_estimate(
     return _mean_estimate(np.log(np.maximum(vals, LOG_FLOOR)), n_floored)
 
 
-def plain_moment(
-    coeff_map: CoefficientMap, spec: CovariateProcessSpec, n: int, seed: int
-) -> float:
-    """Monte Carlo mean of map(X_0) itself.  No library path reads it: the acceptance drift
-    test uses it for the fixed point (D + E delta) / (1 - E gamma) of the growth envelope."""
-    x = stationary_draws(spec, n, seed)
-    return float(np.mean(coeff_map.evaluate(x)))
-
-
 def log_plus_moment_estimate(
     coeff_map: CoefficientMap, spec: CovariateProcessSpec, n: int, seed: int
 ) -> MomentEstimate:

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _codec, links as links_mod
-from .covariates import CovariatePath, CovariateProcessSpec, generate_path, write_csv
+from .covariates import AffineAbsMap, CovariatePath, CovariateProcessSpec, ExpAffineMap, generate_path, write_csv
 from .errors import (
     DomainViolation,
     EmptyRange,
@@ -57,6 +57,9 @@ _W_BLOCK = 256  # times per block of w_stats' w4 windows; bounds their memory at
 _U_BLOCK = 8  # times per uniforms call of a backward loop; bounds the block's memory
 
 MAX_EXACT_ASSIGNMENT = 4096
+# _line_hub_coupling's certificate: this margin, while 2n (span + 1) <= this scale
+_SORTED_MARGIN = 2.0**-20
+_SORTED_SCALE = 2.0**28
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +90,10 @@ class ModelSpec:
                 raise UnsupportedCombination("category table height must match the state dimension")
         elif table is not None:
             raise UnsupportedCombination("category-table links require a multinomial kernel")
+        d = self.covariates.dimension
+        for m in links_mod.coefficient_maps(self.link):
+            if isinstance(m, (AffineAbsMap, ExpAffineMap)) and len(m.c1) not in (1, d):
+                raise InvalidSpec(f"{m.tag[1]} map has {len(m.c1)} slopes c1 for a {d}-d covariate: give 1 or {d}")
 
     @property
     def norm(self) -> str:
@@ -465,41 +472,65 @@ def _line_hub_coupling(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     """Optimal coupling of scalar point sets under min(|s-s'|, 1), as index pairs.
 
     min(|s-s'|, 1) is the shortest-path metric of the line plus a hub at
-    distance 1/2 from every point, so W1 is a min-cost flow along the
-    merged sorted points: with f the flow along the line, a gap of length
-    L costs L|f|, and each a-point either adds 1 to f or goes to the hub
-    at cost 1/2 (each b-point subtracts 1 or comes from the hub); f starts
-    and ends at 0.  The value function V(f) stays convex, so it is kept as
-    its sorted slope sequence (the "slope trick"): an a-point inserts the
-    slope -1/2, a b-point +1/2, and a gap moves the slopes left of f = 0
-    down by L and those right of it up by L.  A slope enters the left side
-    at most +1/2 and then only falls; one enters the right side at least
-    -1/2 and then only rises; and a slope crosses sides only from within
-    [-1/2, 1/2].  So only the slopes in [-1/2, 1/2] are kept, one deque per
-    side: insertions land at its ends and slopes leave it at its ends, so
-    the pass after the sort is amortized O(n).  The number of slopes below
-    -1/2 (all on the left) and above +1/2 (all on the right) then follows
-    from the deque sizes, and gives where the slope crosses -1/2 (resp.
-    +1/2), which decides hub or line for each point and flow; backtracking
-    from f = 0 marks the hub points.  The line points pair in sorted order
-    (their cost is then the sum of L|f|), and so do the hub points, each
-    such pair being at distance >= 1.
-
-    Slopes are stored against the position where they entered their side
-    (left: v + z, right: v - z, with z measured from the smallest point), so
-    no lazy offset accumulates rounding.
+    distance 1/2 from every point, so W1 is a min-cost flow along the merged
+    sorted points: a gap of length L carrying flow f costs L|f|, and each
+    a-point adds 1 to f or goes to the hub at cost 1/2 (each b-point
+    subtracts 1 or comes from the hub).  The sorted coupling uses no hub,
+    with f_g = #a - #b up to gap g; as |f| is convex, it is optimal iff no
+    cycle "a-point i -> hub -> b-point j -> line back to i" costs below 0.
+    A cycle costs 1 plus its line part, where a gap crossed rightward costs
+    +L if f_g >= 0, else -L, and leftward +L if f_g <= 0, else -L.  Two
+    running maxima of these signed sums check every cycle against the margin
+    ``_SORTED_MARGIN``.  A running sum of m = 2n gaps rounds by at most m
+    2**-53 span, so while m (span + 1) <= ``_SORTED_SCALE`` the check and
+    the pass err by at most 2**-23: every hub-using flow then costs at least
+    2**-21 more, the pass would mark no hub point, and the sorted pairs are
+    its pairs.  Otherwise ``_slope_trick_pass`` solves the flow.
     """
     n = len(a)
     pts = np.concatenate([a, b])
     order = np.argsort(pts, kind="stable")
-    zs = (pts[order] - pts[order[0]]).tolist()
-    from_a = (order < n).tolist()
+    z, from_a = pts[order], order < n
+    if 2 * n * (float(z[-1]) - float(z[0]) + 1.0) <= _SORTED_SCALE:  # Python floats: no overflow warning
+        gap = np.diff(z)
+        f = np.cumsum(np.where(from_a, 1, -1))[:-1]  # the sorted flow across each gap
+        right = np.concatenate(([0.0], np.cumsum(np.where(f >= 0, gap, -gap))))
+        left = np.concatenate(([0.0], np.cumsum(np.where(f <= 0, gap, -gap))))
+        b_max = np.maximum.accumulate(np.where(from_a, -np.inf, right))  # over the b-points so far
+        a_max = np.maximum.accumulate(np.where(from_a, left, -np.inf))
+        if max((b_max - right)[from_a].max(), (a_max - left)[~from_a].max()) < 1.0 - _SORTED_MARGIN:
+            return order[from_a], order[~from_a] - n
+    return _slope_trick_pass(z, from_a, order, n)
+
+
+def _slope_trick_pass(z: np.ndarray, from_a: np.ndarray, order: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flow of ``_line_hub_coupling`` by one pass over ``z = pts[order]``, ``from_a = order < n``.
+
+    The value function V(f) stays convex, so it is kept as its sorted slope
+    sequence (the "slope trick"): an a-point inserts the slope -1/2, a
+    b-point +1/2, and a gap moves the slopes left of f = 0 down by L and
+    those right of it up by L.  A slope enters the left side at most +1/2
+    and then only falls; one enters the right side at least -1/2 and then
+    only rises; and a slope crosses sides only from within [-1/2, 1/2].  So
+    only the slopes in [-1/2, 1/2] are kept, one deque per side: insertions
+    land at its ends and slopes leave it at its ends, so the pass after the
+    sort is amortized O(n).  The number of slopes below -1/2 (all on the
+    left) and above +1/2 (all on the right) then follows from the deque
+    sizes, and gives where the slope crosses -1/2 (resp. +1/2), which
+    decides hub or line for each point and flow; backtracking from f = 0
+    marks the hub points.  The line points pair in sorted order (their cost
+    is then the sum of L|f|), and so do the hub points, each such pair being
+    at distance >= 1.  Slopes are stored against the position where they
+    entered their side (left: v + z, right: v - z, with z measured from the
+    smallest point), so no lazy offset accumulates rounding.
+    """
+    zs, a_list = (z - z[0]).tolist(), from_a.tolist()
     # slopes of V in [-1/2, 1/2] on f <= 0 (left) and on f >= 0 (right), in
     # increasing order; at position z the actual slope is key - z on the
     # left and key + z on the right
     left, right = deque(), deque()
-    cross = [0] * (2 * n)
-    for k, (z, is_a) in enumerate(zip(zs, from_a)):
+    cross = [0] * len(zs)
+    for k, (z, is_a) in enumerate(zip(zs, a_list)):
         lo, hi = z - 0.5, 0.5 - z  # keys of -1/2 on the left, +1/2 on the right
         while left and left[0] < lo:
             left.popleft()
@@ -527,10 +558,10 @@ def _line_hub_coupling(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
                 right.append(hi)
             else:
                 left.append(z + 0.5)
-    hub = [False] * (2 * n)
+    hub = [False] * len(zs)
     f = 0
-    for k in range(2 * n - 1, -1, -1):
-        if from_a[k]:
+    for k in range(len(zs) - 1, -1, -1):
+        if a_list[k]:
             if f <= cross[k]:
                 hub[k] = True
             else:
@@ -540,19 +571,19 @@ def _line_hub_coupling(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
         else:
             f += 1
     hub = np.array(hub)
-    a_mask = np.array(from_a)
-    ia = np.concatenate([order[a_mask & ~hub], order[a_mask & hub]])
-    ib = np.concatenate([order[~a_mask & ~hub], order[~a_mask & hub]]) - n
+    ia = np.concatenate([order[from_a & ~hub], order[from_a & hub]])
+    ib = np.concatenate([order[~from_a & ~hub], order[~from_a & hub]]) - n
     return ia, ib
 
 
 def wasserstein1(mu, nu) -> W1Result:
     """Exact W1 under min(|s-s'|, 1) between two uniform empirical measures.
 
-    Scalar states are solved at any size by a sort and a pass over the
-    merged points (``_line_hub_coupling``), in O(n log n) time and O(n)
-    memory.  Vector states (sup-norm) use an assignment solve on the full
-    cost matrix, up to ``MAX_EXACT_ASSIGNMENT`` points; more raise
+    Scalar states are solved at any size from one sort of the merged points
+    (``_line_hub_coupling``), in O(n log n) time and O(n) memory: the sorted
+    coupling where a certificate proves it optimal with a margin, else a
+    slope-trick pass.  Vector states (sup-norm) use an assignment solve on
+    the full cost matrix, up to ``MAX_EXACT_ASSIGNMENT`` points; more raise
     ``InvalidSpec``.  Either way the value is the exactly-rounded sum of the
     optimal coupling's costs.  NaN or infinite points, and an empty measure,
     raise ``InvalidSpec``; measures of different sizes or state spaces raise

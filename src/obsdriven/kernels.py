@@ -412,36 +412,43 @@ def _poisson_quantile_summed(s, u):
     """(k, certified) for the quantile at 0 < s <= 20, 0 < u < 1, elementwise.
 
     Sums the cdf, F(j) = e^-s sum_{i <= j} s^i / i!, one term per pass over
-    every draw (term_j = term_{j-1} * (s / j)), one row per j, until the
-    smallest F(j) reaches the largest u, and takes k = #{j : F(j) < u},
-    the first j with F(j) >= u.  Against the search's cdfs, max |F(j) -
-    pdtr(j, s)| and max |F(j) - (1 - pdtrc(j, s))| are both 1.7e-15 over
-    j <= 68 and 2.3e5 means in (0, 20] (uniform, a log grid from 1e-300,
-    and a fine grid up to 20).  A draw is certified when F(k) - u > M and
-    u - F(k - 1) > M (F(-1) = 0), with M = ``_SUMMED_MARGIN`` = 1e-12, 600
-    times those errors.  F is nondecreasing, so pdtr(j, s) < u for every
-    j < k and pdtr(j, s) > u for every j >= k, and likewise pdtrc(j, s) >
-    1 - u and < 1 - u: ``_count_quantile_search`` lands on this k from
-    either half.  The rest (near a jump, or in a tail below M) go to the
-    search.  The rows stop at j = ``_poisson_hi`` of the largest mean (68 at
-    20), where F(j) exceeds these u; blocks of 2000 draws keep them within
-    1.1 MB.
+    every draw (term_j = term_{j-1} * (s / j)), one row per j, and takes k =
+    #{j : F(j) < u}, the first j with F(j) >= u.  Against the search's cdfs,
+    max |F(j) - pdtr(j, s)| and max |F(j) - (1 - pdtrc(j, s))| are both
+    1.7e-15 over j <= 68 and 2.3e5 means in (0, 20] (uniform, a log grid
+    from 1e-300, and a fine grid up to 20).  A draw is certified when F(k) -
+    u > M and u - F(k - 1) > M (F(-1) = 0), with M = ``_SUMMED_MARGIN`` =
+    1e-12, 600 times those errors.  F is nondecreasing, so pdtr(j, s) < u
+    for every j < k and pdtr(j, s) > u for every j >= k, and likewise
+    pdtrc(j, s) > 1 - u and < 1 - u: ``_count_quantile_search`` lands on
+    this k from either half.  The rest (near a jump, or in a tail below M)
+    go to the search.  F(j; s) falls in s, so one scalar sum at the block's
+    largest mean and u fixes the rows first, plus a spare row (in float,
+    F(j) at a mean just below s_max may round an ulp lower), up to j =
+    ``_poisson_hi`` of the largest mean (68 at 20); a draw still below u at
+    the last row is left uncertified.  Blocks of 2000 draws keep the rows
+    within 1.1 MB.
     """
     if s.size > _SUMMED_BLOCK:
         parts = [_poisson_quantile_summed(s[i:i + _SUMMED_BLOCK], u[i:i + _SUMMED_BLOCK])
                  for i in range(0, s.size, _SUMMED_BLOCK)]
         return tuple(np.concatenate(part) for part in zip(*parts))
-    cdf = np.empty((_poisson_hi(s.max()) + 1, s.size))
-    term = np.exp(-s)
-    cdf[0], u_max, j = term, u.max(), 0
-    while j + 1 < len(cdf) and cdf[j].min() < u_max:
+    s_max, u_max, last, j = s.max(), u.max(), _poisson_hi(s.max()), 0
+    term = top = np.exp(-s_max)
+    while top < u_max and j < last:
         j += 1
+        term *= s_max / j
+        top += term
+    cdf = np.empty((min(j + 1, last) + 1, s.size))
+    term = cdf[0] = np.exp(-s)
+    for j in range(1, len(cdf)):
         term *= s / j
         np.add(cdf[j - 1], term, out=cdf[j])
-    k = np.minimum((cdf[:j + 1] < u).sum(axis=0), j)
-    cols = np.arange(s.size)
-    below = np.where(k > 0, cdf[k - 1, cols], 0.0)  # k = 0 reads the last row, unused
-    certified = (cdf[k, cols] - u > _SUMMED_MARGIN) & (u - below > _SUMMED_MARGIN)
+    # at most _poisson_hi(20) + 1 = 69 rows: a uint8 count does not overflow
+    k = np.minimum(np.less(cdf, u).sum(axis=0, dtype=np.uint8), len(cdf) - 1).astype(np.intp)
+    flat, cols = cdf.ravel(), np.arange(s.size)
+    below = np.where(k > 0, flat.take((k - 1) * s.size + cols), 0.0)  # k = 0 reads the last row, unused
+    certified = (flat.take(k * s.size + cols) - u > _SUMMED_MARGIN) & (u - below > _SUMMED_MARGIN)
     return k.astype(float), certified
 
 

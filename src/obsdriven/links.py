@@ -202,6 +202,15 @@ def category_table(link: LinkSpec) -> CategoryTable | None:
 # evaluation
 # ---------------------------------------------------------------------------
 
+def coefficient_maps(link: LinkSpec) -> list:
+    """The link's coefficient maps, in the column order of ``coefficient_table``."""
+    if isinstance(link, ThresholdLink):
+        return [m for r in (link.regime_in, link.regime_out) for m in (r.kappa, r.kappa_tilde, r.gamma)]
+    if isinstance(link, ArmaLikeLink):
+        return [link.a, link.g_intercept, link.g_slope]
+    return [link.kappa, link.delta_tilde] if category_table(link) else [link.kappa, link.kappa_tilde, link.delta_tilde]
+
+
 def coefficient_table(link: LinkSpec, x) -> np.ndarray:
     """The link's coefficients at each covariate row of x (d,) or (n, d): an (n, k) table.
 
@@ -211,15 +220,7 @@ def coefficient_table(link: LinkSpec, x) -> np.ndarray:
     ARMA-like (a, c, b).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if isinstance(link, ThresholdLink):
-        maps = [m for r in (link.regime_in, link.regime_out) for m in (r.kappa, r.kappa_tilde, r.gamma)]
-    elif category_table(link) is not None:
-        maps = [link.kappa, link.delta_tilde]
-    elif isinstance(link, LinearLink):
-        maps = [link.kappa, link.kappa_tilde, link.delta_tilde]
-    else:
-        maps = [link.a, link.g_intercept, link.g_slope]
-    cols = [m.evaluate(x) for m in maps]
+    cols = [m.evaluate(x) for m in coefficient_maps(link)]
     if isinstance(link, ThresholdLink):
         cols += link.interval.bounds(x)
     return np.column_stack([np.broadcast_to(c, len(x)) for c in cols])

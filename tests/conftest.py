@@ -31,6 +31,12 @@ def logit_benchmark() -> od.ModelSpec:
     return od.ModelSpec(od.BernoulliLogit(), link, od.IID(od.Uniform(0.0, 1.0)))
 
 
+def location_ar() -> od.ModelSpec:
+    """Gaussian autoregression: y = s + N(0,1), kappa=0.5, kappa_tilde=0.3, delta_tilde=0."""
+    link = od.LinearLink(CM(0.5), CM(0.3), CM(0.0), order=1)
+    return od.ModelSpec(od.Location(od.GaussianNoise(1.0)), link, od.IID(od.Uniform(0.0, 1.0)))
+
+
 def divergent_model() -> od.ModelSpec:
     """kappa = 1.1: no stationary solution exists."""
     link = od.LinearLink(
@@ -53,6 +59,12 @@ def all_kernels():
         od.Location(od.LaplaceNoise(1.0)),
         od.Location(od.StudentTNoise(2.0)),
     ]
+
+
+def plain_moment(coeff_map, spec, n: int, seed: int) -> float:
+    """Monte Carlo mean of map(X_0) over n stationary draws: the acceptance drift test's
+    fixed point (D + E delta) / (1 - E gamma) of the growth envelope is built from it."""
+    return float(np.mean(coeff_map.evaluate(od.covariates.stationary_draws(spec, n, seed))))
 
 
 def hypothesis_settings():

@@ -19,7 +19,7 @@ from obsdriven import cli
 from obsdriven.engine import coupled_backward_cost, push_measure
 from obsdriven.rngstream import generator, split_seed
 
-from conftest import all_kernels, divergent_model, logit_benchmark, poisson_ingarch_x
+from conftest import all_kernels, divergent_model, logit_benchmark, plain_moment, poisson_ingarch_x
 from w1_oracle import wasserstein1_bruteforce
 
 CM = od.ConstantMap
@@ -194,7 +194,7 @@ def test_criterion_08_drift_soundness():
     m = poisson_ingarch_x()
     env = od.growth_envelope(m.link)
     D = m.kernel.conditional_moment(0.0)[1]
-    from obsdriven.covariates import plain_moment, sum_map
+    from obsdriven.covariates import sum_map
 
     gamma = sum_map("kappa+kt", env.kappa_map, env.kappa_tilde_map)
     e_gamma = plain_moment(gamma, m.covariates, 10**5, 20262)

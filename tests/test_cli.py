@@ -1,6 +1,7 @@
 """Manifest front end: validation, artifacts, replay, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -310,10 +311,13 @@ def test_couple_and_backward_and_diagnose_commands(tmp_path):
 
 def test_console_entry_point_runs(tmp_path):
     man = write_manifest(tmp_path, "m.json", simulate_manifest(params={"s0": 0.0, "t_min": 0, "t_max": 20}))
+    # the package this suite imports, installed or not
+    src = str(Path(od.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
         [sys.executable, "-m", "obsdriven.cli", "--manifest", str(man),
          "--out", str(tmp_path / "o")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert out.returncode == 0
     assert "simulate:" in out.stdout

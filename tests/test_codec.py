@@ -135,6 +135,26 @@ def test_every_model_as_written_runs(tmp_path):
         assert _simulate(tmp_path, name, m.to_dict()) == (0, ""), name
 
 
+def test_a_slope_count_off_the_covariate_dimension_is_one_manifest_error(tmp_path):
+    # slopes (0.3, 0.1, 0.2) on a 1-d covariate were summed against x_1, and on a 2-d one
+    # escaped as numpy's broadcast error; one slope (common to every coordinate) or one per
+    # coordinate runs, in a threshold regime too
+    maps = {"affine_abs": {"kind": "affine_abs", "c0": 0.1, "nonnegative": True},
+            "exp_affine": {"kind": "exp_affine", "c0": 0.0}}
+    sites = [("ingarch-x", ("link", "kappa_tilde"), "affine_abs"), ("exp-affine", ("link", "delta_tilde"), "exp_affine"),
+             ("threshold", ("link", "regime_in", "kappa_tilde"), "affine_abs")]
+    for name, path, kind in sites:
+        for dimension in (1, 2, 3):
+            for count in (1, 2, 3):
+                model = _mutated(MODELS[name].to_dict(), path, {**maps[kind], "c1": [0.3, 0.1, 0.2][:count]})
+                code, err = _simulate(tmp_path, name, _mutated(model, ("covariates", "dimension"), dimension))
+                if count in (1, dimension):
+                    assert (code, err) == (0, ""), (name, dimension, count)
+                else:
+                    assert code == 1 and err.startswith("manifest error: malformed model (InvalidSpec: "), err
+                    assert f"{count} slopes c1 for a {dimension}-d covariate" in err
+
+
 def _spec_classes_and_unions(hint, classes, unions):
     """Collect every spec class and every union reachable from ``hint`` through field annotations."""
     if dataclasses.is_dataclass(hint):

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 import obsdriven as od
-from conftest import hypothesis_settings
+from conftest import hypothesis_settings, plain_moment
 from obsdriven import covariates
 from obsdriven.covariates import (
     abs_map,
     log_plus_moment_estimate,
     max_map,
-    plain_moment,
     spec_hash,
     sum_map,
 )

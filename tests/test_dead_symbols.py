@@ -19,7 +19,6 @@ PACKAGE = ROOT / "src" / "obsdriven"
 ALLOWED = {
     "GrowthEnvelope.bound": "the inequality |f(s, y, x)| <= kappa |s| + kappa_tilde |y|^order + delta_tilde "
                             "that the link tests check every link's envelope against",
-    "plain_moment": "E map(X_0), the Monte Carlo mean the acceptance drift test builds its fixed point from",
 }
 
 

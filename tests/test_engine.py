@@ -20,7 +20,7 @@ from obsdriven.links import state_coefficients
 from obsdriven.rngstream import generator, split_seed
 
 from conftest import (
-    divergent_model, hypothesis_settings, logit_benchmark, poisson_ingarch_const, poisson_ingarch_x,
+    divergent_model, hypothesis_settings, location_ar, logit_benchmark, poisson_ingarch_const, poisson_ingarch_x,
 )
 from w1_oracle import wasserstein1_bruteforce
 
@@ -375,6 +375,134 @@ def test_w1_scalar_is_symmetric():
         assert abs(od.wasserstein1(a, b).value - od.wasserstein1(b, a).value) <= 1e-15
 
     check()
+
+
+def _pass_alone(a, b):
+    """The slope-trick pass on its own: the reference the certificate is checked against."""
+    n = len(a)
+    pts = np.concatenate([a, b])
+    order = np.argsort(pts, kind="stable")
+    return engine._slope_trick_pass(pts[order], order < n, order, n)
+
+
+def _coupling_cost(a, b, pairs):
+    return math.fsum(np.minimum(np.abs(a[pairs[0]] - b[pairs[1]]), 1.0))
+
+
+def _sorted_pairs(a, b):
+    n = len(a)
+    order = np.argsort(np.concatenate([a, b]), kind="stable")
+    return order[order < n], order[order >= n] - n
+
+
+def _same_pairs(x, y):
+    return all(p.tobytes() == q.tobytes() for p, q in zip(x, y))
+
+
+@pytest.fixture
+def certified(monkeypatch):
+    """certified(a, b): (``_line_hub_coupling``'s pairs, whether it skipped the pass)."""
+    calls, slope_trick_pass = [], engine._slope_trick_pass
+
+    def recording(*args):
+        calls.append(args)
+        return slope_trick_pass(*args)
+
+    monkeypatch.setattr(engine, "_slope_trick_pass", recording)
+
+    def run(a, b):
+        calls.clear()
+        return engine._line_hub_coupling(a, b), not calls
+
+    return run
+
+
+def _check_certificate(a, b, got, held):
+    """The pairs are the pass's bit for bit, certified or not; a certified call returns the
+    sorted pairs, and no call is certified where the sorted pairs cost more than the pass's."""
+    ref = _pass_alone(a, b)
+    assert _same_pairs(got, ref)
+    if held:
+        assert _same_pairs(got, _sorted_pairs(a, b))
+    if _coupling_cost(a, b, ref) < _coupling_cost(a, b, _sorted_pairs(a, b)):
+        assert not held
+
+
+def test_w1_certificate_agrees_with_the_pass_property(certified):
+    hyp, st, settings = hypothesis_settings()
+    outcomes = set()
+
+    @settings
+    @hyp.given(_scalar_clouds(st, 1, 60))
+    def check(ab):
+        a, b = ab
+        got, held = certified(a, b)
+        _check_certificate(a, b, got, held)
+        outcomes.add(held)
+
+    check()
+    assert outcomes == {True, False}
+
+
+def test_w1_certificate_at_its_boundaries(certified):
+    rng = generator(79)
+    margin = engine._SORTED_MARGIN
+    # two clusters 1 + eps apart at their far ends, b right or left of a: the sorted
+    # coupling is optimal iff eps <= 0, and certified iff eps < -margin (rounding aside)
+    for eps in (-2.0**-8, -2.0**-19, -2.0**-21, -2.0**-30, 0.0, 2.0**-30, 2.0**-8):
+        for sign in (1.0, -1.0):
+            a = rng.uniform(0.0, 0.1, 40)
+            b = rng.uniform(0.0, 0.1, 40)
+            b = b - b.max() + a.min() + 1.0 + eps
+            a, b = (a, b) if sign > 0 else (-a, -b)
+            got, held = certified(a, b)
+            _check_certificate(a, b, got, held)
+            assert held == (eps <= -2.0**-19), (eps, sign)
+            if eps > margin:
+                assert not _same_pairs(got, _sorted_pairs(a, b))  # the pass routes a pair by the hub
+    # a shift b = a + delta on a grid of step h (h/2 < delta < h): the sorted coupling
+    # forces a drawdown D = delta + (n - 1)(2 delta - h) across the points, and a hub
+    # pair is cheaper iff D > 1
+    n, h = 50, 0.05
+    for target in (1.0 - 2.0**-8, 1.0 - 2.0**-30, 1.0 + 2.0**-30, 1.0 + 2.0**-8):
+        delta = (target + (n - 1) * h) / (2 * n - 1)
+        a = h * np.arange(n)
+        b = a + delta
+        got, held = certified(a, b)
+        _check_certificate(a, b, got, held)
+        assert held == (target < 1.0 - margin)
+        if target > 1.0 + margin:
+            assert _coupling_cost(a, b, got) < _coupling_cost(a, b, _sorted_pairs(a, b))
+    # ties between a- and b-points: the sorted coupling, certified
+    for a, b in ((np.zeros(5), np.zeros(5)), (np.array([0.0, 0.5, 0.5, 1.0]), np.array([0.5, 0.5, 1.0, 0.0]))):
+        got, held = certified(a, b)
+        _check_certificate(a, b, got, held)
+        assert held
+    pool = np.array([-0.25, 0.0, 0.25, 0.5])
+    for _ in range(50):
+        a, b = rng.choice(pool, 30), rng.choice(pool, 30)
+        got, held = certified(a, b)
+        _check_certificate(a, b, got, held)
+        assert held  # the span, 0.75, bounds every line part
+    # spans beyond the margin's reach go to the pass; within it the certificate decides
+    scale = engine._SORTED_SCALE
+    for span, want in ((scale / 4.0 - 1.0, True), (scale / 4.0, False), (2.0**60, False)):
+        a = b = np.array([0.0, span])
+        got, held = certified(a, b)
+        _check_certificate(a, b, got, held)
+        assert held == want
+
+
+def test_w1_benchmark_models_are_certified(monkeypatch):
+    # every doubling of these models is certified: a silent fall back to the pass fails here
+    def refuse(*args):
+        raise AssertionError("slope-trick pass on a certified model")
+
+    monkeypatch.setattr(engine, "_slope_trick_pass", refuse)
+    for model in (poisson_ingarch_x(), location_ar()):
+        for seed in range(3):
+            res = od.stationary_sampler(model, 0.01, 400, 200, seed)
+            assert res.converged and res.history
 
 
 # ---------------------------------------------------------------------------

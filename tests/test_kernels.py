@@ -302,6 +302,49 @@ def test_poisson_summed_rows_match_the_masked_loop():
         got_one, want_one = kernels._poisson_quantile_summed(s[i:i + 1], u[i:i + 1]), _masked_summed_quantile(
             s[i:i + 1], u[i:i + 1])
         assert (got_one[0][0], got_one[1][0]) == (want_one[0][0], want_one[1][0])
+    # the rows are fixed from the block's largest mean and u: blocks whose largest u lies
+    # within a few ulps of F(j; s_max) at the row where the scalar sum stops, with means a
+    # few ulps below s_max, whose float F(j) often lies an ulp below F(j; s_max): the last
+    # row, the spare one, then decides their k
+    for s_max in rng.uniform(0.0, 20.0, 40):
+        j = int(rng.integers(0, kernels._poisson_hi(s_max) // 2))
+        top = _summed_cdf_row(s_max, j)
+        for ulps in range(-3, 4):
+            u_max = top
+            for _ in range(abs(ulps)):
+                u_max = np.nextafter(u_max, 1.0 if ulps > 0 else 0.0)
+            s = np.append(rng.uniform(0.0, s_max, 30), s_max - np.arange(8) * np.spacing(s_max))
+            u = np.append(rng.uniform(0.0, u_max, 30), np.full(8, u_max))
+            got, want = kernels._poisson_quantile_summed(s, u), _masked_summed_quantile(s, u)
+            assert got[0].tobytes() == want[0].tobytes()
+            np.testing.assert_array_equal(got[1], want[1])
+
+
+def _summed_cdf_row(s, j):
+    """F(j; s) by the summed route's recurrence, for one mean."""
+    term = np.exp(-np.array([s]))
+    cdf = term.copy()
+    for i in range(1, j + 1):
+        term *= s / i
+        cdf += term
+    return float(cdf[0])
+
+
+def test_poisson_summed_rows_stop_at_the_cap():
+    # a block whose largest u lies above F(_poisson_hi(s_max)) (below 1: the float sum ends
+    # short of 1 at some means) runs every row up to the cap, as the row loop always did:
+    # that draw is left uncertified at k = _poisson_hi(s_max), and every other draw is summed
+    rng = generator(47)
+    s_max = next(s for s in rng.uniform(0.5, 20.0, 1000)
+                 if _summed_cdf_row(s, kernels._poisson_hi(s)) < np.nextafter(1.0, 0.0))
+    hi = kernels._poisson_hi(s_max)
+    s = np.append(rng.uniform(0.0, s_max, 500), s_max)
+    u = np.append(rng.random(500) * (1.0 - 1e-12), np.nextafter(_summed_cdf_row(s_max, hi), 1.0))
+    k, certified = kernels._poisson_quantile_summed(s, u)
+    assert (k[-1], certified[-1]) == (hi, False)
+    want = _masked_summed_quantile(s[:-1], u[:-1])
+    assert k[:-1].tobytes() == want[0].tobytes()
+    np.testing.assert_array_equal(certified[:-1], want[1])
 
 
 def test_poisson_quantile_fast_path_is_the_gathered_route(monkeypatch):
