@@ -8,7 +8,9 @@ interface compatibility; computations are deterministic single-stream).
 
 Exit codes: 0 success, 1 usage/manifest error, 2 verification failure or
 non-converged sampler (tolerance not met within max_n, or the backward
-runs overflowed), 3 inconclusive verification.
+runs overflowed), 3 inconclusive verification, 4 model error (a chain left
+its domain or overflowed, a degenerate coefficient map, or a coupling past
+its proposal cap), printed with the failing step's t, replica, state and y.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import engine, verify
+from . import engine, errors, verify
 from .engine import ModelSpec, model_from_dict
 from .covariates import generate_path
 from .errors import EmptyRange, InvalidSpec, ManifestError, PathTooShort, UnsupportedCombination
@@ -267,6 +269,11 @@ def main(argv=None) -> int:
     except _SPEC_ERRORS as e:
         print(f"manifest error: {e}", file=sys.stderr)
         return 1
+    except (errors.DomainViolation, errors.DegenerateMap, errors.CouplingBudgetExceeded) as e:  # StateOverflow too
+        domain = isinstance(e, errors.DomainViolation)
+        at = f" (t={e.t}, replica={e.replica}, state={e.state!r}, y={e.y!r})" if domain else ""
+        print(f"model error: {e}{at}", file=sys.stderr)
+        return 4
     print(summary)
     return code
 

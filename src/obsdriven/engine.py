@@ -18,8 +18,10 @@ entry point.  ``_forward_steps`` steps on Python floats from a sequential
 generator (a coupled draw takes a variable number of words, which no counter
 can address): a coupled pair until its states have the same bits, then one
 glued chain, which draws its noise in one call where the words do not depend
-on the state.  ``_backward_steps`` steps replica batches by inverse
-transform from counter-addressed uniforms.
+on the state.  The link's float step, the family's draw and its lower domain
+bound are fixed once per run; ``_step`` reports a state outside the bound.
+``_backward_steps`` steps replica batches by inverse transform from
+counter-addressed uniforms.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .errors import (
     StateOverflow,
     UnsupportedCombination,
 )
-from .kernels import KernelSpec, PhiSpec, _NoiseKernel, state_distance
+from .kernels import KernelSpec, PhiSpec, state_distance
 # every loop steps a coefficient table; link_apply stays importable for callers that patch it
 from .links import LinkSpec, apply as link_apply, coefficient_table, contraction_map
 from .rngstream import IndexedStream, generator, split_seed
@@ -142,8 +144,8 @@ def _step(model: ModelSpec, row, s, y, where: str, t: int, pair: bool = False):
     """One step of the recursion from a coefficient-table row, then the domain check; with
     ``pair``, s stacks two equal chains, the first one's failure reported first, then the
     second's with " (prime)" and its own replica index."""
-    if type(s) is float and type(row) is list:  # links.step on Python floats never warns
-        new = links_mod.step(model.link, row, s, y)
+    if type(s) is float:  # one table row; the float step never warns
+        new = links_mod.float_step(model.link)(row, s, y)
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_state
             new = links_mod.step(model.link, row, s, y)
@@ -183,32 +185,44 @@ def _forward_steps(model: ModelSpec, starts, path: CovariatePath, rng):
     returns the histories (lam, y, lam', y', met), the primed ones a copy for one chain.
     A pair draws one ``couple_batch`` pair per step (one shared ``sample`` at distance 0)
     until its two states have the same bits; from then on, and from the start for one chain,
-    it is glued: one chain, whose noise is one ``kernel._noise`` call where the family's words
-    do not depend on the state (the words of one ``sample`` per step), else a ``sample`` a step."""
+    it is glued: one chain, whose draws are the family's ``_chain_draws`` (one ``kernel._noise``
+    call where the words do not depend on the state).  Both phases step a scalar state by the
+    link's ``float_step`` and keep it while lo <= new < inf, lo the family's ``domain_lower``;
+    a vector state, or one outside, steps by ``_step``, which raises for the latter."""
     kernel, n, t0 = model.kernel, len(path), path.t_min
     lam, lamp = _start_states(model, (starts * 2)[:2], "initial state")  # a lone chain is a glued pair
-    lam_h, lamp_h = (np.empty((n, kernel.state_dim) if kernel.state_dim > 1 else n) for _ in range(2))
-    y_h, yp_h, met_h = np.empty(n), np.empty(n), np.ones(n, dtype=bool)
-    rows, i = coefficient_table(model.link, path.values).tolist(), 0
-    while i < n and np.asarray(lam).tobytes() != np.asarray(lamp).tobytes():
-        lam_h[i], lamp_h[i] = lam, lamp
+    rows = zip(*coefficient_table(model.link, path.values).T.tolist())
+    fstep = links_mod.float_step(model.link) if kernel.state_dim == 1 else None  # None: a vector state
+    lo, inf = kernel.domain_lower, math.inf
+
+    def advance(row, s, y, where, t):  # the glued loop below inlines it
+        if fstep is None or not lo <= (new := fstep(row, s, y)) < inf:  # a vector state, or a failure
+            new = _step(model, row, s, y, where, t)
+        return new
+
+    lam_h, y_h, lamp_h, yp_h, met_h = [], [], [], [], np.ones(n, dtype=bool)
+    while (i := len(lam_h)) < n and np.asarray(lam).tobytes() != np.asarray(lamp).tobytes():
+        row = next(rows)
+        lam_h.append(lam)
+        lamp_h.append(lamp)
         if kernel.state_distance(lam, lamp) == 0.0:  # +0.0 and -0.0
             y = yp = kernel.sample(lam, rng)
         else:
             (y,), (yp,), (met_h[i],) = kernel.couple_batch(lam, lamp, 1, rng)
-        y_h[i], yp_h[i] = y, yp
-        lam = _step(model, rows[i], lam, y, "step t={t}", t0 + i)
-        lamp = _step(model, rows[i], lamp, yp, "step t={t} (prime)", t0 + i)
-        i += 1
-    noise = kernel._noise(n - i, rng).tolist() if isinstance(kernel, _NoiseKernel) else None
-    for j in range(i, n):
-        lam_h[j] = lam
-        y_h[j] = y = kernel.sample(lam, rng) if noise is None else kernel._from_noise(lam, noise[j - i])
-        if type(lam) is float and kernel.domain_contains(new := links_mod.step(model.link, rows[j], lam, y)):
-            lam = new
-        else:  # a vector state, or a failure to report
-            lam = _step(model, rows[j], lam, y, "step t={t}", t0 + j)
-    lamp_h[i:], yp_h[i:] = lam_h[i:], y_h[i:]
+        y_h.append(y)
+        yp_h.append(yp)
+        lam = advance(row, lam, y, "step t={t}", t0 + i)
+        lamp = advance(row, lamp, yp, "step t={t} (prime)", t0 + i)
+    draw, words = kernel._chain_draws(n - i, rng)
+    for row, w in zip(rows, words):
+        lam_h.append(lam)
+        y_h.append(y := draw(lam, w))
+        if fstep is None or not lo <= (lam := fstep(row, lam, y)) < inf:
+            lam = _step(model, row, lam_h[-1], y, "step t={t}", t0 + len(lam_h) - 1)
+    lam_h, y_h = np.array(lam_h, dtype=float), np.array(y_h, dtype=float)
+    pair, lamp_h, yp_h = (lamp_h, yp_h), lam_h.copy(), y_h.copy()  # the glued tail is one chain
+    if i:
+        lamp_h[:i], yp_h[:i] = pair
     return lam_h, y_h, lamp_h, yp_h, met_h
 
 
@@ -524,7 +538,8 @@ def _slope_trick_pass(z: np.ndarray, from_a: np.ndarray, order: np.ndarray, n: i
     entered their side (left: v + z, right: v - z, with z measured from the
     smallest point), so no lazy offset accumulates rounding.
     """
-    zs, a_list = (z - z[0]).tolist(), from_a.tolist()
+    with np.errstate(over="ignore"):  # a span past the float range: its inf gaps cost 1, as min(|.|, 1) says
+        zs, a_list = (z - z[0]).tolist(), from_a.tolist()
     # slopes of V in [-1/2, 1/2] on f <= 0 (left) and on f >= 0 (right), in
     # increasing order; at position z the actual slope is key - z on the
     # left and key + z on the right
@@ -602,7 +617,8 @@ def wasserstein1(mu, nu) -> W1Result:
     n = len(a)
     if a.ndim == 1:
         ia, ib = _line_hub_coupling(a, b)
-        return W1Result(math.fsum(np.minimum(np.abs(a[ia] - b[ib]), 1.0)) / n, n)
+        with np.errstate(over="ignore"):  # an inf distance is clipped to 1
+            return W1Result(math.fsum(np.minimum(np.abs(a[ia] - b[ib]), 1.0)) / n, n)
     if n > MAX_EXACT_ASSIGNMENT:
         raise InvalidSpec(f"vector-state W1 is solved exactly up to {MAX_EXACT_ASSIGNMENT} points; got {n}")
     return W1Result(_assignment_cost(a, b), n)

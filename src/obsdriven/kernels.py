@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,8 +181,10 @@ class ObservationKernel(Spec):
         return self.tag[1]
 
     # -- domain ------------------------------------------------------------
+    domain_lower = float(np.finfo(float).min)  # the domain: the finite floats >= domain_lower
+
     def domain_contains(self, s) -> bool:
-        raise NotImplementedError
+        return _bounded_below(s, self.domain_lower)
 
     def require_domain(self, *states):
         for s in states:
@@ -195,6 +198,11 @@ class ObservationKernel(Spec):
     # -- sampling ----------------------------------------------------------
     def sample(self, s, rng):
         raise NotImplementedError
+
+    def _chain_draws(self, n, rng):
+        """(draw, words) for n steps of one chain: ``draw(s, w)``, w the next of words, is the draw at
+        state s (a Python float for a scalar family), from the generator words of one ``sample``."""
+        return self.sample, [rng] * n
 
     def sample_inverse(self, s, u):
         """Quantile transform: one uniform per draw, monotone in u."""
@@ -247,8 +255,8 @@ class ObservationKernel(Spec):
 
     # -- misc ----------------------------------------------------------------
     def domain_floor(self) -> float | None:
-        """Lower bound of the state space, None when unbounded below."""
-        return None
+        """Lower bound of the state space (``domain_lower``), None when unbounded below."""
+        return None if self.domain_lower == ObservationKernel.domain_lower else self.domain_lower
 
     def standard_pairs(self, n_pairs: int = 200):
         """Deterministic certification grid spanning small to large separations."""
@@ -258,7 +266,8 @@ class ObservationKernel(Spec):
 class _NoiseKernel(ObservationKernel):
     """A family whose draws take words that do not depend on the state: ``sample(s, rng)`` is
     ``_from_noise(s, _noise(shape, rng))``, shape the batch shape of s, None (a Python float) for
-    one state.  numpy fills an array by a scalar call's per-draw routine: n calls' words in one."""
+    one state, and ``_from_noise`` is ``_draw_one`` of one float state, ``_draw_batch`` of a float
+    array.  numpy fills an array by a scalar call's per-draw routine: n calls' words in one."""
 
     def sample(self, s, rng):
         shape = None if isinstance(s, float) else np.shape(s)[:np.ndim(s) - (self.state_dim > 1)] or None
@@ -267,9 +276,17 @@ class _NoiseKernel(ObservationKernel):
     def _noise(self, shape, rng):
         return rng.random(shape)  # the uniforms of the binary and multinomial families
 
+    def _from_noise(self, s, e):
+        if isinstance(s, float) or not np.ndim(s):
+            return self._draw_one(float(s), e)
+        return self._draw_batch(np.asarray(s, dtype=float), e)
 
-def _bounded_below(s, floor: float = float(np.finfo(float).min)) -> bool:
-    """True when every state is finite and >= floor (by default: finite); inf and NaN are outside."""
+    def _chain_draws(self, n, rng):
+        return self._draw_one, self._noise(n, rng).tolist()
+
+
+def _bounded_below(s, floor: float) -> bool:
+    """True when every state is finite and >= floor; inf and NaN are outside."""
     if isinstance(s, float):
         return floor <= s < math.inf
     s = np.asarray(s, float)
@@ -500,11 +517,7 @@ class Poisson(ObservationKernel):
     tag = ("family", "poisson")
     moment_order = 1
 
-    def domain_contains(self, s):
-        return _bounded_below(s, 0.0)
-
-    def domain_floor(self):
-        return 0.0
+    domain_lower = 0.0
 
     def sample(self, s, rng):
         """``rng.poisson(s)``; a mean above numpy's bound (about 9.2e18) is the
@@ -519,6 +532,10 @@ class Poisson(ObservationKernel):
         y = np.where(big, self.sample_inverse(s, rng.random(big.shape)),
                      rng.poisson(np.where(big, 0.0, s)))
         return float(y) if y.ndim == 0 else y
+
+    def _chain_draws(self, n, rng):  # rng.poisson, or ``sample`` past the mean numpy refuses
+        poisson, lam_max = rng.poisson, float(_POISSON_LAM_MAX)
+        return (lambda s, _: poisson(s) if s <= lam_max else self.sample(s, rng)), range(n)
 
     def sample_inverse(self, s, u):
         """Poisson quantile, the smallest k with F(k) >= u under ``_poisson_cdf`` (by
@@ -570,11 +587,7 @@ class NegBinomial(ObservationKernel):
         if not 1 <= self.r < math.inf or int(self.r) != self.r:
             raise InvalidSpec("negative binomial r must be a positive integer")
 
-    def domain_contains(self, s):
-        return _bounded_below(s, 0.0)
-
-    def domain_floor(self):
-        return 0.0
+    domain_lower = 0.0
 
     def _p_success(self, s):
         # numpy's negative_binomial counts failures before r successes with
@@ -664,13 +677,11 @@ class _Bernoulli(_NoiseKernel):
     def _success(self, s):
         raise NotImplementedError
 
-    def domain_contains(self, s):
-        return _bounded_below(s)
+    def _draw_one(self, s, e):
+        return int(e < self._success(s))  # one chain: a Python int
 
-    def _from_noise(self, s, e):
-        if isinstance(s, float) or not np.ndim(s):  # one chain: a Python int
-            return int(e < self._success(float(s)))
-        return (e < self._success(np.asarray(s, dtype=float))).astype(np.int64)
+    def _draw_batch(self, s, e):
+        return (e < self._success(s)).astype(np.int64)
 
     def sample_inverse(self, s, u):
         p1 = self._success(np.asarray(s, dtype=float))
@@ -748,7 +759,7 @@ class Multinomial(_NoiseKernel):
         idx = (np.cumsum(self.probabilities(s), axis=1) < np.reshape(u, (-1, 1))).sum(axis=1)
         return idx if np.ndim(s) > 1 or np.ndim(u) else int(idx[0])
 
-    _from_noise = sample_inverse
+    _from_noise = _draw_one = sample_inverse
 
     def phi(self):
         return PhiSpec(((1, 1.0),))
@@ -800,8 +811,7 @@ class GarchGaussian(_NoiseKernel):
         if not ok:
             raise InvalidSpec("c_minus must be positive with a finite phi rate 1 / (2 c_minus^1.5)")
 
-    def domain_contains(self, s):
-        return _bounded_below(s, self.c_minus - 1e-12)
+    domain_lower = property(lambda self: self.c_minus - 1e-12)
 
     def domain_floor(self):
         return self.c_minus
@@ -809,10 +819,11 @@ class GarchGaussian(_NoiseKernel):
     def _noise(self, shape, rng):
         return rng.standard_normal(shape)
 
-    def _from_noise(self, s, e):
-        if isinstance(s, float) or not np.ndim(s):
-            return math.sqrt(s) * e
-        return np.sqrt(np.asarray(s, dtype=float)) * e
+    def _draw_one(self, s, e):
+        return math.sqrt(s) * e
+
+    def _draw_batch(self, s, e):
+        return np.sqrt(s) * e
 
     def sample_inverse(self, s, u):
         return np.sqrt(np.asarray(s, dtype=float)) * special.ndtri(u)
@@ -966,14 +977,10 @@ class Location(_NoiseKernel):
     discrete = False
     moment_order = 1
 
-    def domain_contains(self, s):
-        return _bounded_below(s)
-
     def _noise(self, shape, rng):
         return self.noise.draw(shape, rng)
 
-    def _from_noise(self, s, e):
-        return (float(s) if isinstance(s, float) or not np.ndim(s) else np.asarray(s, dtype=float)) + e
+    _draw_one = _draw_batch = staticmethod(operator.add)  # s + e
 
     def sample_inverse(self, s, u):
         return np.asarray(s, dtype=float) + self.noise.ppf(u)

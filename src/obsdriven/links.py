@@ -232,15 +232,11 @@ def step(link: LinkSpec, row, s, y):
     s and y may be batched along axis 0; a value not batched is shared by
     every row.  Multinomial states are (state_dim,) or (n, state_dim) and y
     is a category index.  The floor clamp comes last (it is 1-Lipschitz, so
-    contraction constants are unchanged).  Overflow gives inf, not an error.
-    A Python float state with a list row (``tolist()``) steps on floats: the
-    same formula, so the bits of a (1,) batch, as a float and without warnings.
+    contraction constants are unchanged).  Overflow gives inf, not an error;
+    ``float_step`` steps one Python float state with the same bits.
     """
-    if scalar := type(s) is float and type(row) is list:  # never multinomial: its states are vectors
-        y, table = float(y), None
-    else:
-        table = category_table(link)
-        s, y = np.asarray(s, dtype=float), np.asarray(y, dtype=float if table is None else int)
+    table = category_table(link)
+    s, y = np.asarray(s, dtype=float), np.asarray(y, dtype=float if table is None else int)
     yi = y if link.order == 1 else y * y  # numpy's y**2 is y*y; Python's float ** overflows
     if table is not None:
         # a trailing axis on k and d broadcasts them over the state coordinates
@@ -248,19 +244,44 @@ def step(link: LinkSpec, row, s, y):
         out = np.asarray(k)[..., None] * s + table.array.T[y] + np.asarray(d)[..., None]
     elif isinstance(link, ThresholdLink):
         k1, kt1, g1, k2, kt2, g2, lo, hi = row
-        inside, f1, f2 = (y >= lo) & (y <= hi), k1 * s + kt1 * yi + g1, k2 * s + kt2 * yi + g2
-        out = (f1 if inside else f2) if scalar else np.where(inside, f1, f2)
+        out = np.where((y >= lo) & (y <= hi), k1 * s + kt1 * yi + g1, k2 * s + kt2 * yi + g2)
     elif isinstance(link, LinearLink):
         k, kt, d = row
         out = k * s + kt * yi + d
     else:
         a, c, b = row
         out = a * s + c + b * y - a * y
-    if (f := link.floor) is not None:  # as numpy's maximum: f on a tie (so +-0), a NaN state stays NaN
-        out = (out if out > f or out != out else f) if scalar else np.maximum(out, f)
-    if scalar or np.ndim(out):
-        return out
-    return float(out)
+    if link.floor is not None:
+        out = np.maximum(out, link.floor)
+    return out if np.ndim(out) else float(out)
+
+
+def float_step(link: LinkSpec):
+    """``step`` of one Python float state for a scalar link, as a function (row, s, y) -> float of
+    one table row (a ``tolist()`` row, or a tuple of the columns' items): the bits of a (1,) batch,
+    with no warning (overflow gives inf).  The floor acts as numpy's maximum: f on a tie (so +-0),
+    and a NaN state stays NaN; no floor is -inf, which keeps every value."""
+    sq, f = link.order == 2, -math.inf if link.floor is None else float(link.floor)
+    if isinstance(link, ThresholdLink):
+        def fstep(row, s, y):
+            k1, kt1, g1, k2, kt2, g2, lo, hi = row
+            y = float(y)
+            yi = y * y if sq else y
+            out = k1 * s + kt1 * yi + g1 if (y >= lo) & (y <= hi) else k2 * s + kt2 * yi + g2
+            return out if out > f or out != out else f
+    elif isinstance(link, LinearLink):
+        def fstep(row, s, y):
+            k, kt, d = row
+            y = float(y)
+            out = k * s + kt * (y * y if sq else y) + d
+            return out if out > f or out != out else f
+    else:
+        def fstep(row, s, y):
+            a, c, b = row
+            y = float(y)
+            out = a * s + c + b * y - a * y
+            return out if out > f or out != out else f
+    return fstep
 
 
 def _coefficients(link: LinkSpec, x):

@@ -12,7 +12,7 @@ import obsdriven as od
 from obsdriven import cli
 from obsdriven.errors import ManifestError, StateOverflow
 
-from conftest import poisson_ingarch_x
+from conftest import divergent_model, poisson_ingarch_x
 
 BENCH = poisson_ingarch_x().to_dict()
 
@@ -274,8 +274,8 @@ def test_edge_manifest_is_manifest_error(tmp_path, capsys, command, model, param
     assert err.startswith(f"manifest error: {message}") and "Traceback" not in err
 
 
-def test_overflow_in_the_first_run_still_raises(tmp_path):
-    # a model error, not a manifest error: README's documented exception
+def test_overflow_in_the_first_run_still_raises(tmp_path, capsys):
+    # run_manifest raises the model error; cli.main reports it and exits 4
     bad_model = dict(BENCH)
     bad_model["link"] = dict(BENCH["link"])
     bad_model["link"]["kappa"] = {"kind": "constant", "value": 1e20, "nonnegative": True}
@@ -284,7 +284,25 @@ def test_overflow_in_the_first_run_still_raises(tmp_path):
         "params": {"tol": 0.01, "max_n": 100, "replicas": 100}, "seed": 3,
     })
     with pytest.raises(StateOverflow):
-        cli.main(["--manifest", str(man), "--out", str(tmp_path / "o")])
+        cli.run_manifest(cli.load_manifest(man), tmp_path / "o")
+    assert cli.main(["--manifest", str(man), "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err.startswith("model error: backward step t=")
+
+
+@pytest.mark.parametrize("model, err", [
+    # criterion 9's kappa = 1.1 model overflows in simulate's glued chain
+    (divergent_model(), "model error: step t=3214: state overflowed float64 (t=3214, replica=None, state=inf, y="),
+    # an intercept of -2 and no floor leaves the Poisson domain at once
+    (od.ModelSpec(od.Poisson(), od.LinearLink(od.ConstantMap(0.4), od.ConstantMap(0.3), od.ConstantMap(-2.0), 1),
+                  od.IID(od.Uniform(0.0, 1.0))),
+     "model error: step t=0: state left the poisson domain (t=0, replica=None, state=-2.0, y=0)\n"),
+], ids=["overflow", "domain"])
+def test_runtime_model_errors_exit_4(tmp_path, capsys, model, err):
+    man = write_manifest(tmp_path, "m.json", simulate_manifest(model=model.to_dict(), seed=1,
+                                                             params={"s0": 0.0, "t_min": 0, "t_max": 9000}))
+    assert cli.main(["--manifest", str(man), "--out", str(tmp_path / "o")]) == 4
+    got = capsys.readouterr()
+    assert got.err.startswith(err) and "Traceback" not in got.err and got.out == ""
 
 
 def test_couple_and_backward_and_diagnose_commands(tmp_path):

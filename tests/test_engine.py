@@ -251,6 +251,19 @@ def test_w1_point_masses_and_cap():
     assert od.wasserstein1(np.zeros(n), np.full(n, 5.0)).value == pytest.approx(1.0)
 
 
+def test_w1_span_past_the_float_range_is_exact_without_a_warning():
+    # the points span more than the float range: the inf gaps cost 1 under min(|s-s'|, 1), so
+    # the slope-trick pass and the cost sum give the exact value with no overflow warning
+    import warnings
+
+    a, b = np.array([-1e308, 0.0]), np.array([1e308, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = od.wasserstein1(a, b).value
+    with np.errstate(over="ignore"):  # the oracle's cost matrix overflows the same way
+        assert got == wasserstein1_bruteforce(a, b) == 0.75
+
+
 def test_w1_assignment_matches_bruteforce_oracle():
     # costs are summed with exactly-rounded accumulation, so tied optimal
     # assignments (ubiquitous for collinear transport) compare equal
@@ -1094,8 +1107,37 @@ def test_step_core_matches_per_step_apply(name):
     check()
 
 
+def _scalar_family_models():
+    """The end-to-end model of every scalar family, and Location with Gaussian noise."""
+    return [(name, m) for name, m, _ in _family_models() if m.kernel.state_dim == 1] + [("gaussian", location_ar())]
+
+
+def _ref_chain(model, s0, path, rng):
+    """One chain stepped per step: ``kernel.sample`` of the float state, then ``links.step`` on a
+    (1,) batch.  Returns the histories up to the first step whose state leaves the domain, and
+    (t, previous, y, state) of that step, or None."""
+    from obsdriven import links
+
+    table, lam, lam_h, y_h = links.coefficient_table(model.link, path.values), float(s0), [], []
+    for k in range(len(path)):
+        lam_h.append(lam)
+        y_h.append(y := model.kernel.sample(lam, rng))
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = float(links.step(model.link, table[k:k + 1].T, np.array([lam]), np.array([float(y)]))[0])
+        if not model.kernel.domain_contains(new):
+            return lam_h, y_h, (path.t_min + k, lam, y, new)
+        lam = new
+    return lam_h, y_h, None
+
+
 @pytest.mark.parametrize("seed", [5, 1931])
 def test_couple_forward_glued_tail_matches_per_step_reference(seed):
+    # a lone chain is glued from the start: its noise in one call, its step the link's float step
+    for name, m in _scalar_family_models():
+        tr = od.simulate(m, m.start_state(), 0, 399, seed)
+        path = od.generate_path(m.covariates, 0, 399, split_seed(seed, engine._SEED_ENV))
+        lam_h, y_h, failed = _ref_chain(m, m.start_state(), path, generator(seed, engine._SEED_OBS))
+        assert failed is None and _same_bits(tr.lam, np.array(lam_h)) and _same_bits(tr.y, np.array(y_h, float)), name
     # the pair steps as two chains until its states have the same bits, then as one chain
     # that draws its noise in one call; every history must be the per-step loop's, bit for bit
     for name, m, _ in _family_models():
@@ -1227,36 +1269,44 @@ def _float_step_links():
 
 @pytest.mark.parametrize("name", sorted(_float_step_links()))
 def test_float_step_matches_a_one_row_batch(name):
-    # a Python float state with a list row steps on floats: the bits of a (1,)
-    # batch, a float back, and no numpy warning even where the step overflows
+    # links.float_step steps one Python float state on one table row, a row list or a tuple of
+    # the columns' items: the bits of a (1,) batch of links.step, a float back, and no numpy
+    # warning even where the step overflows; an int observation steps as its float
+    import dataclasses
+
     from obsdriven import links
 
     link = _float_step_links()[name]
+    fstep = links.float_step(link)
     hyp, st, settings = hypothesis_settings()
-    special = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, math.nan, math.inf, 1e200, -1e200, 5e-324])
+    special = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, math.nan, math.inf, -math.inf,
+                               1e200, -1e200, 1e-200, 5e-324])
     value = st.one_of(special, st.floats(allow_nan=True, allow_infinity=True))
 
     @hyp.settings(settings, max_examples=200)
-    @hyp.given(value, value, st.floats(-3.0, 3.0))
+    @hyp.given(value, st.one_of(value, st.integers(-2**63, 2**63)), st.floats(-3.0, 3.0))
     def check(s, y, x):
         table = links.coefficient_table(link, np.array([[x]]))
-        got = links.step(link, table.tolist()[0], s, y)
         with np.errstate(all="ignore"):
-            want = links.step(link, table.T, np.array([s]), np.array([y]))
-        assert type(got) is float and np.float64(got).tobytes() == want[0].tobytes()
+            want = links.step(link, table.T, np.array([s]), np.array([float(y)]))
+        for row in (table.tolist()[0], next(zip(*table.T.tolist()))):
+            got = fstep(row, s, y)
+            assert type(got) is float and np.float64(got).tobytes() == want[0].tobytes()
 
     check()
+    row = links.coefficient_table(link, np.array([[0.5]])).tolist()[0]
     if link.floor is not None:
-        row = links.coefficient_table(link, np.array([[0.0]])).tolist()[0]
-        assert math.isnan(links.step(link, row, math.nan, 0.0))
-        assert np.float64(links.step(link, row, -1e300, 0.0)).tobytes() == np.float64(link.floor).tobytes()
-    # a float state with batched coefficient columns stays on the array path
+        assert math.isnan(fstep(row, math.nan, 0.0))
+        assert np.float64(fstep(row, -1e300, 0.0)).tobytes() == np.float64(link.floor).tobytes()
+        if link.floor == int(link.floor):  # an int floor clamps to its float
+            got = links.float_step(dataclasses.replace(link, floor=int(link.floor)))(row, -1e300, 0.0)
+            assert type(got) is float and got == link.floor
+    # links.step keeps numpy: a float state with batched coefficient columns is a batch
     table = links.coefficient_table(link, np.linspace(-2.0, 2.0, 5)[:, None])
     got = links.step(link, table.T, 0.5, 1.0)
-    assert isinstance(got, np.ndarray) and _same_bits(got, [links.step(link, r, 0.5, 1.0) for r in table.tolist()])
+    assert isinstance(got, np.ndarray) and _same_bits(got, [fstep(r, 0.5, 1.0) for r in table.tolist()])
     if link.order == 2:
-        row = links.coefficient_table(link, np.array([[0.5]])).tolist()[0]
-        assert links.step(link, row, 1.0, 1e200) == math.inf
+        assert fstep(row, 1.0, 1e200) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -1264,6 +1314,34 @@ def test_float_step_matches_a_one_row_batch(name):
 # ---------------------------------------------------------------------------
 
 def test_simulate_domain_errors_carry_the_failing_step():
+    # every scalar family's glued chain, in simulate and in a couple glued from its start, fails
+    # where the per-step reference leaves the domain: an overflow for all, a state below the
+    # bound for the bounded ones (GARCH's just below c_minus - 1e-12), with t, previous, y, state
+    garch_lo = np.nextafter(1.0 - 1e-12, 0.0)
+    for name, m in _scalar_family_models():
+        cases = [(StateOverflow, "state overflowed float64", od.LinearLink(CM(1e100), CM(0.3), CM(1.0), m.link.order))]
+        if m.kernel.family == "garch_gaussian":
+            cases.append((DomainViolation, "state left the garch_gaussian domain",
+                          od.LinearLink(CM(0.0), CM(0.0), CM(garch_lo), 2)))
+        elif m.kernel.family in ("poisson", "negbinomial"):
+            cases.append((DomainViolation, f"state left the {m.kernel.family} domain",
+                          od.LinearLink(CM(1.0), CM(0.0), CM(-0.3), 1)))
+        for kind, what, link in cases:
+            bad = od.ModelSpec(m.kernel, link, m.covariates)
+            path = od.generate_path(bad.covariates, 2, 40, split_seed(3, engine._SEED_ENV))
+            for run, rng in ((lambda: od.simulate(bad, 1.0, 2, 40, 3), generator(3, engine._SEED_OBS)),
+                             (lambda: od.couple_forward(bad, 1.0, 1.0, path, 3), generator(3, engine._SEED_COUPLE))):
+                t, previous, y, state = _ref_chain(bad, 1.0, path, rng)[2]
+                with pytest.raises(kind, match=rf"^step t={t}: {what}$") as info:
+                    run()
+                e = info.value
+                assert type(e) is kind and e.replica is None, name
+                assert (e.t, e.previous, e.y, type(e.y)) == (t, previous, y, type(y)), name
+                assert np.float64(e.state).tobytes() == np.float64(state).tobytes(), name
+    at_bound = od.ModelSpec(od.GarchGaussian(1.0), od.LinearLink(CM(0.0), CM(0.0), CM(1.0 - 1e-12), 2),
+                            od.Constant((1.0,)))
+    assert np.all(od.simulate(at_bound, 1.0, 0, 3, 1).lam[1:] == 1.0 - 1e-12)  # the bound itself is inside
+
     loc = od.ModelSpec(od.Location(od.GaussianNoise(1.0)),
                        od.LinearLink(CM(1e300), CM(0.3), CM(0.0), 1), od.Constant((1.0,)))
     with pytest.raises(StateOverflow, match=r"^step t=4: state overflowed float64$") as info:

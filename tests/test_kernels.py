@@ -1240,6 +1240,22 @@ def test_noise_of_n_draws_is_n_scalar_noise_calls(kernel):
     assert {type(y) for y in ys} == {int if kernel.discrete else float}
 
 
+@pytest.mark.parametrize("kernel", all_kernels(), ids=repr)
+def test_chain_draws_are_one_sample_per_step(kernel):
+    # a glued chain's draws, fixed once per run, give at each state the value and type of one
+    # sample and take its words; Poisson's rng.poisson hands a mean past numpy's bound to sample
+    if kernel.state_dim > 1:
+        states = [np.linspace(-1.0, v, kernel.state_dim) for v in (0.5, 0.0, 40.0)]
+    else:
+        states = [(kernel.domain_floor() or 0.0) + d for d in (0.0, 0.5, 3.0, 40.0, 1e19, 2.5)]
+    rng, twin = generator(9, 1), generator(9, 1)
+    draw, words = kernel._chain_draws(len(states), rng)
+    got = [draw(s, w) for s, w in zip(states, words)]
+    want = [kernel.sample(s, twin) for s in states]
+    assert got == want and [type(y) for y in got] == [type(y) for y in want]
+    assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)
+
+
 def test_float_domain_checks_match_the_array_checks():
     for kernel in (od.BernoulliLogit(), od.Location(od.LaplaceNoise(1.0))):
         for s in (0.0, -0.0, 5e-324, -1e308, math.inf, -math.inf, math.nan):
