@@ -39,9 +39,7 @@ _PARAM_SPEC = {
     },
     "verify": {
         "required": [],
-        "optional": {
-            "mc_n": 10_000, "grid_size": 200, "tol": 1e-6, "lipschitz_n": 1000,
-        },
+        "optional": {"mc_n": 10_000, "grid_size": 200, "tol": 1e-6},
     },
     "diagnose": {
         "required": ["length"],
@@ -202,8 +200,7 @@ def run_manifest(manifest: dict, out_dir: Path) -> tuple[int, str]:
 
     if cmd == "verify":
         cfg = verify.VerifyConfig(
-            mc_n=params["mc_n"], grid_size=params["grid_size"], tol=params["tol"],
-            lipschitz_n=params["lipschitz_n"], seed=seed,
+            mc_n=params["mc_n"], grid_size=params["grid_size"], tol=params["tol"], seed=seed,
         )
         report = verify.full_report(model, cfg)
         _write_json(out_dir / "report.json", report.to_dict())

@@ -466,10 +466,12 @@ class W1Result:
 
 
 def _cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """min(sup_j |a_j - b_j|, 1) for every pair, one coordinate at a time (no n x n x d array)."""
+    """min(sup_j |a_j - b_j|, 1) for every pair, one coordinate at a time (no n x n x d array).
+    A gap past the float range is inf, which costs 1: no overflow warning."""
     c = np.zeros((len(a), len(b)))
-    for aj, bj in zip(a.reshape(len(a), -1).T, b.reshape(len(b), -1).T):
-        np.maximum(c, np.abs(aj[:, None] - bj[None, :]), out=c)
+    with np.errstate(over="ignore"):
+        for aj, bj in zip(a.reshape(len(a), -1).T, b.reshape(len(b), -1).T):
+            np.maximum(c, np.abs(aj[:, None] - bj[None, :]), out=c)
     return np.minimum(c, 1.0, out=c)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -92,6 +93,18 @@ def test_verify_exit_codes(tmp_path):
     assert cli.main(["--manifest", str(man2), "--out", str(tmp_path / "bad")]) == 2
     report = json.loads((tmp_path / "bad" / "report.json").read_text())
     assert report["a1"]["verdict"] == "fail"
+
+
+def test_verify_passes_a_contracting_model_with_a_large_intercept(tmp_path, capsys):
+    # kappa = 0.4 at every x: a1 passes however large delta_tilde is (its rounding at 1e4
+    # is no Lipschitz violation)
+    model = dict(BENCH)
+    model["link"] = dict(BENCH["link"], delta_tilde={"kind": "constant", "value": 1e4, "nonnegative": True})
+    man = write_manifest(tmp_path, "m.json", {"command": "verify", "model": model, "params": {}, "seed": 3})
+    assert cli.main(["--manifest", str(man), "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["overall"] == report["a1"]["verdict"] == "pass"
+    assert capsys.readouterr().out.startswith("verify: pass")
 
 
 def test_stationary_not_converged_exit_code(tmp_path):
@@ -220,6 +233,28 @@ def test_param_of_the_wrong_type_is_manifest_error(tmp_path, capsys, name, value
                            "params": {"length": 100, "h": None}})
 
 
+def test_readme_param_table_is_the_cli_spec():
+    # each row of README's per-command table names exactly the command's params, and a
+    # number in parentheses is the command's default
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Per-command parameters", 1)[1].split("\n\n", 2)[1]
+    rows = {}
+    for line in table.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if cells[0].startswith("`"):
+            rows[cells[0].strip("`")] = re.findall(r"`(\w+)`(?: \(([^)]*)\))?", cells[1])
+    assert sorted(rows) == sorted(cli._PARAM_SPEC)
+    for cmd, params in rows.items():
+        spec = cli._PARAM_SPEC[cmd]
+        assert [name for name, _ in params] == spec["required"] + list(spec["optional"]), cmd
+        for name, shown in params:
+            default = spec["optional"].get(name)
+            if isinstance(default, (int, float)):
+                assert float(shown) == default, (cmd, name)
+            else:
+                assert not re.fullmatch(r"[-+.\de]+", shown), (cmd, name)
+
+
 MULTINOMIAL = od.ModelSpec(
     od.Multinomial(3), od.LinearLink(od.ConstantMap(0.5, True), od.CategoryTable(((0.2, 0.1, 0.0), (0.0, 0.1, 0.2))),
                                      od.ConstantMap(0.0), 1), od.Constant((1.0,))).to_dict()
@@ -244,10 +279,12 @@ def test_norm_other_than_the_kernel_state_norm_is_manifest_error(tmp_path, capsy
 @pytest.mark.parametrize("command, params, message", [
     ("backward", {"s0": 0.0, "n": 50, "replicas": 20}, "backward_measure needs replicas >= 100"),
     ("verify", {"mc_n": 1000, "grid_size": 60, "oracle_tol": 1e-7}, "unknown params for verify: ['oracle_tol']"),
+    ("verify", {"mc_n": 1000, "lipschitz_n": 1000}, "unknown params for verify: ['lipschitz_n']"),
     ("stationary", {"tol": -1.0, "max_n": 100, "replicas": 200}, "tol must be positive"),
     ("diagnose", {"length": 600, "H": 0}, "need 1 <= h <= H"),
     ("diagnose", {"length": 600, "H": -3}, "need 1 <= h <= H"),
-], ids=["backward-replicas", "verify-oracle_tol", "stationary-tol", "diagnose-H0", "diagnose-H-3"])
+], ids=["backward-replicas", "verify-oracle_tol", "verify-lipschitz_n", "stationary-tol", "diagnose-H0",
+        "diagnose-H-3"])
 def test_param_out_of_range_is_manifest_error(tmp_path, capsys, command, params, message):
     man = write_manifest(tmp_path, "m.json", {"command": command, "model": BENCH,
                                               "params": params, "seed": 3})

@@ -253,15 +253,17 @@ def test_w1_point_masses_and_cap():
 
 def test_w1_span_past_the_float_range_is_exact_without_a_warning():
     # the points span more than the float range: the inf gaps cost 1 under min(|s-s'|, 1), so
-    # the slope-trick pass and the cost sum give the exact value with no overflow warning
+    # the slope-trick pass, the cost sum and the vector-state cost matrix give the exact value
+    # with no overflow warning
     import warnings
 
-    a, b = np.array([-1e308, 0.0]), np.array([1e308, 0.5])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = od.wasserstein1(a, b).value
-    with np.errstate(over="ignore"):  # the oracle's cost matrix overflows the same way
-        assert got == wasserstein1_bruteforce(a, b) == 0.75
+    scalar = np.array([-1e308, 0.0]), np.array([1e308, 0.5])
+    vector = np.array([[-1e308, 0.0], [0.0, 0.0]]), np.array([[1e308, 0.0], [0.5, 0.0]])
+    for a, b in (scalar, vector):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = od.wasserstein1(a, b).value
+            assert got == wasserstein1_bruteforce(a, b) == 0.75
 
 
 def test_w1_assignment_matches_bruteforce_oracle():

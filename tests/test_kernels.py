@@ -605,6 +605,29 @@ def test_negbinomial_mean_equals_state():
     assert abs(y.mean() - 2.0) < 3 * sigma
 
 
+@pytest.mark.parametrize("kernel", all_kernels() + [od.Multinomial(12)], ids=repr)
+def test_batched_draw_is_the_per_row_loop(kernel):
+    # one sample call on many states takes the generator's words row by row, as
+    # couple_batch's batched draws rely on: the values and the generator's next word
+    # must be a per-row loop's, at means on both sides of numpy's Poisson PTRS cut (10)
+    # and for vector states
+    def states(rng):
+        if kernel.state_dim > 1:
+            return rng.normal(0.0, 3.0, size=(1000, kernel.state_dim))
+        floor = kernel.domain_floor()
+        return rng.normal(0.0, 5.0, size=1000) if floor is None else floor + rng.exponential(3.0, size=1000)
+
+    for seed in range(20):
+        for scale in (1.0, 10.0):
+            batched, looped = generator(seed, 2), generator(seed, 2)
+            s = states(batched) * scale
+            states(looped)
+            got = kernel.sample(s, batched)
+            want = np.asarray([kernel.sample(s[i], looped) for i in range(len(s))])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert batched.bit_generator.random_raw() == looped.bit_generator.random_raw()
+
+
 def test_domain_checks():
     with pytest.raises(DomainViolation) as e:
         od.Poisson().tv_bound(-1.0, 2.0)

@@ -161,24 +161,47 @@ def test_envelope_arma_like():
 
 
 def test_lipschitz_certification_random_tuples():
-    # |f(s,y,x) - f(s',y,x)| <= kappa(x) |s - s'| on 1000 random tuples
+    # d(f(s,y,x), f(s',y,x)) <= kappa(x) d(s, s') on 1000 random tuples for every link shape,
+    # in the kernel's state norm (the sup norm for the category table's vector states): a1's
+    # verdict rests on contraction_map being this exact Lipschitz map
     rng = generator(3)
-    linkset = [
-        od.LinearLink(od.AffineAbsMap(0.2, (0.3,), True), CM(0.3, True), CM(1.0, True), 1),
-        od.ThresholdLink(
+
+    def scalar():
+        return tuple(rng.normal(0, 3, size=3))
+
+    def vector():
+        s, sp = rng.normal(0, 3, size=(2, 2))
+        return s, sp, int(rng.integers(3))
+
+    def positive():
+        s, sp = rng.exponential(3.0, size=2)
+        return s, sp, rng.normal(0, 3)
+
+    regime = lambda k: od.RegimeCoefficients(CM(k), od.AffineAbsMap(0.0, (0.5,), True), CM(0.1))  # noqa: E731
+    cases = [
+        (od.LinearLink(od.AffineAbsMap(0.2, (0.3,), True), CM(0.3, True), CM(1.0, True), 1), scalar),
+        (od.ThresholdLink(
             od.RegimeCoefficients(CM(0.7), CM(0.2), CM(0.1)),
             od.RegimeCoefficients(CM(-0.4), CM(0.5), CM(1.0)),
             od.FixedInterval(-1.0, 1.0), order=1,
-        ),
-        od.ArmaLikeLink(od.AffineAbsMap(0.0, (0.4,), True), CM(0.1), CM(0.6)),
+        ), scalar),
+        (od.ArmaLikeLink(od.AffineAbsMap(0.0, (0.4,), True), CM(0.1), CM(0.6)), scalar),
+        # multinomial: the category table's column y is added to a vector state
+        (od.LinearLink(od.AffineAbsMap(0.3, (0.4,)), od.CategoryTable(((0.2, -0.1, 0.4), (0.0, 0.3, -0.2))),
+                       CM(0.0)), vector),
+        # GARCH type: y enters squared, and the floor clamps about half the steps
+        (od.LinearLink(od.AffineAbsMap(0.2, (0.3,), True), CM(0.2, True), CM(-3.0), order=2, floor=0.5),
+         positive),
+        # the regime depends on y and x through [lo |x|, hi |x|], never on s
+        (od.ThresholdLink(regime(0.6), regime(-0.8), od.CovariateScaled(-1.0, 1.0)), scalar),
     ]
-    for link in linkset:
+    for link, draw in cases:
         kappa = od.contraction_map(link)
         for _ in range(1000):
-            s, sp, y = rng.normal(0, 3, size=3)
+            s, sp, y = draw()
             x = rng.normal(0, 2, size=1)
-            lhs = abs(od.apply(link, s, y, x) - od.apply(link, sp, y, x))
-            assert lhs <= float(kappa.evaluate(x)) * abs(s - sp) + 1e-12
+            lhs = np.max(np.abs(od.apply(link, s, y, x) - od.apply(link, sp, y, x)))
+            assert lhs <= float(kappa.evaluate(x)) * np.max(np.abs(np.subtract(s, sp))) + 1e-12
 
 
 def test_envelope_certification_random_tuples():

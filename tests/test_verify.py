@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 import obsdriven as od
-from obsdriven import verify
-from obsdriven.rngstream import generator, split_seed
 from obsdriven.verify import domain_compatible
 
 from conftest import all_kernels, divergent_model, poisson_ingarch_x
@@ -27,7 +25,7 @@ def test_a1_constant_contraction_passes():
     rep = od.check_a1(m, 1000, 1)
     assert rep.moment.mean == pytest.approx(math.log(0.4))
     assert rep.moment.verdict == "negative"
-    assert rep.lipschitz_pass and rep.verdict == "pass"
+    assert rep.verdict == "pass"
 
 
 def test_a1_threshold_uses_regime_maximum():
@@ -40,50 +38,6 @@ def test_a1_threshold_uses_regime_maximum():
     rep = od.check_a1(m, 1000, 2)
     assert rep.moment.mean == pytest.approx(math.log(0.5))
     assert rep.verdict == "pass"
-
-
-def test_a1_lipschitz_sweep_matches_the_per_row_loop(monkeypatch):
-    # an understated contraction map makes the worst violation a real maximum
-    monkeypatch.setattr(verify, "contraction_map", lambda link: CM(0.1))
-    regime = lambda k: od.RegimeCoefficients(CM(k), od.AffineAbsMap(0.0, (0.5,), True), CM(0.1))  # noqa: E731
-    table = od.CategoryTable(((0.2, -0.1, 0.4), (0.0, 0.3, -0.2)))
-    env = od.IID(od.Uniform(-1, 1))
-    models = [
-        poisson_ingarch_x(),
-        od.ModelSpec(od.BernoulliLogit(), od.ThresholdLink(regime(0.6), regime(-0.8),
-                                                           od.CovariateScaled(-1.0, 1.0)), env),
-        od.ModelSpec(od.Multinomial(3), od.LinearLink(od.AffineAbsMap(0.3, (0.4,)), table, CM(0.0)), env),
-    ]
-    n, seed = 300, 5
-    for m in models:
-        rep = od.check_a1(m, 200, seed, lipschitz_n=n)
-        rng = generator(seed, 2)
-        xs = od.stationary_draws(m.covariates, n, split_seed(seed, 3))
-        s, sp = verify._random_states(m, n, rng), verify._random_states(m, n, rng)
-        worst = 0.0
-        for i in range(n):
-            y = m.kernel.sample(s[i], rng)
-            gap = od.apply(m.link, s[i], y, xs[i]) - od.apply(m.link, sp[i], y, xs[i])
-            worst = max(worst, float(np.max(np.abs(gap))) - 0.1 * float(np.max(np.abs(s[i] - sp[i]))))
-        assert worst > 0.0
-        assert rep.lipschitz_max_violation == worst
-
-
-@pytest.mark.parametrize("kernel", all_kernels() + [od.Multinomial(12)], ids=repr)
-def test_a1_batched_draw_is_the_per_row_loop(kernel):
-    # check_a1 draws every observation in one sample call: the values and the
-    # generator's next word must be a per-row loop's, at means on both sides
-    # of numpy's Poisson PTRS cut (10) and for vector states
-    for seed in range(20):
-        for scale in (1.0, 10.0):
-            batched, looped = generator(seed, 2), generator(seed, 2)
-            states = SimpleNamespace(kernel=kernel)
-            s = verify._random_states(states, 1000, batched) * scale
-            verify._random_states(states, 1000, looped)
-            got = kernel.sample(s, batched)
-            want = np.asarray([kernel.sample(s[i], looped) for i in range(len(s))])
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            assert batched.bit_generator.random_raw() == looped.bit_generator.random_raw()
 
 
 def test_a1_boundary_contraction_is_inconclusive():
@@ -310,6 +264,11 @@ def test_full_report_divergent_fails_on_a1():
     rep = od.full_report(divergent_model(), od.VerifyConfig(mc_n=2000, grid_size=60, seed=12))
     assert rep.a1.verdict == "fail"
     assert rep.overall == "fail"
+    # the text says what an a1 fail does not show
+    assert rep.to_text().splitlines()[1] == (
+        "  contraction (a1): fail  [E log kappa = 0.0953102 +- 0; a1 is a sufficient condition: "
+        "failing it does not show that no stationary solution exists]"
+    )
 
 
 def test_full_report_deterministic():
