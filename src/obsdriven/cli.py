@@ -52,10 +52,6 @@ _REAL_PARAMS = ("s0", "s0_prime", "tol", "C")
 _VECTOR_PARAMS = ("s0", "s0_prime")
 
 
-def _fail(msg: str) -> "ManifestError":
-    return ManifestError(msg)
-
-
 def _is_number(value, kinds) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
@@ -64,44 +60,44 @@ def load_manifest(path: Path) -> dict:
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
-        raise _fail(f"manifest not found: {path}")
+        raise ManifestError(f"manifest not found: {path}")
     except IsADirectoryError:
-        raise _fail(f"manifest is a directory: {path}")
+        raise ManifestError(f"manifest is a directory: {path}")
     except OSError as e:
-        raise _fail(f"manifest cannot be read: {e}")
+        raise ManifestError(f"manifest cannot be read: {e}")
     except UnicodeDecodeError as e:
-        raise _fail(f"manifest is not UTF-8 text: {e}")
+        raise ManifestError(f"manifest is not UTF-8 text: {e}")
     except json.JSONDecodeError as e:
-        raise _fail(f"manifest is not valid JSON: {e}")
+        raise ManifestError(f"manifest is not valid JSON: {e}")
     except RecursionError:
-        raise _fail("manifest is nested too deeply") from None
+        raise ManifestError("manifest is nested too deeply") from None
     return validate_manifest(raw)
 
 
 def validate_manifest(raw: dict) -> dict:
     if not isinstance(raw, dict):
-        raise _fail("manifest must be a JSON object")
+        raise ManifestError("manifest must be a JSON object")
     allowed = {"command", "model", "params", "seed", "out"}
     unknown = set(raw) - allowed
     if unknown:
-        raise _fail(f"unknown manifest fields: {sorted(unknown)}")
+        raise ManifestError(f"unknown manifest fields: {sorted(unknown)}")
     cmd = raw.get("command")
     if cmd not in _COMMANDS:
-        raise _fail(f"command must be one of {_COMMANDS}, got {cmd!r}")
+        raise ManifestError(f"command must be one of {_COMMANDS}, got {cmd!r}")
     if "model" not in raw:
-        raise _fail("manifest needs a 'model' object")
+        raise ManifestError("manifest needs a 'model' object")
     if "seed" not in raw or not _is_number(raw["seed"], int):
-        raise _fail("manifest needs an integer 'seed'")
+        raise ManifestError("manifest needs an integer 'seed'")
     spec = _PARAM_SPEC[cmd]
     params = raw.get("params", {})
     if not isinstance(params, dict):
-        raise _fail("'params' must be an object")
+        raise ManifestError("'params' must be an object")
     unknown = set(params) - set(spec["required"]) - set(spec["optional"])
     if unknown:
-        raise _fail(f"unknown params for {cmd}: {sorted(unknown)}")
+        raise ManifestError(f"unknown params for {cmd}: {sorted(unknown)}")
     missing = [k for k in spec["required"] if k not in params]
     if missing:
-        raise _fail(f"missing params for {cmd}: {missing}")
+        raise ManifestError(f"missing params for {cmd}: {missing}")
     for name, value in params.items():
         if value is None and name in spec["optional"] and spec["optional"][name] is None:
             continue
@@ -112,7 +108,7 @@ def validate_manifest(raw: dict) -> dict:
         kind = "an integer" if kinds is int else "a number"
         if name in _VECTOR_PARAMS:
             kind += " or a list of numbers"
-        raise _fail(f"param {name!r} of {cmd} must be {kind}, got {value!r}")
+        raise ManifestError(f"param {name!r} of {cmd} must be {kind}, got {value!r}")
     resolved = dict(spec["optional"])
     resolved.update(params)
     out = dict(raw)
@@ -144,11 +140,11 @@ def run_manifest(manifest: dict, out_dir: Path) -> tuple[int, str]:
     try:
         model = model_from_dict(manifest["model"])
     except (KeyError, TypeError, ValueError) as e:
-        raise _fail(f"malformed model ({type(e).__name__}: {e})") from e
+        raise ManifestError(f"malformed model ({type(e).__name__}: {e})") from e
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:  # a file at the path or on the way to it
-        raise _fail(f"output directory {out_dir} cannot be made: {e.strerror}") from None
+        raise ManifestError(f"output directory {out_dir} cannot be made: {e.strerror}") from None
     cmd = manifest["command"]
     params = manifest["params"]
     seed = manifest["seed"]
@@ -249,6 +245,8 @@ def make_parser() -> argparse.ArgumentParser:
 # what run_manifest raises for well-typed params out of range; named one by
 # one, since DomainViolation (a model error) is a ValueError too
 _SPEC_ERRORS = (ManifestError, InvalidSpec, UnsupportedCombination, EmptyRange, PathTooShort)
+# numpy's ValueErrors for an array larger than it can address
+_NUMPY_SIZE_ERRORS = ("Maximum allowed dimension exceeded", "array is too big")
 
 
 def main(argv=None) -> int:
@@ -263,14 +261,18 @@ def main(argv=None) -> int:
     out_dir = args.out or Path(manifest.get("out") or "results")
     try:
         code, summary = run_manifest(manifest, out_dir)
-    except _SPEC_ERRORS as e:
-        print(f"manifest error: {e}", file=sys.stderr)
-        return 1
     except (errors.DomainViolation, errors.DegenerateMap, errors.CouplingBudgetExceeded) as e:  # StateOverflow too
         domain = isinstance(e, errors.DomainViolation)
         at = f" (t={e.t}, replica={e.replica}, state={e.state!r}, y={e.y!r})" if domain else ""
         print(f"model error: {e}{at}", file=sys.stderr)
         return 4
+    except (MemoryError, ValueError) as e:  # the spec errors are ValueErrors, numpy's _ArrayMemoryError a MemoryError
+        size = isinstance(e, MemoryError) or type(e) is ValueError and str(e).startswith(_NUMPY_SIZE_ERRORS)
+        if not (size or isinstance(e, _SPEC_ERRORS)):
+            raise  # a fault, not the manifest's
+        what = f"the {manifest['command']} params need more memory than there is: " if size else ""
+        print(f"manifest error: {what}{str(e) or 'MemoryError'}", file=sys.stderr)
+        return 1
     print(summary)
     return code
 

@@ -210,7 +210,8 @@ class ObservationKernel(Spec):
 
     # -- total variation ---------------------------------------------------
     def phi(self) -> PhiSpec:
-        raise NotImplementedError
+        """The rate phi; the unit rate phi(h) = h unless the family states its own."""
+        return PhiSpec(((1, 1.0),))
 
     def tv_bound(self, s, sp) -> float:
         self.require_domain(s, sp)
@@ -250,17 +251,23 @@ class ObservationKernel(Spec):
 
     # -- moments -----------------------------------------------------------
     def conditional_moment(self, s) -> tuple[float, float]:
-        """(integral of |y|^moment_order p(dy|s), family constant D with bound |s|+D)."""
-        raise NotImplementedError
+        """(integral of |y|^moment_order p(dy|s), family constant D with bound |s|+D); (s, 0)
+        for a family whose state is that moment (the count means, the GARCH variance)."""
+        self.require_domain(s)
+        return float(s), 0.0
 
     # -- misc ----------------------------------------------------------------
     def domain_floor(self) -> float | None:
         """Lower bound of the state space (``domain_lower``), None when unbounded below."""
         return None if self.domain_lower == ObservationKernel.domain_lower else self.domain_lower
 
+    _pair_bases = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 100.0)  # the count families' means
+    _centered = False
+
     def standard_pairs(self, n_pairs: int = 200):
-        """Deterministic certification grid spanning small to large separations."""
-        raise NotImplementedError
+        """Deterministic certification grid spanning small to large separations: (b, b + h) from each
+        of ``_pair_bases``, and (-h/2, h/2) where ``_centered``, by ``_scalar_pairs``."""
+        return _scalar_pairs(self._pair_bases, n_pairs, self._centered)
 
 
 class _NoiseKernel(ObservationKernel):
@@ -301,6 +308,9 @@ def _scalar_pairs(bases, n_pairs, centered=False):
     if centered:
         pairs += [(-h / 2.0, h / 2.0) for h in hs]
     return pairs[:n_pairs] if len(pairs) >= n_pairs else pairs
+
+
+_CENTERED_BASES = (-5.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 5.0)  # pair bases of the binary and location states
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +525,6 @@ def _count_quantile_edges(s, u, out):
 @dataclass(frozen=True)
 class Poisson(ObservationKernel):
     tag = ("family", "poisson")
-    moment_order = 1
 
     domain_lower = 0.0
 
@@ -544,9 +553,6 @@ class Poisson(ObservationKernel):
         """
         return _poisson_quantile(s, u)
 
-    def phi(self):
-        return PhiSpec(((1, 1.0),))
-
     def _tv_exact_impl(self, s, sp):
         # for s < s' the pmf ratio (s'/s)^k e^(s - s') rises in k, so p(.|s) exceeds p(.|s')
         # exactly up to k* (0 at s = 0, delta_0): TV = F_s(k*) - F_s'(k*)
@@ -567,13 +573,6 @@ class Poisson(ObservationKernel):
         d = s - y
         return np.exp(y * np.log1p(np.maximum(d / np.maximum(y, 1.0), _LOG1P_FLOOR)) - d)
 
-    def conditional_moment(self, s):
-        self.require_domain(s)
-        return float(s), 0.0
-
-    def standard_pairs(self, n_pairs=200):
-        return _scalar_pairs([0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 100.0], n_pairs)
-
 
 @dataclass(frozen=True)
 class NegBinomial(ObservationKernel):
@@ -581,7 +580,6 @@ class NegBinomial(ObservationKernel):
 
     r: int = 1
     tag = ("family", "negbinomial")
-    moment_order = 1
 
     def __post_init__(self):
         if not 1 <= self.r < math.inf or int(self.r) != self.r:
@@ -589,16 +587,30 @@ class NegBinomial(ObservationKernel):
 
     domain_lower = 0.0
 
-    def _p_success(self, s):
-        # numpy's negative_binomial counts failures before r successes with
-        # success probability p; mean r(1-p)/p = s gives p = r/(r+s)
-        return self.r / (self.r + np.asarray(s, dtype=float))
+    def _pq(self, s):
+        # numpy's negative_binomial counts failures before r successes with success probability
+        # p; mean r(1-p)/p = s gives p = r/(r+s), and the failure probability is q = s/(r+s)
+        s = np.asarray(s, dtype=float)
+        return self.r / (self.r + s), s / (self.r + s)
+
+    def _cdf(self, k, s):
+        """F(k) = I_p(r, k + 1) = 1 - I_q(k + 1, r), elementwise, scipy passed whichever of p and q
+        lies below 1/2: p alone rounds away s/r at large r (TV at (1, 2) 0.33 off at r = 1e18), and
+        q alone r/s at large s (1.2e-5 off at r = 2, s = 1e12)."""
+        p, q = self._pq(s)
+        return np.where(p < 0.5, special.betainc(self.r, k + 1.0, p), special.betaincc(k + 1.0, self.r, q))[()]
+
+    def _sf(self, k, s):
+        """1 - F(k) = I_q(k + 1, r) by the rule of ``_cdf``: ``betainc(k + 1, r, q)`` for q < 1/2,
+        else ``betaincc(r, k + 1, p)``; the upper tail is never 1 less a rounded cdf."""
+        p, q = self._pq(s)
+        return np.where(q < 0.5, special.betainc(k + 1.0, self.r, q), special.betaincc(self.r, k + 1.0, p))[()]
 
     def sample(self, s, rng):
         """``rng.negative_binomial``.  Where numpy refuses the mean (above about 1.4e18 at
         r = 3), numpy's own mixture Poisson(Gamma(r) (1 - p)/p), whose Poisson step
         (``Poisson.sample``) takes any finite mean; a float then."""
-        p = self._p_success(s)
+        p, _ = self._pq(s)
         try:
             return rng.negative_binomial(self.r, p)
         except ValueError:
@@ -611,14 +623,14 @@ class NegBinomial(ObservationKernel):
         return float(y) if y.ndim == 0 else y
 
     def sample_inverse(self, s, u):
-        """The smallest k with F(k) >= u under F(k) = ``betainc(r, k + 1, p)`` (read as
-        ``betaincc`` for u > 1/2), by ``_count_quantile_search``, with the edge outcomes of
-        ``Poisson.sample_inverse``; negative s counts as 0.  For u near 1 at r = 1 the quantile
+        """The smallest k with F(k) >= u under ``_cdf`` (read through ``_sf`` for u > 1/2), by
+        ``_count_quantile_search``, with the edge outcomes of ``Poisson.sample_inverse``;
+        negative s counts as 0.  For u near 1 at r = 1 the quantile
         passes 2**53, where it is exact only to float spacing, from a mean of about 2.4e14.
         From a mean of 2**52 it is the gamma mixture's quantile ceil((s / r) P^-1(r, u)), P the
         regularized lower incomplete gamma: approximate, as the Poisson quantile is there.
         """
-        r, p = self.r, self._p_success
+        r = self.r
         s, u = np.broadcast_arrays(np.maximum(np.asarray(s, dtype=float), 0.0),
                                    np.asarray(u, dtype=float))
         out = _count_quantile_edges(s, u, np.full(s.shape, np.nan))
@@ -626,12 +638,8 @@ class NegBinomial(ObservationKernel):
         big = inner & (s >= _EXACT_QUANTILE_MEAN)
         out[big] = np.ceil(s[big] / r * special.gammaincinv(r, u[big]))
         small = inner & ~big
-        out[small] = _count_quantile_search(s[small], u[small], lambda k, s: special.betainc(r, k + 1.0, p(s)),
-                                            lambda k, s: special.betaincc(r, k + 1.0, p(s)), 1.0 / r)
+        out[small] = _count_quantile_search(s[small], u[small], self._cdf, self._sf, 1.0 / r)
         return out
-
-    def phi(self):
-        return PhiSpec(((1, 1.0),))
 
     def _pdf(self, y, s):
         # p^r (1 - p)^y over its peak in s (at s = y), a factor of y alone: its log,
@@ -650,21 +658,14 @@ class NegBinomial(ObservationKernel):
 
     def _tv_exact_impl(self, s, sp):
         # for s < s' the pmf ratio ((r + s)/(r + s'))^r (s' (r + s)/(s (r + s')))^k rises in k:
-        # TV = F_s(k*) - F_s'(k*) at its crossing k* (0 at s = 0), with 1 - F_s(k) = I_(1-p)(k + 1, r)
-        # by ``betaincc`` (``betainc`` is 5.7e-9 off at s = 7.7e8, r = 2); k* lies in [s, s'], as in any
-        # exponential family, and its denominator underflows only for adjacent means above 4e307
+        # TV = F_s(k*) - F_s'(k*) = sf_s'(k*) - sf_s(k*) at its crossing k* (0 at s = 0), by ``_sf``
+        # (1 - F is 5.7e-9 off at s = 7.7e8, r = 2); k* lies in [s, s'], as in any exponential
+        # family, and its denominator underflows only for adjacent means above 4e307
         s, sp = sorted((float(s), float(sp)))
         r, d = self.r, sp - s
         den = math.log1p(d / s * (r / (r + sp))) if s else math.inf
         k = float(math.floor(min(r * math.log1p(d / (r + s)) / den, sp) if den else s))
-        return max(float(special.betaincc(r, k + 1.0, r / (r + sp)) - special.betaincc(r, k + 1.0, r / (r + s))), 0.0)
-
-    def conditional_moment(self, s):
-        self.require_domain(s)
-        return float(s), 0.0
-
-    def standard_pairs(self, n_pairs=200):
-        return _scalar_pairs([0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 100.0], n_pairs)
+        return max(float(self._sf(k, sp) - self._sf(k, s)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +673,8 @@ class NegBinomial(ObservationKernel):
 # ---------------------------------------------------------------------------
 
 class _Bernoulli(_NoiseKernel):
-    moment_order = 1
+    _pair_bases = _CENTERED_BASES
+    _centered = True
 
     def _success(self, s):
         raise NotImplementedError
@@ -698,9 +700,6 @@ class _Bernoulli(_NoiseKernel):
     def conditional_moment(self, s):
         return float(self._success(float(s))), 1.0
 
-    def standard_pairs(self, n_pairs=200):
-        return _scalar_pairs([-5.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 5.0], n_pairs, centered=True)
-
 
 @dataclass(frozen=True)
 class BernoulliLogit(_Bernoulli):
@@ -708,9 +707,6 @@ class BernoulliLogit(_Bernoulli):
 
     def _success(self, s):
         return special.expit(s)
-
-    def phi(self):
-        return PhiSpec(((1, 1.0),))
 
 
 @dataclass(frozen=True)
@@ -736,7 +732,6 @@ class Multinomial(_NoiseKernel):
     n_categories: int = 2
     tag = ("family", "multinomial")
     state_norm = "inf"
-    moment_order = 1
 
     def __post_init__(self):
         if not 2 <= self.n_categories <= MAX_DIMENSION:
@@ -760,9 +755,6 @@ class Multinomial(_NoiseKernel):
         return idx if np.ndim(s) > 1 or np.ndim(u) else int(idx[0])
 
     _from_noise = _draw_one = sample_inverse
-
-    def phi(self):
-        return PhiSpec(((1, 1.0),))
 
     def _pdf(self, y, s):
         return self.probabilities(s)[0, y.astype(np.intp)]
@@ -802,6 +794,7 @@ class GarchGaussian(_NoiseKernel):
     tag = ("family", "garch_gaussian")
     discrete = False
     moment_order = 2
+    _pair_bases = property(lambda self: tuple(f * self.c_minus for f in (1.0, 1.5, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)))
 
     def __post_init__(self):
         try:  # phi's rate: 5e-324 divides by zero, 1e-215 gives inf, 1e206 overflows
@@ -852,14 +845,6 @@ class GarchGaussian(_NoiseKernel):
             return 0.0
         u = crossings[1]
         return math.erf(u / math.sqrt(2.0 * min(s, sp))) - math.erf(u / math.sqrt(2.0 * max(s, sp)))
-
-    def conditional_moment(self, s):
-        self.require_domain(s)
-        return float(s), 0.0
-
-    def standard_pairs(self, n_pairs=200):
-        c = self.c_minus
-        return _scalar_pairs([c, 1.5 * c, 2.0 * c, 4.0 * c, 8.0 * c, 16.0 * c, 32.0 * c, 64.0 * c], n_pairs)
 
 
 @dataclass(frozen=True)
@@ -975,7 +960,8 @@ class Location(_NoiseKernel):
     noise: GaussianNoise | LaplaceNoise | StudentTNoise = GaussianNoise()
     tag = ("family", "location")
     discrete = False
-    moment_order = 1
+    _pair_bases = _CENTERED_BASES
+    _centered = True
 
     def _noise(self, shape, rng):
         return self.noise.draw(shape, rng)
@@ -1009,9 +995,6 @@ class Location(_NoiseKernel):
             a, nu = abs(s), self.noise.nu
             val = a * (1.0 - 2.0 * special.stdtr(nu, -a)) + 2.0 * (nu + a * a) * float(self.noise.pdf(a)) / (nu - 1.0)
         return float(val), float(self.noise.mean_abs())
-
-    def standard_pairs(self, n_pairs=200):
-        return _scalar_pairs([-5.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 5.0], n_pairs, centered=True)
 
 
 KernelSpec = Poisson | NegBinomial | BernoulliLogit | BernoulliProbit | Multinomial | GarchGaussian | Location

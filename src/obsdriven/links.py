@@ -34,8 +34,9 @@ from .errors import InvalidSpec
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FixedInterval(Spec):
-    tag = ("kind", "fixed")
+class _Interval(Spec):
+    """The endpoints of an interval map and their checks."""
+
     lo: float
     hi: float
 
@@ -43,29 +44,28 @@ class FixedInterval(Spec):
         if not self.lo <= self.hi:
             raise InvalidSpec("interval needs lo <= hi")
 
-    def bounds(self, x):
-        """(lo, hi) with I(x) = [lo, hi]; scalars here, per covariate row for CovariateScaled."""
-        return self.lo, self.hi
-
     @property
     def is_bounded(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
+
+
+@dataclass(frozen=True)
+class FixedInterval(_Interval):
+    tag = ("kind", "fixed")
+
+    def bounds(self, x):
+        """(lo, hi) with I(x) = [lo, hi]; scalars here, per covariate row for CovariateScaled."""
+        return self.lo, self.hi
 
     def sup_abs(self, x) -> float:
         return max(abs(self.lo), abs(self.hi))
 
 
 @dataclass(frozen=True)
-class CovariateScaled(Spec):
+class CovariateScaled(_Interval):
     """[lo |x|, hi |x|], |x| the summed absolute value of each covariate row."""
 
     tag = ("kind", "covariate_scaled")
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise InvalidSpec("interval needs lo <= hi")
 
     @staticmethod
     def _scale(x):
@@ -74,10 +74,6 @@ class CovariateScaled(Spec):
     def bounds(self, x):
         a = self._scale(x)
         return self.lo * a, self.hi * a
-
-    @property
-    def is_bounded(self) -> bool:
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
 
     def sup_abs(self, x):
         return max(abs(self.lo), abs(self.hi)) * self._scale(x)
@@ -119,14 +115,18 @@ class CategoryTable(Spec):
         return float(np.max(np.abs(self.array)))
 
 
-def _check_floor(floor):
-    """Refuse a link floor that is not a finite number (None is no floor)."""
-    if floor is not None and not (isinstance(floor, numbers.Real) and math.isfinite(floor)):
-        raise InvalidSpec(f"link floor must be a finite number, got {floor!r}")
+class _Link(Spec):
+    """The checks every link shape shares: order 1 or 2, and a finite floor (None is no floor)."""
+
+    def __post_init__(self):
+        if self.order not in (1, 2):
+            raise InvalidSpec("link order must be 1 or 2")
+        if self.floor is not None and not (isinstance(self.floor, numbers.Real) and math.isfinite(self.floor)):
+            raise InvalidSpec(f"link floor must be a finite number, got {self.floor!r}")
 
 
 @dataclass(frozen=True)
-class LinearLink(Spec):
+class LinearLink(_Link):
     """f(s,y,x) = kappa(x) s + kappa_tilde(x) y^i + delta_tilde(x)."""
 
     tag = ("variant", "linear")
@@ -135,11 +135,6 @@ class LinearLink(Spec):
     delta_tilde: CoefficientMap
     order: int = 1
     floor: float | None = None
-
-    def __post_init__(self):
-        if self.order not in (1, 2):
-            raise InvalidSpec("link order must be 1 or 2")
-        _check_floor(self.floor)
 
 
 @dataclass(frozen=True)
@@ -150,7 +145,7 @@ class RegimeCoefficients(Spec):
 
 
 @dataclass(frozen=True)
-class ThresholdLink(Spec):
+class ThresholdLink(_Link):
     """Regime 1 applies when y falls in I(x), regime 2 otherwise."""
 
     tag = ("variant", "threshold")
@@ -160,14 +155,9 @@ class ThresholdLink(Spec):
     order: int = 1
     floor: float | None = None
 
-    def __post_init__(self):
-        if self.order not in (1, 2):
-            raise InvalidSpec("link order must be 1 or 2")
-        _check_floor(self.floor)
-
 
 @dataclass(frozen=True)
-class ArmaLikeLink(Spec):
+class ArmaLikeLink(_Link):
     """f(s,y,x) = a(x)s + g(y,x) - a(x)y with g(y,x) = c(x) + b(x) y.
 
     Driving a location kernel, this gives varying-coefficient ARMA(1,1)
@@ -180,9 +170,6 @@ class ArmaLikeLink(Spec):
     g_intercept: CoefficientMap
     g_slope: CoefficientMap
     floor: float | None = None
-
-    def __post_init__(self):
-        _check_floor(self.floor)
 
     @property
     def order(self) -> int:

@@ -139,6 +139,13 @@ def domain_compatible(model: ModelSpec) -> tuple[bool, str]:
 # A1: contraction
 # ---------------------------------------------------------------------------
 
+def _verdict(*verdicts: str) -> str:
+    """The verdict of checks that must all pass: fail if one fails, pass if all pass, else
+    inconclusive; a log-moment that must be negative passes when negative, fails when not."""
+    vs = {{"negative": "pass", "nonnegative": "fail"}.get(v, v) for v in verdicts}
+    return "fail" if "fail" in vs else "pass" if vs == {"pass"} else "inconclusive"
+
+
 @dataclass(frozen=True)
 class A1Report:
     kappa_label: str
@@ -146,8 +153,7 @@ class A1Report:
     verdict: str = field(init=False)
 
     def __post_init__(self):
-        v = {"negative": "pass", "nonnegative": "fail"}.get(self.moment.verdict, "inconclusive")
-        object.__setattr__(self, "verdict", v)
+        object.__setattr__(self, "verdict", _verdict(self.moment.verdict))
 
     def to_dict(self):
         return {
@@ -193,14 +199,8 @@ class A2Report:
         if self.case in ("binary", "categorical"):
             return "pass"  # finite log+ moments established by construction
         if self.case == "pratique2-case2":
-            vs = {self.case2_kappa_estimate.verdict, self.case2_regime2_estimate.verdict}
-            if vs == {"negative"}:
-                return "pass"
-            if "nonnegative" in vs:
-                return "fail"
-            return "inconclusive"
-        v = self.gamma_estimate.verdict
-        return {"negative": "pass", "nonnegative": "fail"}.get(v, "inconclusive")
+            return _verdict(self.case2_kappa_estimate.verdict, self.case2_regime2_estimate.verdict)
+        return _verdict(self.gamma_estimate.verdict)
 
     def to_dict(self):
         return {
@@ -308,14 +308,7 @@ class VerificationReport:
     overall: str = field(init=False)
 
     def __post_init__(self):
-        verdicts = [self.a1.verdict, self.a2.verdict, self.a3.verdict]
-        if "fail" in verdicts:
-            overall = "fail"
-        elif "inconclusive" in verdicts:
-            overall = "inconclusive"
-        else:
-            overall = "pass"
-        object.__setattr__(self, "overall", overall)
+        object.__setattr__(self, "overall", _verdict(self.a1.verdict, self.a2.verdict, self.a3.verdict))
 
     def to_dict(self):
         return {

@@ -46,6 +46,21 @@ def divergent_model() -> od.ModelSpec:
     return od.ModelSpec(od.Poisson(), link, od.IID(od.Uniform(0.0, 1.0)))
 
 
+def poisson_log_mean() -> od.ModelSpec:
+    """Poisson INGARCH contracting only in log-mean: kappa = 0.05 + 2x on x ~ U(0,1), so E kappa =
+    1.05 but E log kappa = -0.189; kappa_tilde = 0.1, delta_tilde = 1, floor 0."""
+    link = od.LinearLink(od.AffineAbsMap(0.05, (2.0,), True), CM(0.1, True), CM(1.0, True), order=1, floor=0.0)
+    return od.ModelSpec(od.Poisson(), link, od.IID(od.Uniform(0.0, 1.0)))
+
+
+def threshold_location_ar() -> od.ModelSpec:
+    """Gaussian-location threshold AR with an expanding regime: kappa = 1.2 while y is in [-1, 1],
+    0.3 otherwise; kappa_tilde = 0.3 in both, so the noise moves the state off 0."""
+    link = od.ThresholdLink(od.RegimeCoefficients(CM(1.2), CM(0.3), CM(0.0)),
+                            od.RegimeCoefficients(CM(0.3), CM(0.3), CM(0.0)), od.FixedInterval(-1.0, 1.0))
+    return od.ModelSpec(od.Location(od.GaussianNoise(1.0)), link, od.IID(od.Uniform(0.0, 1.0)))
+
+
 def all_kernels():
     """One configured instance per kernel family (location in all three noises)."""
     return [

@@ -342,6 +342,45 @@ def test_runtime_model_errors_exit_4(tmp_path, capsys, model, err):
     assert got.err.startswith(err) and "Traceback" not in got.err and got.out == ""
 
 
+_PAST_MEMORY = """
+import contextlib, io, json, resource, sys
+limit = 3 * 2**28  # 768 MiB of address space: every case below asks for more
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from obsdriven import cli
+for manifest in sys.argv[2:]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["--manifest", manifest, "--out", sys.argv[1]])
+    print(json.dumps([code, err.getvalue()]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
+def test_size_params_past_memory_are_manifest_errors(tmp_path):
+    # numpy refuses these sizes as ValueError (past the addressable size) or MemoryError; each
+    # escaped cli.main as a traceback before.  One process under an address-space limit runs all
+    # of them, so none can take the machine's memory
+    cases = [
+        ("simulate", {"s0": 0.0, "t_min": 0, "t_max": 2**62}, "Maximum allowed dimension exceeded"),
+        ("backward", {"s0": 0.0, "n": 2**62}, "Maximum allowed dimension exceeded"),
+        ("diagnose", {"length": 2**62}, "Maximum allowed dimension exceeded"),
+        ("backward", {"s0": 0.0, "n": 10, "replicas": 10**12}, "Unable to allocate"),
+        ("stationary", {"replicas": 10**12}, "Unable to allocate"),
+        ("verify", {"mc_n": 10**13}, "Unable to allocate"),
+        ("verify", {"grid_size": 10**9}, ""),
+    ]
+    mans = [str(write_manifest(tmp_path, f"m{i}.json", {"command": c, "model": BENCH, "params": p, "seed": 1}))
+            for i, (c, p, _) in enumerate(cases)]
+    env = {**os.environ, "PYTHONPATH": str(Path(od.__file__).resolve().parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", _PAST_MEMORY, str(tmp_path / "o"), *mans],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    for (command, params, detail), line in zip(cases, out.stdout.splitlines(), strict=True):
+        code, err = json.loads(line)
+        assert code == 1 and err.count("\n") == 1 and "Traceback" not in err, (command, params, err)
+        assert err.startswith(f"manifest error: the {command} params need more memory than there is: {detail}"), err
+
+
 def test_couple_and_backward_and_diagnose_commands(tmp_path):
     cmds = [
         {"command": "couple", "model": BENCH,

@@ -109,3 +109,72 @@ def test_every_module_level_import_and_assignment_is_read():
 def test_every_allowed_name_is_still_defined():
     defined = {qual for p in PACKAGE.glob("*.py") for qual, _ in _definitions(ast.parse(p.read_text(encoding="utf-8")))}
     assert set(ALLOWED) <= defined
+
+
+def _package_classes():
+    """{class name: (module file name, ClassDef)} of every top-level class of the package."""
+    return {node.name: (p.name, node) for p in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(p.read_text(encoding="utf-8")).body if isinstance(node, ast.ClassDef)}
+
+
+def _package_bases(node, classes):
+    """The class's bases that the package defines, in the order written."""
+    names = [b.id if isinstance(b, ast.Name) else getattr(b, "attr", None) for b in node.bases]
+    return [classes[n][1] for n in names if n in classes]
+
+
+def _ancestors(node, classes):
+    """The class's package bases and theirs, nearest first (depth-first, left to right)."""
+    out = []
+    for base in _package_bases(node, classes):
+        out += [a for a in [base, *_ancestors(base, classes)] if a not in out]
+    return out
+
+
+def _is_dataclass(node):
+    return any("dataclass" in ast.dump(d) for d in node.decorator_list)
+
+
+def _method_shape(fn):
+    """A method's arguments, decorators and body, docstring left out, as comparable text."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    return ast.dump(ast.Module([*fn.decorator_list, fn.args, *body], []))
+
+
+def _plain_attributes(node):
+    """{name: value text} of a class body's plain attributes: assignments, and annotated ones
+    outside a dataclass (inside one they are fields)."""
+    out = {}
+    for st in node.body:
+        if isinstance(st, ast.Assign):
+            out.update((t.id, ast.dump(st.value)) for t in st.targets if isinstance(t, ast.Name))
+        elif isinstance(st, ast.AnnAssign) and st.value is not None and not _is_dataclass(node):
+            out[st.target.id] = ast.dump(st.value)
+    return out
+
+
+def test_no_rule_is_restated_by_related_classes():
+    """A method two related classes of one module both define with the same body (docstrings
+    aside) belongs on a base they share; a plain class attribute set to the value its nearest
+    package base already gives restates it.  Related: the two share a base the package defines."""
+    classes = _package_classes()
+    found = []
+    for module in sorted({m for m, _ in classes.values()}):
+        nodes = [node for m, node in classes.values() if m == module]
+        same = {}
+        for node in nodes:
+            for fn in node.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    same.setdefault((fn.name, _method_shape(fn)), []).append(node)
+        for (name, _), owners in same.items():
+            related = [a.name for a in owners
+                       if any(set(_ancestors(a, classes)) & set(_ancestors(b, classes)) for b in owners if b is not a)]
+            if related:
+                found.append(f"{module}: {name} in {', '.join(related)}")
+        for node in nodes:
+            for name, value in _plain_attributes(node).items():
+                given = next((attrs[name] for attrs in map(_plain_attributes, _ancestors(node, classes))
+                              if name in attrs), None)
+                if given == value:
+                    found.append(f"{module}: {node.name}.{name} restates its base's value")
+    assert not found, "shared rules stated more than once:\n" + "\n".join(found)

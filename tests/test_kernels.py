@@ -999,6 +999,56 @@ def test_count_tv_exact_matches_mpmath_at_huge_means():
         assert 0.0 <= k.tv_exact(1e20, 1e20 + 1e10) <= 1.0  # a support table here once took 1.2 TiB
 
 
+def _mp_negbinomial_pmf(mp, r, s, j):
+    """P(X = j), X ~ NB(r) with mean s, at mp's precision: C(j + r - 1, j) p^r q^j."""
+    r, s = mp.mpf(r), mp.mpf(s)
+    return mp.binomial(j + r - 1, j) * (r / (r + s)) ** r * (s / (r + s)) ** j
+
+
+def _mp_negbinomial_cdf(mp, r, s, k):
+    """P(X <= k) at mp's precision, by the shorter of two finite sums: the pmf over j <= k, or
+    P(Bin(k + r, p) >= r) = 1 - its terms i < r."""
+    k = int(k)
+    if k < r:
+        return mp.fsum(_mp_negbinomial_pmf(mp, r, s, j) for j in range(k + 1))
+    r, s = mp.mpf(r), mp.mpf(s)
+    p, q = r / (r + s), s / (r + s)
+    return 1 - mp.fsum(mp.binomial(k + r, i) * p**i * q ** (k + r - i) for i in range(int(r)))
+
+
+def test_negbinomial_cdf_keeps_its_digits_at_large_r():
+    # scipy is passed whichever of p = r/(r+s) and q = s/(r+s) lies below 1/2; reading p alone
+    # (betainc(r, k + 1, p) and betaincc(r, k + 1, p)) leaves TV at (1, 2) 3.8e-6 off at r = 1e12
+    # and 0.33 at r = 1e18, and the draw at (2, 0.3) 0 where the Poisson(2) limit gives 1.
+    # Measured errors here are at most 3.3e-16; the gates are 1e-14
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        for r in (3, 1e3, 1e12, 1e18):
+            k = od.NegBinomial(r)
+            pmf = [[_mp_negbinomial_pmf(mp, r, s, j) for j in range(120)] for s in (1, 2)]
+            want = mp.fsum(max(a - b, 0) for a, b in zip(*pmf))  # the tail past 120 is below 1e-40
+            assert abs(k.tv_exact(1.0, 2.0) - float(want)) < 1e-14, r
+            for s in (1.0, 2.0):
+                ks = np.arange(40.0)
+                cdf = np.array([float(_mp_negbinomial_cdf(mp, r, s, j)) for j in ks])
+                np.testing.assert_allclose(k._cdf(ks, s), cdf, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(k._sf(ks, s), 1.0 - cdf, rtol=0, atol=1e-14)
+                u = np.array([1e-6, 0.05, 0.3, 0.5, 0.7, 0.95, 1 - 1e-6])
+                np.testing.assert_array_equal(k.sample_inverse(np.full(u.size, s), u), np.searchsorted(cdf, u))
+        assert od.NegBinomial(1e18).sample_inverse(2.0, 0.3) == od.Poisson().sample_inverse(2.0, 0.3) == 1.0
+        # at large s, q is near 1 and p carries the digits: the sf is read as betaincc(r, k + 1, p),
+        # measured within 1.6e-11 relatively, as p alone reads it; the cdf, betainc(r, k + 1, p), is
+        # within 5e-16 below 1/2, where the quantile reads it, and 1.1e-8 off at k = s (F = 0.59),
+        # scipy's own error, where every caller reads the sf
+        r, s = 2, 7.7e8
+        k, sd = od.NegBinomial(r), math.sqrt(s * (1.0 + s / r))
+        for z in (-0.99, -0.5, -0.2, 0.0, 1.0, 3.0, 8.0, 20.0):
+            j = float(math.floor(s + z * sd))
+            cdf = _mp_negbinomial_cdf(mp, r, s, j)
+            assert abs(k._sf(j, s) - float(1 - cdf)) < 1e-10 * float(1 - cdf), z
+            assert abs(k._cdf(j, s) - float(cdf)) < 5e-8, z
+
+
 def test_count_tv_exact_at_extreme_means_stays_in_the_unit_interval():
     # from subnormal means to the largest float, beside 0, adjacent floats and far means: no
     # exception (pdtr is NaN far below means past 1e306, and the crossing's log1p underflows
