@@ -21,7 +21,9 @@ glued chain, which draws its noise in one call where the words do not depend
 on the state.  The link's float step, the family's draw and its lower domain
 bound are fixed once per run; ``_step`` reports a state outside the bound.
 ``_backward_steps`` steps replica batches by inverse transform from
-counter-addressed uniforms.
+counter-addressed uniforms, with the family's ``sample_inverse``, the link's
+``batch_step`` and the same bound fixed once per run; ``_check_state`` reports
+a batch outside the bound.
 """
 
 from __future__ import annotations
@@ -140,21 +142,15 @@ def _check_state(model: ModelSpec, s, where: str, t=None, previous=None, y=None)
         f"{where.format(t=t)}: {what}", t, replica, previous, y, s)
 
 
-def _step(model: ModelSpec, row, s, y, where: str, t: int, pair: bool = False):
-    """One step of the recursion from a coefficient-table row, then the domain check; with
-    ``pair``, s stacks two equal chains, the first one's failure reported first, then the
-    second's with " (prime)" and its own replica index."""
+def _step(model: ModelSpec, row, s, y, where: str, t: int):
+    """One step of one chain's float or vector state from a coefficient-table row, then the
+    domain check."""
     if type(s) is float:  # one table row; the float step never warns
         new = links_mod.float_step(model.link)(row, s, y)
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_state
             new = links_mod.step(model.link, row, s, y)
-    if not pair:
-        _check_state(model, new, where, t, s, y)
-    elif not model.kernel.domain_contains(new):
-        m = len(s) // 2
-        _check_state(model, new[:m], where, t, s[:m], y[:m])
-        _check_state(model, new[m:], where + " (prime)", t, s[m:], y[m:])
+    _check_state(model, new, where, t, s, y)
     return new
 
 
@@ -364,19 +360,34 @@ def _backward_steps(model: ModelSpec, starts, replicas: int | None, t_start: int
     Each time t draws y by inverse transform from the per-(t, replica) uniforms,
     fetched ``_U_BLOCK`` times per call (counter addressing makes each row the one
     ``stream.uniforms(t, 1)`` would give); a pair stacks its two batches, which share
-    every uniform, and steps them as one (``_step``'s ``pair``).
+    every uniform (copied twice into one buffer), and steps them as one.  The family's
+    ``sample_inverse`` (read on its class), the link's ``batch_step`` and its lower domain
+    bound lo are fixed once per run: a batch is kept while lo <= min and max < inf, and one
+    outside is reported by ``_check_state``, a pair's main half first, then its " (prime)" half.
     """
-    pair = len(starts) == 2
+    kernel, halves = model.kernel, len(starts)
     lam = np.concatenate(_start_states(model, starts, "start state", replicas))
     yield None, None, lam
     if path.t_min > t_start or path.t_max < t_end - 1:
         raise PathTooShort(f"path [{path.t_min}, {path.t_max}] does not cover [{t_start}, {t_end - 1}]")
-    stream = _obs_stream(seed, len(lam) // len(starts))
+    m = len(lam) // halves
+    stream = _obs_stream(seed, m)
     blocks = (stream.uniforms(t, min(_U_BLOCK, t_end - t)) for t in range(t_start, t_end, _U_BLOCK))
+    draw, fstep, lo, inf = type(kernel).sample_inverse, links_mod.batch_step(model.link), kernel.domain_lower, math.inf
+    shared = np.empty(len(lam)) if halves == 2 else None  # a pair's uniforms, u twice
     for t, row, u in zip(range(t_start, t_end), coefficient_table(model.link, path.window(t_start, t_end - 1)),
                          itertools.chain.from_iterable(blocks)):
-        y = model.kernel.sample_inverse(lam, np.concatenate((u, u)) if pair else u)
-        lam = _step(model, row, lam, y, where, t, pair)
+        if shared is not None:
+            shared[:m] = shared[m:] = u
+            u = shared
+        y = draw(kernel, lam, u)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_state
+            new = fstep(row, lam, y)
+        if not (lo <= new.min() and new.max() < inf):  # NaN fails both
+            for h, name in enumerate((where, where + " (prime)")[:halves]):
+                half = slice(h * m, (h + 1) * m)
+                _check_state(model, new[half], name, t, lam[half], y[half])
+        lam = new
         yield row, y, lam
 
 
@@ -421,6 +432,7 @@ def coupled_backward_cost(
         raise InvalidSpec("gap tracking is defined for scalar-state models")
     _refuse_small_run("coupled_backward_cost", n, replicas)
     link, floor = model.link, model.link.floor
+    threshold = isinstance(link, links_mod.ThresholdLink)  # the one shape whose multiplier depends on y
     steps = _backward_steps(model, (s0, s0_prime), replicas, -n, 0, path, seed,
                             "coupled backward step t={t}")
     _, _, lam = next(steps)  # the main chain, then the prime one
@@ -431,8 +443,8 @@ def coupled_backward_cost(
         if floor is not None:
             mult &= (main > floor) & (prime > floor)
         # multiplied only where mult, so a replica whose gap is not kept cannot overflow
-        coefs = np.abs(links_mod.state_multiplier(link, row, y))
-        gap = np.multiply(coefs, gap, out=np.abs(prime - main), where=mult)
+        coef = np.abs(links_mod.state_multiplier(link, row, y)) if threshold else abs(row[0])  # |kappa| or |a|
+        gap = np.multiply(coef, gap, out=np.abs(prime - main), where=mult)
     return float(np.minimum(gap, 1.0).mean())
 
 

@@ -224,23 +224,40 @@ def step(link: LinkSpec, row, s, y):
     """
     table = category_table(link)
     s, y = np.asarray(s, dtype=float), np.asarray(y, dtype=float if table is None else int)
-    yi = y if link.order == 1 else y * y  # numpy's y**2 is y*y; Python's float ** overflows
-    if table is not None:
-        # a trailing axis on k and d broadcasts them over the state coordinates
-        k, d = row
-        out = np.asarray(k)[..., None] * s + table.array.T[y] + np.asarray(d)[..., None]
-    elif isinstance(link, ThresholdLink):
-        k1, kt1, g1, k2, kt2, g2, lo, hi = row
-        out = np.where((y >= lo) & (y <= hi), k1 * s + kt1 * yi + g1, k2 * s + kt2 * yi + g2)
-    elif isinstance(link, LinearLink):
-        k, kt, d = row
-        out = k * s + kt * yi + d
-    else:
-        a, c, b = row
-        out = a * s + c + b * y - a * y
-    if link.floor is not None:
-        out = np.maximum(out, link.floor)
+    out = batch_step(link)(row, s, y)
     return out if np.ndim(out) else float(out)
+
+
+def batch_step(link: LinkSpec):
+    """``step``'s array formula for the link's shape, as a function (row, s, y) -> array that loops
+    stepping one batch per time fix once per run.  s is a float array; y a float array, a 0/1 int
+    array (a binary draw, which numpy promotes to the same bits) or, for a category table, an int
+    array of categories.  Overflow warns as numpy does."""
+    table, sq = category_table(link), link.order == 2
+    if table is not None:
+        increments = table.array.T
+
+        def fstep(row, s, y):
+            # a trailing axis on k and d broadcasts them over the state coordinates
+            k, d = row
+            return np.asarray(k)[..., None] * s + increments[y] + np.asarray(d)[..., None]
+    elif isinstance(link, ThresholdLink):
+        def fstep(row, s, y):
+            k1, kt1, g1, k2, kt2, g2, lo, hi = row
+            yi = y * y if sq else y  # numpy's y**2 is y*y; Python's float ** overflows
+            return np.where((y >= lo) & (y <= hi), k1 * s + kt1 * yi + g1, k2 * s + kt2 * yi + g2)
+    elif isinstance(link, LinearLink):
+        def fstep(row, s, y):
+            k, kt, d = row
+            return k * s + kt * (y * y if sq else y) + d
+    else:
+        def fstep(row, s, y):
+            a, c, b = row
+            return a * s + c + b * y - a * y
+    if link.floor is None:
+        return fstep
+    floor = link.floor
+    return lambda row, s, y: np.maximum(fstep(row, s, y), floor)
 
 
 def float_step(link: LinkSpec):

@@ -1435,22 +1435,27 @@ def test_backward_domain_errors_name_the_first_failing_replica():
 
 
 def test_coupled_backward_cost_steps_one_stacked_batch_per_time(monkeypatch):
-    # both chains share every uniform, so they are drawn and stepped as one batch
+    # both chains share every uniform, so they are drawn and stepped as one batch, by the
+    # draw and the batch step the loop fixes once per run
     from obsdriven import links
 
     draws, steps = [], []
-    sample_inverse, step = od.Poisson.sample_inverse, links.step
+    sample_inverse, batch_step = od.Poisson.sample_inverse, links.batch_step
 
     def counting_draw(self, s, u):
         draws.append((np.shape(s), np.shape(u)))
         return sample_inverse(self, s, u)
 
-    def counting_step(link, row, s, y):
-        steps.append(np.shape(s))
-        return step(link, row, s, y)
+    def counting_batch_step(link):
+        fstep = batch_step(link)
+
+        def counting_step(row, s, y):
+            steps.append(np.shape(s))
+            return fstep(row, s, y)
+        return counting_step
 
     monkeypatch.setattr(od.Poisson, "sample_inverse", counting_draw)
-    monkeypatch.setattr(links, "step", counting_step)
+    monkeypatch.setattr(links, "batch_step", counting_batch_step)
     m = poisson_ingarch_x()
     n, replicas = 13, 150
     path = od.generate_path(m.covariates, -n, -1, 5)

@@ -4,9 +4,10 @@ The per-step reference loops in test_engine.py call the same ``kernel.sample``
 as the engine, so a drift in the draws themselves would pass them; these
 digests were recorded from an earlier tree and catch any change in a byte
 of ``trajectory.csv``, ``trace.csv`` or ``couple.json``, and of the
-``stationary`` and ``diagnose`` result files at one seed.  Regenerate with
-``PYTHONPATH=src python tests/test_golden_bytes.py`` only for a change that
-is meant to alter the draws, and say so.
+``stationary`` and ``diagnose`` result files at one seed.  The ``repr`` of
+``coupled_backward_cost``, which no command writes, is pinned the same way.
+Regenerate with ``PYTHONPATH=src python tests/test_golden_bytes.py`` only
+for a change that is meant to alter the draws, and say so.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import obsdriven as od
-from obsdriven import cli
+from obsdriven import cli, engine
 
 CM = od.ConstantMap
 U01 = od.IID(od.Uniform(0.0, 1.0))
@@ -131,6 +132,22 @@ GOLDEN = {
 }
 
 
+# the benchmark's coupled_backward_cost op: starts 0 and 10, n = 200, 2000 replicas
+COST_CASES = [(name, seed) for name in ("ingarch-x", "logit-persistent") for seed in SEEDS]
+GOLDEN_COST = {
+    "ingarch-x/5": "5.0590798751827325e-76",
+    "ingarch-x/2024": "1.1025601072561509e-76",
+    "logit-persistent/5": "1.0782324532347698e-14",
+    "logit-persistent/2024": "6.804130077521183e-16",
+}
+
+
+def _coupled_backward_cost(name: str, seed: int) -> str:
+    model, n = MODELS[name], 200
+    path = od.generate_path(model.covariates, -n, -1, od.split_seed(seed, engine._SEED_ENV))
+    return repr(engine.coupled_backward_cost(model, 0.0, 10.0, n, path, 2000, seed))
+
+
 def _manifest(command: str, model: od.ModelSpec, seed: int) -> dict:
     s0 = model.start_state()
     params = {"simulate": {"s0": s0, "t_min": 0, "t_max": 1999},
@@ -158,6 +175,11 @@ def test_stationary_and_diagnose_result_bytes_match_recorded_digests(tmp_path, c
     assert _digests(command, name, ONE_SEED, tmp_path) == GOLDEN[key]
 
 
+@pytest.mark.parametrize("name, seed", COST_CASES)
+def test_coupled_backward_cost_matches_recorded_repr(name, seed):
+    assert _coupled_backward_cost(name, seed) == GOLDEN_COST[f"{name}/{seed}"]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -170,3 +192,7 @@ if __name__ == "__main__":
             for f, h in _digests(command, name, seed, Path(tmp) / key).items():
                 print(f'        "{f}": "{h}",')
             print("    },")
+    print("GOLDEN_COST = {")
+    for name, seed in COST_CASES:
+        print(f'    "{name}/{seed}": "{_coupled_backward_cost(name, seed)}",')
+    print("}")

@@ -628,6 +628,75 @@ def test_batched_draw_is_the_per_row_loop(kernel):
             assert batched.bit_generator.random_raw() == looped.bit_generator.random_raw()
 
 
+def test_lean_inverse_draws_are_the_general_paths():
+    # sample_inverse takes an (n,) float batch at uniforms of its shape by a lean path (a backward
+    # loop's batches); with the lean paths off, every scalar family gives the same values and dtype
+    hyp, st, settings = hypothesis_settings()
+
+    @settings
+    @hyp.given(st.sampled_from([k for k in all_kernels() if k.state_dim == 1]), st.data())
+    def check(kernel, data):
+        floor, span = kernel.domain_floor(), data.draw(st.sampled_from((20.0, 800.0)))  # 20: Poisson sums all
+        states = st.floats(-span, span) if floor is None else st.floats(floor, floor + span, exclude_min=True)
+        # within 1e-11 of 0 or 1 the summed Poisson cdf certifies no draw: the search takes them
+        unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.floats(
+            0.0, 1e-11, exclude_min=True) | st.floats(1.0 - 1e-11, 1.0, exclude_max=True)
+        n = data.draw(st.integers(1, 30))
+        s = np.array(data.draw(st.lists(states, min_size=n, max_size=n)))
+        u = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+        got = kernel.sample_inverse(s, u)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_float_batch", lambda s, u: False)
+            want = kernel.sample_inverse(s, u)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    assert kernels._float_batch(np.zeros(3), np.full(3, 0.5))
+    check()
+
+
+def test_logit_lean_draws_near_the_threshold_are_expits():
+    # the lean logit path thresholds at 1 - p with numpy's p, and redraws with expit within
+    # 1e-12 of it: at u on expit's threshold 1 - expit(s) or up to 4 ulps off, and with numpy's
+    # p off by up to 1e-13, every draw is still the draw at expit's threshold
+    hyp, st, settings = hypothesis_settings()
+    kernel, logistic = od.BernoulliLogit(), kernels._logistic
+
+    @settings
+    @hyp.given(st.lists(st.tuples(st.floats(-40.0, 40.0), st.integers(-4, 4), st.floats(0.0, 1.0)), min_size=1,
+                        max_size=20), st.sampled_from((-1e-13, 0.0, 1e-13)))
+    def check(rows, shift):
+        s, ulps, far = (np.array(c) for c in zip(*rows))
+        threshold = 1.0 - expit(s)
+        near, toward = threshold.copy(), np.where(ulps < 0, -np.inf, np.inf)
+        for k in range(4):
+            near = np.where(k < np.abs(ulps), np.nextafter(near, toward), near)
+        u = np.concatenate((threshold, near, far))
+        s = np.tile(s, 3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_logistic", lambda s: logistic(s) + shift)
+            got = kernel.sample_inverse(s, u)
+        want = (u > 1.0 - expit(s)).astype(np.int64)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    check()
+
+
+def test_logit_lean_draws_far_from_the_threshold_leave_scipy_unloaded():
+    # numpy's p decides every draw more than 1e-12 from its threshold: no expit call
+    s = np.linspace(-800.0, 800.0, 4001)
+    u = generator(3).random(s.size)
+    assert np.abs(u - (1.0 - expit(s))).min() > 1e-12
+
+    class Unloaded:
+        def __getattr__(self, name):
+            raise AssertionError(f"scipy.special.{name} read")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "special", Unloaded())
+        got = od.BernoulliLogit().sample_inverse(s, u)
+    assert got.tobytes() == (u > 1.0 - expit(s)).astype(np.int64).tobytes()
+
+
 def test_domain_checks():
     with pytest.raises(DomainViolation) as e:
         od.Poisson().tv_bound(-1.0, 2.0)
