@@ -22,8 +22,8 @@ on the state.  The link's float step, the family's draw and its lower domain
 bound are fixed once per run; ``_step`` reports a state outside the bound.
 ``_backward_steps`` steps replica batches by inverse transform from
 counter-addressed uniforms, with the family's ``sample_inverse``, the link's
-``batch_step`` and the same bound fixed once per run; ``_check_state`` reports
-a batch outside the bound.
+``batch_step`` and the kernel's ``domain_contains`` fixed once per run;
+``_check_state`` reports a batch outside the domain.
 """
 
 from __future__ import annotations
@@ -361,9 +361,9 @@ def _backward_steps(model: ModelSpec, starts, replicas: int | None, t_start: int
     fetched ``_U_BLOCK`` times per call (counter addressing makes each row the one
     ``stream.uniforms(t, 1)`` would give); a pair stacks its two batches, which share
     every uniform (copied twice into one buffer), and steps them as one.  The family's
-    ``sample_inverse`` (read on its class), the link's ``batch_step`` and its lower domain
-    bound lo are fixed once per run: a batch is kept while lo <= min and max < inf, and one
-    outside is reported by ``_check_state``, a pair's main half first, then its " (prime)" half.
+    ``sample_inverse`` (read on its class), the link's ``batch_step`` and the kernel's
+    ``domain_contains`` are fixed once per run; a batch outside the domain is reported by
+    ``_check_state``, a pair's main half first, then its " (prime)" half.
     """
     kernel, halves = model.kernel, len(starts)
     lam = np.concatenate(_start_states(model, starts, "start state", replicas))
@@ -373,7 +373,7 @@ def _backward_steps(model: ModelSpec, starts, replicas: int | None, t_start: int
     m = len(lam) // halves
     stream = _obs_stream(seed, m)
     blocks = (stream.uniforms(t, min(_U_BLOCK, t_end - t)) for t in range(t_start, t_end, _U_BLOCK))
-    draw, fstep, lo, inf = type(kernel).sample_inverse, links_mod.batch_step(model.link), kernel.domain_lower, math.inf
+    draw, fstep, contains = type(kernel).sample_inverse, links_mod.batch_step(model.link), kernel.domain_contains
     shared = np.empty(len(lam)) if halves == 2 else None  # a pair's uniforms, u twice
     for t, row, u in zip(range(t_start, t_end), coefficient_table(model.link, path.window(t_start, t_end - 1)),
                          itertools.chain.from_iterable(blocks)):
@@ -383,7 +383,7 @@ def _backward_steps(model: ModelSpec, starts, replicas: int | None, t_start: int
         y = draw(kernel, lam, u)
         with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_state
             new = fstep(row, lam, y)
-        if not (lo <= new.min() and new.max() < inf):  # NaN fails both
+        if not contains(new):
             for h, name in enumerate((where, where + " (prime)")[:halves]):
                 half = slice(h * m, (h + 1) * m)
                 _check_state(model, new[half], name, t, lam[half], y[half])
@@ -432,7 +432,6 @@ def coupled_backward_cost(
         raise InvalidSpec("gap tracking is defined for scalar-state models")
     _refuse_small_run("coupled_backward_cost", n, replicas)
     link, floor = model.link, model.link.floor
-    threshold = isinstance(link, links_mod.ThresholdLink)  # the one shape whose multiplier depends on y
     steps = _backward_steps(model, (s0, s0_prime), replicas, -n, 0, path, seed,
                             "coupled backward step t={t}")
     _, _, lam = next(steps)  # the main chain, then the prime one
@@ -443,7 +442,7 @@ def coupled_backward_cost(
         if floor is not None:
             mult &= (main > floor) & (prime > floor)
         # multiplied only where mult, so a replica whose gap is not kept cannot overflow
-        coef = np.abs(links_mod.state_multiplier(link, row, y)) if threshold else abs(row[0])  # |kappa| or |a|
+        coef = np.abs(links_mod.state_multiplier(link, row, y))  # one scalar unless it depends on y
         gap = np.multiply(coef, gap, out=np.abs(prime - main), where=mult)
     return float(np.minimum(gap, 1.0).mean())
 

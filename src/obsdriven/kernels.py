@@ -503,12 +503,15 @@ def _poisson_quantile(s, u):
     Edge inputs reach neither (``_count_quantile_edges``); negative s counts as 0.
     An (n,) float batch summed whole takes no broadcast, clamp or ravel.
     """
-    shape = None
-    if not (_float_batch(s, u) and _summed_whole(s, u)):
+    whole = _float_batch(s, u) and _summed_whole(s, u)
+    if whole:
+        shape = s.shape
+    else:
         s, u = np.broadcast_arrays(np.maximum(np.asarray(s, dtype=float), 0.0),
                                    np.asarray(u, dtype=float))
         shape, s, u = s.shape, s.ravel(), u.ravel()
-    if shape is None or _summed_whole(s, u):
+        whole = _summed_whole(s, u)
+    if whole:
         out, certified = _poisson_quantile_summed(s, u)  # every draw summed: no masks or edges
         rest = np.flatnonzero(~certified)
     else:
@@ -521,7 +524,7 @@ def _poisson_quantile(s, u):
         rest = np.flatnonzero(inner)
     if rest.size:
         out[rest] = _count_quantile_search(s[rest], u[rest], _poisson_cdf, _poisson_sf)
-    return out if shape is None else out.reshape(shape)
+    return out.reshape(shape)
 
 
 def _summed_whole(s, u) -> bool:
@@ -705,15 +708,10 @@ class _Bernoulli(_NoiseKernel):
         return (e < self._success(s)).astype(np.int64)
 
     def sample_inverse(self, s, u):
-        """1 where u > 1 - p(s), as int64 (an int for one draw); an (n,) float batch by ``_batch_draws``."""
-        if _float_batch(s, u):
-            return self._batch_draws(s, u)
+        """1 where u > 1 - p(s), as int64 (an int for one draw)."""
         p1 = self._success(np.asarray(s, dtype=float))
         out = (np.asarray(u) > 1.0 - p1).astype(np.int64)
         return out if out.ndim else int(out)
-
-    def _batch_draws(self, s, u):
-        return (u > 1.0 - self._success(s)).astype(np.int64)
 
     def _pdf(self, y, s):
         p1 = self._success(s)
@@ -746,10 +744,13 @@ class BernoulliLogit(_Bernoulli):
     def _success(self, s):
         return special.expit(s)
 
-    def _batch_draws(self, s, u):
-        """The draws at expit's threshold 1 - p, from p = ``_logistic(s)`` by numpy's exp: the
-        two p differ by at most 2.2e-16, so each draw with u more than ``_LOGIT_MARGIN`` from the
-        threshold is expit's, and only the rest load ``scipy.special`` and redraw with expit."""
+    def sample_inverse(self, s, u):
+        """``_Bernoulli``'s draw at expit's threshold 1 - p.  An (n,) float batch thresholds
+        p = ``_logistic(s)`` by numpy's exp instead: the two p differ by at most 2.2e-16, so each
+        draw with u more than ``_LOGIT_MARGIN`` from the threshold is expit's, and only the rest
+        load ``scipy.special`` and redraw with expit."""
+        if not _float_batch(s, u):
+            return super().sample_inverse(s, u)
         q = _logistic(s)
         np.subtract(1.0, q, out=q)
         out = (u > q).astype(np.int64)

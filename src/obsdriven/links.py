@@ -313,23 +313,26 @@ def contraction_map(link: LinkSpec) -> CoefficientMap:
     return abs_map(link.a)
 
 
-def state_multiplier(link: LinkSpec, row, y) -> np.ndarray:
-    """The exact multiplier of s in f(s, y, x), elementwise over y; ``row`` as in ``step``.
+def state_multiplier(link: LinkSpec, row, y):
+    """The exact multiplier of s in f(s, y, x); ``row`` as in ``step``.  A threshold link's
+    depends on y and is an array over y; every other shape's is the row's first column, row[0],
+    for any y.
 
     Differences of two states sharing (y, x) scale by exactly this factor
     (before any floor clamp); gap-tracking couplings use it to propagate
     separations below the floating-point resolution of the states.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
     if isinstance(link, ThresholdLink):
         k1, _, _, k2, _, _, lo, hi = row
+        y = np.asarray(y, dtype=float)
         return np.where((y >= lo) & (y <= hi), k1, k2)
-    return np.full(y.shape, row[0])
+    return row[0]
 
 
 def state_coefficients(link: LinkSpec, y, x) -> np.ndarray:
-    """``state_multiplier`` on the coefficient table of x (d,) or (n, d)."""
-    return state_multiplier(link, _coefficients(link, x), y)
+    """``state_multiplier`` on the coefficient table of x (d,) or (n, d), as an array over y."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    return np.full(y.shape, state_multiplier(link, _coefficients(link, x), y))
 
 
 @dataclass(frozen=True)
