@@ -125,16 +125,6 @@ def _write_csv(path: Path, to_csv, **kw) -> None:
         to_csv(f, **kw)
 
 
-def _write_replay(out_dir: Path, manifest: dict) -> None:
-    replay = {
-        "command": manifest["command"],
-        "model": manifest["model"],
-        "params": {k: v for k, v in manifest["params"].items() if v is not None},
-        "seed": manifest["seed"],
-    }
-    _write_json(out_dir / "replay.json", replay)
-
-
 def run_manifest(manifest: dict, out_dir: Path) -> tuple[int, str]:
     """Execute one validated manifest; returns (exit code, summary line)."""
     try:
@@ -148,14 +138,14 @@ def run_manifest(manifest: dict, out_dir: Path) -> tuple[int, str]:
     cmd = manifest["command"]
     params = manifest["params"]
     seed = manifest["seed"]
+    code = 0
 
     if cmd == "simulate":
         traj = engine.simulate(model, params["s0"], params["t_min"], params["t_max"], seed)
         _write_csv(out_dir / "trajectory.csv", traj.to_csv)
-        _write_replay(out_dir, manifest)
-        return 0, f"simulate: {len(traj)} steps -> {out_dir / 'trajectory.csv'}"
+        summary = f"simulate: {len(traj)} steps -> {out_dir / 'trajectory.csv'}"
 
-    if cmd == "couple":
+    elif cmd == "couple":
         horizon = params["horizon"]
         path = generate_path(model.covariates, 0, horizon - 1, split_seed(seed, engine._SEED_ENV))
         trace = engine.couple_forward(model, params["s0"], params["s0_prime"], path, seed)
@@ -166,67 +156,69 @@ def run_manifest(manifest: dict, out_dir: Path) -> tuple[int, str]:
             "lambda_gap_sum": None if trace.censored else trace.lambda_gap_sum,
             "horizon": horizon,
         })
-        _write_replay(out_dir, manifest)
         met = "censored" if trace.censored else f"met at t={trace.meet_time}"
-        return 0, f"couple: {met} -> {out_dir / 'trace.csv'}"
+        summary = f"couple: {met} -> {out_dir / 'trace.csv'}"
 
-    if cmd == "backward":
+    elif cmd == "backward":
         n, replicas = params["n"], params["replicas"]
         path = generate_path(model.covariates, -n, -1, split_seed(seed, engine._SEED_ENV))
         mu = engine.backward_measure(model, params["s0"], n, path, replicas, seed)
         _write_csv(out_dir / "measure.csv", mu.to_csv)
         _write_json(out_dir / "backward.json", mu.meta)
-        _write_replay(out_dir, manifest)
-        return 0, f"backward: {replicas} points at n={n} -> {out_dir / 'measure.csv'}"
+        summary = f"backward: {replicas} points at n={n} -> {out_dir / 'measure.csv'}"
 
-    if cmd == "stationary":
+    elif cmd == "stationary":
         s0 = params["s0"]
         res = engine.stationary_sampler(
             model, params["tol"], params["max_n"], params["replicas"], seed, s0=s0,
         )
         _write_csv(out_dir / "measure.csv", res.measure.to_csv)
         _write_json(out_dir / "stationary.json", res.to_dict())
-        _write_replay(out_dir, manifest)
         code = 0 if res.converged else 2
         word = "converged" if res.converged else "NOT CONVERGED"
-        return code, (
+        summary = (
             f"stationary: {word} at n={res.n_final} "
             f"(gap {res.achieved_gap:.3g}; {res.reason}) -> {out_dir / 'measure.csv'}"
         )
 
-    if cmd == "verify":
+    elif cmd == "verify":
         cfg = verify.VerifyConfig(
             mc_n=params["mc_n"], grid_size=params["grid_size"], tol=params["tol"], seed=seed,
         )
         report = verify.full_report(model, cfg)
         _write_json(out_dir / "report.json", report.to_dict())
         (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
-        _write_replay(out_dir, manifest)
         code = {"pass": 0, "fail": 2, "inconclusive": 3}[report.overall]
-        return code, f"verify: {report.overall} -> {out_dir / 'report.json'}"
+        summary = f"verify: {report.overall} -> {out_dir / 'report.json'}"
 
-    # diagnose
-    length = params["length"]
-    path = generate_path(model.covariates, 0, length - 1, split_seed(seed, engine._SEED_ENV))
-    H = params["H"] if params["H"] is not None else max(10, min(50, length // 4))
-    h, C, stats = params["h"], params["C"], None
-    if h is None or C is None:
-        # calibrate only what the manifest left null; its stats serve when h agrees
-        stats, C_cal, h_cal = engine.calibrate_regeneration(model, path, H)
-        h = h_cal if h is None else h
-        C = C_cal if C is None else C
-    if stats is None or stats.h != h:
-        stats = engine.w_stats(model, path, h, H)
-    regen = engine.regeneration_times(stats, C, h)
-    _write_csv(out_dir / "wstats.csv", stats.to_csv)
-    _write_json(out_dir / "regeneration.json", regen.to_dict())
-    resolved = dict(manifest)
-    resolved["params"] = {"length": length, "h": h, "H": H, "C": C}
-    _write_replay(out_dir, resolved)
-    return 0, (
-        f"diagnose: {len(regen)} regeneration times (C={C:g}, h={h}) "
-        f"-> {out_dir / 'regeneration.json'}"
-    )
+    else:  # diagnose
+        length = params["length"]
+        path = generate_path(model.covariates, 0, length - 1, split_seed(seed, engine._SEED_ENV))
+        H = params["H"] if params["H"] is not None else max(10, min(50, length // 4))
+        h, C, stats = params["h"], params["C"], None
+        if h is None or C is None:
+            # calibrate only what the manifest left null; its stats serve when h agrees
+            stats, C_cal, h_cal = engine.calibrate_regeneration(model, path, H)
+            h = h_cal if h is None else h
+            C = C_cal if C is None else C
+        if stats is None or stats.h != h:
+            stats = engine.w_stats(model, path, h, H)
+        regen = engine.regeneration_times(stats, C, h)
+        _write_csv(out_dir / "wstats.csv", stats.to_csv)
+        _write_json(out_dir / "regeneration.json", regen.to_dict())
+        params = {"length": length, "h": h, "H": H, "C": C}  # the replay takes the resolved constants
+        summary = (
+            f"diagnose: {len(regen)} regeneration times (C={C:g}, h={h}) "
+            f"-> {out_dir / 'regeneration.json'}"
+        )
+
+    _write_json(out_dir / "replay.json", {
+        "command": cmd,
+        "model": manifest["model"],
+        "params": {k: v for k, v in params.items() if v is not None},
+        "seed": seed,
+    })
+    return code, summary
 
 
 def make_parser() -> argparse.ArgumentParser:

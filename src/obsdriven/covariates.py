@@ -14,7 +14,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -369,11 +369,9 @@ def _burn_in(spec: AR1) -> tuple[np.ndarray, float]:
 
 
 def _words_per_index(spec: CovariateProcessSpec) -> int:
-    if isinstance(spec, Constant):
-        return 1  # stream unused but keep layout uniform
-    if isinstance(spec, (IID, AR1)):
-        return spec.dimension  # one noise word per component; an AR(1) anchor reuses index words
-    return 1  # FiniteStateMarkov: one inverse-cdf uniform per step
+    # one noise word per component (an AR(1) anchor reuses index words); a Markov chain takes one
+    # inverse-cdf uniform per step, and a Constant's unused stream keeps the layout uniform
+    return spec.dimension if isinstance(spec, (IID, AR1)) else 1
 
 
 def generate_path(
@@ -504,7 +502,13 @@ class CoefficientMapBase(Spec):
     nonnegative: bool = False
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """x of shape (d,) or (n, d); returns scalar or shape (n,)."""
+        """x of shape (d,) or (n, d); returns a float for one row, else shape (n,)."""
+        x = np.asarray(x, dtype=float)
+        out = self._table(np.atleast_2d(x))
+        return float(out[0]) if x.ndim <= 1 else out
+
+    def _table(self, rows: np.ndarray) -> np.ndarray:
+        """The map at each row of an (n, d) covariate array: shape (n,)."""
         raise NotImplementedError
 
 
@@ -518,11 +522,8 @@ class ConstantMap(CoefficientMapBase):
         if self.nonnegative and self.c < 0:
             raise InvalidSpec("nonnegative map with negative constant")
 
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim <= 1:
-            return self.c
-        return np.full(x.shape[0], self.c)
+    def _table(self, rows):
+        return np.full(len(rows), self.c)
 
 
 @dataclass(frozen=True)
@@ -539,18 +540,12 @@ class AffineAbsMap(CoefficientMapBase):
         if self.nonnegative and (self.c0 < 0 or any(v < 0 for v in self.c1)):
             raise InvalidSpec("nonnegative AffineAbs requires c0, c1 >= 0")
 
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
+    def _table(self, rows):
         c1 = np.asarray(self.c1)
         # several slopes: product and row sum, as ``@`` on a matrix rounds rows unlike a 1-d dot
-        if x.ndim <= 1:
-            xa = np.abs(np.atleast_1d(x))
-            if c1.size == 1:
-                return self.c0 + float(c1[0] * xa.sum())
-            return self.c0 + float((xa * c1).sum())
         if c1.size == 1:
-            return self.c0 + c1[0] * np.abs(x).sum(axis=1)
-        return self.c0 + (np.abs(x) * c1).sum(axis=1)
+            return self.c0 + c1[0] * np.abs(rows).sum(axis=1)
+        return self.c0 + (np.abs(rows) * c1).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -565,11 +560,9 @@ class ExpAffineMap(CoefficientMapBase):
     def __post_init__(self):
         object.__setattr__(self, "c1", tuple(float(v) for v in np.atleast_1d(self.c1)))
 
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        c1, rows = np.asarray(self.c1), np.atleast_2d(x)
-        out = np.exp(self.c0 + (c1[0] * rows.sum(axis=1) if c1.size == 1 else (rows * c1).sum(axis=1)))
-        return float(out[0]) if x.ndim <= 1 else out
+    def _table(self, rows):
+        c1 = np.asarray(self.c1)
+        return np.exp(self.c0 + (c1[0] * rows.sum(axis=1) if c1.size == 1 else (rows * c1).sum(axis=1)))
 
 
 @dataclass(frozen=True)
@@ -590,17 +583,14 @@ class TableMap(CoefficientMapBase):
         if self.nonnegative and any(v < 0 for v in self.values):
             raise InvalidSpec("nonnegative table with negative entries")
 
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        rows = np.atleast_2d(x)
+    def _table(self, rows):
         # sup distance of every row to every state, (n, k); a NaN row matches none
         dist = np.max(np.abs(np.asarray(self.states)[None, :, :] - rows[:, None, :]), axis=2)
         j = np.argmin(dist, axis=1)
         off = np.flatnonzero(~(dist[np.arange(len(rows)), j] <= 1e-9))
         if off.size:
             raise InvalidSpec(f"covariate value {rows[off[0]]} not in table states")
-        out = np.asarray(self.values)[j]
-        return float(out[0]) if x.ndim <= 1 else out
+        return np.asarray(self.values)[j]
 
 
 @dataclass(frozen=True)
@@ -617,11 +607,8 @@ class DerivedMap(CoefficientMapBase):
     fn: object  # callable (n, d) covariate array -> (n,) array
     nonnegative: bool = True
 
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim <= 1:
-            return float(self.fn(np.atleast_1d(x)[None, :])[0])
-        return np.asarray(self.fn(x), dtype=float)
+    def _table(self, rows):
+        return np.asarray(self.fn(rows), dtype=float)
 
     def to_dict(self):
         return {"kind": "derived", "label": self.label}
@@ -687,13 +674,7 @@ class MomentEstimate:
         object.__setattr__(self, "verdict", v)
 
     def to_dict(self):
-        return {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "verdict": self.verdict,
-            "n_floored": self.n_floored,
-        }
+        return asdict(self)
 
 
 def _abs_draws(name: str, coeff_map: CoefficientMap, spec: CovariateProcessSpec, n: int, seed: int) -> np.ndarray:

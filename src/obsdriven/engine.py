@@ -360,7 +360,7 @@ def _backward_steps(model: ModelSpec, starts, replicas: int | None, t_start: int
     Each time t draws y by inverse transform from the per-(t, replica) uniforms,
     fetched ``_U_BLOCK`` times per call (counter addressing makes each row the one
     ``stream.uniforms(t, 1)`` would give); a pair stacks its two batches, which share
-    every uniform (copied twice into one buffer), and steps them as one.  The family's
+    every uniform (u twice, concatenated), and steps them as one.  The family's
     ``sample_inverse`` (read on its class), the link's ``batch_step`` and the kernel's
     ``domain_contains`` are fixed once per run; a batch outside the domain is reported by
     ``_check_state``, a pair's main half first, then its " (prime)" half.
@@ -374,13 +374,9 @@ def _backward_steps(model: ModelSpec, starts, replicas: int | None, t_start: int
     stream = _obs_stream(seed, m)
     blocks = (stream.uniforms(t, min(_U_BLOCK, t_end - t)) for t in range(t_start, t_end, _U_BLOCK))
     draw, fstep, contains = type(kernel).sample_inverse, links_mod.batch_step(model.link), kernel.domain_contains
-    shared = np.empty(len(lam)) if halves == 2 else None  # a pair's uniforms, u twice
     for t, row, u in zip(range(t_start, t_end), coefficient_table(model.link, path.window(t_start, t_end - 1)),
                          itertools.chain.from_iterable(blocks)):
-        if shared is not None:
-            shared[:m] = shared[m:] = u
-            u = shared
-        y = draw(kernel, lam, u)
+        y = draw(kernel, lam, u if halves == 1 else np.concatenate((u, u)))
         with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_state
             new = fstep(row, lam, y)
         if not contains(new):

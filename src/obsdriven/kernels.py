@@ -4,10 +4,10 @@ Every family carries four routes to the same object:
 
 * ``sample`` / ``sample_inverse`` draw from p(.|s) (the inverse-cdf route
   consumes exactly one uniform per draw, which synchronized backward
-  experiments rely on; an (n,) float batch, as a backward loop draws, takes
-  a lean path with the general path's bits: the Poisson quantile skips its
-  broadcast and edge passes, and a logit draw is decided by numpy's p
-  unless u lies within 1e-12 of its threshold, where expit redraws it);
+  experiments rely on; the Poisson quantile sums a batch inside its summed
+  range without its clamp and edge passes, and a logit draw of an (n,) float
+  batch, as a backward loop draws, is decided by numpy's p unless u lies
+  within 1e-12 of its threshold, where expit redraws it: the same bits);
 * ``phi`` returns the closed-form polynomial rate certifying
   d_TV(p(.|s), p(.|s')) <= 1 - exp(-phi(|s-s'|));
 * ``tv_exact`` is the exact oracle, independent of ``phi``, by one rule,
@@ -22,9 +22,10 @@ Every family carries four routes to the same object:
   ratio of two ``_pdf`` values, so it never calls the oracle and builds
   no support.
 
-Families whose rate constants are only proved to exist (probit, location
-noise) certify a concrete constant numerically on a fixed grid with a 5%
-margin; the oracle then re-checks the resulting bound end to end.
+Families whose rate constants are only proved to exist (location noise,
+and probit, which takes the unit Gaussian's) certify a concrete constant
+numerically on a fixed grid with a 5% margin; the oracle then re-checks the
+resulting bound end to end.
 """
 
 from __future__ import annotations
@@ -98,11 +99,6 @@ def _certified_rate(log_overlap_fn, powers: tuple[int, ...]) -> float:
     basis = sum(h**p for p in powers)
     ratio = -log_overlap_fn(h) / basis
     return float(_CERT_MARGIN * np.max(ratio))
-
-
-@functools.lru_cache(maxsize=None)
-def _probit_rate() -> float:
-    return _certified_rate(lambda h: np.log(2.0) + special.log_ndtr(-h / 2.0), (1, 2))
 
 
 @functools.lru_cache(maxsize=None)
@@ -297,8 +293,8 @@ class _NoiseKernel(ObservationKernel):
 
 def _float_batch(s, u) -> bool:
     """True for an (n,) float64 array of states, n >= 1, and uniforms of its shape and dtype, the
-    batches a backward loop draws: ``sample_inverse`` takes them by a lean path, with the general
-    path's bits."""
+    batches a backward loop draws: ``BernoulliLogit.sample_inverse`` takes them by a lean path, with
+    the general path's bits."""
     return (type(s) is np.ndarray and type(u) is np.ndarray and s.ndim == 1 and s.shape == u.shape
             and s.dtype == u.dtype == np.float64 and s.size > 0)
 
@@ -501,20 +497,17 @@ def _poisson_quantile(s, u):
     reads a cdf below the smallest normal float (2.2e-308) as 0, so u below
     it may land above the exact quantile; stream uniforms are >= 2**-54.
     Edge inputs reach neither (``_count_quantile_edges``); negative s counts as 0.
-    An (n,) float batch summed whole takes no broadcast, clamp or ravel.
+    Inputs of one shape take no broadcast, and a batch summed whole no clamp or edge pass.
     """
-    whole = _float_batch(s, u) and _summed_whole(s, u)
-    if whole:
-        shape = s.shape
-    else:
-        s, u = np.broadcast_arrays(np.maximum(np.asarray(s, dtype=float), 0.0),
-                                   np.asarray(u, dtype=float))
-        shape, s, u = s.shape, s.ravel(), u.ravel()
-        whole = _summed_whole(s, u)
-    if whole:
+    s, u = np.asarray(s, dtype=float), np.asarray(u, dtype=float)
+    if s.shape != u.shape:
+        s, u = np.broadcast_arrays(s, u)
+    shape, s, u = s.shape, s.ravel(), u.ravel()
+    if _summed_whole(s, u):
         out, certified = _poisson_quantile_summed(s, u)  # every draw summed: no masks or edges
         rest = np.flatnonzero(~certified)
     else:
+        s = np.maximum(s, 0.0)
         out = _count_quantile_edges(s, u, np.full(s.shape, np.nan))
         inner = (s > 0.0) & (s < np.inf) & (u > 0.0) & (u < 1.0)
         small = np.flatnonzero(inner & (s <= _SUMMED_MEAN))
@@ -563,10 +556,6 @@ class Poisson(ObservationKernel):
         y = np.where(big, self.sample_inverse(s, rng.random(big.shape)),
                      rng.poisson(np.where(big, 0.0, s)))
         return float(y) if y.ndim == 0 else y
-
-    def _chain_draws(self, n, rng):  # rng.poisson, or ``sample`` past the mean numpy refuses
-        poisson, lam_max = rng.poisson, float(_POISSON_LAM_MAX)
-        return (lambda s, _: poisson(s) if s <= lam_max else self.sample(s, rng)), range(n)
 
     def sample_inverse(self, s, u):
         """Poisson quantile, the smallest k with F(k) >= u under ``_poisson_cdf`` (by
@@ -769,8 +758,8 @@ class BernoulliProbit(_Bernoulli):
         return special.ndtr(s)
 
     def phi(self):
-        d = _probit_rate()
-        return PhiSpec(((1, d), (2, d)))
+        # y = 1{s + eps > 0} with eps ~ N(0, 1): the TV is at most the unit Gaussian location family's
+        return GaussianNoise().rate()
 
 
 # ---------------------------------------------------------------------------
@@ -942,7 +931,8 @@ class LaplaceNoise(Spec):
 
     def ppf(self, u):
         u = np.asarray(u, dtype=float)
-        return np.where(u < 0.5, self.b * np.log(2.0 * u), -self.b * np.log(2.0 * (1.0 - u)))
+        with np.errstate(divide="ignore"):  # np.where takes both logs: u = 0 and u = 1 give -inf and inf
+            return np.where(u < 0.5, self.b * np.log(2.0 * u), -self.b * np.log(2.0 * (1.0 - u)))
 
     def tv(self, h):
         return -math.expm1(-h / (2.0 * self.b))

@@ -16,7 +16,7 @@ sign cannot be settled at 99% confidence must not be called either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class VerifyConfig:
     seed: int = 20240801
 
     def to_dict(self):
-        return {"mc_n": self.mc_n, "grid_size": self.grid_size, "tol": self.tol, "seed": self.seed}
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ The per-step reference loops in test_engine.py call the same ``kernel.sample``
 as the engine, so a drift in the draws themselves would pass them; these
 digests were recorded from an earlier tree and catch any change in a byte
 of ``trajectory.csv``, ``trace.csv`` or ``couple.json``, and of the
-``stationary`` and ``diagnose`` result files at one seed.  The ``repr`` of
+``stationary``, ``diagnose`` and ``verify`` result files at one seed.  The ``repr`` of
 ``coupled_backward_cost``, which no command writes, is pinned the same way.
 Regenerate with ``PYTHONPATH=src python tests/test_golden_bytes.py`` only
 for a change that is meant to alter the draws, and say so.
@@ -36,12 +36,18 @@ FORWARD = sorted(MODELS)
 # the persistent logit of the benchmark's backward workload
 MODELS["logit-persistent"] = od.ModelSpec(od.BernoulliLogit(), od.LinearLink(
     CM(0.8), od.AffineAbsMap(0.0, (0.8,), True), CM(-0.2), order=1), U01)
+# the logit model's link on the probit kernel, whose report carries the probit rate
+MODELS["probit"] = od.ModelSpec(od.BernoulliProbit(), od.LinearLink(
+    CM(0.5), od.AffineAbsMap(0.0, (0.8,), True), CM(-0.2), order=1), U01)
 SEEDS = (5, 2024)
 FILES = {"simulate": ("trajectory.csv",), "couple": ("trace.csv", "couple.json"),
-         "stationary": ("measure.csv", "stationary.json"), "diagnose": ("wstats.csv", "regeneration.json")}
-# the stationary models of the backward workload and the certify models, at one seed
+         "stationary": ("measure.csv", "stationary.json"), "diagnose": ("wstats.csv", "regeneration.json"),
+         "verify": ("report.json", "report.txt")}
+# the stationary models of the backward workload, the certify models, and the probit model,
+# whose report no other digest covers, at one seed
 ONE_SEED_CASES = ([("stationary", name) for name in ("ingarch-x", "logit-persistent", "loc-ar")]
-         + [("diagnose", name) for name in FORWARD])
+         + [("diagnose", name) for name in FORWARD]
+         + [("verify", name) for name in FORWARD + ["probit"]])
 ONE_SEED = 5
 
 GOLDEN = {
@@ -129,6 +135,26 @@ GOLDEN = {
         "wstats.csv": "6b327c1f13f95c7d99f88e50e719e56fddbf960bc0ab5ac17121832e684187f4",
         "regeneration.json": "867669cce98691bebaf93bbe20aa8b0b8f23752625be2f2ca9279c3c8a0fee76",
     },
+    "verify/garch/5": {
+        "report.json": "89e24d784d6aee6a3efa75027020fe3e3229783620be6da686ea9e1ae96bef3a",
+        "report.txt": "02e76dad2046ac10ea974b892817974a80fa27be5d9fe312087c69a6384267c9",
+    },
+    "verify/ingarch-x/5": {
+        "report.json": "38ea87ba3dfebde66731e150a47ab4e487a56f7f2c31a15f2f659a4d69075d27",
+        "report.txt": "fde6d8c1a16cf2c4ec8b5225d271cf70c84b3f1abc78ec8dfcce8fc480f4bec3",
+    },
+    "verify/loc-ar/5": {
+        "report.json": "1ed83f1994543b0706a01203f2f80df3ae91965f3adad4603f9b11c50c9a207a",
+        "report.txt": "ba615c198c6974c4a1f856b2c8b25bc9120447f43490d0b19b34b03b62b2e29d",
+    },
+    "verify/logit/5": {
+        "report.json": "5f63d3741cf4ad5af324b7a37db3bf1a551bc83c15bc8ff0ba778152ac03f9f6",
+        "report.txt": "d137f73a41c5c235d6ae988f44e1a22af891c833efa87a1be7f9441d9b7101f5",
+    },
+    "verify/probit/5": {
+        "report.json": "e9b391ad903c8f07edb40c5063a80e431897515d48a374c7dec92b7846ff46b4",
+        "report.txt": "d137f73a41c5c235d6ae988f44e1a22af891c833efa87a1be7f9441d9b7101f5",
+    },
 }
 
 
@@ -152,7 +178,7 @@ def _manifest(command: str, model: od.ModelSpec, seed: int) -> dict:
     s0 = model.start_state()
     params = {"simulate": {"s0": s0, "t_min": 0, "t_max": 1999},
               "couple": {"s0": s0, "s0_prime": s0 + 10.0, "horizon": 400},
-              "stationary": {}, "diagnose": {"length": 2000}}[command]
+              "stationary": {}, "verify": {}, "diagnose": {"length": 2000}}[command]
     return cli.validate_manifest({"command": command, "model": model.to_dict(), "params": params, "seed": seed})
 
 

@@ -376,6 +376,22 @@ def test_poisson_quantile_fast_path_is_the_gathered_route(monkeypatch):
     assert _check_count_quantile(od.Poisson(), s, u, sstats.poisson.ppf) > 4000
     assert od.Poisson().sample_inverse(s[:6].reshape(2, 3), u[:6].reshape(2, 3)).shape == (2, 3)
     assert np.ndim(od.Poisson().sample_inverse(3.0, 0.5)) == 0
+    # one entry serves every input: 0-d, (n,), a broadcast (n, 1) x (1, m) and integers, with
+    # s <= 0, s = inf, NaN, u = 0 and u = 1 among them, each equal to its scalar call
+    monkeypatch.undo()
+    s_in = np.array([-2.0, 0.0, 0.3, 3.0, 25.0, np.inf, np.nan])
+    u_in = np.array([0.0, 0.2, 0.5, 1.0 - 1e-13, 1.0, np.nan])
+    grid_s, grid_u = np.meshgrid(s_in, u_in, indexing="ij")
+    for s_arg, u_arg in ((s_in[3], u_in[2]), (s_in, u_in[2]), (s_in[3], u_in), (s_in[:6], u_in),
+                         (s_in[:, None], u_in[None, :]), (np.array([0, 3, 25]), np.array([0.5, 0.5, 0.5])),
+                         (3, 0.5), (np.array([[2, 7]]), 1)):
+        got = od.Poisson().sample_inverse(s_arg, u_arg)
+        bs, bu = np.broadcast_arrays(s_arg, u_arg)
+        want = np.array([od.Poisson().sample_inverse(float(a), float(b)) for a, b in zip(bs.ravel(), bu.ravel())])
+        assert got.shape == bs.shape and got.dtype == np.float64
+        np.testing.assert_array_equal(got.ravel(), want)
+    np.testing.assert_array_equal(od.Poisson().sample_inverse(s_in[:, None], u_in[None, :]),
+                                  od.Poisson().sample_inverse(grid_s, grid_u))
 
 
 def _per_pass_search(s, u, cdf, sf, inv_r=0.0):
@@ -750,6 +766,7 @@ def test_phi_probit_certified_constant():
     d = coeffs[1]
     assert coeffs[2] == d
     assert 1 / math.sqrt(2 * math.pi) < d < 0.46
+    assert od.BernoulliProbit().phi() == od.GaussianNoise(1.0).rate()  # one rate: the unit Gaussian shift's
     h = np.logspace(-7, 3, 5000)
     log_overlap = math.log(2.0) + log_ndtr(-h / 2)
     assert np.all(-log_overlap <= d * (h + h * h) + 1e-12)
@@ -831,6 +848,13 @@ def test_tv_exact_laplace_closed_form():
     k = od.Location(od.LaplaceNoise(1.5))
     for h in (0.3, 1.0, 4.0):
         assert k.tv_exact(0.0, h) == pytest.approx(1 - math.exp(-h / 3.0), abs=1e-7)
+
+
+def test_laplace_quantile_edges_are_infinite_without_a_warning():
+    # np.where takes both logs, so each edge takes the log of 0 on the side it does not use;
+    # the suite turns a RuntimeWarning into an error
+    got = od.Location(od.LaplaceNoise()).sample_inverse(0.0, np.array([0.0, 1.0]))
+    np.testing.assert_array_equal(got, [-np.inf, np.inf])
 
 
 @pytest.mark.parametrize("nu", [2.0, 2.5, 3.0, 5.0, 30.0])
@@ -1385,7 +1409,7 @@ def test_noise_of_n_draws_is_n_scalar_noise_calls(kernel):
 @pytest.mark.parametrize("kernel", all_kernels(), ids=repr)
 def test_chain_draws_are_one_sample_per_step(kernel):
     # a glued chain's draws, fixed once per run, give at each state the value and type of one
-    # sample and take its words; Poisson's rng.poisson hands a mean past numpy's bound to sample
+    # sample and take its words, a Poisson mean past numpy's bound (1e19) among them
     if kernel.state_dim > 1:
         states = [np.linspace(-1.0, v, kernel.state_dim) for v in (0.5, 0.0, 40.0)]
     else:
