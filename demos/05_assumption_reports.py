@@ -35,7 +35,7 @@ print(od.full_report(binary, od.VerifyConfig(mc_n=5000, grid_size=100, seed=7)).
 print("=== environment control statistics and regeneration times ===")
 path = od.generate_path(model.covariates, 0, 2000, seed=3)
 stats, C, h = od.calibrate_regeneration(model, path, H=50)
-regen = od.regeneration_times(stats, C, h)
+regen = od.regeneration_times(stats, C)
 print(f"calibrated thresholds: C = {C:g}, spacing h = {h}")
 print(f"regeneration times found: {len(regen)} "
       f"(first few: {regen.times[:6].tolist()})")

@@ -203,7 +203,7 @@ def run_manifest(manifest: dict, out_dir: Path) -> tuple[int, str]:
             C = C_cal if C is None else C
         if stats is None or stats.h != h:
             stats = engine.w_stats(model, path, h, H)
-        regen = engine.regeneration_times(stats, C, h)
+        regen = engine.regeneration_times(stats, C)
         _write_csv(out_dir / "wstats.csv", stats.to_csv)
         _write_json(out_dir / "regeneration.json", regen.to_dict())
         params = {"length": length, "h": h, "H": H, "C": C}  # the replay takes the resolved constants

@@ -93,8 +93,7 @@ class PointMass(Spec):
 
 
 def _mean_of(marginal) -> float:
-    if isinstance(marginal, Gaussian):
-        return marginal.mu
+    """The mean of non-Gaussian AR(1) noise; Gaussian noise takes its exact stationary law."""
     if isinstance(marginal, Uniform):
         return 0.5 * (marginal.a + marginal.b)
     return marginal.value

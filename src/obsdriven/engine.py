@@ -85,13 +85,12 @@ class ModelSpec:
                 f"{self.kernel.family} (needs {self.kernel.moment_order})"
             )
         table = links_mod.category_table(self.link)
-        if self.kernel.state_dim > 1 or self.kernel.family == "multinomial":
+        if self.kernel.state_shape:
             if table is None:
                 raise UnsupportedCombination("multinomial kernels need a category-table link")
-            if table.n_categories != self.kernel.n_categories:
-                raise UnsupportedCombination("category table width must match the kernel")
-            if table.array.shape[0] != self.kernel.state_dim:
-                raise UnsupportedCombination("category table height must match the state dimension")
+            want = (*self.kernel.state_shape, len(self.kernel.outcomes))  # a row per coordinate, a column per category
+            if table.array.shape != want:
+                raise UnsupportedCombination(f"category table must be {want[0]} x {want[1]}, got {table.array.shape}")
         elif table is not None:
             raise UnsupportedCombination("category-table links require a multinomial kernel")
         d = self.covariates.dimension
@@ -101,12 +100,12 @@ class ModelSpec:
 
     @property
     def norm(self) -> str:
-        """The state norm, fixed by the kernel: "abs", or "inf" for vector states."""
-        return self.kernel.state_norm
+        """The state norm, fixed by the kernel's state shape: "abs", or "inf" for vector states."""
+        return "inf" if self.kernel.state_shape else "abs"
 
     def start_state(self):
-        if self.kernel.state_dim > 1:
-            return np.zeros(self.kernel.state_dim)
+        if self.kernel.state_shape:
+            return np.zeros(self.kernel.state_shape)
         floor = self.kernel.domain_floor()
         return 0.0 if floor is None else float(floor)
 
@@ -133,7 +132,7 @@ def _check_state(model: ModelSpec, s, where: str, t=None, previous=None, y=None)
         return
     overflow = not np.all(np.isfinite(s))
     replica = None
-    if np.ndim(s) > (kernel.state_dim > 1):
+    if np.ndim(s) > len(kernel.state_shape):
         inside = (lambda r: np.all(np.isfinite(r))) if overflow else kernel.domain_contains
         replica = next(i for i, r in enumerate(s) if not inside(r))
         s, previous, y = (v[replica] if np.ndim(v) else v for v in (s, previous, y))
@@ -155,10 +154,10 @@ def _step(model: ModelSpec, row, s, y, where: str, t: int):
 
 
 def _start_states(model: ModelSpec, starts, where: str, replicas: int | None = None) -> list:
-    """Each start of one chain or a pair as a float or a (state_dim,) vector, or with ``replicas``
+    """Each start of one chain or a pair as a float or a ``state_shape`` vector, or with ``replicas``
     as that many copies (a measure's points are a batch as they are), checked by ``_check_state``
     with t=None, the second with " (prime)"; a start of the wrong shape raises InvalidSpec."""
-    shape, out = (model.kernel.state_dim,) if model.kernel.state_dim > 1 else (), []
+    shape, out = model.kernel.state_shape, []
     for s0, name in zip(starts, (where, where + " (prime)")):
         batch = isinstance(s0, EmpiricalMeasure)
         s = s0.points if batch else s0
@@ -170,7 +169,7 @@ def _start_states(model: ModelSpec, starts, where: str, replicas: int | None = N
             raise InvalidSpec(f"{name} must be {f'{shape[0]} numbers' if shape else 'a number'}; "
                               f"got {s0!r:.80}") from None
         if replicas is not None:
-            s = np.tile(s, (replicas, 1)) if shape else np.full(replicas, s)
+            s = np.full((replicas, *shape), s)
         _check_state(model, s, name)
         out.append(s)
     return out
@@ -188,7 +187,7 @@ def _forward_steps(model: ModelSpec, starts, path: CovariatePath, rng):
     kernel, n, t0 = model.kernel, len(path), path.t_min
     lam, lamp = _start_states(model, (starts * 2)[:2], "initial state")  # a lone chain is a glued pair
     rows = zip(*coefficient_table(model.link, path.values).T.tolist())
-    fstep = links_mod.float_step(model.link) if kernel.state_dim == 1 else None  # None: a vector state
+    fstep = None if kernel.state_shape else links_mod.float_step(model.link)  # None: a vector state
     lo, inf = kernel.domain_lower, math.inf
 
     def advance(row, s, y, where, t):  # the glued loop below inlines it
@@ -201,10 +200,7 @@ def _forward_steps(model: ModelSpec, starts, path: CovariatePath, rng):
         row = next(rows)
         lam_h.append(lam)
         lamp_h.append(lamp)
-        if kernel.state_distance(lam, lamp) == 0.0:  # +0.0 and -0.0
-            y = yp = kernel.sample(lam, rng)
-        else:
-            (y,), (yp,), (met_h[i],) = kernel.couple_batch(lam, lamp, 1, rng)
+        (y,), (yp,), (met_h[i],) = kernel.couple_batch(lam, lamp, 1, rng)
         y_h.append(y)
         yp_h.append(yp)
         lam = advance(row, lam, y, "step t={t}", t0 + i)
@@ -231,7 +227,7 @@ class Trajectory:
     t_min: int
     t_max: int
     x: np.ndarray        # (n, d)
-    lam: np.ndarray      # (n,) or (n, state_dim)
+    lam: np.ndarray      # (n,) or (n, *state_shape)
     y: np.ndarray        # (n,)
     seed: int
 
@@ -403,7 +399,7 @@ def backward_measure(
                                          "backward step t={t}"), maxlen=1)
     meta = {
         "n_backward": n, "t_end": t_end, "replicas": replicas, "seed": seed,
-        "start_state": np.asarray(s0).tolist() if model.kernel.state_dim > 1 else float(s0),
+        "start_state": np.asarray(s0).tolist() if model.kernel.state_shape else float(s0),
         "path_hash": path.spec_hash,
     }
     return EmpiricalMeasure(lam, meta)
@@ -424,7 +420,7 @@ def coupled_backward_cost(
     are checked at the start and at every step as in ``backward_measure``:
     StateOverflow for a non-finite one, DomainViolation for one outside the domain.
     """
-    if model.kernel.state_dim > 1:
+    if model.kernel.state_shape:
         raise InvalidSpec("gap tracking is defined for scalar-state models")
     _refuse_small_run("coupled_backward_cost", n, replicas)
     link, floor = model.link, model.link.floor
@@ -681,7 +677,7 @@ def stationary_sampler(
     # NaN, inf and ints beyond the float range fail the bounds, before max_n / 25 is taken
     if not 50 <= max_n <= float(np.finfo(float).max) or abs((k := max_n / 25.0) - 2 ** round(math.log2(k))) > 1e-9:
         raise InvalidSpec("max_n must be 25 times a power of 2, at least 50")
-    if model.kernel.state_dim > 1 and replicas > MAX_EXACT_ASSIGNMENT:
+    if model.kernel.state_shape and replicas > MAX_EXACT_ASSIGNMENT:
         raise InvalidSpec(f"vector-state W1 is solved exactly up to {MAX_EXACT_ASSIGNMENT} replicas; "
                           f"got {replicas}")
     s0 = model.start_state() if s0 is None else s0
@@ -809,20 +805,18 @@ def _passes_thresholds(stats: WStats, C: float) -> np.ndarray:
     return (stats.w1 <= C) & (stats.w2 <= 1 - 1 / C) & (stats.w3 <= 1 - 1 / C) & (stats.w4 <= C)
 
 
-def regeneration_times(stats: WStats, C: float, h: int | None = None) -> RegenerationResult:
-    """Greedy scan for times passing all four thresholds with spacing > h.
+def regeneration_times(stats: WStats, C: float) -> RegenerationResult:
+    """Greedy scan for times passing all four thresholds with spacing > stats.h.
 
     m_counts[i] counts accepted times up to stats.times[i] inclusive.  An
     empty outcome reports the smallest C that would admit at least one time.
     """
     if C <= 1:
         raise InvalidSpec("threshold constant C must exceed 1")
-    if h is None:
-        h = stats.h
     ok = _passes_thresholds(stats, C)
     accepted = []
     for t in stats.times[ok].tolist():
-        if not accepted or t - accepted[-1] > h:
+        if not accepted or t - accepted[-1] > stats.h:
             accepted.append(t)
     accepted = np.asarray(accepted, dtype=np.int64)
     m_counts = np.searchsorted(accepted, stats.times, side="right")
@@ -836,7 +830,7 @@ def regeneration_times(stats: WStats, C: float, h: int | None = None) -> Regener
             ])
         m = float(np.min(need))
         smallest = None if math.isinf(m) else max(m, 1.0 + 1e-9)
-    return RegenerationResult(accepted, m_counts, C, h, smallest)
+    return RegenerationResult(accepted, m_counts, C, stats.h, smallest)
 
 
 def calibrate_regeneration(model: ModelSpec, path: CovariatePath, H: int) -> tuple[WStats, float, int]:

@@ -17,10 +17,9 @@ Every family carries four routes to the same object:
   the binary and multinomial families compare their few probabilities;
 * ``couple_batch`` draws n pairs with the prescribed marginals whose
   disagreement probability equals the total-variation distance.  One
-  routine serves every family, the ordinary rejection coupling
-  (``_couple_batch``): it draws through ``sample`` and reads only the
-  ratio of two ``_pdf`` values, so it never calls the oracle and builds
-  no support.
+  routine serves every family, the ordinary rejection coupling: it draws
+  through ``sample`` and reads only the ratio of two ``_pdf`` values, so
+  it never calls the oracle and builds no support.
 
 Families whose rate constants are only proved to exist (location noise,
 and probit, which takes the unit Gaussian's) certify a concrete constant
@@ -115,44 +114,6 @@ def _student_location_rate(nu: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# coupling draws
-# ---------------------------------------------------------------------------
-
-def _couple_batch(kernel, s, sp, n, rng):
-    """Ordinary maximal coupling of p = p(.|s) and q = p(.|s'), for every family.
-
-    Draw X ~ p; when U p(X) <= q(X), which happens with probability
-    1 - TV(p, q), both chains take X.  Otherwise Y is redrawn from q until
-    V q(Y) > p(Y), a draw from the normalized residual (q - p)^+ (Thorisson;
-    Jacob, O'Leary & Atchade, JRSS-B 2020).  Only the ratio q/p is read, so
-    ``kernel._pdf`` may drop any factor that depends on y alone, and neither
-    a TV value nor a support table is built: the cost does not grow with the
-    mean.  Unmet pairs come from {p > q} and {q > p}, so they differ.  A
-    residual proposal is accepted with probability TV, so the rounds have no
-    bound of their own: each pending Y gets twice the proposals of the round
-    before, and ``_COUPLE_CAP`` bounds the total.
-    """
-    y = kernel._draw(s, n, rng)
-    met = rng.random(n) * kernel._pdf(y, s) <= kernel._pdf(y, sp)
-    yp = y.copy()
-    pending = (~met).nonzero()[0]
-    spent, per_pending = 0, 1
-    while len(pending):
-        size = min(len(pending) * per_pending, _COUPLE_CAP - spent)
-        if size <= 0:
-            raise CouplingBudgetExceeded(
-                f"residual rejection exceeded {_COUPLE_CAP} proposals"
-            )
-        z = kernel._draw(sp, size, rng)
-        z = z[rng.random(size) * kernel._pdf(z, sp) > kernel._pdf(z, s)][: len(pending)]
-        yp[pending[: len(z)]] = z
-        pending = pending[len(z):]
-        spent += size
-        per_pending *= 2
-    return y, yp, met
-
-
-# ---------------------------------------------------------------------------
 # family base
 # ---------------------------------------------------------------------------
 
@@ -170,8 +131,8 @@ def state_distance(s, sp, vector: bool):
 class ObservationKernel(Spec):
     """Common interface; scalar state families override the hooks below."""
 
-    state_dim: int = 1
-    state_norm: str = "abs"  # "inf" for the multinomial family
+    state_shape: tuple = ()  # one state's shape: () for a float, (d,) for a vector in the sup norm
+    outcomes = None  # the finite menu of observations, None for an unbounded or continuous one
     moment_order: int = 1
     discrete: bool = True
 
@@ -192,7 +153,7 @@ class ObservationKernel(Spec):
 
     def state_distance(self, s, sp):
         """``state_distance`` in this family's state norm."""
-        return state_distance(s, sp, self.state_dim > 1)
+        return state_distance(s, sp, bool(self.state_shape))
 
     # -- sampling ----------------------------------------------------------
     def sample(self, s, rng):
@@ -231,11 +192,41 @@ class ObservationKernel(Spec):
 
     # -- coupling ----------------------------------------------------------
     def couple_batch(self, s, sp, n, rng):
+        """Ordinary maximal coupling of p = p(.|s) and q = p(.|s'), for every family.
+
+        Draw X ~ p; when U p(X) <= q(X), which happens with probability
+        1 - TV(p, q), both chains take X.  Otherwise Y is redrawn from q until
+        V q(Y) > p(Y), a draw from the normalized residual (q - p)^+ (Thorisson;
+        Jacob, O'Leary & Atchade, JRSS-B 2020).  Only the ratio q/p is read, so
+        ``_pdf`` may drop any factor that depends on y alone, and neither a TV
+        value nor a support table is built: the cost does not grow with the
+        mean.  Unmet pairs come from {p > q} and {q > p}, so they differ.  A
+        residual proposal is accepted with probability TV, so the rounds have no
+        bound of their own: each pending Y gets twice the proposals of the round
+        before, and ``_COUPLE_CAP`` bounds the total.  At distance 0 (+0.0 and
+        -0.0 too) both chains take X, the words of ``sample``, and no more.
+        """
         self.require_domain(s, sp)
+        y = self._draw(s, n, rng)
+        yp = y.copy()
         if self.state_distance(s, sp) == 0.0:
-            y = self.sample_inverse(s, rng.random(n))
-            return np.asarray(y, float), np.asarray(y, float), np.ones(n, dtype=bool)
-        return _couple_batch(self, s, sp, n, rng)
+            return y, yp, np.ones(n, dtype=bool)
+        met = rng.random(n) * self._pdf(y, s) <= self._pdf(y, sp)
+        pending = (~met).nonzero()[0]
+        spent, per_pending = 0, 1
+        while len(pending):
+            size = min(len(pending) * per_pending, _COUPLE_CAP - spent)
+            if size <= 0:
+                raise CouplingBudgetExceeded(
+                    f"residual rejection exceeded {_COUPLE_CAP} proposals"
+                )
+            z = self._draw(sp, size, rng)
+            z = z[rng.random(size) * self._pdf(z, sp) > self._pdf(z, s)][: len(pending)]
+            yp[pending[: len(z)]] = z
+            pending = pending[len(z):]
+            spent += size
+            per_pending *= 2
+        return y, yp, met
 
     def _pdf(self, y, s):
         """p(y|s) at the draws y, up to a positive factor of y alone."""
@@ -276,7 +267,7 @@ class _NoiseKernel(ObservationKernel):
     array.  numpy fills an array by a scalar call's per-draw routine: n calls' words in one."""
 
     def sample(self, s, rng):
-        shape = None if isinstance(s, float) else np.shape(s)[:np.ndim(s) - (self.state_dim > 1)] or None
+        shape = None if isinstance(s, float) else np.shape(s)[:np.ndim(s) - len(self.state_shape)] or None
         return self._from_noise(s, self._noise(shape, rng))
 
     def _noise(self, shape, rng):
@@ -684,6 +675,7 @@ class NegBinomial(ObservationKernel):
 # ---------------------------------------------------------------------------
 
 class _Bernoulli(_NoiseKernel):
+    outcomes = (0, 1)
     _pair_bases = _CENTERED_BASES
     _centered = True
 
@@ -772,16 +764,16 @@ class Multinomial(_NoiseKernel):
 
     n_categories: int = 2
     tag = ("family", "multinomial")
-    state_norm = "inf"
+    state_shape = property(lambda self: (self.n_categories - 1,))
+    outcomes = property(lambda self: range(self.n_categories))
 
     def __post_init__(self):
         if not 2 <= self.n_categories <= MAX_DIMENSION:
             raise InvalidSpec(f"multinomial needs 2..{MAX_DIMENSION} categories")
-        object.__setattr__(self, "state_dim", self.n_categories - 1)
 
     def domain_contains(self, s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        return s.shape[-1] == self.state_dim and bool(np.all(np.isfinite(s)))
+        return s.shape[-1:] == self.state_shape and bool(np.all(np.isfinite(s)))
 
     def probabilities(self, s):
         """Category probabilities; rows of a batch sum to 1."""
@@ -808,7 +800,7 @@ class Multinomial(_NoiseKernel):
         return float(1.0 - self.probabilities(s)[0, 0]), 1.0
 
     def standard_pairs(self, n_pairs=200):
-        d = self.state_dim
+        d, = self.state_shape
         bases = [np.zeros(d), np.full(d, 0.5), np.full(d, -1.0),
                  np.linspace(-1, 1, d) if d > 1 else np.array([1.0]), np.full(d, 2.0)]
         per = max(1, n_pairs // (2 * len(bases)))

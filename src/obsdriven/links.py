@@ -90,7 +90,7 @@ IntervalMap = FixedInterval | CovariateScaled
 class CategoryTable(Spec):
     """Additive state increment per observation category (multinomial links).
 
-    Column y of the (state_dim x n_categories) table is added to kappa(x)s,
+    Column y of the (N - 1 x N) table of N categories is added to kappa(x)s,
     the one-hot reading of "kappa_tilde(x) y".
     """
 
@@ -217,7 +217,7 @@ def step(link: LinkSpec, row, s, y):
     """f(s, y, x) from the coefficients of x: a table row, or the table's columns for a batch.
 
     s and y may be batched along axis 0; a value not batched is shared by
-    every row.  Multinomial states are (state_dim,) or (n, state_dim) and y
+    every row.  Multinomial states are (N - 1,) or (n, N - 1) and y
     is a category index.  The floor clamp comes last (it is 1-Lipschitz, so
     contraction constants are unchanged).  Overflow gives inf, not an error;
     ``float_step`` steps one Python float state with the same bits.

@@ -66,12 +66,8 @@ def _observation_maps(model: ModelSpec) -> dict | None:
     The route only needs existence at some s0; the start state (zero, floored
     into the domain) is canonical and the conclusion does not depend on it.
     """
-    fam = model.kernel.family
-    if fam.startswith("bernoulli"):
-        menu = [0, 1]
-    elif fam == "multinomial":
-        menu = range(model.kernel.n_categories)
-    else:
+    menu = model.kernel.outcomes
+    if menu is None:
         return None
     link, s0 = model.link, model.start_state()
     return {
@@ -119,18 +115,19 @@ def drift_certificate(model: ModelSpec) -> tuple[CoefficientMap, CoefficientMap]
 
 def domain_compatible(model: ModelSpec) -> tuple[bool, str]:
     """Can the link provably keep states inside the kernel domain?  A floor clamp, or else
-    ``structural_floor`` under a nonnegative observation term, must reach the kernel's floor."""
-    kfloor = model.kernel.domain_floor()
+    ``structural_floor``, must lie in the kernel's domain (``domain_contains``).  The structural
+    bound needs a nonnegative observation term, which every family with a floor has: the count
+    families observe counts, and GARCH links are of order 2."""
+    kernel, link = model.kernel, model.link
+    kfloor = kernel.domain_floor()
     if kfloor is None:
         return True, "state space unbounded below"
-    link = model.link
     if link.floor is not None:
-        if link.floor >= kfloor - 1e-12:
+        if kernel.domain_contains(link.floor):
             return True, f"floor clamp at {link.floor}"
         return False, f"floor {link.floor} lies below the domain bound {kfloor}"
-    obs_nonneg = link.order == 2 or model.kernel.family in ("poisson", "negbinomial")
-    sf = structural_floor(link) if obs_nonneg else None
-    if sf is not None and sf >= kfloor:
+    sf = structural_floor(link)
+    if sf is not None and kernel.domain_contains(sf):
         return True, f"structural intercept bound {sf}"
     return False, f"no floor clamp and no structural bound >= {kfloor}"
 
@@ -229,7 +226,7 @@ def check_a2(model: ModelSpec, mc_n: int = 10_000, seed: int = 0) -> A2Report:
             str(y): log_plus_moment_estimate(m, model.covariates, mc_n, split_seed(seed, 10 + y)).to_dict()
             for y, m in maps.items()
         }
-        case = "binary" if model.kernel.family.startswith("bernoulli") else "categorical"
+        case = "categorical" if model.kernel.state_shape else "binary"
         return A2Report(case, model.link.order, None, None, None, None, None,
                         cat_reports, None, ok, reason)
 

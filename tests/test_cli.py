@@ -1,5 +1,6 @@
 """Manifest front end: validation, artifacts, replay, determinism."""
 
+import io
 import json
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import obsdriven as od
-from obsdriven import cli
+from obsdriven import cli, engine
 from obsdriven.errors import ManifestError, StateOverflow
 
 from conftest import divergent_model, poisson_ingarch_x
@@ -137,6 +138,22 @@ def test_stationary_overflow_exit_code_and_reason(tmp_path, capsys):
 
 def test_missing_manifest_is_usage_error(tmp_path, capsys):
     assert cli.main(["--manifest", str(tmp_path / "none.json")]) == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "manifest is not valid JSON"),
+    ("[1]", "manifest must be a JSON object"),
+    ('{"command": "simulate", "seed": 1}', "manifest needs a 'model' object"),
+    (json.dumps({"command": "simulate", "model": BENCH, "params": [1], "seed": 1}), "'params' must be an object"),
+    (json.dumps({"command": "simulate", "model": BENCH, "params": {"s0": 0.0}, "seed": 1}),
+     "missing params for simulate: ['t_min', 't_max']"),
+], ids=["invalid-json", "not-an-object", "no-model", "params-not-an-object", "missing-params"])
+def test_refused_manifest_is_one_manifest_error_line(tmp_path, capsys, text, message):
+    path = tmp_path / "m.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["--manifest", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"manifest error: {message}") and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("case, message", [
@@ -401,6 +418,50 @@ def test_couple_and_backward_and_diagnose_commands(tmp_path):
     # diagnose resolves its calibrated constants into the replay manifest
     replay = json.loads((tmp_path / "o2" / "replay.json").read_text())
     assert set(replay["params"]) == {"length", "h", "H", "C"}
+
+
+@pytest.mark.parametrize("given", [{"h": 4, "H": 30, "C": 8.0}, {"h": 4}], ids=["h-H-C", "h"])
+def test_diagnose_takes_the_given_constants(tmp_path, given):
+    # the statistics are those of the given h (the calibration picks h = 1 on this path), and
+    # the replay holds the given constants, with the default H = 50 and the calibrated C
+    man = write_manifest(tmp_path, "m.json", {"command": "diagnose", "model": BENCH,
+                                              "params": {"length": 600, **given}, "seed": 3})
+    assert cli.main(["--manifest", str(man), "--out", str(tmp_path / "o")]) == 0
+    replay = json.loads((tmp_path / "o" / "replay.json").read_text())["params"]
+    assert {k: replay[k] for k in given} == given and replay["H"] == given.get("H", 50)
+    model = od.model_from_dict(BENCH)
+    path = od.generate_path(model.covariates, 0, 599, od.split_seed(3, engine._SEED_ENV))
+    want = io.StringIO()
+    od.w_stats(model, path, 4, replay["H"]).to_csv(want)
+    assert (tmp_path / "o" / "wstats.csv").read_bytes() == want.getvalue().encode()
+    regen = json.loads((tmp_path / "o" / "regeneration.json").read_text())
+    assert (regen["h"], regen["C"]) == (4, replay["C"])
+
+
+MULTINOMIAL2 = od.ModelSpec(
+    od.Multinomial(2), od.LinearLink(od.AffineAbsMap(0.2, (0.5,), True), od.CategoryTable(((0.6, -0.3),)),
+                                     od.ConstantMap(0.1), 1), od.IID(od.Uniform(0.0, 1.0))).to_dict()
+
+
+def test_two_category_multinomial_runs_every_command_from_vector_starts(tmp_path, capsys):
+    # N = 2 categories: the state is a vector of N - 1 = 1 number, in the sup norm
+    params = {"simulate": {"s0": [0.0], "t_min": 0, "t_max": 199},
+              "couple": {"s0": [-0.0], "s0_prime": [1.5], "horizon": 200},
+              "backward": {"s0": [0.5], "n": 50, "replicas": 200},
+              "stationary": {"s0": [0.0], "max_n": 100, "replicas": 200},
+              "verify": {"mc_n": 2000, "grid_size": 60},
+              "diagnose": {"length": 600}}
+    for cmd, p in params.items():
+        raw = {"command": cmd, "model": MULTINOMIAL2, "params": p, "seed": 3}
+        assert cli.run_manifest(cli.validate_manifest(raw), tmp_path / cmd)[0] == 0, cmd
+    assert MULTINOMIAL2["norm"] == "inf"
+    assert json.loads((tmp_path / "backward" / "backward.json").read_text())["start_state"] == [0.5]
+    assert json.loads((tmp_path / "verify" / "report.json").read_text())["a2"]["case"] == "categorical"
+    # a scalar start is refused as the wrong shape
+    man = write_manifest(tmp_path, "m.json", simulate_manifest(model=MULTINOMIAL2,
+                                                             params={"s0": 0.0, "t_min": 0, "t_max": 9}))
+    assert cli.main(["--manifest", str(man), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("manifest error: initial state must be 1 numbers")
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -126,7 +126,7 @@ def test_a_count_past_the_dimension_limit_is_one_manifest_error(tmp_path):
             code, err = _simulate(tmp_path, name, _mutated(MODELS[name].to_dict(), path, count))
             assert code == 1 and err.startswith("manifest error: malformed model (InvalidSpec: "), err
     assert od.IID(od.Uniform(0.0, 1.0), MAX_DIMENSION).dimension == MAX_DIMENSION
-    assert od.Multinomial(MAX_DIMENSION).state_dim == MAX_DIMENSION - 1
+    assert od.Multinomial(MAX_DIMENSION).state_shape == (MAX_DIMENSION - 1,)
 
 
 def test_every_model_as_written_runs(tmp_path):

@@ -6,7 +6,9 @@ perfbench/*.py mentions its name as a name, an attribute, an import alias, or a 
 constant that is exactly the name (the benchmark's tracer wraps attributes by string).
 A module-level import or assignment counts as used when its own module loads the name, or
 other code reads it as an attribute, imports it from a package module or names it in a string.
-Tests do not count, so a helper that only tests call is reported.
+Tests do not count, so a helper that only tests call is reported.  Two more lints keep each
+rule in one place: no two related classes state the same method or attribute, and no module
+but kernels.py names a kernel family.
 """
 
 import ast
@@ -178,3 +180,37 @@ def test_no_rule_is_restated_by_related_classes():
                 if given == value:
                     found.append(f"{module}: {node.name}.{name} restates its base's value")
     assert not found, "shared rules stated more than once:\n" + "\n".join(found)
+
+
+def _family_tags():
+    """The tag values of the kernel families, as ``kernels.py`` declares them: tag = ("family", name)."""
+    tree = ast.parse((PACKAGE / "kernels.py").read_text(encoding="utf-8"))
+    return {node.value.elts[1].value for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "tag" for t in node.targets)
+            and isinstance(node.value, ast.Tuple) and getattr(node.value.elts[0], "value", None) == "family"}
+
+
+def _literals(node):
+    """The string constants of a node: itself, or the items of a tuple, list or set."""
+    items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+    return [n.value for n in items if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+
+def test_only_the_kernels_name_a_family():
+    """A fact of a kernel family (its state shape, its outcomes, its domain) is an attribute of the
+    kernel, so no other module tests a family's name: none holds a family's tag value as a string
+    literal, or passes a prefix of one to ``startswith``.  Messages that format ``kernel.family``
+    hold no literal tag."""
+    tags = _family_tags()
+    assert {"poisson", "multinomial", "bernoulli_logit"} <= tags
+    found = []
+    for p in sorted(PACKAGE.glob("*.py")):
+        if p.name == "kernels.py":
+            continue
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and node.value in tags:
+                found.append(f"{p.name}:{node.lineno}: {node.value!r}")
+            elif (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "startswith"
+                  and any(tag.startswith(v) for a in node.args for v in _literals(a) for tag in tags)):
+                found.append(f"{p.name}:{node.lineno}: startswith a family prefix")
+    assert not found, "kernel families named outside kernels.py:\n" + "\n".join(found)

@@ -809,7 +809,7 @@ def test_w_stats_too_short_path():
 
 def test_regeneration_arithmetic_spacing_and_counts():
     stats = _const_stats(0.5, 0.5, 1.0, 3, 40, T=200)
-    regen = od.regeneration_times(stats, C=4.0, h=3)
+    regen = od.regeneration_times(stats, C=4.0)
     t0 = stats.times[0]
     # constant stats pass everywhere: greedy picks t0, t0 + (h+1), ...
     assert np.array_equal(regen.times[:5], t0 + 4 * np.arange(5))
@@ -821,7 +821,7 @@ def test_regeneration_arithmetic_spacing_and_counts():
 
 def test_regeneration_empty_reports_smallest_admitting_C():
     stats = _const_stats(0.5, 0.5, 1.0, 3, 40)
-    regen = od.regeneration_times(stats, C=1.5, h=3)
+    regen = od.regeneration_times(stats, C=1.5)
     assert len(regen) == 0
     # needs C >= max(W1, W4, 1/(1-W2), 1/(1-W3)) = max(2-eps, 1-eps, 1/0.875) = W1
     assert regen.smallest_admitting_C == pytest.approx(stats.w1[0])
@@ -846,18 +846,18 @@ def test_regeneration_matches_the_all_times_scan():
     for trial in range(60):
         flags = rng.random((4, len(times))) < rng.uniform(0.4, 1.0)
         w = [np.where(f, a, b) * rng.uniform(0.9, 1.1, len(times)) for f, (a, b) in zip(flags, levels)]
-        stats = engine.WStats(times, *w, 1, 50)
         for h in (1, 2, 5):
-            regen = od.regeneration_times(stats, 2.0, h)
+            stats = engine.WStats(times, *w, h, 50)
+            regen = od.regeneration_times(stats, 2.0)
             want = _regeneration_all_times(stats, 2.0, h)
             assert regen.times.dtype == want.dtype and np.array_equal(regen.times, want)
             assert np.array_equal(regen.m_counts, np.searchsorted(want, times, side="right"))
             assert (regen.smallest_admitting_C is None) == (len(want) > 0)
     # the empty outcome: no time passes, and the smallest admitting C is reported
-    stats = engine.WStats(times, np.full(len(times), 5.0), *([np.full(len(times), 0.1)] * 2),
-                          np.linspace(3.0, 9.0, len(times)), 1, 50)
     for h in (1, 2, 5):
-        regen = od.regeneration_times(stats, 2.0, h)
+        stats = engine.WStats(times, np.full(len(times), 5.0), *([np.full(len(times), 0.1)] * 2),
+                              np.linspace(3.0, 9.0, len(times)), h, 50)
+        regen = od.regeneration_times(stats, 2.0)
         assert len(regen) == 0 and len(_regeneration_all_times(stats, 2.0, h)) == 0
         assert regen.times.dtype == np.int64 and not regen.m_counts.any()
         assert regen.smallest_admitting_C == 5.0
@@ -868,8 +868,8 @@ def test_regeneration_frequency_grows_linearly_on_benchmark():
     ratios = []
     for T in (1000, 10000):
         path = od.generate_path(m.covariates, 0, T + 120, 9)
-        stats, C, h = od.calibrate_regeneration(m, path, H=50)
-        regen = od.regeneration_times(stats, C, h)
+        stats, C, _ = od.calibrate_regeneration(m, path, H=50)
+        regen = od.regeneration_times(stats, C)
         ratios.append(len(regen) / T)
     assert ratios[0] > 0 and ratios[1] > 0
     # stationarity: the acceptance frequency stabilizes, M_n / n -> const > 0
@@ -952,6 +952,13 @@ def test_model_spec_validation():
         od.ModelSpec(od.Multinomial(3),
                      od.LinearLink(CM(0.3, True), CM(0.2, True), CM(0.0), 1),
                      od.Constant((1.0,)))
+    # a category table has a row per state coordinate and a column per category
+    for kernel, rows in ((od.Multinomial(3), ((0.1, 0.2),) * 2), (od.Multinomial(3), ((0.1, 0.2, 0.3),)),
+                         (od.Multinomial(2), ((0.1, 0.2),) * 2), (od.Poisson(), ((0.1, 0.2),))):
+        with pytest.raises(UnsupportedCombination, match="category table must be|require a multinomial kernel"):
+            od.ModelSpec(kernel, od.LinearLink(CM(0.3, True), od.CategoryTable(rows), CM(0.0), 1), od.Constant((1.0,)))
+    assert od.ModelSpec(od.Multinomial(2), od.LinearLink(CM(0.3, True), od.CategoryTable(((0.1, 0.2),)), CM(0.0), 1),
+                        od.Constant((1.0,))).norm == "inf"
     # a model key nothing reads is refused, not ignored
     d = od.ModelSpec(od.Poisson(), od.LinearLink(CM(0.3, True), CM(0.2, True), CM(1.0, True), 1, 0.0),
                      od.Constant((1.0,))).to_dict()
@@ -1010,7 +1017,7 @@ def _step_core_models():
 def _start(model, offset):
     """A start state offset from the domain base (by offset, 2 offset, .. for vector states)."""
     s = model.start_state()
-    return s + offset * np.arange(1, model.kernel.state_dim + 1) if model.kernel.state_dim > 1 else s + offset
+    return s + offset * np.arange(1, s.size + 1) if model.kernel.state_shape else s + offset
 
 
 def _ref_simulate(model, s0, t_min, t_max, seed):
@@ -1042,7 +1049,7 @@ def _ref_couple(model, s0, s0p, path, seed):
 
 def _ref_backward(model, s0, n, path, replicas, seed):
     stream = engine._obs_stream(seed, replicas)
-    lam = np.tile(np.asarray(s0, dtype=float), (replicas, 1)) if model.kernel.state_dim > 1 \
+    lam = np.tile(np.asarray(s0, dtype=float), (replicas, 1)) if model.kernel.state_shape \
         else np.full(replicas, float(s0))
     for t in range(-n, 0):
         y = model.kernel.sample_inverse(lam, stream.uniforms(t, 1)[0])
@@ -1102,7 +1109,7 @@ def test_step_core_matches_per_step_apply(name):
                         model.kernel.sample_inverse(mu.points, engine._obs_stream(seed, replicas).uniforms(0, 1)[0]),
                         path.window(0, 0)[0])
         assert _same_bits(pushed.points, want)
-        if model.kernel.state_dim == 1:
+        if not model.kernel.state_shape:
             got = coupled_backward_cost(model, s0, s0p, n, path, replicas, seed)
             assert got == _ref_backward_cost(model, s0, s0p, n, path, replicas, seed)
 
@@ -1111,7 +1118,7 @@ def test_step_core_matches_per_step_apply(name):
 
 def _scalar_family_models():
     """The end-to-end model of every scalar family, and Location with Gaussian noise."""
-    return [(name, m) for name, m, _ in _family_models() if m.kernel.state_dim == 1] + [("gaussian", location_ar())]
+    return [(name, m) for name, m, _ in _family_models() if not m.kernel.state_shape] + [("gaussian", location_ar())]
 
 
 def _ref_chain(model, s0, path, rng):
@@ -1393,7 +1400,7 @@ def test_coupled_backward_cost_checks_both_start_states():
 
 def test_wrong_shaped_start_state_is_invalid_spec():
     # every entry point shapes its start through one rule: a number for a scalar
-    # model, state_dim numbers for a vector one; InvalidSpec, not a TypeError
+    # model, N - 1 numbers for a multinomial one of N categories; InvalidSpec, not a TypeError
     m, multi = poisson_ingarch_x(), _step_core_models()["multinomial"]
     for model, bad in ((m, [1.0, 2.0]), (m, "x"), (m, {"x": 1}), (multi, [0.0, 0.0, 0.0]), (multi, 0.0)):
         what = "2 numbers" if model is multi else "a number"

@@ -628,8 +628,8 @@ def test_batched_draw_is_the_per_row_loop(kernel):
     # must be a per-row loop's, at means on both sides of numpy's Poisson PTRS cut (10)
     # and for vector states
     def states(rng):
-        if kernel.state_dim > 1:
-            return rng.normal(0.0, 3.0, size=(1000, kernel.state_dim))
+        if kernel.state_shape:
+            return rng.normal(0.0, 3.0, size=(1000, *kernel.state_shape))
         floor = kernel.domain_floor()
         return rng.normal(0.0, 5.0, size=1000) if floor is None else floor + rng.exponential(3.0, size=1000)
 
@@ -650,7 +650,7 @@ def test_lean_inverse_draws_are_the_general_paths():
     hyp, st, settings = hypothesis_settings()
 
     @settings
-    @hyp.given(st.sampled_from([k for k in all_kernels() if k.state_dim == 1]), st.data())
+    @hyp.given(st.sampled_from([k for k in all_kernels() if not k.state_shape]), st.data())
     def check(kernel, data):
         floor, span = kernel.domain_floor(), data.draw(st.sampled_from((20.0, 800.0)))  # 20: Poisson sums all
         states = st.floats(-span, span) if floor is None else st.floats(floor, floor + span, exclude_min=True)
@@ -938,7 +938,7 @@ def test_continuous_tv_exact_matches_quadrature_on_standard_pairs():
 
 def test_tv_exact_symmetric_bounded_and_monotone():
     hyp, st, settings = hypothesis_settings()
-    scalar = [k for k in all_kernels() if k.state_dim == 1]
+    scalar = [k for k in all_kernels() if not k.state_shape]
 
     @settings
     @hyp.given(st.sampled_from(scalar), st.floats(-1e3, 1e3),
@@ -1185,16 +1185,24 @@ def test_multinomial_probabilities_normalized():
 # ---------------------------------------------------------------------------
 
 def test_coupling_on_diagonal_always_meets():
-    for k in (od.Poisson(), od.GarchGaussian(1.0)):
-        s = 2.0
-        y, yp, met = k.couple_batch(s, s, 2000, generator(7))
-        assert met.all()
-        assert np.array_equal(y, yp)
+    # at distance 0, +0.0 against -0.0 too, both chains take the draws of sample, word for word
+    for k in (*all_kernels(), od.Multinomial(2)):
+        zero = np.zeros(k.state_shape) if k.state_shape else 0.0
+        pairs = [(zero + (k.domain_floor() or 0.0) + 2.0,) * 2]
+        if k.domain_contains(zero):
+            pairs.append((zero, -zero))
+        for s, sp in pairs:
+            for n in (1, 2000):
+                y, yp, met = k.couple_batch(s, sp, n, rng := generator(7))
+                ref = generator(7)
+                want = [k.sample(s, ref)] if n == 1 else k.sample(np.full((n, *k.state_shape), s), ref)
+                assert met.all() and y.tobytes() == yp.tobytes() == np.asarray(want, float).tobytes(), k
+                assert rng.random() == ref.random()
 
 
 def test_coupling_met_implies_equal():
     for k in all_kernels():
-        if k.state_dim > 1:
+        if k.state_shape:
             s, sp = np.zeros(2), np.array([0.7, -0.4])
         elif k.domain_floor() is not None:
             s, sp = k.domain_floor() + 0.3, k.domain_floor() + 1.7
@@ -1223,7 +1231,7 @@ def test_coupling_disagreement_logit():
 
 def _marginal_pvalue(kernel, s, draws):
     """Goodness of fit of coupled-marginal draws against p(.|s)."""
-    if kernel.state_dim > 1:
+    if kernel.state_shape:
         probs = kernel.probabilities(s)[0]
         counts = np.bincount(draws.astype(int), minlength=len(probs))
         return sstats.chisquare(counts, probs * len(draws)).pvalue
@@ -1258,7 +1266,7 @@ def test_coupling_marginals_correct_all_families():
     # both marginals of the maximal coupling follow their kernels
     n = 10**5
     for i, k in enumerate(all_kernels()):
-        if k.state_dim > 1:
+        if k.state_shape:
             s, sp = np.zeros(2), np.array([0.8, -0.3])
         elif k.domain_floor() is not None:
             s, sp = k.domain_floor() + 0.5, k.domain_floor() + 2.0
@@ -1278,7 +1286,7 @@ def test_coupling_does_not_call_the_oracle(monkeypatch):
     for cls in {type(k) for k in all_kernels()}:
         monkeypatch.setattr(cls, "_tv_exact_impl", no_oracle)
     for k in all_kernels():
-        if k.state_dim > 1:
+        if k.state_shape:
             s, sp = np.zeros(2), np.array([1.5, -1.0])
         else:
             s = 0.5 if k.domain_floor() is None else k.domain_floor() + 0.5
@@ -1400,7 +1408,7 @@ def test_noise_of_n_draws_is_n_scalar_noise_calls(kernel):
     assert all(type(e) is float for e in scalars)
     assert batch.tobytes() == np.array(scalars).tobytes()
     assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)
-    s = np.array([0.5, -1.0]) if kernel.state_dim > 1 else 1.5
+    s = np.array([0.5, -1.0]) if kernel.state_shape else 1.5
     ys = [kernel.sample(s, rng) for _ in range(20)]
     assert ys == [kernel._from_noise(s, kernel._noise(None, twin)) for _ in range(20)]
     assert {type(y) for y in ys} == {int if kernel.discrete else float}
@@ -1410,8 +1418,8 @@ def test_noise_of_n_draws_is_n_scalar_noise_calls(kernel):
 def test_chain_draws_are_one_sample_per_step(kernel):
     # a glued chain's draws, fixed once per run, give at each state the value and type of one
     # sample and take its words, a Poisson mean past numpy's bound (1e19) among them
-    if kernel.state_dim > 1:
-        states = [np.linspace(-1.0, v, kernel.state_dim) for v in (0.5, 0.0, 40.0)]
+    if kernel.state_shape:
+        states = [np.linspace(-1.0, v, *kernel.state_shape) for v in (0.5, 0.0, 40.0)]
     else:
         states = [(kernel.domain_floor() or 0.0) + d for d in (0.0, 0.5, 3.0, 40.0, 1e19, 2.5)]
     rng, twin = generator(9, 1), generator(9, 1)

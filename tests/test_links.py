@@ -94,13 +94,21 @@ def _envelope_violation_grid(link, env, states, ys, xs):
 
 
 def test_envelope_linear_is_itself():
-    link = od.LinearLink(CM(0.4, True), CM(0.3, True), CM(1.0, True), order=1)
-    env = od.growth_envelope(link)
-    assert env.kappa_map.evaluate(X0) == 0.4
-    assert env.kappa_tilde_map.evaluate(X0) == 0.3
-    assert env.delta_map.evaluate(X0) == 1.0
-    assert env.is_contractive_in_s
-    assert env.case == "linear"
+    # contractive in s only where a supremum of kappa below 1 is provable: a constant, a
+    # table's largest entry, or the intercept of an affine map with zero slopes
+    table = od.TableMap(((0.0,), (1.0,)), (0.4, 0.7), True)
+    AA = od.AffineAbsMap
+    for kappa, at_x0, contractive in ((CM(0.4, True), 0.4, True), (table, 0.4, True),
+                                      (od.TableMap(table.states, (0.4, 1.5), True), 0.4, False),
+                                      (AA(0.4, (0.0,), True), 0.4, True), (AA(1.2, (0.0,), True), 1.2, False),
+                                      (AA(0.4, (0.1,), True), 0.4, False)):
+        link = od.LinearLink(kappa, CM(0.3, True), CM(1.0, True), order=1)
+        env = od.growth_envelope(link)
+        assert env.kappa_map.evaluate(X0) == at_x0
+        assert env.kappa_tilde_map.evaluate(X0) == 0.3
+        assert env.delta_map.evaluate(X0) == 1.0
+        assert env.is_contractive_in_s is env.to_dict()["is_contractive_in_s"] is contractive
+        assert env.case == "linear"
 
 
 def test_envelope_threshold_case2_absorbs_bounded_regime():

@@ -182,10 +182,16 @@ def _threshold(gamma_in, gamma_out, kappa_out=CM(0.4, True), order=1):
     (od.GarchGaussian(1.0), _linear(order=2, floor=0.5), False, "floor 0.5 lies below the domain bound 1.0"),
     (od.Location(), _linear(kappa=CM(0.4), intercept=CM(-3.0)), True, "state space unbounded below"),
     (od.BernoulliLogit(), od.ArmaLikeLink(CM(0.5), CM(-1.0), CM(0.2)), True, "state space unbounded below"),
+    # the kernel's own domain test decides: no slack for the count families, whose simulate would
+    # leave the domain at t = 0 from the clamp, and GARCH's 1e-12 for a clamp or an intercept
+    (od.Poisson(), _linear(floor=-5e-13), False, "floor -5e-13 lies below the domain bound 0.0"),
+    (od.GarchGaussian(1.0), _linear(order=2, floor=1.0 - 5e-13), True, "floor clamp at 0.9999999999995"),
+    (od.GarchGaussian(1.0), _linear(intercept=CM(1.0 - 5e-13, True), order=2), True,
+     "structural intercept bound 0.9999999999995"),
 ])
 def test_domain_compatible_verdicts(kernel, link, ok, reason):
     # a floor clamp, or else the least intercept of branches with nonnegative slopes
-    # (observation term nonnegative), must lie at or above the kernel's floor
+    # (observation term nonnegative), must lie in the kernel's domain
     assert domain_compatible(od.ModelSpec(kernel, link, od.IID(od.Uniform(0.0, 1.0)))) == (ok, reason)
 
 
